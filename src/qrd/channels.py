@@ -398,38 +398,6 @@ def channel_divergence(
     )
 
 
-def alpha_sweep_channel(
-    n1: Channel,
-    n2: Channel,
-    kind: str,
-    alpha_grid,
-    shared_restarts: int = 8,
-    seed: int = 0,
-    iters: int = 60,
-) -> list[tuple[float, float]]:
-    """Channel divergence along an alpha grid with shared restart seeds.
-
-    Reusing the seed across the grid correlates optimizer noise, which
-    keeps the Petz and sandwiched curves numerically monotone; a
-    decrease beyond 1e-3 on those kinds signals an optimizer failure and
-    raises.
-    """
-    curve = []
-    for alpha in alpha_grid:
-        res = channel_divergence(
-            n1, n2, kind, alpha=float(alpha), restarts=shared_restarts,
-            seed=seed, iters=iters,
-        )
-        curve.append((float(alpha), res.value))
-    if kind in ("petz", "sandwiched"):
-        for (a0, v0), (a1, v1) in zip(curve, curve[1:]):
-            if v1 < v0 - 1e-3:
-                raise RuntimeError(
-                    f"{kind} curve decreased from {v0:.6f} at {a0} to {v1:.6f} at {a1}"
-                )
-    return curve
-
-
 def classical_joint_weights(t: np.ndarray, r: np.ndarray) -> WeightVector:
     """Joint weights r(x) t[y, x] flattened over (x, y)."""
     t = np.asarray(t, dtype=float)

@@ -29,14 +29,10 @@ from .opcore import (
     DEFAULT_CUTOFF,
     SUPPORT_TEST_SLACK,
     HermitianOperator,
-    SupportCutoff,
     as_operator,
-    logn,
     pinch_exp,
-    psd_leq,
-    support_leq,
-    support_projection,
-    supported_power,
+    spectral_map,
+    support_defect,
 )
 
 #: relative slack for the self-check inequalities (ALT chain, domination)
@@ -54,16 +50,10 @@ BORDERLINE_BAND = (1e-12, SUPPORT_TEST_SLACK)
 
 @dataclass(frozen=True)
 class DivergenceParams:
-    """Order pair (alpha, z); z = 0.0 means the z -> 0 limit, inf allowed.
-
-    Optional kappa and lam ride along for the kappa-scaled sweeps and
-    scaling-law experiments; they do not affect evaluation here.
-    """
+    """Order pair (alpha, z); z = 0.0 means the z -> 0 limit, inf allowed."""
 
     alpha: float
     z: float
-    kappa: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -84,31 +74,31 @@ class DivergenceValue:
     notes: tuple[str, ...] = ()
 
 
-def _checked_pair(rho, sigma) -> tuple[HermitianOperator, HermitianOperator]:
+def _checked_pair(rho, sigma) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
+    """Validate a pair once: (rho, sigma, included, borderline).
+
+    included is the support_defect test of rho^0 <= sigma^0; borderline
+    marks a defect between the strict cutoff and the test slack.  Every
+    public entry point calls this exactly once and hands the result to
+    the array kernels below.
+    """
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if support_projection(rho).rank == 0:
+    if spectral_map(rho, np.ones_like)[1] == 0:
         raise ZeroOperatorError("rho is (numerically) zero")
-    if support_projection(sigma).rank == 0:
+    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like)
+    if rank_sigma == 0:
         raise ZeroOperatorError("sigma is (numerically) zero")
-    return rho, sigma
-
-
-def _support_status(rho, sigma) -> tuple[bool, bool]:
-    """(included, borderline) for the rho-support inside sigma-support test.
-
-    Uses the relative mass of rho outside the sigma support rather than
-    a projector eigenvalue gap: for low-rank rho the latter scales like
-    an amplitude and misreads harmless perturbations as violations.
-    """
-    p_sigma = support_projection(sigma).entries
-    leak = rho.trace - float(np.real(np.trace(p_sigma @ rho.entries @ p_sigma)))
-    defect = max(leak, 0.0) / rho.trace
+    defect = support_defect(rho, p_sigma)
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    return included, borderline
+    return rho, sigma, included, borderline
+
+
+def _power(A: HermitianOperator, x: float) -> np.ndarray:
+    return spectral_map(A, lambda w: w ** x)[0]
 
 
 def _sum_powers(matrix: np.ndarray, expo: float) -> float:
@@ -121,6 +111,14 @@ def _sum_powers(matrix: np.ndarray, expo: float) -> float:
     return float(np.sum(w[kept] ** float(expo)))
 
 
+def _q(rho, sigma, included: bool, alpha: float, z: float) -> float:
+    if alpha > 1.0 and not included:
+        return math.inf
+    rh = _power(rho, alpha / (2.0 * z))
+    sp = _power(sigma, (1.0 - alpha) / z)
+    return _sum_powers(rh @ sp @ rh, z)
+
+
 def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     """Trace functional Q_{alpha,z} = Tr (rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z})^z.
 
@@ -130,35 +128,8 @@ def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     alpha, z = params.alpha, params.z
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    rho, sigma = _checked_pair(rho, sigma)
-    if alpha > 1.0:
-        included, _ = _support_status(rho, sigma)
-        if not included:
-            return math.inf
-    rh = supported_power(rho, alpha / (2.0 * z))
-    sp = supported_power(sigma, (1.0 - alpha) / z)
-    inner = rh.entries @ sp.entries @ rh.entries
-    return _sum_powers(inner, z)
-
-
-def q_alpha_z_symmetric(rho, sigma, params: DivergenceParams) -> float:
-    """Same functional with the roles swapped inside the trace.
-
-    Tr (sigma^{(1-a)/2z} rho^{a/z} sigma^{(1-a)/2z})^z; agrees with
-    q_alpha_z up to numerical error and exists for cross-checking.
-    """
-    alpha, z = params.alpha, params.z
-    if not (z > 0.0 and math.isfinite(z)):
-        raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    rho, sigma = _checked_pair(rho, sigma)
-    if alpha > 1.0:
-        included, _ = _support_status(rho, sigma)
-        if not included:
-            return math.inf
-    sp = supported_power(sigma, (1.0 - alpha) / (2.0 * z))
-    rh = supported_power(rho, alpha / z)
-    inner = sp.entries @ rh.entries @ sp.entries
-    return _sum_powers(inner, z)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    return _q(rho, sigma, included, alpha, z)
 
 
 def _value_from_q(alpha: float, tr_rho: float, q: float, notes=()) -> DivergenceValue:
@@ -186,6 +157,27 @@ def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> Divergence
     return DivergenceValue(math.exp(psi), d, psi, tuple(notes))
 
 
+def _d_alpha_z(rho, sigma, included, borderline, params) -> DivergenceValue:
+    alpha, z = params.alpha, params.z
+    tr_rho = rho.trace
+    notes = ["support_borderline"] if borderline else []
+    if alpha == 1.0:
+        return _value_from_d(alpha, tr_rho, _umegaki(rho, sigma, included), notes)
+    if math.isinf(z):
+        q = pinch_exp(rho, sigma, alpha)
+        if q == 0.0:
+            notes.append("degenerate_support")
+        return _value_from_q(alpha, tr_rho, q, notes)
+    if z == 0.0:
+        from . import zlimits  # deferred: zlimits depends on this module
+
+        rec = zlimits.zero_z_divergence(rho, sigma, alpha)
+        if rec.used_fallback:
+            notes.append("zero_z_extrapolated")
+        return _value_from_d(alpha, tr_rho, rec.value, notes)
+    return _value_from_q(alpha, tr_rho, _q(rho, sigma, included, alpha, z), notes)
+
+
 def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     """Renyi (alpha, z)-divergence with its Q and psi companions.
 
@@ -193,41 +185,30 @@ def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     pinched exponential; z = 0 uses the spectral limit with extrapolation
     fallback.
     """
-    alpha = params.alpha
-    rho, sigma = _checked_pair(rho, sigma)
-    tr_rho = rho.trace
-    notes: list[str] = []
-    _, borderline = _support_status(rho, sigma)
-    if borderline:
-        notes.append("support_borderline")
+    return _d_alpha_z(*_checked_pair(rho, sigma), params)
 
-    if alpha == 1.0:
-        return _value_from_d(alpha, tr_rho, umegaki(rho, sigma), notes)
-    if math.isinf(params.z):
-        q = pinch_exp(rho, sigma, alpha)
-        if q == 0.0:
-            notes.append("degenerate_support")
-        return _value_from_q(alpha, tr_rho, q, notes)
-    if params.z == 0.0:
-        from . import zlimits  # deferred: zlimits depends on this module
 
-        rec = zlimits.zero_z_divergence(rho, sigma, alpha)
-        if rec.used_fallback:
-            notes.append("zero_z_extrapolated")
-        return _value_from_d(alpha, tr_rho, rec.value, notes)
-    q = q_alpha_z(rho, sigma, params)
-    return _value_from_q(alpha, tr_rho, q, notes)
+def _umegaki(rho, sigma, included: bool) -> float:
+    if not included:
+        return math.inf
+    diff = spectral_map(rho, np.log)[0] - spectral_map(sigma, np.log)[0]
+    val = float(np.real(np.trace(rho.entries @ diff)))
+    return val / rho.trace
 
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log rho - log sigma) / Tr rho."""
-    rho, sigma = _checked_pair(rho, sigma)
-    included, _ = _support_status(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    return _umegaki(rho, sigma, included)
+
+
+def _d_max(rho, sigma, included: bool) -> float:
     if not included:
         return math.inf
-    diff = logn(rho).entries - logn(sigma).entries
-    val = float(np.real(np.trace(rho.entries @ diff)))
-    return val / rho.trace
+    s_inv = _power(sigma, -0.5)
+    x = s_inv @ rho.entries @ s_inv
+    top = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[-1])
+    return math.log(top) if top > 0.0 else -math.inf
 
 
 def d_max(rho, sigma) -> float:
@@ -237,32 +218,8 @@ def d_max(rho, sigma) -> float:
     log lambda with rho <= lambda sigma, matching the divergence family
     at its z = alpha - 1, alpha -> inf corner.
     """
-    rho, sigma = _checked_pair(rho, sigma)
-    included, _ = _support_status(rho, sigma)
-    if not included:
-        return math.inf
-    s_inv = supported_power(sigma, -0.5)
-    x = s_inv.entries @ rho.entries @ s_inv.entries
-    top = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[-1])
-    return math.log(top) if top > 0.0 else -math.inf
-
-
-def d_max_bisection(rho, sigma, tol: float = 1e-10) -> float:
-    """Cross-check for d_max: bisection on log lambda with the PSD order test."""
-    rho, sigma = _checked_pair(rho, sigma)
-    included, _ = _support_status(rho, sigma)
-    if not included:
-        return math.inf
-    lo, hi = -60.0, 60.0
-    if not psd_leq(rho, math.exp(hi) * sigma.entries, 1e-14):
-        raise BadParamsError("pair outside the bisection bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if psd_leq(rho, math.exp(mid) * sigma.entries, 1e-14):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    return _d_max(rho, sigma, included)
 
 
 def d_hat_alpha(rho, sigma, alpha: float) -> float:
@@ -273,16 +230,14 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma = _checked_pair(rho, sigma)
-    if alpha > 1.0:
-        included, _ = _support_status(rho, sigma)
-        if not included:
-            return math.inf
-    s_half = supported_power(sigma, 0.5)
-    s_inv = supported_power(sigma, -0.5)
-    x = s_inv.entries @ rho.entries @ s_inv.entries
-    xa = supported_power(HermitianOperator(0.5 * (x + x.conj().T)), alpha)
-    tr = float(np.real(np.trace(s_half.entries @ xa.entries @ s_half.entries)))
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    if alpha > 1.0 and not included:
+        return math.inf
+    s_half = _power(sigma, 0.5)
+    s_inv = _power(sigma, -0.5)
+    x = s_inv @ rho.entries @ s_inv
+    xa = _power(HermitianOperator(0.5 * (x + x.conj().T)), alpha)
+    tr = float(np.real(np.trace(s_half @ xa @ s_half)))
     if tr <= 0.0:
         return math.inf
     return (math.log(tr) - math.log(rho.trace)) / (alpha - 1.0)
@@ -292,6 +247,7 @@ def d_alpha_zero(rho, sigma, alpha: float) -> float:
     """z -> 0 limit divergence; see zlimits for the spectral machinery."""
     from . import zlimits
 
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     return zlimits.zero_z_divergence(rho, sigma, alpha).value
 
 
@@ -301,7 +257,7 @@ def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:
     Reproduces Q_{alpha,1} of the operator pair exactly, which makes it
     the bridge between quantum z = 1 divergences and classical ones.
     """
-    rho, sigma = _checked_pair(rho, sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     a, v = rho.eig
     b, w = sigma.eig
     # eigenvalue and overlap dust below the support cutoff must become an
@@ -322,8 +278,7 @@ def _variational_guard(rho, sigma, params: DivergenceParams):
         raise BadAlphaError(f"variational formula needs alpha in (1, 2], got {alpha}")
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"variational formula needs finite z > 0, got {z}")
-    rho, sigma = _checked_pair(rho, sigma)
-    included, _ = _support_status(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     if not included:
         raise SupportViolationError(
             "rho^{a/z} <= lambda sigma^{a/z} fails for every finite lambda"
@@ -340,10 +295,10 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
     rho, sigma = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
     H = as_operator(H)
-    rh = supported_power(rho, alpha / (2.0 * z))
-    sh = supported_power(sigma, (alpha - 1.0) / (2.0 * z))
-    t1 = _sum_powers(rh.entries @ H.entries @ rh.entries, z / alpha)
-    t2 = _sum_powers(sh.entries @ H.entries @ sh.entries, z / (alpha - 1.0))
+    rh = _power(rho, alpha / (2.0 * z))
+    sh = _power(sigma, (alpha - 1.0) / (2.0 * z))
+    t1 = _sum_powers(rh @ H.entries @ rh, z / alpha)
+    t2 = _sum_powers(sh @ H.entries @ sh, z / (alpha - 1.0))
     return alpha * t1 + (1.0 - alpha) * t2
 
 
@@ -351,13 +306,11 @@ def variational_optimizer_H(rho, sigma, params: DivergenceParams) -> HermitianOp
     """The maximizer sigma^{(1-a)/2z} (sigma^{(1-a)/2z} rho^{a/z} sigma^{(1-a)/2z})^{a-1} sigma^{(1-a)/2z}."""
     rho, sigma = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
-    s_out = supported_power(sigma, (1.0 - alpha) / (2.0 * z))
-    r_mid = supported_power(rho, alpha / z)
-    inner = s_out.entries @ r_mid.entries @ s_out.entries
-    powered = supported_power(
-        HermitianOperator(0.5 * (inner + inner.conj().T)), alpha - 1.0
-    )
-    h = s_out.entries @ powered.entries @ s_out.entries
+    s_out = _power(sigma, (1.0 - alpha) / (2.0 * z))
+    r_mid = _power(rho, alpha / z)
+    inner = s_out @ r_mid @ s_out
+    powered = _power(HermitianOperator(0.5 * (inner + inner.conj().T)), alpha - 1.0)
+    h = s_out @ powered @ s_out
     return HermitianOperator(0.5 * (h + h.conj().T))
 
 
@@ -390,17 +343,14 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
         raise BadParamsError(f"need 0 < z1 <= z2 finite, got ({z1}, {z2})")
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho, sigma = _checked_pair(rho, sigma)
-    qz1 = q_alpha_z(rho, sigma, DivergenceParams(alpha, z1))
-    qz2 = q_alpha_z(rho, sigma, DivergenceParams(alpha, z2))
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    qz1 = _q(rho, sigma, included, alpha, z1)
+    qz2 = _q(rho, sigma, included, alpha, z2)
     ratio = z1 / z2
     rho_norm = float(np.clip(rho.eigenvalues[0], 0.0, None))
-    if alpha == 1.0:
-        tr_sig_pow = float(support_projection(sigma).rank)
-    else:
-        b = sigma.eigenvalues
-        kept = b > DEFAULT_CUTOFF.threshold(b)
-        tr_sig_pow = float(np.sum(b[kept] ** (1.0 - alpha)))
+    b = sigma.eigenvalues
+    kept = b > DEFAULT_CUTOFF.threshold(b)
+    tr_sig_pow = float(np.sum(b[kept] ** (1.0 - alpha)))
     if math.isinf(qz2):
         upper = math.inf
     else:
@@ -432,8 +382,9 @@ def dmax_domination_check(rho, sigma, params: DivergenceParams) -> DmaxDominatio
     alpha > 1 with z >= alpha - 1; it fails strictly for pure rho whose
     vector is not a sigma-eigenvector once z < alpha - 1.
     """
-    val = d_alpha_z(rho, sigma, params).d_value
-    dm = d_max(rho, sigma)
+    rho, sigma, included, borderline = _checked_pair(rho, sigma)
+    val = _d_alpha_z(rho, sigma, included, borderline, params).d_value
+    dm = _d_max(rho, sigma, included)
     if math.isinf(val):
         dominated = math.isinf(dm)
     else:

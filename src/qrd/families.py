@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import knife_edge_family
 from .errors import BadParamsError
-from .opcore import HermitianOperator, supported_power
+from .opcore import HermitianOperator, spectral_map
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -119,8 +119,8 @@ def gen_kappa(kappa: float, lam: float, eps: float, dim: int = 2):
         tilde[:2, :2] = (1.0 - eps) * sigma2.entries
         for j in range(2, dim):
             tilde[j, j] = eps / (dim - 2)
-    root = supported_power(HermitianOperator(tilde), 1.0 / kappa)
-    sigma = HermitianOperator(root.entries / root.trace)
+    root = spectral_map(tilde, lambda w: w ** (1.0 / kappa))[0]
+    sigma = HermitianOperator(root / float(np.real(np.trace(root))))
     return HermitianOperator(rho), sigma
 
 

@@ -17,13 +17,7 @@ from scipy.optimize import minimize
 
 from .classical import WeightVector, classical_renyi
 from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
-from .opcore import (
-    HermitianOperator,
-    as_operator,
-    support_leq,
-    support_projection,
-    supported_power,
-)
+from .opcore import HermitianOperator, as_operator, spectral_map, support_leq
 
 #: ridge added to each raw POVM factor so the normalization is always
 #: invertible and iterates stay exactly feasible
@@ -214,7 +208,7 @@ def _seed_factor_list(rho, sigma, n_outcomes, restarts, rng, extra=()):
     seeds = list(extra)
     joint = np.linalg.eigh(rho.entries + EIGENBASIS_MIX * sigma.entries)[1]
     seeds.append(_eigenbasis_factors(joint, n_outcomes))
-    s_inv = supported_power(sigma, -0.5).entries
+    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
     x = s_inv @ rho.entries @ s_inv
     ratio_basis = np.linalg.eigh(0.5 * (x + x.conj().T))[1]
     seeds.append(_eigenbasis_factors(ratio_basis, n_outcomes))
@@ -235,13 +229,13 @@ def _structural_infinity(rho, sigma, alpha) -> POVM | None:
     disjoint supports (alpha < 1).
     """
     d = rho.dim
-    p_sig = support_projection(sigma).entries
+    p_sig = spectral_map(sigma, np.ones_like)[0]
     if alpha >= 1.0:
         if support_leq(rho, sigma):
             return None
         complement = np.eye(d) - p_sig
         return POVM((HermitianOperator(complement), HermitianOperator(p_sig)))
-    p_rho = support_projection(rho).entries
+    p_rho = spectral_map(rho, np.ones_like)[0]
     overlap = float(np.linalg.norm(p_rho @ p_sig, 2))
     if overlap > 1e-8:
         return None
@@ -345,7 +339,7 @@ def test_measured(
         povm = _two_outcome_povm(t_matrix)
         return _certified_value(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
 
-    s_inv = supported_power(sigma, -0.5).entries
+    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
     x = s_inv @ rho.entries @ s_inv
     w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
     seeds = []

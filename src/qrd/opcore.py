@@ -1,10 +1,11 @@
 """Hermitian operator algebra at desk scale.
 
-Supported real powers, support projections, projection meet, PSD order
-checks, logs on the support, and the pinched exponential needed by the
-large-z divergence limit.  Everything runs on exact eigendecompositions
-of d x d Hermitian matrices with a relative cutoff standing in for exact
-spectral projections.  All logs are natural, so values are in nats.
+Supported real powers, logs on the support and support projections (all
+one spectral map), the support-inclusion test, projection meet, PSD order
+checks, and the pinched exponential needed by the large-z divergence
+limit.  Everything runs on exact eigendecompositions of d x d Hermitian
+matrices with a relative cutoff standing in for exact spectral
+projections.  All logs are natural, so values are in nats.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def as_operator(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
-def _psd_eigensystem(A: HermitianOperator, clamp: bool = True):
+def _psd_eigensystem(A: HermitianOperator):
     """Eigensystem of A with the PSD precondition enforced.
 
     Rejects when the most negative eigenvalue is below -PSD_REJECT_RTOL
@@ -130,9 +131,23 @@ def _psd_eigensystem(A: HermitianOperator, clamp: bool = True):
         raise NotPSDError(
             f"min eigenvalue {w[-1]:.3e} below -{PSD_REJECT_RTOL:g} * {lam_max:.3e}"
         )
-    if clamp:
-        w = np.maximum(w, 0.0)
-    return w, v
+    return np.maximum(w, 0.0), v
+
+
+def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndarray, int]:
+    """fn on the eigenvalues above the cutoff, zero on the rest.
+
+    Returns the matrix as a plain array together with the number of kept
+    eigenvalues (the support rank).  supported_power, logn and
+    support_projection wrap this in an operator; callers that only need
+    the entries use the array directly.
+    """
+    w, v = _psd_eigensystem(as_operator(A))
+    kept = w > cutoff.threshold(w)
+    vals = np.zeros_like(w)
+    vals[kept] = fn(w[kept])
+    m = (v * vals) @ v.conj().T
+    return 0.5 * (m + m.conj().T), int(np.count_nonzero(kept))
 
 
 def supported_power(A, x: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> HermitianOperator:
@@ -142,27 +157,32 @@ def supported_power(A, x: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> Herm
     support and vanish on the kernel, so A^-x A^x equals the support
     projection rather than the identity.
     """
-    A = as_operator(A)
-    w, v = _psd_eigensystem(A)
-    thr = cutoff.threshold(w)
-    kept = w > thr
-    powered = np.zeros_like(w)
-    if x == 0.0:
-        powered[kept] = 1.0
-    else:
-        powered[kept] = w[kept] ** float(x)
-    m = (v * powered) @ v.conj().T
-    return HermitianOperator(0.5 * (m + m.conj().T))
+    return HermitianOperator(spectral_map(A, lambda w: w ** float(x), cutoff)[0])
 
 
 def support_projection(A, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> Projection:
     """Projection onto the span of eigenvectors above the cutoff."""
-    A = as_operator(A)
-    w, v = _psd_eigensystem(A)
-    kept = w > cutoff.threshold(w)
+    return Projection(*spectral_map(A, np.ones_like, cutoff))
+
+
+def support_defect(rho: HermitianOperator, p_sigma: np.ndarray) -> float:
+    """Relative mass of rho outside the range of the projection p_sigma.
+
+    The support-inclusion test of the divergence family: rho^0 <= sigma^0
+    holds when this is at most SUPPORT_TEST_SLACK.  A projector eigenvalue
+    gap would scale like an amplitude for low-rank rho and misread
+    harmless perturbations as violations; the mass does not.
+    """
+    leak = rho.trace - float(np.real(np.trace(p_sigma @ rho.entries @ p_sigma)))
+    return max(leak, 0.0) / rho.trace
+
+
+def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+    w, v = np.linalg.eigh(p + q)
+    kept = np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL
     vk = v[:, kept]
-    p = vk @ vk.conj().T
-    return Projection(0.5 * (p + p.conj().T), rank=int(np.count_nonzero(kept)))
+    m = vk @ vk.conj().T
+    return 0.5 * (m + m.conj().T), int(np.count_nonzero(kept))
 
 
 def projection_meet(P: Projection, Q: Projection) -> Projection:
@@ -173,11 +193,7 @@ def projection_meet(P: Projection, Q: Projection) -> Projection:
     """
     if P.dim != Q.dim:
         raise DimMismatchError(f"dim {P.dim} vs {Q.dim}")
-    w, v = np.linalg.eigh(P.entries + Q.entries)
-    kept = np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL
-    vk = v[:, kept]
-    m = vk @ vk.conj().T
-    return Projection(0.5 * (m + m.conj().T), rank=int(np.count_nonzero(kept)))
+    return Projection(*_meet(P.entries, Q.entries))
 
 
 def psd_leq(A, B, slack: float | None = None) -> bool:
@@ -193,7 +209,11 @@ def psd_leq(A, B, slack: float | None = None) -> bool:
 
 
 def support_leq(A, B, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> bool:
-    """Support inclusion A^0 <= B^0 with the standard slack."""
+    """Support inclusion A^0 <= B^0 as a projector order test.
+
+    Stricter than support_defect for low-rank A: a leak of amplitude t
+    fails here once t exceeds the slack, there only once t^2 does.
+    """
     return psd_leq(
         support_projection(A, cutoff), support_projection(B, cutoff), SUPPORT_TEST_SLACK
     )
@@ -201,13 +221,7 @@ def support_leq(A, B, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> bool:
 
 def logn(A, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> HermitianOperator:
     """Natural log on the support, zero on the kernel."""
-    A = as_operator(A)
-    w, v = _psd_eigensystem(A)
-    kept = w > cutoff.threshold(w)
-    vals = np.zeros_like(w)
-    vals[kept] = np.log(w[kept])
-    m = (v * vals) @ v.conj().T
-    return HermitianOperator(0.5 * (m + m.conj().T))
+    return HermitianOperator(spectral_map(A, np.log, cutoff)[0])
 
 
 def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> float:
@@ -215,25 +229,25 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
 
     P is the meet of the two supports and L denotes the log on the support.
     Returns +inf when alpha > 1 and the support of rho is not contained in
-    that of sigma.  When the supports are disjoint (P = 0, possible only for
-    alpha < 1 here) the trace is empty and the value is 0.
+    that of sigma by the support_defect test.  When the supports are
+    disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
+    and the value is 0.
     """
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    p_rho = support_projection(rho, cutoff)
-    p_sigma = support_projection(sigma, cutoff)
-    if p_rho.rank == 0 or p_sigma.rank == 0:
+    p_rho, rank_rho = spectral_map(rho, np.ones_like, cutoff)
+    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like, cutoff)
+    if rank_rho == 0 or rank_sigma == 0:
         raise ZeroOperatorError("pinch_exp needs nonzero rho and sigma")
-    if alpha > 1.0 and not psd_leq(p_rho, p_sigma, SUPPORT_TEST_SLACK):
+    if alpha > 1.0 and support_defect(rho, p_sigma) > SUPPORT_TEST_SLACK:
         return math.inf
-    P = projection_meet(p_rho, p_sigma)
-    if P.rank == 0:
+    pm, rank = _meet(p_rho, p_sigma)
+    if rank == 0:
         return 0.0
-    pm = P.entries
-    m = alpha * (pm @ logn(rho, cutoff).entries @ pm)
-    m += (1.0 - alpha) * (pm @ logn(sigma, cutoff).entries @ pm)
+    m = alpha * (pm @ spectral_map(rho, np.log, cutoff)[0] @ pm)
+    m += (1.0 - alpha) * (pm @ spectral_map(sigma, np.log, cutoff)[0] @ pm)
     m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, pm, v))

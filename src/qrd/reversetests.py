@@ -30,12 +30,7 @@ from .errors import (
     NoConvexWitnessError,
     SupportViolationError,
 )
-from .opcore import (
-    HermitianOperator,
-    as_operator,
-    support_leq,
-    supported_power,
-)
+from .opcore import HermitianOperator, as_operator, spectral_map, support_leq
 
 #: residual below which a column counts as lying in the hull of the rest
 HULL_RESIDUAL_TOL = 1e-9
@@ -129,8 +124,8 @@ def spectral_reverse_test(rho, sigma) -> ReverseTest:
         raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
     if not support_leq(rho, sigma):
         raise SupportViolationError("support of rho leaks outside sigma")
-    s_half = supported_power(sigma, 0.5).entries
-    s_inv = supported_power(sigma, -0.5).entries
+    s_half = spectral_map(sigma, lambda w: w ** 0.5)[0]
+    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
     x = s_inv @ rho.entries @ s_inv
     vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
     omegas, p, q = [], [], []

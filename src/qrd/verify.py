@@ -1,18 +1,16 @@
 """Randomized verification suites behind the ``qrd verify`` subcommand.
 
 Each suite checks one cluster of library invariants on seeded random
-instances and returns a flat list of records.  Per-trial generators are
-derived from (seed, trial index), so results do not depend on how trials
-are sharded across workers; QRD_THREADS caps the worker count.
+instances and returns a flat list of records.  Trials run in order, each
+with its own generator derived from (seed, trial index), so extending the
+trial count keeps the earlier records unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +168,11 @@ def _record(suite: str, case: str, digest: str, ok: bool, detail: str, t0: float
 
 
 def _map_trials(per_trial, trials: int, seed: int) -> list[ResultRecord]:
-    workers = max(1, int(os.environ.get("QRD_THREADS", "1")))
-    run = lambda i: per_trial(i, np.random.default_rng([seed, i]))
-    if workers == 1:
-        batches = [run(i) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run, range(trials)))
-    return [rec for batch in batches for rec in batch]
+    return [
+        rec
+        for i in range(trials)
+        for rec in per_trial(i, np.random.default_rng([seed, i]))
+    ]
 
 
 # ---------------------------------------------------------------- alt

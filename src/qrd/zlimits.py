@@ -31,7 +31,7 @@ from .opcore import (
     Projection,
     as_operator,
     commutator_spectral_norm,
-    logn,
+    spectral_map,
 )
 
 #: a minor certifies genericity when its magnitude exceeds this
@@ -360,7 +360,7 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     tr_rho = float(np.sum(a))
     paired = float(np.sum(a * np.log(b)))
     tr_rho_log_sigma = float(
-        np.real(np.trace(rho.entries @ logn(sigma).entries))
+        np.real(np.trace(rho.entries @ spectral_map(sigma, np.log)[0]))
     )
     if direction == "below":
         gap = (paired - tr_rho_log_sigma) / tr_rho

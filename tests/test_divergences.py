@@ -5,18 +5,30 @@ import math
 import numpy as np
 import pytest
 
+from qrd.channels import apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_q, classical_renyi
 from qrd.divergences import (
     DivergenceParams,
     alt_chain,
     d_alpha_z,
+    d_alpha_zero,
     d_hat_alpha,
     d_max,
+    dmax_domination_check,
     nussbaum_szkola,
     q_alpha_z,
     umegaki,
+    variational_objective,
+    variational_optimizer_H,
 )
-from qrd.errors import BadAlphaError, BadParamsError
+from qrd.errors import (
+    BadAlphaError,
+    BadParamsError,
+    DimMismatchError,
+    MalformedInputError,
+    NotPSDError,
+    ZeroOperatorError,
+)
 from qrd.opcore import HermitianOperator, as_operator, pinch_exp
 from qrd.verify import rand_density, rand_pure
 
@@ -56,6 +68,24 @@ def test_z_infinity_uses_pinched_exponential(qutrit_pair):
     rho, sigma = qutrit_pair
     got = d_alpha_z(rho, sigma, DivergenceParams(2.0, math.inf)).q_value
     assert got == pytest.approx(pinch_exp(rho, sigma, 2.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_z_infinity_support_test_agrees_with_finite_z(alpha):
+    """psi = |00> + 1e-6 |11> through identity (rho) and depolarizing(0.2) (sigma).
+
+    rho leaks out of supp sigma by an amplitude of about 1e-6 but only a
+    mass of about 1e-12, so the leak-mass test keeps the pair included and
+    D_{alpha,inf} must be finite and below D_max like the finite-z members.
+    """
+    psi = np.array([1.0, 0.0, 0.0, 1e-6], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    state = np.outer(psi, psi.conj())
+    rho = apply_extended(identity_channel(2), state)
+    sigma = apply_extended(depolarizing_channel(0.2), state)
+    val = d_alpha_z(rho, sigma, DivergenceParams(alpha, math.inf)).d_value
+    assert math.isfinite(val)
+    assert val <= d_max(rho, sigma) + 1e-9
 
 
 def test_self_divergence_zero(qutrit_pair):
@@ -143,3 +173,47 @@ def test_z_monotonicity_of_q(qutrit_pair):
     ]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-10
+
+
+#: every public pair entry point, as a function of (rho, sigma)
+PAIR_ENTRY_POINTS = {
+    "q_alpha_z": lambda r, s: q_alpha_z(r, s, DivergenceParams(1.5, 1.0)),
+    "d_alpha_z[z=1]": lambda r, s: d_alpha_z(r, s, DivergenceParams(1.5, 1.0)),
+    "d_alpha_z[z=inf]": lambda r, s: d_alpha_z(r, s, DivergenceParams(1.5, math.inf)),
+    "d_alpha_z[z=0]": lambda r, s: d_alpha_z(r, s, DivergenceParams(1.5, 0.0)),
+    "d_alpha_zero": lambda r, s: d_alpha_zero(r, s, 1.5),
+    "umegaki": umegaki,
+    "d_max": d_max,
+    "d_hat_alpha": lambda r, s: d_hat_alpha(r, s, 1.5),
+    "nussbaum_szkola": nussbaum_szkola,
+    "variational_objective": lambda r, s: variational_objective(
+        r, s, DivergenceParams(1.5, 1.5), np.eye(2)
+    ),
+    "variational_optimizer_H": lambda r, s: variational_optimizer_H(
+        r, s, DivergenceParams(1.5, 1.5)
+    ),
+    "alt_chain": lambda r, s: alt_chain(r, s, 1.5, 1.0, 2.0),
+    "dmax_domination_check": lambda r, s: dmax_domination_check(
+        r, s, DivergenceParams(1.5, 1.0)
+    ),
+}
+
+GOOD = np.diag([0.6, 0.4])
+BAD_INPUTS = [
+    ("dim", np.eye(3) / 3, GOOD, DimMismatchError),
+    ("zero-rho", np.zeros((2, 2)), GOOD, ZeroOperatorError),
+    ("zero-sigma", GOOD, np.zeros((2, 2)), ZeroOperatorError),
+    ("notpsd-rho", np.diag([1.0, -0.5]), GOOD, NotPSDError),
+    ("notpsd-sigma", GOOD, np.diag([1.0, -0.5]), NotPSDError),
+    ("nonhermitian-rho", np.array([[0.5, 0.2], [0.0, 0.5]]), GOOD, MalformedInputError),
+    ("nonhermitian-sigma", GOOD, np.array([[0.5, 0.2], [0.0, 0.5]]), MalformedInputError),
+]
+
+
+@pytest.mark.parametrize(
+    "rho,sigma,error", [b[1:] for b in BAD_INPUTS], ids=[b[0] for b in BAD_INPUTS]
+)
+@pytest.mark.parametrize("entry", list(PAIR_ENTRY_POINTS), ids=list(PAIR_ENTRY_POINTS))
+def test_pair_entry_points_validate_inputs(entry, rho, sigma, error):
+    with pytest.raises(error):
+        PAIR_ENTRY_POINTS[entry](rho, sigma)
