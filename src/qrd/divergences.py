@@ -18,22 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import WeightVector
-from .errors import (
-    BadAlphaError,
-    BadParamsError,
-    DimMismatchError,
-    SupportViolationError,
-    ZeroOperatorError,
-)
+from .errors import BadAlphaError, BadParamsError, SupportViolationError
 from .opcore import (
     DEFAULT_CUTOFF,
-    SUPPORT_TEST_SLACK,
     HermitianOperator,
+    _checked_pair,
+    _pinch_exp,
     as_operator,
-    pinch_exp,
     spectral_map,
-    support_defect,
 )
+from .zlimits import _zero_z_divergence, zero_z_divergence
 
 #: relative slack for the self-check inequalities (ALT chain, domination)
 REL_SLACK = 1e-9
@@ -42,10 +36,6 @@ REL_SLACK = 1e-9
 #: as exact zeros; deliberately at machine level, not the input support
 #: cutoff, because ratio^(1/z) eigenvalues are data rather than noise
 INNER_FLOOR_RTOL = 1e-15
-
-#: support-inclusion defects between the strict cutoff and the test slack
-#: mark a borderline branch choice
-BORDERLINE_BAND = (1e-12, SUPPORT_TEST_SLACK)
 
 
 @dataclass(frozen=True)
@@ -72,29 +62,6 @@ class DivergenceValue:
     d_value: float
     psi_value: float
     notes: tuple[str, ...] = ()
-
-
-def _checked_pair(rho, sigma) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
-    """Validate a pair once: (rho, sigma, included, borderline).
-
-    included is the support_defect test of rho^0 <= sigma^0; borderline
-    marks a defect between the strict cutoff and the test slack.  Every
-    public entry point calls this exactly once and hands the result to
-    the array kernels below.
-    """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if spectral_map(rho, np.ones_like)[1] == 0:
-        raise ZeroOperatorError("rho is (numerically) zero")
-    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like)
-    if rank_sigma == 0:
-        raise ZeroOperatorError("sigma is (numerically) zero")
-    defect = support_defect(rho, p_sigma)
-    included = defect <= SUPPORT_TEST_SLACK
-    borderline = included and defect > BORDERLINE_BAND[0]
-    return rho, sigma, included, borderline
 
 
 def _power(A: HermitianOperator, x: float) -> np.ndarray:
@@ -164,14 +131,12 @@ def _d_alpha_z(rho, sigma, included, borderline, params) -> DivergenceValue:
     if alpha == 1.0:
         return _value_from_d(alpha, tr_rho, _umegaki(rho, sigma, included), notes)
     if math.isinf(z):
-        q = pinch_exp(rho, sigma, alpha)
+        q = _pinch_exp(rho, sigma, included, alpha)
         if q == 0.0:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
     if z == 0.0:
-        from . import zlimits  # deferred: zlimits depends on this module
-
-        rec = zlimits.zero_z_divergence(rho, sigma, alpha)
+        rec = _zero_z_divergence(rho, sigma, alpha)
         if rec.used_fallback:
             notes.append("zero_z_extrapolated")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
@@ -245,10 +210,7 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
 
 def d_alpha_zero(rho, sigma, alpha: float) -> float:
     """z -> 0 limit divergence; see zlimits for the spectral machinery."""
-    from . import zlimits
-
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
-    return zlimits.zero_z_divergence(rho, sigma, alpha).value
+    return zero_z_divergence(rho, sigma, alpha).value
 
 
 def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:

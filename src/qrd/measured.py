@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .classical import WeightVector, classical_renyi
 from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
@@ -350,6 +349,8 @@ def test_measured(
     for _ in range(max(restarts - len(seeds), 0)):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         seeds.append(0.5 * (a + a.conj().T))
+
+    from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
 
     best_val = -math.inf
     best_t = seeds[0]

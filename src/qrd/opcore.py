@@ -1,11 +1,12 @@
 """Hermitian operator algebra at desk scale.
 
 Supported real powers, logs on the support and support projections (all
-one spectral map), the support-inclusion test, projection meet, PSD order
-checks, and the pinched exponential needed by the large-z divergence
-limit.  Everything runs on exact eigendecompositions of d x d Hermitian
-matrices with a relative cutoff standing in for exact spectral
-projections.  All logs are natural, so values are in nats.
+one spectral map), the support-inclusion test and the pair check built on
+it, projection meet, PSD order checks, and the pinched exponential needed
+by the large-z divergence limit.  Everything runs on exact
+eigendecompositions of d x d Hermitian matrices with a relative cutoff
+standing in for exact spectral projections.  All logs are natural, so
+values are in nats.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ PSD_REJECT_RTOL = 1e-8
 
 #: slack used by support-inclusion tests (rho^0 <= sigma^0 and friends)
 SUPPORT_TEST_SLACK = 1e-8
+
+#: support-inclusion defects between the strict cutoff and the test slack
+#: mark a borderline branch choice
+BORDERLINE_BAND = (1e-12, SUPPORT_TEST_SLACK)
 
 #: eigenvalues of P+Q within this distance of 2 span the meet of P and Q
 MEET_EIGENVALUE_TOL = 1e-8
@@ -177,6 +182,32 @@ def support_defect(rho: HermitianOperator, p_sigma: np.ndarray) -> float:
     return max(leak, 0.0) / rho.trace
 
 
+def _checked_pair(
+    rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF
+) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
+    """Validate a pair once: (rho, sigma, included, borderline).
+
+    included is the support_defect test of rho^0 <= sigma^0; borderline
+    marks a defect between the strict cutoff and the test slack.  Every
+    public pair entry point (divergences, zlimits, pinch_exp) calls this
+    exactly once and hands the result to its array kernels.
+    """
+    rho = as_operator(rho)
+    sigma = as_operator(sigma)
+    if rho.dim != sigma.dim:
+        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    a, _ = _psd_eigensystem(rho)
+    if not np.any(a > cutoff.threshold(a)):
+        raise ZeroOperatorError("rho is (numerically) zero")
+    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like, cutoff)
+    if rank_sigma == 0:
+        raise ZeroOperatorError("sigma is (numerically) zero")
+    defect = support_defect(rho, p_sigma)
+    included = defect <= SUPPORT_TEST_SLACK
+    borderline = included and defect > BORDERLINE_BAND[0]
+    return rho, sigma, included, borderline
+
+
 def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
     w, v = np.linalg.eigh(p + q)
     kept = np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL
@@ -233,16 +264,18 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    p_rho, rank_rho = spectral_map(rho, np.ones_like, cutoff)
-    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like, cutoff)
-    if rank_rho == 0 or rank_sigma == 0:
-        raise ZeroOperatorError("pinch_exp needs nonzero rho and sigma")
-    if alpha > 1.0 and support_defect(rho, p_sigma) > SUPPORT_TEST_SLACK:
+    rho, sigma, included, _ = _checked_pair(rho, sigma, cutoff)
+    return _pinch_exp(rho, sigma, included, alpha, cutoff)
+
+
+def _pinch_exp(
+    rho, sigma, included: bool, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF
+) -> float:
+    """pinch_exp on a pair already validated by _checked_pair."""
+    if alpha > 1.0 and not included:
         return math.inf
+    p_rho = spectral_map(rho, np.ones_like, cutoff)[0]
+    p_sigma = spectral_map(sigma, np.ones_like, cutoff)[0]
     pm, rank = _meet(p_rho, p_sigma)
     if rank == 0:
         return 0.0

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .classical import (
     ConvexFunctionSpec,
@@ -184,6 +183,8 @@ def caratheodory_reduce(rt: ReverseTest, f: ConvexFunctionSpec | None = None) ->
     any classical f-divergence.  Only legal while the column count
     exceeds dim^2 + 1.
     """
+    from scipy.optimize import nnls  # deferred: slow to import, only the hull fit needs it
+
     n, d = rt.n_columns, rt.dim
     if n <= d * d + 1:
         raise BadParamsError(f"{n} columns at dim {d} is already at the floor")
@@ -243,6 +244,8 @@ def _project_column(m: np.ndarray) -> np.ndarray:
 
 
 def _refit_weights(omegas, target) -> tuple[np.ndarray, float]:
+    from scipy.optimize import nnls  # deferred: slow to import, only the hull fit needs it
+
     coords = _hull_coordinates(omegas)[:, :-1]
     t = np.concatenate([target.entries.real.ravel(), target.entries.imag.ravel()])
     lam, residual = nnls(coords.T, t)

@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -29,6 +28,7 @@ from .opcore import (
     DEFAULT_CUTOFF,
     HermitianOperator,
     Projection,
+    _checked_pair,
     as_operator,
     commutator_spectral_norm,
     spectral_map,
@@ -226,6 +226,8 @@ def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float
     float64; mpf exponents are unbounded so the computation stays exact
     to working precision.
     """
+    import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
+
     thr_a = DEFAULT_CUTOFF.relative_tau * max(float(a[0]), 0.0)
     thr_b = DEFAULT_CUTOFF.relative_tau * max(float(b[0]), 0.0)
     ia = [i for i in range(len(a)) if a[i] > thr_a]
@@ -257,8 +259,11 @@ def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float
 
 def zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over a halving grid."""
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    return _zero_z_oracle(rho, sigma, alpha, z_nodes)
+
+
+def _zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
     a, v = rho.eig
     b, w = sigma.eig
     overlap = v.conj().T @ w
@@ -283,8 +288,12 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    return _zero_z_divergence(rho, sigma, alpha)
+
+
+def _zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
+    """zero_z_divergence on a pair already validated by _checked_pair."""
     profile = spectral_profile(rho, sigma)
     if alpha > 1.0:
         gen = genericity_condition_b_prime(profile)
@@ -301,7 +310,7 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
         raise GenericityUndeterminedError(
             "overlap minors in the dead band; cannot choose formula vs fallback"
         )
-    return ZeroZResult(zero_z_oracle(rho, sigma, alpha), True, gen)
+    return ZeroZResult(_zero_z_oracle(rho, sigma, alpha), True, gen)
 
 
 @dataclass(frozen=True)

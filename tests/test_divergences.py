@@ -31,6 +31,7 @@ from qrd.errors import (
 )
 from qrd.opcore import HermitianOperator, as_operator, pinch_exp
 from qrd.verify import rand_density, rand_pure
+from qrd.zlimits import zero_z_divergence, zero_z_oracle
 
 
 def diag_pair():
@@ -196,6 +197,9 @@ PAIR_ENTRY_POINTS = {
     "dmax_domination_check": lambda r, s: dmax_domination_check(
         r, s, DivergenceParams(1.5, 1.0)
     ),
+    "pinch_exp": lambda r, s: pinch_exp(r, s, 1.5),
+    "zero_z_divergence": lambda r, s: zero_z_divergence(r, s, 1.5),
+    "zero_z_oracle": lambda r, s: zero_z_oracle(r, s, 1.5),
 }
 
 GOOD = np.diag([0.6, 0.4])

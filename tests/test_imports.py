@@ -1,0 +1,52 @@
+"""Import cost: scipy.optimize and mpmath load only where they are called."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.optimize", "mpmath")
+
+# runs in a fresh interpreter, so modules loaded by other tests do not count
+CHILD = f"""
+import json, sys
+import qrd
+from qrd import lab
+after_import = [m for m in {HEAVY!r} if m in sys.modules]
+code = lab.main(sys.argv[1:])
+after_main = [m for m in {HEAVY!r} if m in sys.modules]
+print(json.dumps({{"code": code, "after_import": after_import, "after_main": after_main}}))
+"""
+
+
+def run_fresh(*argv):
+    """Run qrd.lab.main(argv) in a new interpreter: (record, report)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, record, report = proc.stdout.splitlines()
+    return json.loads(record), json.loads(report)
+
+
+def test_import_and_closed_form_eval_load_no_heavy_module():
+    record, report = run_fresh("eval", "--kind", "dmax", "--family", "pure:c=1,eps=1e-6")
+    assert report == {"code": 0, "after_import": [], "after_main": []}
+    assert record["value"] == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+def test_test_kind_imports_the_optimizer_on_first_use():
+    record, report = run_fresh(
+        "eval", "--kind", "test", "--alpha", "1.5", "--seed", "3",
+        "--family", "pure:c=1,eps=0.3",
+    )
+    assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
+    assert math.isfinite(record["value"]) and record["value"] > 0.0
