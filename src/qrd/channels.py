@@ -241,8 +241,9 @@ class ChannelDivergenceResult:
 
 def _state_objective(kind: str, alpha, z, seed: int):
     if kind == "measured":
-        # small fixed inner budget keeps the outer search affordable and
-        # deterministic; the certificate stays a true lower bound
+        # at alpha >= 1/2 the convex program runs and ignores the budget;
+        # below 1/2 the small fixed ascent budget keeps the outer search
+        # affordable.  The certificate stays a true lower bound either way
         return lambda r, s: measured_renyi_lower(
             r, s, alpha, restarts=2, seed=seed, iters=8
         ).value

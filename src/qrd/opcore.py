@@ -184,13 +184,14 @@ def support_defect(rho: HermitianOperator, p_sigma: np.ndarray) -> float:
 
 def _checked_pair(
     rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF
-) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
-    """Validate a pair once: (rho, sigma, included, borderline).
+) -> tuple[HermitianOperator, HermitianOperator, bool, bool, np.ndarray]:
+    """Validate a pair once: (rho, sigma, included, borderline, p_sigma).
 
     included is the support_defect test of rho^0 <= sigma^0; borderline
-    marks a defect between the strict cutoff and the test slack.  Every
-    public pair entry point (divergences, zlimits, pinch_exp) calls this
-    exactly once and hands the result to its array kernels.
+    marks a defect between the strict cutoff and the test slack; p_sigma
+    is sigma's support projection the test was made with.  Every public
+    pair entry point (divergences, zlimits, pinch_exp) calls this exactly
+    once and hands the result to its array kernels.
     """
     rho = as_operator(rho)
     sigma = as_operator(sigma)
@@ -205,7 +206,7 @@ def _checked_pair(
     defect = support_defect(rho, p_sigma)
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    return rho, sigma, included, borderline
+    return rho, sigma, included, borderline, p_sigma
 
 
 def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
@@ -264,18 +265,22 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    rho, sigma, included, _ = _checked_pair(rho, sigma, cutoff)
-    return _pinch_exp(rho, sigma, included, alpha, cutoff)
+    rho, sigma, included, _, p_sigma = _checked_pair(rho, sigma, cutoff)
+    return _pinch_exp(rho, sigma, included, p_sigma, alpha, cutoff)
 
 
 def _pinch_exp(
-    rho, sigma, included: bool, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF
+    rho,
+    sigma,
+    included: bool,
+    p_sigma: np.ndarray,
+    alpha: float,
+    cutoff: SupportCutoff = DEFAULT_CUTOFF,
 ) -> float:
-    """pinch_exp on a pair already validated by _checked_pair."""
+    """pinch_exp on a pair already validated by _checked_pair, at its cutoff."""
     if alpha > 1.0 and not included:
         return math.inf
     p_rho = spectral_map(rho, np.ones_like, cutoff)[0]
-    p_sigma = spectral_map(sigma, np.ones_like, cutoff)[0]
     pm, rank = _meet(p_rho, p_sigma)
     if rank == 0:
         return 0.0

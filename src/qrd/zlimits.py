@@ -259,7 +259,7 @@ def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float
 
 def zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over a halving grid."""
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
     return _zero_z_oracle(rho, sigma, alpha, z_nodes)
 
 
@@ -288,7 +288,7 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
     return _zero_z_divergence(rho, sigma, alpha)
 
 

@@ -142,3 +142,11 @@ def test_curve_below_channel_dmax(rng):
     if math.isinf(cap):
         return
     assert res.value <= cap + 1e-6
+
+
+def test_measured_channel_divergence_below_channel_dmax():
+    n1 = identity_channel(2)
+    n2 = depolarizing_channel(0.2)
+    res = channel_divergence(n1, n2, "measured", alpha=1.5, restarts=1, seed=0, iters=5)
+    assert math.isfinite(res.value)
+    assert res.value <= channel_dmax(n1, n2) + 1e-9

@@ -89,6 +89,24 @@ def test_z_infinity_support_test_agrees_with_finite_z(alpha):
     assert val <= d_max(rho, sigma) + 1e-9
 
 
+def test_z_infinity_builds_sigma_support_projection_once(qutrit_pair, monkeypatch):
+    from qrd import opcore
+
+    rho, sigma = qutrit_pair
+    seen = []
+    original = opcore.spectral_map
+
+    def counting(A, fn, *args):
+        seen.append((A is sigma, fn is np.ones_like))
+        return original(A, fn, *args)
+
+    monkeypatch.setattr(opcore, "spectral_map", counting)
+    for alpha in (0.7, 1.5):
+        seen.clear()
+        d_alpha_z(rho, sigma, DivergenceParams(alpha, math.inf))
+        assert seen.count((True, True)) == 1
+
+
 def test_self_divergence_zero(qutrit_pair):
     rho, _ = qutrit_pair
     for alpha, z in ((0.5, 1.0), (2.0, 2.0), (1.0, 1.0)):

@@ -50,3 +50,12 @@ def test_test_kind_imports_the_optimizer_on_first_use():
     )
     assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
     assert math.isfinite(record["value"]) and record["value"] > 0.0
+
+
+def test_measured_kind_imports_the_optimizer_on_first_use():
+    record, report = run_fresh(
+        "eval", "--kind", "measured", "--alpha", "1.5", "--seed", "3",
+        "--family", "pure:c=1,eps=0.3",
+    )
+    assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
+    assert math.isfinite(record["value"]) and record["value"] > 0.0

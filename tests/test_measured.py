@@ -7,6 +7,7 @@ import pytest
 
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
+from qrd.errors import ZeroOperatorError
 from qrd.measured import (
     POVM,
     apply_povm,
@@ -15,7 +16,49 @@ from qrd.measured import (
     test_measured as measured_by_test,
 )
 from qrd.opcore import HermitianOperator
-from qrd.verify import rand_density
+from qrd.verify import rand_density, rand_pure
+
+CONVEX_ALPHAS = [0.5, 0.7, 1.0, 1.5, 3.0]
+
+
+def bloch_oracle(rho, sigma, alpha, rounds=12):
+    """Best two-outcome projective measurement of a qubit pair.
+
+    Scans the Bloch sphere (outcomes |n><n| and |-n><-n|) on a 1-degree
+    grid, then zooms a 21 x 21 grid around the best point, shrinking it
+    fivefold per round.  Needs full-rank states.
+    """
+    r, s = rho.entries, sigma.entries
+
+    def grid_values(theta, phi):
+        v = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+        p1 = np.real(np.einsum("...i,ij,...j->...", v.conj(), r, v))
+        q1 = np.real(np.einsum("...i,ij,...j->...", v.conj(), s, v))
+        p = np.stack([p1, rho.trace - p1])
+        q = np.stack([q1, sigma.trace - q1])
+        if alpha == 1.0:
+            return np.sum(p * np.log(p / q), axis=0) / rho.trace
+        q_alpha = np.sum(p**alpha * q ** (1 - alpha), axis=0)
+        return (np.log(q_alpha) - np.log(rho.trace)) / (alpha - 1)
+
+    theta, phi = np.meshgrid(np.radians(np.arange(181.0)), np.radians(np.arange(360.0)))
+    step = math.radians(1.0)
+    for _ in range(rounds):
+        vals = grid_values(theta, phi)
+        k = np.unravel_index(np.argmax(vals), vals.shape)
+        t0, f0 = theta[k], phi[k]
+        offsets = np.linspace(-2 * step, 2 * step, 21)
+        theta, phi = np.meshgrid(t0 + offsets, f0 + offsets)
+        step /= 5
+    return float(np.max(grid_values(theta, phi)))
+
+
+def subspace_density(rng, basis, rank):
+    """Random density matrix supported inside the span of basis's columns."""
+    k = basis.shape[1]
+    g = basis @ (rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank)))
+    m = g @ g.conj().T
+    return HermitianOperator(m / np.trace(m).real)
 
 
 def test_povm_completeness_enforced():
@@ -41,12 +84,19 @@ def test_apply_povm_outcome_statistics():
     np.testing.assert_allclose(w.values, [0.7, 0.3], atol=1e-12)
 
 
-def test_commuting_pair_reaches_classical_value():
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.8, 3.0])
+def test_commuting_pair_reaches_classical_value(alpha):
     p = np.array([0.5, 0.3, 0.2])
     q = np.array([0.2, 0.3, 0.5])
     rho, sigma = HermitianOperator(np.diag(p)), HermitianOperator(np.diag(q))
-    got = measured_renyi_lower(rho, sigma, 1.8, restarts=2, seed=0).value
-    assert got == pytest.approx(classical_renyi(p, q, 1.8), abs=1e-6)
+    got = measured_renyi_lower(rho, sigma, alpha, restarts=2, seed=0).value
+    assert got == pytest.approx(classical_renyi(p, q, alpha), abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5])
+def test_zero_rho_is_rejected(alpha):
+    with pytest.raises(ZeroOperatorError):
+        measured_renyi_lower(np.zeros((2, 2)), np.eye(2) / 2, alpha, restarts=1, iters=2)
 
 
 def test_structural_infinity_certified(rng):
@@ -93,3 +143,43 @@ def test_regularized_estimate_monotone_in_tensor_power(rng):
     assert v2 >= v1 - 1e-6
     sand = d_alpha_z(rho, sigma, DivergenceParams(1.5, 1.5)).d_value
     assert v2 <= sand + 1e-9
+
+
+@pytest.mark.parametrize("alpha", CONVEX_ALPHAS)
+def test_qubit_value_matches_projective_oracle(rng, alpha):
+    for floor in (0.0, 0.05):
+        rho = rand_density(rng, 2, floor=floor)
+        sigma = rand_density(rng, 2, floor=floor)
+        oracle = bloch_oracle(rho, sigma, alpha)
+        got = measured_renyi_lower(rho, sigma, alpha, seed=0).value
+        assert oracle - 1e-10 <= got <= oracle + 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0])
+def test_convex_result_is_certified_by_rank_one_projectors(rng, alpha):
+    rho = rand_density(rng, 3)
+    sigma = rand_density(rng, 3)
+    res = measured_renyi_lower(rho, sigma, alpha, seed=0)
+    assert len(res.povm.elements) == 3
+    for el in res.povm.elements:
+        np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
+        assert el.trace == pytest.approx(1.0, abs=1e-12)
+    exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
+    assert exact == res.value
+
+
+@pytest.mark.parametrize("alpha", CONVEX_ALPHAS)
+def test_rank_deficient_pairs_stay_finite_and_below_sandwiched(rng, alpha):
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    sigma_singular = HermitianOperator((basis[:, :2] * [0.7, 0.3]) @ basis[:, :2].conj().T)
+    pairs = [
+        (rand_pure(rng, 2), rand_density(rng, 2)),
+        (rand_pure(rng, 3), rand_density(rng, 3)),
+        (subspace_density(rng, basis[:, :2], 1), sigma_singular),
+        (subspace_density(rng, basis[:, :2], 2), sigma_singular),
+    ]
+    for rho, sigma in pairs:
+        got = measured_renyi_lower(rho, sigma, alpha, seed=0).value
+        sand = d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value
+        assert math.isfinite(got)
+        assert got <= sand + 1e-9
