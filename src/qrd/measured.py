@@ -4,10 +4,12 @@ For alpha >= 1/2 the measured divergence is the optimum of the convex
 variational formula of Berta, Fawzi and Tomamichel (2017,
 arXiv:1512.02615); its optimum is attained by the projective measurement
 in the eigenbasis of the optimal omega, so the returned value is the
-global optimum up to solver tolerance.  Below 1/2, and for the
-two-outcome test variant, a POVM search runs and global optimality is
-not claimed; commuting pairs are covered by always seeding a joint
-eigenbasis measurement.
+global optimum up to solver tolerance.  Below 1/2 a POVM search runs
+and global optimality is not claimed; commuting pairs are covered by
+always seeding a joint eigenbasis measurement.  The two-outcome test
+variant is a one-dimensional search over Neyman-Pearson projections
+{rho - t sigma > 0}, which contain the optimal test, so its value is
+the optimum up to the angle search's resolution.
 
 All output is a certified lower bound: any feasible POVM certifies its
 own classical divergence, and returned values are always recomputed
@@ -29,7 +31,6 @@ from .opcore import (
     as_operator,
     spectral_map,
     support_defect,
-    support_leq,
 )
 
 #: ridge added to each raw POVM factor so the normalization is always
@@ -64,6 +65,14 @@ LOG_RATIO_BOX = 30.0
 
 #: iteration cap of each L-BFGS solve
 LBFGS_MAXITER = 500
+
+#: grid angles per interval of test_measured's Neyman-Pearson search
+NP_GRID = 16
+
+#: bracket width (radians) at which the golden-section refinement stops
+NP_ANGLE_TOL = 1e-9
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -389,19 +398,20 @@ def _variational_povms(rho, sigma, alpha, extra):
     return povms, len(bases), converged
 
 
-def _structural_infinity(rho, sigma, alpha, included) -> POVM | None:
+def _structural_infinity(rho, sigma, alpha) -> POVM | None:
     """Support-projector POVM certifying an infinite measured divergence.
 
     The optimizer cannot certify exact zeros through the ridge, so the
     two genuine infinite regimes are recognized at the operator level:
     rho leaking outside the support of sigma (alpha >= 1), and fully
-    disjoint supports (alpha < 1).  For alpha >= 1, included(p_sig) is
-    the caller's test of rho^0 <= sigma^0 given sigma's support projection.
+    disjoint supports (alpha < 1).  Inclusion is the leak-mass test of
+    the divergence family, so a value stays finite wherever the
+    sandwiched divergence it bounds from below is.
     """
     d = rho.dim
     p_sig = spectral_map(sigma, np.ones_like)[0]
     if alpha >= 1.0:
-        if included(p_sig):
+        if support_defect(rho, p_sig) <= SUPPORT_TEST_SLACK:
             return None
         complement = np.eye(d) - p_sig
         return POVM((HermitianOperator(complement), HermitianOperator(p_sig)))
@@ -445,11 +455,7 @@ def measured_renyi_lower(
     if not rho.trace > 0.0:
         raise ZeroOperatorError("rho is (numerically) zero")
     d = rho.dim
-    # the leak-mass test of the divergence family, so a value stays finite
-    # wherever the sandwiched divergence it bounds from below is
-    witness = _structural_infinity(
-        rho, sigma, alpha, lambda p_sig: support_defect(rho, p_sig) <= SUPPORT_TEST_SLACK
-    )
+    witness = _structural_infinity(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
@@ -476,23 +482,112 @@ def measured_renyi_lower(
     )
 
 
-def _two_outcome_povm(t_matrix: np.ndarray) -> POVM:
-    d = t_matrix.shape[0]
-    w, v = np.linalg.eigh(0.5 * (t_matrix + t_matrix.conj().T))
-    t = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-    t = 0.5 * (t + t.conj().T)
-    return POVM((HermitianOperator(t), HermitianOperator(np.eye(d) - t)))
+def _binary_values(p1, q1, tr_rho: float, tr_sigma: float, alpha: float) -> np.ndarray:
+    """Renyi divergences of the tests with first-outcome weights p1, q1, elementwise.
+
+    Infinite values rank last as DEMOTED: in _np_search every outcome
+    has sigma-weight for alpha >= 1, and only disjoint supports, caught
+    earlier, give +inf below 1, so an infinity is a rounding cliff.
+    """
+    p = np.clip(np.stack([p1, tr_rho - p1]), 0.0, None)
+    q = np.clip(np.stack([q1, tr_sigma - q1]), 0.0, None)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lp, lq = np.log(p), np.log(q)
+        if alpha == 1.0:
+            vals = np.sum(np.where(p > 0.0, p * (lp - lq), 0.0), axis=0) / p.sum(axis=0)
+        else:
+            qq = np.sum(np.exp(alpha * lp + (1.0 - alpha) * lq), axis=0)
+            vals = (np.log(qq) - np.log(p.sum(axis=0))) / (alpha - 1.0)
+    return np.where(np.isfinite(vals), vals, DEMOTED)
+
+
+def _np_search(rho, sigma, alpha):
+    """Best test of test_measured's angle search: (top eigenvectors, intervals).
+
+    The tests are spans of the top r < n eigenvectors of
+    cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n
+    support vectors for alpha >= 1.  The eigenvectors come back in the
+    original coordinates, or None when every test sits on a rounding
+    cliff or none exists (n < 2).
+    """
+    w, v = sigma.eig
+    n = spectral_map(sigma, np.ones_like)[1] if alpha >= 1.0 else rho.dim
+    if n < 2:
+        return None, 0
+    iso = v[:, :n]
+    rho_s = iso.conj().T @ rho.entries @ iso
+    sig_w = np.maximum(w[:n], 0.0)  # sigma is diag(sig_w) in these coordinates
+    sig_s = np.diag(sig_w)
+    s_inv = spectral_map(sigma, lambda x: x ** -0.5)[0]
+    ratios = np.linalg.eigvalsh(s_inv @ rho.entries @ s_inv)
+    edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(np.maximum(ratios, 0.0))]))
+    totals = rho.trace, sigma.trace
+    best_val, best_top = DEMOTED, None
+
+    def scored(phis):
+        """Value of every top-r test at each angle; keeps the best seen."""
+        nonlocal best_val, best_top
+        m = np.cos(phis)[:, None, None] * rho_s - np.sin(phis)[:, None, None] * sig_s
+        u = np.linalg.eigh(m)[1][:, :, ::-1]
+        p_top = np.cumsum(np.real(np.einsum("aji,jk,aki->ai", u.conj(), rho_s, u)), axis=1)
+        q_top = np.cumsum(np.einsum("j,aji->ai", sig_w, np.abs(u) ** 2), axis=1)
+        vals = _binary_values(p_top[:, :-1], q_top[:, :-1], *totals, alpha)
+        a, k = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[a, k] > best_val:
+            best_val, best_top = vals[a, k], u[a, :, : k + 1]
+        return vals
+
+    n_int = len(edges) - 1
+    angles = np.append(np.linspace(edges[:-1], edges[1:], NP_GRID, endpoint=False).T, edges[-1])
+    # interval j holds grid angles j * NP_GRID ... (j + 1) * NP_GRID, its end included
+    first = np.arange(n_int) * NP_GRID
+    blocks = scored(angles)[first[:, None] + np.arange(NP_GRID + 1)]
+    i, k = np.divmod(np.argmax(blocks.reshape(n_int, -1), axis=1), n - 1)
+    i = i + first
+    lo = angles[np.maximum(i - 1, first)]
+    hi = angles[np.minimum(i + 1, first + NP_GRID)]
+    # golden section on each interval's best rank, all intervals per batch
+    pick = np.arange(n_int), k
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = scored(x1)[pick], scored(x2)[pick]
+    width = max(float(np.max(hi - lo)), NP_ANGLE_TOL)
+    steps = math.ceil(math.log(width / NP_ANGLE_TOL) / -math.log(GOLDEN))
+    for _ in range(steps):
+        left = f1 >= f2  # the maximum lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x_in, f_in = np.where(left, x1, x2), np.where(left, f1, f2)
+        x_new = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+        f_new = scored(x_new)[pick]
+        x1, f1 = np.where(left, x_new, x_in), np.where(left, f_new, f_in)
+        x2, f2 = np.where(left, x_in, x_new), np.where(left, f_in, f_new)
+    return (None if best_top is None else iso @ best_top), n_int
 
 
 def test_measured(
     rho, sigma, alpha: float, restarts: int = 4, seed: int = 0
 ) -> MeasuredResult:
-    """Lower bound on the two-outcome (test-measured) Renyi divergence.
+    """Two-outcome (test-measured) Renyi divergence by a Neyman-Pearson search.
 
-    Seeds are spectral threshold tests of sigma^-1/2 rho sigma^-1/2,
-    refined by Nelder-Mead over the Hermitian test operator (eigenvalues
-    clipped into [0,1]); at large alpha the best threshold test already
-    sits near the max-relative-entropy optimum.
+    The binary Renyi divergence is jointly quasi-convex in (P, Q) (van
+    Erven and Harremoes 2014, Thm 13) and T -> (Tr T rho, Tr T sigma) is
+    affine, so the supremum over tests 0 <= T <= I is reached at an
+    extreme point of the planar testing region: a projection
+    {rho - t sigma > 0} or {rho - t sigma >= 0} with t = tan(phi) in
+    [0, inf]; complements give the same value.  The rank of the
+    projection changes only at phi = arctan(lambda_k), lambda_k the
+    eigenvalues of sigma^-1/2 rho sigma^-1/2.  On each interval between
+    those angles, NP_GRID angles and the interval's end are scored from
+    one batched eigh of cos(phi) rho - sin(phi) sigma, taking the span of
+    the top r eigenvectors for every rank r (so both limit projections at
+    each end are among them), and the best is refined by golden section
+    down to NP_ANGLE_TOL.  For alpha >= 1 the tests live on sigma's
+    support, where rho^0 <= sigma^0 holds.
+
+    restarts and seed are not used; restarts_used counts the searched
+    intervals and converged is True.  The value is recomputed exactly
+    from the returned projector pair.  Infinite values are returned only
+    on operator-level support violations, with the separating projective
+    measurement attached.
     """
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
@@ -500,65 +595,22 @@ def test_measured(
     sigma = as_operator(sigma)
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    if not rho.trace > 0.0:
+        raise ZeroOperatorError("rho is (numerically) zero")
     d = rho.dim
-    # the projector test is stricter than the leak-mass test that
-    # measured_renyi_lower and the divergence family use: on near-product
-    # pairs this returns +inf above a finite sandwiched value
-    witness = _structural_infinity(rho, sigma, alpha, lambda p_sig: support_leq(rho, sigma))
+    witness = _structural_infinity(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
         )
 
-    def value_of(t_matrix):
-        povm = _two_outcome_povm(t_matrix)
-        return _certified_value(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
-
-    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
-    x = s_inv @ rho.entries @ s_inv
-    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-    seeds = []
-    for j in range(1, d + 1):
-        top = v[:, d - j :]
-        seeds.append(top @ top.conj().T)
-    rng = np.random.default_rng([seed, 0x74657374])
-    for _ in range(max(restarts - len(seeds), 0)):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        seeds.append(0.5 * (a + a.conj().T))
-
-    from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
-
-    best_val = -math.inf
-    best_t = seeds[0]
-    for t0 in seeds:
-        val0 = value_of(t0)
-        if math.isinf(val0):
-            return MeasuredResult(
-                value=math.inf,
-                povm=_two_outcome_povm(t0),
-                restarts_used=len(seeds),
-                converged=True,
-            )
-        if val0 > best_val:
-            best_val, best_t = val0, t0
-
-        def neg(xflat):
-            m = xflat[: d * d].reshape(d, d) + 1j * xflat[d * d :].reshape(d, d)
-            val = value_of(m)
-            # certified +inf is the one non-finite value left; let the
-            # final recompute pick it up rather than overflowing the simplex
-            return -val if math.isfinite(val) else -1e18
-
-        x0 = np.concatenate([t0.real.ravel(), t0.imag.ravel()])
-        res = minimize(neg, x0, method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-7, "fatol": 1e-11})
-        cand = res.x[: d * d].reshape(d, d) + 1j * res.x[d * d :].reshape(d, d)
-        val = value_of(cand)
-        if val > best_val:
-            best_val, best_t = val, cand
-    povm = _two_outcome_povm(best_t)
+    top, intervals = _np_search(rho, sigma, alpha)
+    # T = I when no test clears the rounding cliffs
+    proj = np.eye(d, dtype=complex) if top is None else top @ top.conj().T
+    povm = POVM((HermitianOperator(proj), HermitianOperator(np.eye(d) - proj)))
     exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
     return MeasuredResult(
-        value=exact, povm=povm, restarts_used=len(seeds), converged=True
+        value=exact, povm=povm, restarts_used=intervals, converged=True
     )
 
 

@@ -43,12 +43,12 @@ def test_import_and_closed_form_eval_load_no_heavy_module():
     assert record["value"] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
-def test_test_kind_imports_the_optimizer_on_first_use():
+def test_test_kind_loads_no_heavy_module():
     record, report = run_fresh(
         "eval", "--kind", "test", "--alpha", "1.5", "--seed", "3",
         "--family", "pure:c=1,eps=0.3",
     )
-    assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
+    assert report == {"code": 0, "after_import": [], "after_main": []}
     assert math.isfinite(record["value"]) and record["value"] > 0.0
 
 

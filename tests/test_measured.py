@@ -1,10 +1,12 @@
 """Measured divergence lower bounds and the two-outcome test variant."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qrd.channels import apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
 from qrd.errors import ZeroOperatorError
@@ -19,6 +21,7 @@ from qrd.opcore import HermitianOperator
 from qrd.verify import rand_density, rand_pure
 
 CONVEX_ALPHAS = [0.5, 0.7, 1.0, 1.5, 3.0]
+TEST_ALPHAS = [0.3, 0.5, 1.0, 1.5, 3.0]
 
 
 def bloch_oracle(rho, sigma, alpha, rounds=12):
@@ -183,3 +186,77 @@ def test_rank_deficient_pairs_stay_finite_and_below_sandwiched(rng, alpha):
         sand = d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value
         assert math.isfinite(got)
         assert got <= sand + 1e-9
+
+
+def binary_value(proj, rho, sigma, alpha):
+    """Renyi divergence of the test (proj, I - proj)."""
+    p1 = float(np.real(np.trace(proj @ rho.entries)))
+    q1 = float(np.real(np.trace(proj @ sigma.entries)))
+    p = np.clip([p1, rho.trace - p1], 0.0, None)
+    q = np.clip([q1, sigma.trace - q1], 0.0, None)
+    return classical_renyi(p, q, alpha)
+
+
+@pytest.mark.parametrize("alpha", TEST_ALPHAS)
+def test_test_variant_matches_qubit_oracle(rng, alpha):
+    # for a qubit the best two-outcome measurement is a rank-one projector
+    for floor in (0.0, 0.05):
+        rho = rand_density(rng, 2, floor=floor)
+        sigma = rand_density(rng, 2, floor=floor)
+        oracle = bloch_oracle(rho, sigma, alpha)
+        got = measured_by_test(rho, sigma, alpha).value
+        assert oracle - 1e-10 <= got <= oracle + 1e-6
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("alpha", TEST_ALPHAS)
+def test_test_variant_commuting_pair_is_best_diagonal_projection(rng, d, alpha):
+    p, q = rng.uniform(0.05, 1.0, d), rng.uniform(0.05, 1.0, d)
+    p, q = p / p.sum(), q / q.sum()
+    best = max(
+        classical_renyi([p[s].sum(), p[~s].sum()], [q[s].sum(), q[~s].sum()], alpha)
+        for s in map(np.array, itertools.product([False, True], repeat=d))
+    )
+    got = measured_by_test(HermitianOperator(np.diag(p)), HermitianOperator(np.diag(q)), alpha)
+    assert got.value == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", TEST_ALPHAS)
+def test_test_variant_beats_random_projections(rng, alpha):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    got = measured_by_test(rho, sigma, alpha).value
+    g = rng.standard_normal((2000, 3, 3)) + 1j * rng.standard_normal((2000, 3, 3))
+    bases = np.linalg.qr(g)[0]
+    for i, basis in enumerate(bases):
+        top = basis[:, : 1 + i % 2]
+        assert binary_value(top @ top.conj().T, rho, sigma, alpha) <= got + 1e-12
+
+
+@pytest.mark.parametrize("alpha", TEST_ALPHAS)
+def test_test_variant_is_certified_by_a_projector_pair(rng, alpha):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    res = measured_by_test(rho, sigma, alpha, restarts=3, seed=5)
+    assert len(res.povm.elements) == 2
+    for el in res.povm.elements:
+        np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
+    exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
+    assert exact == res.value
+    assert res.converged
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_test_variant_near_product_pair_is_finite(alpha):
+    """psi = |00> + 1e-6 |11> through identity (rho) and depolarizing(0.2) (sigma).
+
+    rho leaks out of supp sigma by a mass of only about 1e-12, so the
+    leak-mass test keeps the pair included and the test-measured value is
+    finite and at most the sandwiched one.
+    """
+    psi = np.array([1.0, 0.0, 0.0, 1e-6], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    state = np.outer(psi, psi.conj())
+    rho = apply_extended(identity_channel(2), state)
+    sigma = apply_extended(depolarizing_channel(0.2), state)
+    got = measured_by_test(rho, sigma, alpha).value
+    assert got == pytest.approx(math.log(1.0 / 0.9), abs=1e-9)
+    assert got <= d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value + 1e-9
