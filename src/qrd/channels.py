@@ -3,8 +3,10 @@
 A channel divergence here is the supremum of a state divergence over
 pure bipartite inputs with an auxiliary system of the input dimension.
 The max-relative entropy collapses to an exact Choi computation; the
-other whitelisted kinds run seeded sphere ascent and report certified
-lower bounds.
+other whitelisted kinds run a seeded Riemannian ascent on the unit
+sphere of inputs (opcore.stiefel_ascent with one column) driven by the
+exact gradient of the output divergence, and report certified lower
+bounds.
 """
 
 from __future__ import annotations
@@ -16,24 +18,29 @@ from functools import cached_property
 import numpy as np
 
 from .classical import WeightVector, classical_renyi
-from .divergences import DivergenceParams, d_alpha_z, d_max, umegaki
+from .divergences import INNER_FLOOR_RTOL, DivergenceParams, d_alpha_z, d_max, umegaki
 from .errors import (
     BadParamsError,
     DimMismatchError,
     KindNotWhitelistedError,
     MalformedInputError,
 )
-from .measured import measured_renyi_lower
-from .opcore import HermitianOperator, as_operator
+from .measured import _classical_value_grad, apply_povm, measured_renyi_lower
+from .opcore import (
+    DEFAULT_CUTOFF,
+    SUPPORT_TEST_SLACK,
+    HermitianOperator,
+    _meet,
+    as_operator,
+    divided_differences,
+    stiefel_ascent,
+)
 
 #: spectral slack for the completely-positive order test
 CP_ORDER_SLACK = 1e-9
 
 #: kinds that channel optimization accepts
 CHANNEL_KINDS = ("daz", "sandwiched", "petz", "umegaki", "measured", "dmax")
-
-#: central-difference step for the sphere ascent
-SPHERE_GRAD_H = 1e-6
 
 
 class Channel:
@@ -239,14 +246,17 @@ class ChannelDivergenceResult:
     converged: bool
 
 
+def _measured_solve(alpha, seed: int):
+    # at alpha >= 1/2 the convex program runs and ignores the budget;
+    # below 1/2 the small fixed ascent budget keeps the outer search
+    # affordable.  The certificate stays a true lower bound either way
+    return lambda r, s: measured_renyi_lower(r, s, alpha, restarts=2, seed=seed, iters=8)
+
+
 def _state_objective(kind: str, alpha, z, seed: int):
     if kind == "measured":
-        # at alpha >= 1/2 the convex program runs and ignores the budget;
-        # below 1/2 the small fixed ascent budget keeps the outer search
-        # affordable.  The certificate stays a true lower bound either way
-        return lambda r, s: measured_renyi_lower(
-            r, s, alpha, restarts=2, seed=seed, iters=8
-        ).value
+        solve = _measured_solve(alpha, seed)
+        return lambda r, s: solve(r, s).value
     if kind == "umegaki" or alpha == 1.0:
         return lambda r, s: umegaki(r, s)
     if kind == "sandwiched":
@@ -258,6 +268,167 @@ def _state_objective(kind: str, alpha, z, seed: int):
     else:
         raise KindNotWhitelistedError(f"unknown kind {kind!r}")
     return lambda r, s: d_alpha_z(r, s, params).d_value
+
+
+def _cut_eigh(m: np.ndarray):
+    """Eigensystem of a PSD array with the support-cutoff mask of spectral_map.
+
+    Cut eigenvalues come back as 1.0 so that powers and logs of them stay
+    finite; every caller masks them out.
+    """
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    kept = w > DEFAULT_CUTOFF.threshold(w)
+    return np.where(kept, w, 1.0), v, kept
+
+
+def _dk_grad(w, v, kept, f, df, c):
+    """Gradient of A -> Tr c f(A) at A = v diag(w) v^dag (Daleckii-Krein).
+
+    f is cut to 0 below the support cutoff, as spectral_map cuts it, so
+    the gradient is finite where A loses rank.
+    """
+    f, df = np.where(kept, f, 0.0), np.where(kept, df, 0.0)
+    gamma = divided_differences(np.where(kept, w, 0.0), f, df)
+    return v @ (gamma * (v.conj().T @ c @ v)) @ v.conj().T
+
+
+def _leaks(rho, v_sigma, kept_sigma, tr) -> bool:
+    """Whether rho's mass outside supp sigma fails the support_defect test."""
+    out = v_sigma[:, ~kept_sigma]
+    return float(np.real(np.sum(out.conj() * (rho @ out)))) / tr > SUPPORT_TEST_SLACK
+
+
+def _renyi_grad(rho, sigma, alpha, z):
+    """D_{alpha,z}(rho || sigma) and its gradients in rho and sigma, on arrays.
+
+    Q = Tr Y^z with Y = A S A, A = rho^(alpha/2z), S = sigma^((1-alpha)/z);
+    dQ = z Tr Y^(z-1) dY gives grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S]
+    and grad_sigma Q = z DK_S[A Y^(z-1) A].  Y^(z-1) is cut on Y's kernel
+    (the identity there at z = 1, where Q is linear in Y).  z = inf is the
+    pinched exponential Tr P exp(H), H = P(alpha L_rho + (1-alpha) L_sigma)P
+    with P the meet of the supports, whose gradients are alpha DK_log[E]
+    and (1-alpha) DK_log[E] for E = P exp(H) P.
+    """
+    tr = float(np.trace(rho).real)
+    a, va, ka = _cut_eigh(rho)
+    b, vb, kb = _cut_eigh(sigma)
+    if alpha > 1.0 and _leaks(rho, vb, kb, tr):
+        return math.inf, None, None
+    if math.isinf(z):
+        la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
+        pm, rank = _meet(va[:, ka] @ va[:, ka].conj().T, vb[:, kb] @ vb[:, kb].conj().T)
+        if rank == 0:
+            return math.inf, None, None
+        m = alpha * (va * la) @ va.conj().T + (1.0 - alpha) * (vb * lb) @ vb.conj().T
+        h = pm @ m @ pm
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
+        q = float(np.trace(e).real)
+        gq_rho = alpha * _dk_grad(a, va, ka, la, 1.0 / a, e)
+        gq_sig = (1.0 - alpha) * _dk_grad(b, vb, kb, lb, 1.0 / b, e)
+        # dQ also has Tr (M E + E M) dP; P moves with the smaller support
+        # when one support holds the other, as the projector 1(A) does
+        c = m @ e + e @ m
+        ones, zeros = np.ones_like(a), np.zeros_like(a)
+        if rank == np.count_nonzero(ka):
+            gq_rho = gq_rho + _dk_grad(a, va, ka, ones, zeros, c)
+        elif rank == np.count_nonzero(kb):
+            gq_sig = gq_sig + _dk_grad(b, vb, kb, ones, zeros, c)
+    else:
+        pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
+        ga, gs = np.where(ka, a**pa, 0.0), np.where(kb, b**ps, 0.0)
+        amat, smat = (va * ga) @ va.conj().T, (vb * gs) @ vb.conj().T
+        y = amat @ smat @ amat
+        yw, yv = np.linalg.eigh(0.5 * (y + y.conj().T))
+        on = yw > INNER_FLOOR_RTOL * max(float(yw[-1]), 0.0)
+        if not np.any(on):
+            return math.inf, None, None
+        yw = np.where(on, yw, 1.0)
+        q = float(np.sum(yw[on] ** z))
+        ymat = (yv * np.where(on, yw ** (z - 1.0), 1.0 if z == 1.0 else 0.0)) @ yv.conj().T
+        c_rho = smat @ amat @ ymat + ymat @ amat @ smat
+        gq_rho = z * _dk_grad(a, va, ka, ga, pa * a ** (pa - 1.0), c_rho)
+        gq_sig = z * _dk_grad(b, vb, kb, gs, ps * b ** (ps - 1.0), amat @ ymat @ amat)
+    if math.isinf(q) or q == 0.0:
+        return math.inf, None, None
+    value = (math.log(q) - math.log(tr)) / (alpha - 1.0)
+    g_rho = (gq_rho / q - np.eye(len(a)) / tr) / (alpha - 1.0)
+    return value, g_rho, gq_sig / (q * (alpha - 1.0))
+
+
+def _umegaki_grad(rho, sigma):
+    """Umegaki relative entropy and its gradients in rho and sigma, on arrays."""
+    tr = float(np.trace(rho).real)
+    a, va, ka = _cut_eigh(rho)
+    b, vb, kb = _cut_eigh(sigma)
+    if _leaks(rho, vb, kb, tr):
+        return math.inf, None, None
+    la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
+    log_sigma = (vb * lb) @ vb.conj().T
+    num = float(a[ka] @ la[ka]) - float(np.real(np.sum(rho * log_sigma.T)))
+    g_rho = ((va * np.where(ka, la + 1.0, 0.0)) @ va.conj().T - log_sigma) / tr
+    g_rho -= num / tr**2 * np.eye(len(a))
+    return num / tr, g_rho, -_dk_grad(b, vb, kb, lb, 1.0 / b, rho) / tr
+
+
+def _state_grad(kind: str, alpha, z, seed: int):
+    """(value, grad_rho, grad_sigma) of the kind's divergence on output arrays.
+
+    The measured kind's gradient is Danskin's: the classical value's
+    derivatives at the returned certificate, sum_k (dD/dp_k) M_k in rho
+    and sum_k (dD/dq_k) M_k in sigma.
+    """
+    if kind == "measured":
+        solve = _measured_solve(alpha, seed)
+
+        def measured(rho, sigma):
+            r, s = HermitianOperator(rho), HermitianOperator(sigma)
+            res = solve(r, s)
+            p, q = apply_povm(res.povm, r).values, apply_povm(res.povm, s).values
+            _, dp, dq = _classical_value_grad(p, q, alpha)
+            if math.isinf(res.value) or dp is None:
+                return res.value, None, None
+            cols = np.hstack(res.povm.factors)
+            reps = [f.shape[1] for f in res.povm.factors]
+            g_rho = (cols * np.repeat(dp, reps)) @ cols.conj().T
+            return res.value, g_rho, (cols * np.repeat(dq, reps)) @ cols.conj().T
+
+        return measured
+    if kind == "umegaki" or alpha == 1.0:
+        return _umegaki_grad
+    z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
+    return lambda rho, sigma: _renyi_grad(rho, sigma, alpha, z)
+
+
+def _input_objective(n1: Channel, n2: Channel, kind: str, alpha, z, seed: int):
+    """value_grad(psi) of the output divergence for a unit input column psi.
+
+    phi_k = (I (x) K_k) psi and rho = sum_k phi_k phi_k^dag, built from the
+    stacked Kraus operators without forming I (x) K_k.  The outputs are
+    linear in psi psi^dag, so the gradient is
+    2 [(id (x) N1)^dag(grad_rho D) + (id (x) N2)^dag(grad_sigma D)] psi.
+    """
+    d = n1.d_in
+    state_grad = _state_grad(kind, alpha, z, seed)
+    k1, k2 = np.stack(n1.kraus), np.stack(n2.kraus)
+
+    def outputs(kraus, psi):
+        phi = np.einsum("ij,kmj->kim", psi.reshape(d, d), kraus).reshape(len(kraus), -1)
+        return phi, phi.T @ phi.conj()
+
+    def pullback(kraus, g, phi):
+        w = (phi @ g.T).reshape(len(kraus), d, -1)
+        return np.einsum("kim,kmj->ij", w, kraus.conj()).reshape(-1, 1)
+
+    def value_grad(psi):
+        phi1, rho = outputs(k1, psi)
+        phi2, sigma = outputs(k2, psi)
+        value, g_rho, g_sigma = state_grad(rho, sigma)
+        if g_rho is None:
+            return value, None
+        return value, 2.0 * (pullback(k1, g_rho, phi1) + pullback(k2, g_sigma, phi2))
+
+    return value_grad
 
 
 def _seed_states(d: int, restarts: int, rng) -> list[np.ndarray]:
@@ -274,61 +445,6 @@ def _seed_states(d: int, restarts: int, rng) -> list[np.ndarray]:
     return seeds[: max(restarts, d + 1)]
 
 
-def _sphere_ascend(objective, x0: np.ndarray, iters: int):
-    """Projected gradient ascent on the unit sphere, adaptive step."""
-
-    def norm_obj(x):
-        n = np.linalg.norm(x)
-        if n < 1e-12:
-            return -math.inf
-        return objective(x / n)
-
-    x = x0 / np.linalg.norm(x0)
-    best = norm_obj(x)
-    if math.isinf(best) and best > 0:
-        return x, best, True
-    step = 0.1
-    stalls = 0
-    for _ in range(iters):
-        g = np.zeros_like(x)
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += SPHERE_GRAD_H
-            fp = norm_obj(xp)
-            xm = x.copy()
-            xm[i] -= SPHERE_GRAD_H
-            fm = norm_obj(xm)
-            if math.isinf(fp) and fp > 0:
-                return xp / np.linalg.norm(xp), math.inf, True
-            if math.isinf(fm) and fm > 0:
-                return xm / np.linalg.norm(xm), math.inf, True
-            g[i] = (fp - fm) / (2.0 * SPHERE_GRAD_H)
-        g -= np.dot(g, x) * x
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-12:
-            return x, best, True
-        moved = False
-        for _ in range(12):
-            cand = x + step * g / gn
-            cand /= np.linalg.norm(cand)
-            val = norm_obj(cand)
-            if math.isinf(val) and val > 0:
-                return cand, math.inf, True
-            if val > best + 1e-11:
-                x, best = cand, val
-                step = min(step * 1.6, 0.5)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            stalls += 1
-            if stalls >= 3:
-                return x, best, True
-        else:
-            stalls = 0
-    return x, best, False
-
-
 def channel_divergence(
     n1: Channel,
     n2: Channel,
@@ -342,9 +458,13 @@ def channel_divergence(
     """Certified lower bound on a channel divergence, exact for dmax.
 
     Maximizes the state divergence of (id (x) N_i) outputs over pure
-    bipartite inputs by sphere ascent from entangled, product and random
-    seeds.  Non-whitelisted parameter choices are rejected rather than
-    silently under-optimized.
+    bipartite inputs by Riemannian gradient ascent on the unit sphere
+    (see _input_objective) from the maximally entangled input, the d
+    product inputs |jj> and random inputs up to restarts starts, at most
+    iters steps each; converged reports whether the best start stopped
+    before its step cap.  The value is the library's divergence of the
+    best input's outputs.  Non-whitelisted parameter choices are rejected
+    rather than silently under-optimized.
     """
     if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise DimMismatchError("channels act between different spaces")
@@ -364,33 +484,22 @@ def channel_divergence(
             f"kind {kind!r} with alpha={alpha}, z={z} is outside the monotone range"
         )
     d = n1.d_in
-    value_of = _state_objective(kind, alpha, z, seed)
-
-    def objective(psi: np.ndarray) -> float:
-        dim = len(psi) // 2 if psi.dtype == float else len(psi)
-        if psi.dtype == float:
-            psi = psi[:dim] + 1j * psi[dim:]
-        state = HermitianOperator(np.outer(psi, psi.conj()))
-        return value_of(apply_extended(n1, state), apply_extended(n2, state))
-
-    def real_objective(x: np.ndarray) -> float:
-        return objective(x)
-
+    value_grad = _input_objective(n1, n2, kind, alpha, z, seed)
     best_val = -math.inf
-    best_x = None
+    best_psi = None
     converged = False
     rng = np.random.default_rng([seed, 0x6368])
     seeds = _seed_states(d, restarts, rng)
     for psi in seeds:
-        x0 = np.concatenate([psi.real, psi.imag])
-        x, val, conv = _sphere_ascend(real_objective, x0, iters)
-        if best_x is None or val > best_val:
-            best_val, best_x, converged = val, x, conv
+        x, val, conv = stiefel_ascent(value_grad, psi.reshape(-1, 1), iters)
+        if best_psi is None or val > best_val:
+            best_val, best_psi, converged = val, x[:, 0], conv
         if math.isinf(best_val) and best_val > 0:
             break
-    psi = best_x[: d * d] + 1j * best_x[d * d :]
-    psi /= np.linalg.norm(psi)
-    value = objective(np.concatenate([psi.real, psi.imag]))
+    psi = best_psi / np.linalg.norm(best_psi)
+    state = HermitianOperator(np.outer(psi, psi.conj()))
+    value_of = _state_objective(kind, alpha, z, seed)
+    value = value_of(apply_extended(n1, state), apply_extended(n2, state))
     return ChannelDivergenceResult(
         value=value,
         argmax_state=psi,

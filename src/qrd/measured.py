@@ -1,19 +1,24 @@
 """Measured and test-measured Renyi divergences via measurement optimization.
 
-For alpha >= 1/2 the measured divergence is the optimum of the convex
+Above alpha = 1/2 the measured divergence is the optimum of the convex
 variational formula of Berta, Fawzi and Tomamichel (2017,
 arXiv:1512.02615); its optimum is attained by the projective measurement
 in the eigenbasis of the optimal omega, so the returned value is the
-global optimum up to solver tolerance.  Below 1/2 a POVM search runs
-and global optimality is not claimed; commuting pairs are covered by
-always seeding a joint eigenbasis measurement.  The two-outcome test
-variant is a one-dimensional search over Neyman-Pearson projections
-{rho - t sigma > 0}, which contain the optimal test, so its value is
-the optimum up to the angle search's resolution.
+global optimum up to solver tolerance.  At alpha = 1/2 it is -log F,
+attained by the Fuchs-Caves measurement.  Below 1/2 a Riemannian ascent
+over rank-one d^2-outcome POVMs runs (opcore.stiefel_ascent, exact
+gradient) and global optimality is not claimed; seeding it with the
+Neyman-Pearson test and the joint and ratio eigenbases keeps it at or
+above the test-measured value and exact on commuting pairs.  The
+two-outcome test variant is a one-dimensional search over
+Neyman-Pearson projections {rho - t sigma > 0}, which contain the
+optimal test, so its value is the optimum up to the angle search's
+resolution.
 
 All output is a certified lower bound: any feasible POVM certifies its
 own classical divergence, and returned values are always recomputed
-exactly from the returned POVM.
+exactly from the returned POVM, with the weights of its rank-one and
+projector elements taken as squared norms.
 """
 
 from __future__ import annotations
@@ -30,22 +35,16 @@ from .opcore import (
     HermitianOperator,
     as_operator,
     spectral_map,
+    stiefel_ascent,
     support_defect,
 )
-
-#: ridge added to each raw POVM factor so the normalization is always
-#: invertible and iterates stay exactly feasible
-POVM_RIDGE = 1e-10
-
-#: central-difference step on raw optimizer parameters
-GRAD_H = 1e-6
 
 #: an infinite divergence is only trusted when some outcome carries at
 #: least this much mass on one side and exactly none on the other
 INF_CERT_TOL = 1e-8
 
-#: stand-in for infinities that fail certification; finite so that the
-#: optimizers step away from rounding cliffs instead of chasing them
+#: stand-in for infinities that fail certification; finite so that
+#: candidate selection and the test search rank rounding cliffs last
 DEMOTED = -1e18
 
 #: irrational mixing weight for the joint-eigenbasis seed; avoids the
@@ -55,8 +54,12 @@ EIGENBASIS_MIX = 0.6180339887498949
 MAX_TENSOR_DIM = 64
 
 #: lowest order at which the variational formula is a convex program;
-#: below it the POVM ascent runs
+#: below it the POVM ascent runs, at it the Fuchs-Caves closed form
 CONVEX_ALPHA_MIN = 0.5
+
+#: size of the random rows mixed into each seed isometry of the POVM
+#: ascent: a seed's empty outcomes have zero gradient and would stay empty
+SEED_SPREAD = 0.1
 
 #: box on the entries of the log-ratio matrix K (omega = exp(alpha K)); on
 #: rank-deficient pairs the optimum lies at infinity and the box keeps
@@ -65,6 +68,18 @@ LOG_RATIO_BOX = 30.0
 
 #: iteration cap of each L-BFGS solve
 LBFGS_MAXITER = 500
+
+#: L-BFGS-B's relative-decrease stopping test, near what the O(1)
+#: objective resolves (below it line searches end ABNORMAL on rounding)
+LBFGS_FTOL = 1e-13
+
+#: projected-gradient size below which a failed line search counts as
+#: having stopped at the optimum
+LBFGS_PGTOL = 1e-6
+
+#: L-BFGS-B's memory: past the default 10 pairs, d = 4 solves at large
+#: alpha no longer run into LBFGS_MAXITER short of the optimum
+LBFGS_MEMORY = 30
 
 #: grid angles per interval of test_measured's Neyman-Pearson search
 NP_GRID = 16
@@ -77,9 +92,15 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class POVM:
-    """Finite POVM; elements sum to the identity."""
+    """Finite POVM; elements sum to the identity.
+
+    factors, when given, are matrices F_k with M_k = F_k F_k^dag; the
+    elements are then PSD by construction and apply_povm takes each
+    weight as a squared norm.
+    """
 
     elements: tuple[HermitianOperator, ...]
+    factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if not self.elements:
@@ -89,7 +110,7 @@ class POVM:
         for el in self.elements:
             if el.dim != d:
                 raise DimMismatchError("POVM elements on different dimensions")
-            if float(el.eigenvalues[-1]) < -1e-10:
+            if self.factors is None and float(el.eigenvalues[-1]) < -1e-10:
                 raise ValueError(f"POVM element has eigenvalue {el.eigenvalues[-1]:.3e}")
             total += el.entries
         if not np.allclose(total, np.eye(d), rtol=0.0, atol=1e-9):
@@ -101,6 +122,12 @@ class POVM:
         return self.elements[0].dim
 
 
+def _povm(factors) -> POVM:
+    """The POVM with elements F_k F_k^dag."""
+    factors = tuple(factors)
+    return POVM(tuple(HermitianOperator(f @ f.conj().T) for f in factors), factors)
+
+
 @dataclass(frozen=True)
 class MeasuredResult:
     value: float
@@ -110,45 +137,25 @@ class MeasuredResult:
 
 
 def apply_povm(povm: POVM, rho) -> WeightVector:
-    """Outcome weights (Tr M_i rho)_i of a measurement."""
+    """Outcome weights (Tr M_i rho)_i of a measurement.
+
+    With factors, each weight is ||rho^1/2 F_i||^2 from one supported
+    square root of rho: accurate to relative precision, so an outcome
+    that rho does not reach gets no rounding dust, which a power below 1
+    would magnify.
+    """
     rho = as_operator(rho)
     if rho.dim != povm.dim:
         raise DimMismatchError(f"dim {rho.dim} vs POVM dim {povm.dim}")
+    if povm.factors is not None:
+        root = spectral_map(rho, np.sqrt)[0]
+        return WeightVector(np.array([np.sum(np.abs(root @ f) ** 2) for f in povm.factors]))
     vals = np.array(
         [float(np.real(np.trace(el.entries @ rho.entries))) for el in povm.elements]
     )
     if np.any(vals < -1e-12):
         raise ValueError(f"measurement produced weight {vals.min():.3e}")
     return WeightVector(np.clip(vals, 0.0, None))
-
-
-def _normalizer_inverse_root(factors: np.ndarray):
-    """Scaled factors, their Gram blocks G_k and the inverse root of sum G_k.
-
-    Factors are rescaled to unit mean Frobenius norm first (the POVM is
-    invariant under a common rescaling) so the ridge keeps a stable
-    relative size and the normalizer never loses rank.
-    """
-    k, d, _ = factors.shape
-    scale2 = float(np.sum(np.abs(factors) ** 2)) / k
-    if scale2 > 0.0:
-        factors = factors / math.sqrt(scale2)
-    g = np.einsum("kij,klj->kil", factors, factors.conj())
-    g = g + POVM_RIDGE * np.eye(d)[None, :, :]
-    s = g.sum(axis=0)
-    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
-    w = np.clip(w, 0.5 * k * POVM_RIDGE, None)
-    s_inv = (v / np.sqrt(w)) @ v.conj().T
-    return g, s_inv
-
-
-def _povm_from_factors(factors: np.ndarray) -> POVM:
-    """Normalize raw factors A_k into M_k = S^-1/2 (A_k A_k^dag + ridge) S^-1/2."""
-    k = factors.shape[0]
-    g, s_inv = _normalizer_inverse_root(factors)
-    m = np.einsum("ij,kjl,lm->kim", s_inv, g, s_inv)
-    m = 0.5 * (m + np.conj(np.transpose(m, (0, 2, 1))))
-    return POVM(tuple(HermitianOperator(m[i]) for i in range(k)))
 
 
 def _certified_value(p: WeightVector, q: WeightVector, alpha: float) -> float:
@@ -167,73 +174,36 @@ def _certified_value(p: WeightVector, q: WeightVector, alpha: float) -> float:
     return math.inf if certified else DEMOTED
 
 
-def _factor_weights(factors, rho_entries, sigma_entries):
-    """Outcome weight pair of the normalized POVM, without building it."""
-    g, s_inv = _normalizer_inverse_root(factors)
-    rho_t = s_inv @ rho_entries @ s_inv
-    sig_t = s_inv @ sigma_entries @ s_inv
-    p = np.einsum("kij,ji->k", g, rho_t).real
-    q = np.einsum("kij,ji->k", g, sig_t).real
-    return np.clip(p, 0.0, None), np.clip(q, 0.0, None)
+def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
+    """Classical Renyi divergence of weights p, q with its partial derivatives.
 
-
-def _ascend(objective, x0: np.ndarray, iters: int, step0: float = 0.05):
-    """Gradient ascent with central differences and adaptive step size.
-
-    The objective is a function of a flat real vector and may return +inf;
-    hitting +inf stops the climb (the supremum is attained).
+    Returns (value, dD/dp, dD/dq), or (+inf, None, None) when the weights
+    give an infinite value.  A derivative that is infinite at an empty
+    weight (a power below 0) is set to 0, the spectral maps' cutoff
+    convention, so the gradient stays finite on measurements with empty
+    outcomes.
     """
-    x = x0.copy()
-    best = objective(x)
-    if math.isinf(best):
-        return x, best, True
-    step = step0
-    stalls = 0
-    for _ in range(iters):
-        g = np.zeros_like(x)
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += GRAD_H
-            fp = objective(xp)
-            xm = x.copy()
-            xm[i] -= GRAD_H
-            fm = objective(xm)
-            if math.isinf(fp):
-                return xp, math.inf, True
-            if math.isinf(fm):
-                return xm, math.inf, True
-            g[i] = (fp - fm) / (2.0 * GRAD_H)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-12:
-            return x, best, True
-        moved = False
-        for _ in range(12):
-            cand = x + step * g / gn
-            val = objective(cand)
-            if math.isinf(val):
-                return cand, math.inf, True
-            if val > best + 1e-11:
-                x, best = cand, val
-                step *= 1.6
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            stalls += 1
-            if stalls >= 3:
-                return x, best, True
-        else:
-            stalls = 0
-    return x, best, False
-
-
-def _eigenbasis_factors(basis: np.ndarray, n_outcomes: int) -> np.ndarray:
-    d = basis.shape[0]
-    factors = np.zeros((n_outcomes, d, d), dtype=complex)
-    for i in range(min(d, n_outcomes)):
-        v = basis[:, i]
-        factors[i] = np.outer(v, v.conj())
-    return factors
+    total = float(p.sum())
+    dp, dq = np.zeros_like(p), np.zeros_like(q)
+    on_p, on_q = p > 0.0, q > 0.0
+    if np.any(on_p & ~on_q) and alpha >= 1.0:
+        return math.inf, None, None
+    if alpha == 1.0:
+        lr = np.log(p[on_p] / q[on_p])
+        val = float(p[on_p] @ lr) / total
+        dp[on_p] = (lr + 1.0 - val) / total
+        dq[on_p] = -p[on_p] / q[on_p] / total
+        return val, dp, dq
+    both = on_p & on_q
+    terms = np.zeros_like(p)
+    terms[both] = p[both] ** alpha * q[both] ** (1.0 - alpha)
+    qq = float(terms.sum())
+    if qq == 0.0:
+        return math.inf, None, None
+    dp[both] = alpha * terms[both] / p[both]
+    dq[both] = (1.0 - alpha) * terms[both] / q[both]
+    val = (math.log(qq) - math.log(total)) / (alpha - 1.0)
+    return val, (dp / qq - 1.0 / total) / (alpha - 1.0), dq / (qq * (alpha - 1.0))
 
 
 def _seed_bases(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -245,56 +215,102 @@ def _seed_bases(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return joint, ratio_basis
 
 
-def _seed_factor_list(rho, sigma, n_outcomes, restarts, rng, extra=()):
-    """Deterministic structured seeds first, then random ones."""
-    d = rho.dim
-    seeds = list(extra)
-    seeds.extend(_eigenbasis_factors(basis, n_outcomes) for basis in _seed_bases(rho, sigma))
-    floor = len(seeds)
-    while len(seeds) < restarts:
-        seeds.append(
-            rng.normal(size=(n_outcomes, d, d)) + 1j * rng.normal(size=(n_outcomes, d, d))
-        )
-    return seeds[: max(restarts, floor)]
-
-
-def _ascent_povm(rho, sigma, alpha, restarts, seed, iters, extra):
-    """Best POVM of the d^2-outcome ascent: (povm, restarts used, converged)."""
-    n_outcomes = rho.dim ** 2
-    shape = (n_outcomes, rho.dim, rho.dim)
-    size = int(np.prod(shape))
-    rho_e, sig_e = rho.entries, sigma.entries
-
-    def objective(xflat):
-        factors = xflat[:size].reshape(shape) + 1j * xflat[size:].reshape(shape)
-        p, q = _factor_weights(factors, rho_e, sig_e)
-        return _certified_value(WeightVector(p), WeightVector(q), alpha)
-
-    best_val = -math.inf
-    best_x = None
-    converged = False
-    rng = np.random.default_rng([seed, 0x6D65])
-    seeds = _seed_factor_list(rho, sigma, n_outcomes, restarts, rng, extra)
-    for factors in seeds:
-        x0 = np.concatenate([factors.real.ravel(), factors.imag.ravel()])
-        x, val, conv = _ascend(objective, x0, iters)
-        if best_x is None or val > best_val:
-            best_val, best_x, converged = val, x, conv
-    factors = best_x[:size].reshape(shape) + 1j * best_x[size:].reshape(shape)
-    return _povm_from_factors(factors), len(seeds), converged
-
-
-def _projective(basis: np.ndarray) -> POVM:
+def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> POVM:
     """Projectors onto the orthonormal columns of basis.
 
-    When the columns span less than the whole space, the projector onto
-    the rest joins the first outcome.
+    rest, orthonormal columns spanning the rest of the space when basis
+    does not, joins the first outcome.
     """
-    elements = [np.outer(v, v.conj()) for v in basis.T]
-    d, k = basis.shape
-    if k < d:
-        elements[0] = elements[0] + np.eye(d) - basis @ basis.conj().T
-    return POVM(tuple(HermitianOperator(m) for m in elements))
+    factors = [basis[:, k : k + 1] for k in range(basis.shape[1])]
+    if rest is not None and rest.shape[1]:
+        factors[0] = np.hstack([factors[0], rest])
+    return _povm(factors)
+
+
+def _povm_objective(rho, sigma, alpha):
+    """value_grad(V) of the rank-one POVM whose row k is v_k^dag.
+
+    With M_k = v_k v_k^dag the weights are p_k = ||rho^1/2 v_k||^2 and
+    q_k = ||sigma^1/2 v_k||^2, and the gradient of the classical value
+    is 2 [diag(dD/dp) V rho + diag(dD/dq) V sigma].
+    """
+    rho_e, sig_e = rho.entries, sigma.entries
+    rho_root = spectral_map(rho, np.sqrt)[0]
+    sig_root = spectral_map(sigma, np.sqrt)[0]
+
+    def value_grad(v):
+        p = np.sum(np.abs(v @ rho_root) ** 2, axis=1)
+        q = np.sum(np.abs(v @ sig_root) ** 2, axis=1)
+        val, dp, dq = _classical_value_grad(p, q, alpha)
+        if dp is None:
+            return val, None
+        return val, 2.0 * (dp[:, None] * (v @ rho_e) + dq[:, None] * (v @ sig_e))
+
+    return value_grad
+
+
+def _stiefel_povms(rho, sigma, alpha, restarts, seed, iters, extra):
+    """Candidate measurements of the rank-one POVM ascent: (povms, starts, converged).
+
+    A rank-one POVM with n = d^2 outcomes is an isometry V in C^(n x d),
+    ascended by opcore.stiefel_ascent on _povm_objective.  The seeds are
+    the Neyman-Pearson test of _np_test, the joint and ratio eigenbases
+    and the extra seed POVMs, each split into its rank-one pieces,
+    padded to n rows and mixed with SEED_SPREAD random rows; random
+    isometries follow up to restarts starts.  The candidates are the
+    seed measurements themselves and the best ascent's end point.
+    """
+    d = rho.dim
+    n = d * d
+    value_grad = _povm_objective(rho, sigma, alpha)
+    povms = [_np_test(rho, sigma, alpha)[0]]
+    povms.extend(_projective(basis) for basis in _seed_bases(rho, sigma))
+    povms.extend(extra)
+    rng = np.random.default_rng([seed, 0x6D65])
+
+    def scatter(rows):
+        noise = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+        return rows + SEED_SPREAD * noise
+
+    starts = []
+    for povm in povms:
+        if povm.factors is None:  # given by its elements only: a candidate, not a seed
+            continue
+        cols = np.hstack(povm.factors)
+        if cols.shape[1] <= n:
+            starts.append(scatter(np.vstack([cols.conj().T, np.zeros((n - cols.shape[1], d))])))
+    while len(starts) < restarts:
+        starts.append(scatter(np.zeros((n, d))))
+    best_val, best_v, converged = -math.inf, None, False
+    for v0 in starts:
+        v, val, conv = stiefel_ascent(value_grad, v0, iters)
+        if best_v is None or val > best_val:
+            best_val, best_v, converged = val, v, conv
+    povms.append(_povm(best_v[k : k + 1].conj().T for k in range(n)))
+    return povms, len(starts), converged
+
+
+def _fuchs_caves(rho, sigma) -> POVM:
+    """Projective measurement attaining D_M = -log F at alpha = 1/2.
+
+    On sigma's support, with M = sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2
+    sigma^-1/2, the compression of rho is M sigma M, so each eigenvector
+    of M has p_k = m_k^2 q_k and the classical fidelity is Tr M sigma,
+    the quantum one (Fuchs and Caves 1995).  sigma's kernel is one more
+    outcome: sigma gives it no weight, so it adds nothing to the fidelity.
+    """
+    w, v = sigma.eig
+    n = spectral_map(sigma, np.ones_like)[1]
+    iso = v[:, :n]
+    s = np.sqrt(np.maximum(w[:n], 0.0))
+    a = s[:, None] * (iso.conj().T @ rho.entries @ iso) * s[None, :]
+    # the supported root: a root of rounding dust would tilt M's eigenvectors
+    m = spectral_map(0.5 * (a + a.conj().T), np.sqrt)[0] / np.outer(s, s)
+    basis = iso @ np.linalg.eigh(0.5 * (m + m.conj().T))[1]
+    factors = [basis[:, k : k + 1] for k in range(n)]
+    if n < rho.dim:
+        factors.append(v[:, n:])
+    return _povm(factors)
 
 
 def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
@@ -339,8 +355,12 @@ def _variational_povms(rho, sigma, alpha, extra):
     with the seed's log outcome ratios as eigenvalues.  Every stationary
     point is a global optimum, the exponential map being a diffeomorphism
     onto omega > 0.  K lives in sigma's eigenbasis, cut to sigma's support
-    for alpha >= 1, where rho^0 <= sigma^0 holds.  The candidates are the
-    seed measurements, the extra seed factors and each final K's eigenbasis.
+    for alpha >= 1, where rho^0 <= sigma^0 holds (sigma's kernel then joins
+    the first outcome).  The candidates are the seed measurements, the
+    extra seed POVMs and each final K's eigenbasis.  L-BFGS-B stops when a
+    step gains less than LBFGS_FTOL, about what the objective resolves; a
+    start counts as converged when it met a stopping test or its line
+    search failed at a projected gradient below LBFGS_PGTOL.
     """
     from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
 
@@ -379,7 +399,7 @@ def _variational_povms(rho, sigma, alpha, extra):
 
     bases = _seed_bases(rho, sigma)
     povms = [_projective(basis) for basis in bases]
-    povms.extend(_povm_from_factors(factors) for factors in extra)
+    povms.extend(extra)
     bounds = [(-LOG_RATIO_BOX, LOG_RATIO_BOX)] * (n * n)
     converged = False
     tiny = np.finfo(float).tiny
@@ -391,35 +411,67 @@ def _variational_povms(rho, sigma, alpha, extra):
         k0 = (seed * np.clip(ratio, -LOG_RATIO_BOX, LOG_RATIO_BOX)) @ seed.conj().T
         res = minimize(
             neg_objective, pack(k0), jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": LBFGS_MAXITER, "ftol": 1e-15, "gtol": 1e-11},
+            options={
+                "maxiter": LBFGS_MAXITER, "maxcor": LBFGS_MEMORY,
+                "ftol": LBFGS_FTOL, "gtol": 1e-11,
+            },
         )
-        converged = converged or bool(res.success)
-        povms.append(_projective(iso @ np.linalg.eigh(unpack(res.x))[1]))
+        # the projected gradient: zero where a box face blocks the descent
+        blocked = (res.x <= -LOG_RATIO_BOX) & (res.jac > 0)
+        blocked |= (res.x >= LOG_RATIO_BOX) & (res.jac < 0)
+        stalled = float(np.max(np.abs(np.where(blocked, 0.0, res.jac)))) <= LBFGS_PGTOL
+        converged = converged or bool(res.success) or stalled
+        povms.append(_projective(iso @ np.linalg.eigh(unpack(res.x))[1], v[:, n:]))
     return povms, len(bases), converged
 
 
 def _structural_infinity(rho, sigma, alpha) -> POVM | None:
     """Support-projector POVM certifying an infinite measured divergence.
 
-    The optimizer cannot certify exact zeros through the ridge, so the
-    two genuine infinite regimes are recognized at the operator level:
+    The searches never certify an infinity themselves, so the two
+    genuine infinite regimes are recognized at the operator level:
     rho leaking outside the support of sigma (alpha >= 1), and fully
     disjoint supports (alpha < 1).  Inclusion is the leak-mass test of
     the divergence family, so a value stays finite wherever the
     sandwiched divergence it bounds from below is.
     """
-    d = rho.dim
-    p_sig = spectral_map(sigma, np.ones_like)[0]
+    p_sig, n = spectral_map(sigma, np.ones_like)
     if alpha >= 1.0:
         if support_defect(rho, p_sig) <= SUPPORT_TEST_SLACK:
             return None
-        complement = np.eye(d) - p_sig
-        return POVM((HermitianOperator(complement), HermitianOperator(p_sig)))
-    p_rho = spectral_map(rho, np.ones_like)[0]
+        v = sigma.eig[1]
+        return _povm((v[:, n:], v[:, :n]))
+    p_rho, r = spectral_map(rho, np.ones_like)
     overlap = float(np.linalg.norm(p_rho @ p_sig, 2))
     if overlap > 1e-8:
         return None
-    return POVM((HermitianOperator(p_rho), HermitianOperator(np.eye(d) - p_rho)))
+    v = rho.eig[1]
+    return _povm((v[:, :r], v[:, r:]))
+
+
+def _measured_pair(rho, sigma, alpha):
+    """Validate a pair: (rho, sigma, witness of an infinite value or None).
+
+    For alpha >= 1 a rho that passed the support test is compressed to
+    sigma's support, as the divergence family's kernels do: its leak of
+    at most SUPPORT_TEST_SLACK would otherwise face sigma-weights that the
+    support cutoff set to zero, and any outcome catching it would certify
+    a value far above the sandwiched divergence.
+    """
+    if not alpha > 0.0:
+        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    rho = as_operator(rho)
+    sigma = as_operator(sigma)
+    if rho.dim != sigma.dim:
+        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    if not rho.trace > 0.0:
+        raise ZeroOperatorError("rho is (numerically) zero")
+    witness = _structural_infinity(rho, sigma, alpha)
+    n = spectral_map(sigma, np.ones_like)[1]
+    if witness is None and alpha >= 1.0 and n < rho.dim:
+        iso = sigma.eig[1][:, :n]
+        rho = HermitianOperator(iso @ (iso.conj().T @ rho.entries @ iso) @ iso.conj().T)
+    return rho, sigma, witness
 
 
 def measured_renyi_lower(
@@ -433,40 +485,36 @@ def measured_renyi_lower(
 ) -> MeasuredResult:
     """Certified lower bound on the measured Renyi divergence.
 
-    For alpha >= 1/2 the convex variational formula is optimized (see
+    Above alpha = 1/2 the convex variational formula is optimized (see
     _variational_povms) and the value is the global optimum up to
     solver tolerance; restarts and iters are not used there, and
     restarts_used counts the L-BFGS starts, converged reports whether
-    one of them met its stopping test.  Below 1/2, projected gradient
-    ascent over d^2-outcome POVMs runs on raw factor parameters; the
-    factor normalization keeps every iterate a feasible POVM.  Either
-    way the value is recomputed exactly from the best candidate
-    measurement, seed measurements included.  Deterministic for fixed
-    (seed, restarts).  Infinite values are returned only on
-    operator-level support violations, with the separating projective
-    measurement attached.
+    one of them stopped at the optimum.  At alpha = 1/2 the Fuchs-Caves
+    measurement gives -log F in closed form (restarts_used 0).  Below
+    1/2 a Riemannian ascent over rank-one d^2-outcome POVMs runs from
+    restarts starts (at least the structured seeds) with at most iters
+    steps each (see _stiefel_povms); converged reports whether the best
+    start stopped before its step cap.  Either way the value is
+    recomputed exactly from the best candidate measurement, seed
+    measurements included.  extra_seed_factors is a sequence of POVMs
+    on rho's space, added as candidates and, below 1/2, as ascent seeds.
+    Deterministic for fixed (seed, restarts).  Infinite values are
+    returned only on operator-level support violations, with the
+    separating projective measurement attached.
     """
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if not rho.trace > 0.0:
-        raise ZeroOperatorError("rho is (numerically) zero")
-    d = rho.dim
-    witness = _structural_infinity(rho, sigma, alpha)
+    rho, sigma, witness = _measured_pair(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
         )
-    if alpha >= CONVEX_ALPHA_MIN:
+    if alpha == CONVEX_ALPHA_MIN:
+        povms, starts, converged = [_fuchs_caves(rho, sigma)], 0, True
+    elif alpha > CONVEX_ALPHA_MIN:
         povms, starts, converged = _variational_povms(rho, sigma, alpha, extra_seed_factors)
     else:
-        povm, starts, converged = _ascent_povm(
+        povms, starts, converged = _stiefel_povms(
             rho, sigma, alpha, restarts, seed, iters, extra_seed_factors
         )
-        povms = [povm]
     povm, exact = None, -math.inf
     for cand in povms:
         val = _certified_value(apply_povm(cand, rho), apply_povm(cand, sigma), alpha)
@@ -475,22 +523,20 @@ def measured_renyi_lower(
     if exact == DEMOTED:
         # every candidate ended on a rounding cliff; certify the trivial
         # measurement instead, whose value log(tr rho / tr sigma) is always clean
-        povm = POVM((HermitianOperator(np.eye(d)),))
+        povm = _povm((np.eye(rho.dim),))
         exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
     return MeasuredResult(
         value=exact, povm=povm, restarts_used=starts, converged=converged
     )
 
 
-def _binary_values(p1, q1, tr_rho: float, tr_sigma: float, alpha: float) -> np.ndarray:
-    """Renyi divergences of the tests with first-outcome weights p1, q1, elementwise.
+def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Renyi divergences of two-outcome weights p, q (outcomes on axis 0), elementwise.
 
     Infinite values rank last as DEMOTED: in _np_search every outcome
     has sigma-weight for alpha >= 1, and only disjoint supports, caught
     earlier, give +inf below 1, so an infinity is a rounding cliff.
     """
-    p = np.clip(np.stack([p1, tr_rho - p1]), 0.0, None)
-    q = np.clip(np.stack([q1, tr_sigma - q1]), 0.0, None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lp, lq = np.log(p), np.log(q)
         if alpha == 1.0:
@@ -501,40 +547,52 @@ def _binary_values(p1, q1, tr_rho: float, tr_sigma: float, alpha: float) -> np.n
     return np.where(np.isfinite(vals), vals, DEMOTED)
 
 
+def _split(w: np.ndarray) -> np.ndarray:
+    """(top, rest) sums of weights w[a, i] at every split point 1 ... n-1."""
+    top = np.cumsum(w, axis=1)[:, :-1]
+    rest = np.cumsum(w[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return np.stack([top, rest])
+
+
 def _np_search(rho, sigma, alpha):
-    """Best test of test_measured's angle search: (top eigenvectors, intervals).
+    """Best test of test_measured's angle search: (basis, rank, intervals).
 
     The tests are spans of the top r < n eigenvectors of
     cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n
-    support vectors for alpha >= 1.  The eigenvectors come back in the
-    original coordinates, or None when every test sits on a rounding
-    cliff or none exists (n < 2).
+    support vectors for alpha >= 1.  basis is the best test's
+    eigenvectors, top first, followed by sigma's kernel vectors outside
+    those n, in the original coordinates: its first rank columns span
+    the test, the rest its complement.  basis is None when every test
+    sits on a rounding cliff or none exists (n < 2).
     """
     w, v = sigma.eig
     n = spectral_map(sigma, np.ones_like)[1] if alpha >= 1.0 else rho.dim
     if n < 2:
-        return None, 0
+        return None, 0, 0
     iso = v[:, :n]
     rho_s = iso.conj().T @ rho.entries @ iso
     sig_w = np.maximum(w[:n], 0.0)  # sigma is diag(sig_w) in these coordinates
     sig_s = np.diag(sig_w)
+    # rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
+    root = spectral_map(rho, np.sqrt)[0] @ iso
     s_inv = spectral_map(sigma, lambda x: x ** -0.5)[0]
     ratios = np.linalg.eigvalsh(s_inv @ rho.entries @ s_inv)
     edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(np.maximum(ratios, 0.0))]))
-    totals = rho.trace, sigma.trace
-    best_val, best_top = DEMOTED, None
+    best_val, best_u, best_rank = DEMOTED, None, 0
 
     def scored(phis):
         """Value of every top-r test at each angle; keeps the best seen."""
-        nonlocal best_val, best_top
+        nonlocal best_val, best_u, best_rank
         m = np.cos(phis)[:, None, None] * rho_s - np.sin(phis)[:, None, None] * sig_s
         u = np.linalg.eigh(m)[1][:, :, ::-1]
-        p_top = np.cumsum(np.real(np.einsum("aji,jk,aki->ai", u.conj(), rho_s, u)), axis=1)
-        q_top = np.cumsum(np.einsum("j,aji->ai", sig_w, np.abs(u) ** 2), axis=1)
-        vals = _binary_values(p_top[:, :-1], q_top[:, :-1], *totals, alpha)
+        # weights of the top r eigenvectors and of the rest, r = 1 ... n-1,
+        # summed from squared norms so that an empty outcome gets no dust
+        p = _split(np.sum(np.abs(root @ u) ** 2, axis=1))
+        q = _split(np.einsum("j,aji->ai", sig_w, np.abs(u) ** 2))
+        vals = _binary_values(p, q, alpha)
         a, k = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[a, k] > best_val:
-            best_val, best_top = vals[a, k], u[a, :, : k + 1]
+            best_val, best_u, best_rank = vals[a, k], u[a], k + 1
         return vals
 
     n_int = len(edges) - 1
@@ -560,7 +618,20 @@ def _np_search(rho, sigma, alpha):
         f_new = scored(x_new)[pick]
         x1, f1 = np.where(left, x_new, x_in), np.where(left, f_new, f_in)
         x2, f2 = np.where(left, x_in, x_new), np.where(left, f_in, f_new)
-    return (None if best_top is None else iso @ best_top), n_int
+    if best_u is None:
+        return None, 0, n_int
+    return np.hstack([iso @ best_u, v[:, n:]]), best_rank, n_int
+
+
+def _np_test(rho, sigma, alpha) -> tuple[POVM, int]:
+    """The projector pair of _np_search's best test and the intervals searched.
+
+    T = I when no test clears the rounding cliffs.
+    """
+    basis, rank, intervals = _np_search(rho, sigma, alpha)
+    if basis is None:
+        basis, rank = np.eye(rho.dim), rho.dim
+    return _povm((basis[:, :rank], basis[:, rank:])), intervals
 
 
 def test_measured(
@@ -585,29 +656,18 @@ def test_measured(
 
     restarts and seed are not used; restarts_used counts the searched
     intervals and converged is True.  The value is recomputed exactly
-    from the returned projector pair.  Infinite values are returned only
+    from the returned projector pair, each weight a squared norm of the
+    test's eigenvectors (see apply_povm).  Infinite values are returned only
     on operator-level support violations, with the separating projective
     measurement attached.
     """
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if not rho.trace > 0.0:
-        raise ZeroOperatorError("rho is (numerically) zero")
-    d = rho.dim
-    witness = _structural_infinity(rho, sigma, alpha)
+    rho, sigma, witness = _measured_pair(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
         )
 
-    top, intervals = _np_search(rho, sigma, alpha)
-    # T = I when no test clears the rounding cliffs
-    proj = np.eye(d, dtype=complex) if top is None else top @ top.conj().T
-    povm = POVM((HermitianOperator(proj), HermitianOperator(np.eye(d) - proj)))
+    povm, intervals = _np_test(rho, sigma, alpha)
     exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
     return MeasuredResult(
         value=exact, povm=povm, restarts_used=intervals, converged=True
@@ -644,12 +704,9 @@ def regularized_measured_estimate(
             # products of the best lower-power measurements reproduce
             # n times the single-copy value at the seed, so the per-copy
             # sequence never regresses
-            factors = [
-                np.kron(_psd_root(a.entries), _psd_root(b.entries))
-                for a in prev_povm.elements
-                for b in single_povm.elements
-            ]
-            extra = (np.stack(factors),)
+            extra = (_povm(
+                np.kron(a, b) for a in prev_povm.factors for b in single_povm.factors
+            ),)
         res = measured_renyi_lower(
             HermitianOperator(rho_n),
             HermitianOperator(sigma_n),
@@ -668,7 +725,3 @@ def regularized_measured_estimate(
         out.append((n, res.value / n))
     return out
 
-
-def _psd_root(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -2,8 +2,11 @@
 
 Supported real powers, logs on the support and support projections (all
 one spectral map), the support-inclusion test and the pair check built on
-it, projection meet, PSD order checks, and the pinched exponential needed
-by the large-z divergence limit.  Everything runs on exact
+it, projection meet, PSD order checks, the pinched exponential needed by
+the large-z divergence limit, the divided differences of spectral
+functions (Daleckii-Krein gradients), and the one optimizer of the
+package: gradient ascent on the complex Stiefel manifold, which the
+channel-input and measurement searches share.  Everything runs on exact
 eigendecompositions of d x d Hermitian matrices with a relative cutoff
 standing in for exact spectral projections.  All logs are natural, so
 values are in nats.
@@ -43,6 +46,21 @@ BORDERLINE_BAND = (1e-12, SUPPORT_TEST_SLACK)
 MEET_EIGENVALUE_TOL = 1e-8
 
 MAX_DIM = 64
+
+#: eigenvalues this close (relative) share a divided difference: the mean
+#: derivative, whose error ~gap^2 balances the quotient's rounding ~eps/gap
+DIVIDED_DIFFERENCE_RTOL = 1e-5
+
+#: stiefel_ascent: sufficient-increase constant of the Armijo test, the
+#: length of the first trial move and of any move, the tangent-gradient
+#: norm at which it stops, the halvings before a step counts as failed,
+#: and the number of past steps its L-BFGS directions use
+ARMIJO_C = 1e-4
+ASCENT_FIRST_MOVE = 0.1
+ASCENT_MAX_MOVE = 1.0
+ASCENT_GTOL = 1e-10
+ASCENT_HALVINGS = 30
+ASCENT_MEMORY = 8
 
 
 @dataclass(frozen=True)
@@ -290,6 +308,107 @@ def _pinch_exp(
     w, v = np.linalg.eigh(m)
     weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, pm, v))
     return float(np.sum(np.exp(w) * np.clip(weights, 0.0, None)))
+
+
+def divided_differences(w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """First divided differences (f_i - f_j) / (w_i - w_j) of a spectral function.
+
+    f and df are the function and its derivative at the eigenvalues w;
+    where two eigenvalues agree to DIVIDED_DIFFERENCE_RTOL the mean of the
+    derivatives stands in for the quotient.  By the Daleckii-Krein formula
+    the derivative of A -> g(A) in direction H is V (Gamma o V^dag H V) V^dag
+    for A = V diag(w) V^dag, and the gradient of A -> Tr C g(A) is the
+    same map applied to C.
+    """
+    gap = w[:, None] - w[None, :]
+    scale = np.maximum(np.abs(w[:, None]), np.abs(w[None, :]))
+    close = np.abs(gap) <= DIVIDED_DIFFERENCE_RTOL * scale
+    quotient = (f[:, None] - f[None, :]) / np.where(close, 1.0, gap)
+    return np.where(close, 0.5 * (df[:, None] + df[None, :]), quotient)
+
+
+def _tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projection of g onto the tangent space of the Stiefel manifold at x."""
+    xg = x.conj().T @ g
+    return g - x @ (0.5 * (xg + xg.conj().T))
+
+
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Nearest matrix with orthonormal columns (the polar retraction)."""
+    u, _, vh = np.linalg.svd(x, full_matrices=False)
+    return u @ vh
+
+
+def _ip(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re Tr a^dag b of the Stiefel manifold's metric."""
+    return float(np.vdot(a, b).real)
+
+
+def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
+    """Maximize f over {X in C^(n x m) : X^dag X = I} from x0.
+
+    value_grad(X) returns (f, G), G the Euclidean gradient, so that
+    f(X + dX) = f(X) + Re Tr G^dag dX to first order; G may be None when
+    f is +inf.  Each step projects G onto the tangent space
+    (G - X herm(X^dag G)), turns it into a search direction by the
+    L-BFGS two-loop recursion over the last ASCENT_MEMORY steps (the
+    initial scale is the Barzilai-Borwein step s.y / y.y; without
+    memory the first move has length ASCENT_FIRST_MOVE), halves the
+    step until the Armijo test accepts it, and retracts by polar
+    decomposition; m = 1 is the unit sphere.  Stored steps are used
+    without transport and the direction is projected onto the current
+    tangent space.  A value of +inf ends the ascent (the supremum is
+    attained).  Returns (X, f, converged): converged is False only when
+    the iters steps ran out before the tangent gradient vanished or no
+    step could raise f any further.
+    """
+    x = _polar(x0)
+    f, g = value_grad(x)
+    if f == math.inf:
+        return x, f, True
+    xi = _tangent(x, g)
+    memory: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    for _ in range(iters):
+        gn = math.sqrt(_ip(xi, xi))
+        if gn <= ASCENT_GTOL:
+            return x, f, True
+        d = xi
+        if memory:
+            coefs = []
+            for s, y, r in reversed(memory):
+                c = r * _ip(s, d)
+                coefs.append(c)
+                d = d - c * y
+            s, y, _ = memory[-1]
+            d = (_ip(s, y) / _ip(y, y)) * d
+            for (s, y, r), c in zip(memory, reversed(coefs)):
+                d = d + (c - r * _ip(y, d)) * s
+            d = _tangent(x, d)
+        slope = _ip(d, xi)
+        if not memory or slope <= 0.0:
+            memory.clear()
+            d = (ASCENT_FIRST_MOVE / gn) * xi
+            slope = _ip(d, xi)
+        t = min(1.0, ASCENT_MAX_MOVE / math.sqrt(_ip(d, d)))
+        for _ in range(ASCENT_HALVINGS):
+            cand = _polar(x + t * d)
+            f_new, g_new = value_grad(cand)
+            if f_new >= f + ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        else:
+            return x, f, True
+        if f_new == math.inf:
+            return cand, f_new, True
+        xi_new = _tangent(cand, g_new)
+        # a step and the change of the gradient of -f along it
+        s, y = cand - x, xi - xi_new
+        sy = _ip(s, y)
+        if sy > 0.0:
+            memory.append((s, y, 1.0 / sy))
+            del memory[:-ASCENT_MEMORY]
+        x, f, xi = cand, f_new, xi_new
+    return x, f, False
 
 
 def trace_power(A, z: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> float:

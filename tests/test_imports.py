@@ -59,3 +59,28 @@ def test_measured_kind_imports_the_optimizer_on_first_use():
     )
     assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
     assert math.isfinite(record["value"]) and record["value"] > 0.0
+
+
+def test_measured_kind_below_half_loads_no_heavy_module():
+    # the rank-one POVM ascent and its Neyman-Pearson seed need no scipy
+    record, report = run_fresh(
+        "eval", "--kind", "measured", "--alpha", "0.3", "--seed", "3",
+        "--family", "pure:c=1,eps=0.3",
+    )
+    assert report == {"code": 0, "after_import": [], "after_main": []}
+    assert math.isfinite(record["value"]) and record["value"] > 0.0
+
+
+def test_channel_ascent_loads_no_heavy_module(tmp_path):
+    from qrd.channels import depolarizing_channel, identity_channel
+    from qrd.serialize import dump_channel
+
+    n1, n2 = tmp_path / "id.json", tmp_path / "dep.json"
+    dump_channel(identity_channel(2), n1)
+    dump_channel(depolarizing_channel(0.2), n2)
+    record, report = run_fresh(
+        "channel", "--n1", str(n1), "--n2", str(n2), "--kind", "sandwiched",
+        "--alpha-grid", "1.5", "--seed", "3", "--restarts", "3",
+    )
+    assert report == {"code": 0, "after_import": [], "after_main": []}
+    assert record["domination_ok"] and math.isfinite(record["records"][0]["value"])

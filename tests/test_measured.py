@@ -10,6 +10,7 @@ from qrd.channels import apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
 from qrd.errors import ZeroOperatorError
+from qrd.families import gen_pure
 from qrd.measured import (
     POVM,
     apply_povm,
@@ -260,3 +261,74 @@ def test_test_variant_near_product_pair_is_finite(alpha):
     got = measured_by_test(rho, sigma, alpha).value
     assert got == pytest.approx(math.log(1.0 / 0.9), abs=1e-9)
     assert got <= d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value + 1e-9
+
+
+def near_product_pair():
+    """psi = |00> + 1e-6 |11> through identity (rho) and depolarizing(0.2) (sigma)."""
+    psi = np.array([1.0, 0.0, 0.0, 1e-6], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    state = np.outer(psi, psi.conj())
+    return (
+        apply_extended(identity_channel(2), state),
+        apply_extended(depolarizing_channel(0.2), state),
+    )
+
+
+def gate_13_pairs():
+    """The random pairs of acceptance gate 13 with their restart budgets."""
+    for i in range(10):
+        rng = np.random.default_rng([1302, i])
+        d = 2 if i < 8 else 3
+        yield rand_density(rng, d, floor=0.02), rand_density(rng, d, floor=0.02), 2 if d == 2 else 1
+
+
+def test_measured_value_is_at_least_the_test_value(rng):
+    """D_M >= D_test: the ascent below 1/2 is seeded with the Neyman-Pearson test."""
+    cases = [
+        (rho, sigma, restarts, alpha)
+        for rho, sigma, restarts in gate_13_pairs()
+        for alpha in (0.3, 0.4, 0.5, 0.8, 1.3, 2.0, 3.0)
+    ]
+    cases += [(*near_product_pair(), 1, alpha) for alpha in (0.3, 0.4, 1.5, 2.0)]
+    for d in (2, 2, 3, 3):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        cases += [(rho, sigma, 2, alpha) for alpha in (0.3, 0.4)]
+    for rho, sigma, restarts, alpha in cases:
+        mv = measured_renyi_lower(rho, sigma, alpha, restarts=restarts, seed=13).value
+        tv = measured_by_test(rho, sigma, alpha).value
+        assert mv >= tv - 1e-12, f"alpha={alpha}: measured {mv!r} below test {tv!r}"
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4])
+def test_test_variant_on_a_pure_state_stays_certified(alpha):
+    """Weights of an outcome that rho does not reach carry no rounding dust.
+
+    For pure rho and alpha < 1/2 no test beats -log <psi|sigma|psi>, reached
+    by T = |psi><psi|; a dust weight raised to the power alpha would read
+    as a value above it.
+    """
+    rho, sigma = gen_pure(1.0, 0.3)
+    psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
+    bound = -math.log(psi @ sigma.entries.real @ psi)
+    assert measured_by_test(rho, sigma, alpha).value <= bound + 1e-12
+
+
+def test_convex_path_reports_converged():
+    rng = np.random.default_rng(0)
+    for d in (2, 3, 4):
+        for _ in range(4):
+            rho, sigma = rand_density(rng, d), rand_density(rng, d)
+            for alpha in (0.7, 1.5, 3.0):
+                assert measured_renyi_lower(rho, sigma, alpha, seed=0).converged, (d, alpha)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_half_alpha_is_minus_log_fidelity(rng, d):
+    """At alpha = 1/2, D_M = -log F, certified by the Fuchs-Caves measurement."""
+    for rho in (rand_pure(rng, d), rand_density(rng, d)):
+        sigma = rand_density(rng, d)
+        res = measured_renyi_lower(rho, sigma, 0.5, seed=0)
+        sand = d_alpha_z(rho, sigma, DivergenceParams(0.5, 0.5)).d_value
+        assert res.value == pytest.approx(sand, abs=1e-12)
+        exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), 0.5)
+        assert exact == res.value
