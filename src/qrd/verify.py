@@ -60,12 +60,12 @@ from .reversetests import (
     validate_reverse_test,
 )
 from .zlimits import (
+    _limit_eigenvalues,
     equality_case_check,
     genericity_condition_b,
     genericity_condition_b_prime,
     reducing_subspace_check,
     spectral_profile,
-    z_alpha_eigenvalues,
     zero_z_divergence,
     zero_z_oracle,
 )
@@ -156,9 +156,10 @@ def generic_zero_z_pair(rng, d: int, alphas=(0.6, 1.7)) -> tuple[HermitianOperat
             continue
         if not genericity_condition_b_prime(profile).holds:
             continue
+        # both conditions hold, so every alpha's limit needs no second search
         if all(
             np.all(lam[1:] / lam[:-1] <= LIMIT_SEPARATION)
-            for lam in (np.sort(z_alpha_eigenvalues(profile, a))[::-1] for a in alphas)
+            for lam in (np.sort(_limit_eigenvalues(profile, a))[::-1] for a in alphas)
         ):
             return r, s
 

@@ -3,15 +3,20 @@
 The z -> 0 limit of Q_{alpha,z} has eigenvalues a_i^alpha b_i^(1-alpha)
 (alpha < 1) or a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1) whenever a
 determinant genericity condition on the eigenvector overlap matrix holds.
-This module tests those conditions by exhaustive minor search, evaluates
-the closed form, and falls back to Richardson extrapolation of Q_{alpha,z}
-over a small z-grid in arbitrary precision when genericity fails.  It also
-hosts the equality-case checker for the one-sided alpha -> 1 limits and
-the reducing-subspace test used in its proof.
+This module tests those conditions by exhaustive minor search, with the
+determinants of each minor size evaluated in batches: when sigma is one
+eigenvalue block (sigma = I/d) and rho's eigenvalues are distinct, that
+is 2^d - 2 determinants per condition, and one evaluation searches once.
+It evaluates the closed form and falls back to Richardson extrapolation
+of Q_{alpha,z} over a small z-grid in arbitrary precision when
+genericity fails.  It also hosts the equality-case checker for the
+one-sided alpha -> 1 limits and the reducing-subspace test used in its
+proof.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +44,10 @@ MINOR_OK = 1e-10
 
 #: below this the best minor counts as an exact zero (definite failure)
 MINOR_DEAD = 1e-12
+
+#: matrix entries per batched determinant call of the minor search, which
+#: bounds its working memory at 16 bytes times this
+MINOR_BATCH = 1 << 19
 
 #: adjacent-eigenvalue gaps between these relative thresholds make the
 #: block clustering ambiguous
@@ -118,39 +127,62 @@ class GenericityResult:
     witnesses: tuple[MinorWitness, ...]
 
 
-def _prefix_sets(bounds: tuple[int, ...], k: int):
-    """All index sets of size k squeezed between consecutive prefix blocks."""
-    out = set()
-    for r in range(1, len(bounds)):
-        lo, hi = bounds[r - 1], bounds[r]
-        if lo <= k <= hi:
-            for combo in itertools.combinations(range(lo, hi), k - lo):
-                out.add(tuple(range(lo)) + combo)
-    return sorted(out)
+def _index_sets(head: tuple, block: range, m: int, tail: tuple) -> np.ndarray:
+    """Rows head + c + tail for every m-subset c of block, lexicographically.
+
+    One intp array, one index set per row.
+    """
+    n, k = math.comb(len(block), m), len(head) + m + len(tail)
+    sets = (head + c + tail for c in itertools.combinations(block, m))
+    return np.fromiter(itertools.chain.from_iterable(sets), np.intp, n * k).reshape(n, k)
 
 
-def _suffix_sets(bounds: tuple[int, ...], k: int, d: int):
-    """All index sets of size k squeezed between consecutive suffix blocks."""
-    out = set()
-    for s in range(1, len(bounds)):
-        lo, hi = bounds[s - 1], bounds[s]
-        # suffix {hi..d-1} is mandatory, the rest comes from block [lo, hi)
-        need = k - (d - hi)
-        if 0 <= need <= hi - lo:
-            for combo in itertools.combinations(range(lo, hi), need):
-                out.add(tuple(sorted(combo + tuple(range(hi, d)))))
-    return sorted(out)
+def _prefix_sets(bounds: tuple[int, ...], k: int) -> np.ndarray:
+    """All index sets of size k squeezed between consecutive prefix blocks.
+
+    Two blocks hold k only when k is a boundary, and then both give the
+    one set range(k), so the block [lo, hi) with lo < k <= hi gives every set.
+    """
+    r = bisect.bisect_left(bounds, k)
+    lo, hi = bounds[r - 1], bounds[r]
+    return _index_sets(tuple(range(lo)), range(lo, hi), k - lo, ())
+
+
+def _suffix_sets(bounds: tuple[int, ...], k: int, d: int) -> np.ndarray:
+    """All index sets of size k squeezed between consecutive suffix blocks.
+
+    The suffix {hi..d-1} is mandatory and the rest comes from the block
+    [lo, hi) with lo < d - k <= hi; as for prefixes, that gives every set.
+    """
+    r = bisect.bisect_left(bounds, d - k)
+    lo, hi = bounds[r - 1], bounds[r]
+    return _index_sets((), range(lo, hi), hi - (d - k), tuple(range(hi, d)))
 
 
 def _best_minor(overlap: np.ndarray, row_sets, col_sets, k: int) -> MinorWitness:
-    best = MinorWitness(k, -1.0, (), ())
-    for rows in row_sets:
-        sub_rows = overlap[list(rows), :]
-        for cols in col_sets:
-            val = abs(np.linalg.det(sub_rows[:, list(cols)]))
-            if val > best.best_abs_det:
-                best = MinorWitness(k, float(val), tuple(rows), tuple(cols))
-    return best
+    """Largest |k x k minor| over row_sets x col_sets, rows outer, columns inner.
+
+    The first strict maximum wins.  Each batched determinant call covers
+    whole row sets, or one row set's columns in slices, and at most
+    MINOR_BATCH matrix entries; |det| is np.hypot of its parts, which is
+    bitwise Python's abs() of the complex determinant.
+    """
+    step = max(1, MINOR_BATCH // (k * k))
+    n_cols = len(col_sets)
+    rows_per, cols_per = max(1, step // n_cols), min(n_cols, step)
+    best, best_at = -1.0, (0, 0)
+    for r0 in range(0, len(row_sets), rows_per):
+        rows = row_sets[r0:r0 + rows_per, None, :, None]
+        for c0 in range(0, n_cols, cols_per):
+            cols = col_sets[None, c0:c0 + cols_per, None, :]
+            det = np.linalg.det(overlap[rows, cols]).ravel()
+            val = np.hypot(det.real, det.imag)
+            at = int(val.argmax())
+            if val[at] > best:
+                i, j = divmod(at, cols.shape[1])
+                best, best_at = float(val[at]), (r0 + i, c0 + j)
+    r, c = best_at
+    return MinorWitness(k, best, tuple(row_sets[r].tolist()), tuple(col_sets[c].tolist()))
 
 
 def _genericity(profile: SpectralProfile, required, col_sets_for) -> GenericityResult:
@@ -186,6 +218,13 @@ def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
     )
 
 
+def _alpha_genericity(profile: SpectralProfile, alpha: float) -> GenericityResult:
+    """The condition the limit formula needs on the side of 1 where alpha is."""
+    if alpha < 1.0:
+        return genericity_condition_b(profile)
+    return genericity_condition_b_prime(profile)
+
+
 def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     """Limit eigenvalues a_i^alpha b_i^(1-alpha) (or anti-paired for alpha > 1).
 
@@ -194,16 +233,18 @@ def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     """
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    if alpha < 1.0:
-        gen = genericity_condition_b(profile)
-    else:
-        gen = genericity_condition_b_prime(profile)
+    gen = _alpha_genericity(profile, alpha)
     if not gen.holds:
         if gen.undetermined:
             raise GenericityUndeterminedError(
                 "overlap minors too close to zero to certify the spectral formula"
             )
         raise GenericityFailsError("genericity condition fails for this pair")
+    return _limit_eigenvalues(profile, alpha)
+
+
+def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
+    """z_alpha_eigenvalues for a profile whose genericity is already known to hold."""
     a = profile.a
     b = profile.b if alpha < 1.0 else profile.b[::-1]
     thr_a = DEFAULT_CUTOFF.relative_tau * max(float(a[0]), 0.0)
@@ -295,12 +336,9 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
 def _zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """zero_z_divergence on a pair already validated by _checked_pair."""
     profile = spectral_profile(rho, sigma)
-    if alpha > 1.0:
-        gen = genericity_condition_b_prime(profile)
-    else:
-        gen = genericity_condition_b(profile)
+    gen = _alpha_genericity(profile, alpha)
     if gen.holds:
-        lam = z_alpha_eigenvalues(profile, alpha)
+        lam = _limit_eigenvalues(profile, alpha)
         q0 = float(np.sum(lam))
         if q0 <= 0.0:
             return ZeroZResult(math.inf, False, gen)
@@ -350,8 +388,7 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
+    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
     profile = spectral_profile(rho, sigma)
     if profile.b[-1] <= DEFAULT_CUTOFF.relative_tau * max(profile.b[0], 0.0):
         raise SingularSigmaError("equality-case analysis needs invertible sigma")

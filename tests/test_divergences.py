@@ -31,7 +31,7 @@ from qrd.errors import (
 )
 from qrd.opcore import HermitianOperator, as_operator, pinch_exp
 from qrd.verify import rand_density, rand_pure
-from qrd.zlimits import zero_z_divergence, zero_z_oracle
+from qrd.zlimits import equality_case_check, zero_z_divergence, zero_z_oracle
 
 
 def diag_pair():
@@ -218,6 +218,7 @@ PAIR_ENTRY_POINTS = {
     "pinch_exp": lambda r, s: pinch_exp(r, s, 1.5),
     "zero_z_divergence": lambda r, s: zero_z_divergence(r, s, 1.5),
     "zero_z_oracle": lambda r, s: zero_z_oracle(r, s, 1.5),
+    "equality_case_check": lambda r, s: equality_case_check(r, s, "below"),
 }
 
 GOOD = np.diag([0.6, 0.4])

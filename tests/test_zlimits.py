@@ -1,15 +1,19 @@
 """z -> 0 spectral limits, genericity detection, equality cases."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qrd import zlimits
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import BadAlphaError
+from qrd.errors import BadAlphaError, SingularSigmaError
 from qrd.opcore import HermitianOperator, Projection
 from qrd.verify import generic_zero_z_pair, rand_balanced_pure, rand_density
 from qrd.zlimits import (
+    GenericityResult,
+    MinorWitness,
     equality_case_check,
     genericity_condition_b,
     genericity_condition_b_prime,
@@ -94,6 +98,13 @@ def test_equality_aligned_and_anti_aligned():
     assert above.gap <= 1e-8 and above.commuting_aligned
 
 
+def test_equality_needs_invertible_sigma():
+    rho = HermitianOperator(np.diag([0.5, 0.5, 0.0]))
+    sigma = HermitianOperator(np.diag([0.6, 0.4, 0.0]))
+    with pytest.raises(SingularSigmaError):
+        equality_case_check(rho, sigma, "below")
+
+
 def test_equality_fails_generic_noncommuting(rng):
     rho, sigma = generic_zero_z_pair(rng, 2)
     res = equality_case_check(rho, sigma, "below")
@@ -117,3 +128,125 @@ def test_pure_state_limits_hit_reference_spectrum_edges(rng):
     assert zero_z_divergence(psi, sigma, 2.5).value == pytest.approx(
         math.log(1.0 / b[-1]), abs=1e-9
     )
+
+
+# ------------------------------------------------ per-minor reference search
+
+
+def _ref_prefix_sets(bounds, k):
+    out = set()
+    for r in range(1, len(bounds)):
+        lo, hi = bounds[r - 1], bounds[r]
+        if lo <= k <= hi:
+            for combo in itertools.combinations(range(lo, hi), k - lo):
+                out.add(tuple(range(lo)) + combo)
+    return sorted(out)
+
+
+def _ref_suffix_sets(bounds, k, d):
+    out = set()
+    for s in range(1, len(bounds)):
+        lo, hi = bounds[s - 1], bounds[s]
+        need = k - (d - hi)
+        if 0 <= need <= hi - lo:
+            for combo in itertools.combinations(range(lo, hi), need):
+                out.add(tuple(sorted(combo + tuple(range(hi, d)))))
+    return sorted(out)
+
+
+def _ref_genericity(profile, prime: bool) -> GenericityResult:
+    """One np.linalg.det per minor, rows outer, first strict maximum wins."""
+    d = profile.dim
+    if prime:
+        required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
+    else:
+        required = set(profile.i_bounds[1:-1]) | set(profile.j_bounds[1:-1])
+    ov = profile.overlap
+    witnesses = []
+    for k in sorted(required):
+        col_sets = (
+            _ref_suffix_sets(profile.j_bounds, k, d)
+            if prime
+            else _ref_prefix_sets(profile.j_bounds, k)
+        )
+        best = MinorWitness(k, -1.0, (), ())
+        for rows in _ref_prefix_sets(profile.i_bounds, k):
+            sub_rows = ov[list(rows), :]
+            for cols in col_sets:
+                val = abs(np.linalg.det(sub_rows[:, list(cols)]))
+                if val > best.best_abs_det:
+                    best = MinorWitness(k, float(val), tuple(rows), tuple(cols))
+        witnesses.append(best)
+    holds = all(w.best_abs_det > zlimits.MINOR_OK for w in witnesses)
+    undetermined = (not holds) and all(w.best_abs_det > zlimits.MINOR_DEAD for w in witnesses)
+    return GenericityResult(holds, undetermined, tuple(witnesses))
+
+
+def _rotated(rng, spectrum):
+    q, _ = np.linalg.qr(rng.standard_normal((len(spectrum),) * 2)
+                        + 1j * rng.standard_normal((len(spectrum),) * 2))
+    spectrum = np.asarray(spectrum, dtype=float) / np.sum(spectrum)
+    return HermitianOperator((q * spectrum) @ q.conj().T)
+
+
+def _search_cases():
+    rng = np.random.default_rng(77)
+    cases = [(f"mixed-d{d}", rand_density(rng, d), HermitianOperator(np.eye(d) / d))
+             for d in range(2, 9)]
+    clustered = (
+        ([3, 3, 2, 2, 1], [4, 4, 1, 1, 1]),
+        ([5, 2, 2, 2, 1, 1], [3, 3, 3, 2, 2, 1]),
+        ([4, 4, 4, 1, 1, 1, 1], [6, 2, 2, 2, 2, 1, 1]),
+        ([1, 1, 1, 1, 1, 1], [5, 3, 3, 3, 2, 2]),
+    )
+    cases += [(f"clustered-{i}", _rotated(rng, a), _rotated(rng, b))
+              for i, (a, b) in enumerate(clustered)]
+    for d in (3, 5):
+        a = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
+        cases.append((f"anti-aligned-d{d}", HermitianOperator(np.diag(a)),
+                      HermitianOperator(np.diag(a[::-1]))))
+    # rho's top eigenvector is orthogonal to sigma's top block, so every
+    # candidate minor of size 2 is an exact zero: a tie the first set wins
+    cases.append(("commuting-tied", HermitianOperator(np.diag([0.4, 0.3, 0.2, 0.1])),
+                  HermitianOperator(np.diag([0.1, 0.3, 0.3, 0.3]))))
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+@pytest.mark.parametrize("batch", [None, 3, 40])
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=[c[0] for c in SEARCH_CASES])
+def test_batched_search_matches_per_minor_reference(case, batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr(zlimits, "MINOR_BATCH", batch)
+    _, rho, sigma = case
+    prof = spectral_profile(rho, sigma)
+    for prime, search in ((False, genericity_condition_b), (True, genericity_condition_b_prime)):
+        got, want = search(prof), _ref_genericity(prof, prime)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def test_anti_aligned_minors_are_exact_zeros():
+    _, rho, sigma = SEARCH_CASES[[c[0] for c in SEARCH_CASES].index("anti-aligned-d5")]
+    gen = genericity_condition_b(spectral_profile(rho, sigma))
+    assert not gen.holds and not gen.undetermined
+    assert any(w.best_abs_det == 0.0 for w in gen.witnesses)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.7])
+def test_one_evaluation_searches_once(alpha, rng, monkeypatch):
+    rho, sigma = generic_zero_z_pair(rng, 4)
+    calls = []
+    search = zlimits._genericity
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(zlimits, "_genericity", counting)
+    zero_z_divergence(rho, sigma, alpha)
+    assert len(calls) == 1
+    d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.0))
+    assert len(calls) == 2
