@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Print one repr line per public evaluation over a fixed, seeded input set.
+
+The inputs are random pairs at d = 2, 3, 4 and 8 (full rank, sigma
+rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
+supp sigma sits just below and just above the support-test slack, and
+the near-product pair; the evaluations cover the divergence layer, the
+measured and test-measured lower bounds at d <= 4 and channel
+divergences on three random channel pairs.  Errors print as their type
+and message.  Two checkouts compute the same values exactly when
+
+    PYTHONPATH=src python3 scripts/value_digest.py > new.txt
+
+and the same command run from the other checkout print identical files.
+Arrays print as the SHA-256 of their bytes.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from qrd.channels import (
+    apply_extended,
+    channel_divergence,
+    depolarizing_channel,
+    identity_channel,
+)
+from qrd.divergences import (
+    DivergenceParams,
+    alt_chain,
+    d_alpha_z,
+    d_hat_alpha,
+    d_max,
+    dmax_domination_check,
+    epsilon_smoothing_curve,
+    nussbaum_szkola,
+    q_alpha_z,
+    umegaki,
+)
+from qrd.measured import measured_renyi_lower, test_measured
+from qrd.opcore import HermitianOperator, pinch_exp
+from qrd.verify import rand_channel, rand_density, rand_pure
+from qrd.zlimits import zero_z_divergence
+
+ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
+MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
+EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
+
+
+def digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def emit(label: str, fn) -> None:
+    try:
+        out = fn()
+    except Exception as exc:  # the error is part of the digest
+        out = f"{type(exc).__name__}: {exc}"
+    print(f"{label}: {out}")
+
+
+def slack_pair(t: float):
+    """d = 3, sigma of rank 2, rho = (1 - t) rho0 + t |k><k| with k spanning ker sigma."""
+    sigma = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    u = np.linalg.qr(np.array([[1, 1, 1], [1, -1, 2], [0, 1, -1]], dtype=complex))[0]
+    sigma = u @ sigma @ u.conj().T
+    k = u[:, 2:3]
+    v = u[:, :2] @ np.array([[0.8], [0.6j]])
+    rho0 = 0.7 * (v @ v.conj().T) + 0.3 * (u[:, :1] @ u[:, :1].conj().T)
+    return HermitianOperator((1 - t) * rho0 + t * (k @ k.conj().T)), HermitianOperator(sigma)
+
+
+def near_product_pair():
+    psi = np.array([1.0, 0.0, 0.0, 1e-6], dtype=complex)
+    psi /= np.linalg.norm(psi)
+    state = HermitianOperator(np.outer(psi, psi.conj()))
+    rho = apply_extended(identity_channel(2), state)
+    return rho, apply_extended(depolarizing_channel(0.2), state)
+
+
+def pairs():
+    rng = np.random.default_rng(20261018)
+    out = []
+    for d in (2, 3, 4, 8):
+        out.append((f"full{d}", rand_density(rng, d), rand_density(rng, d)))
+        out.append((f"sigdef{d}", rand_density(rng, d), rand_density(rng, d, rank=d - 1)))
+        out.append((f"rhodef{d}", rand_density(rng, d, rank=d - 1), rand_density(rng, d)))
+        out.append((f"pure{d}", rand_pure(rng, d), rand_density(rng, d, floor=0.05)))
+    for t in (1e-10, 2e-8, 0.5):
+        out.append((f"slack{t:g}", *slack_pair(t)))
+    out.append(("nearproduct", *near_product_pair()))
+    return out
+
+
+def divergence_layer(name, rho, sigma) -> None:
+    emit(f"{name} umegaki", lambda: umegaki(rho, sigma))
+    emit(f"{name} d_max", lambda: d_max(rho, sigma))
+    emit(f"{name} ns", lambda: tuple(digest(w.values) for w in nussbaum_szkola(rho, sigma)))
+    for alpha in ALPHAS:
+        for z in (0.5, 1.0, alpha, math.inf, 0.0):
+            if alpha == 1.0 and z == 0.0:
+                continue
+            params = DivergenceParams(alpha, z)
+            emit(f"{name} daz a={alpha} z={z}", lambda: d_alpha_z(rho, sigma, params))
+            if 0.0 < z < math.inf:
+                emit(f"{name} q a={alpha} z={z}", lambda: q_alpha_z(rho, sigma, params))
+        emit(f"{name} pinch a={alpha}", lambda: pinch_exp(rho, sigma, alpha))
+        emit(f"{name} alt a={alpha}", lambda: alt_chain(rho, sigma, alpha, 0.7, 1.4))
+        emit(
+            f"{name} dom a={alpha}",
+            lambda: dmax_domination_check(rho, sigma, DivergenceParams(alpha, 1.0)),
+        )
+        if alpha != 1.0:
+            emit(f"{name} dhat a={alpha}", lambda: d_hat_alpha(rho, sigma, alpha))
+            emit(f"{name} zero a={alpha}", lambda: zero_z_divergence(rho, sigma, alpha))
+    emit(
+        f"{name} smooth",
+        lambda: epsilon_smoothing_curve(rho, sigma, DivergenceParams(1.5, 1.5), EPS_GRID),
+    )
+
+
+def measured_layer(name, rho, sigma) -> None:
+    def show(res):
+        factors = "" if res.povm.factors is None else digest(np.hstack(res.povm.factors))
+        return (res.value, res.restarts_used, res.converged, factors)
+
+    for alpha in MEASURED_ALPHAS:
+        emit(
+            f"{name} measured a={alpha}",
+            lambda: show(measured_renyi_lower(rho, sigma, alpha, restarts=3, seed=5, iters=30)),
+        )
+        emit(f"{name} test a={alpha}", lambda: show(test_measured(rho, sigma, alpha)))
+
+
+def channel_layer() -> None:
+    rng = np.random.default_rng(7)
+    jobs = (("sandwiched", 1.5), ("umegaki", None), ("measured", 1.5))
+    # Kraus ranks (n1, n2): rank-2 outputs leak out of each other's support
+    # for the first pair; n2's full-rank Choi matrix keeps the others finite
+    for (kind, alpha), (k1, k2) in zip(jobs, ((2, 2), (2, 4), (3, 4))):
+        n1, n2 = rand_channel(rng, 2, 2, kraus_n=k1), rand_channel(rng, 2, 2, kraus_n=k2)
+        for kind_, alpha_ in ((kind, alpha), ("petz", 0.7)):
+            res = channel_divergence(
+                n1, n2, kind_, alpha=alpha_, restarts=4, seed=3, iters=25
+            )
+            print(
+                f"channel{k1}{k2} {kind_} a={alpha_}: "
+                f"{(res.value, res.restarts_used, res.converged, digest(res.argmax_state))}"
+            )
+
+
+def main() -> None:
+    for name, rho, sigma in pairs():
+        divergence_layer(name, rho, sigma)
+        if rho.dim <= 4:
+            measured_layer(name, rho, sigma)
+    channel_layer()
+
+
+if __name__ == "__main__":
+    main()

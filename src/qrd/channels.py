@@ -27,13 +27,14 @@ from .errors import (
 )
 from .measured import _classical_value_grad, apply_povm, measured_renyi_lower
 from .opcore import (
-    DEFAULT_CUTOFF,
     SUPPORT_TEST_SLACK,
     HermitianOperator,
+    _cut_spectrum,
     _meet,
     as_operator,
     divided_differences,
     stiefel_ascent,
+    support_defect,
 )
 
 #: spectral slack for the completely-positive order test
@@ -271,13 +272,12 @@ def _state_objective(kind: str, alpha, z, seed: int):
 
 
 def _cut_eigh(m: np.ndarray):
-    """Eigensystem of a PSD array with the support-cutoff mask of spectral_map.
+    """Eigensystem of a PSD array cut as spectral_map cuts it (opcore._cut_spectrum).
 
     Cut eigenvalues come back as 1.0 so that powers and logs of them stay
     finite; every caller masks them out.
     """
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    kept = w > DEFAULT_CUTOFF.threshold(w)
+    w, v, kept = _cut_spectrum(*np.linalg.eigh(0.5 * (m + m.conj().T)))
     return np.where(kept, w, 1.0), v, kept
 
 
@@ -290,12 +290,6 @@ def _dk_grad(w, v, kept, f, df, c):
     f, df = np.where(kept, f, 0.0), np.where(kept, df, 0.0)
     gamma = divided_differences(np.where(kept, w, 0.0), f, df)
     return v @ (gamma * (v.conj().T @ c @ v)) @ v.conj().T
-
-
-def _leaks(rho, v_sigma, kept_sigma, tr) -> bool:
-    """Whether rho's mass outside supp sigma fails the support_defect test."""
-    out = v_sigma[:, ~kept_sigma]
-    return float(np.real(np.sum(out.conj() * (rho @ out)))) / tr > SUPPORT_TEST_SLACK
 
 
 def _renyi_grad(rho, sigma, alpha, z):
@@ -312,7 +306,7 @@ def _renyi_grad(rho, sigma, alpha, z):
     tr = float(np.trace(rho).real)
     a, va, ka = _cut_eigh(rho)
     b, vb, kb = _cut_eigh(sigma)
-    if alpha > 1.0 and _leaks(rho, vb, kb, tr):
+    if alpha > 1.0 and support_defect(rho, tr, vb[:, ~kb]) > SUPPORT_TEST_SLACK:
         return math.inf, None, None
     if math.isinf(z):
         la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
@@ -361,7 +355,7 @@ def _umegaki_grad(rho, sigma):
     tr = float(np.trace(rho).real)
     a, va, ka = _cut_eigh(rho)
     b, vb, kb = _cut_eigh(sigma)
-    if _leaks(rho, vb, kb, tr):
+    if support_defect(rho, tr, vb[:, ~kb]) > SUPPORT_TEST_SLACK:
         return math.inf, None, None
     la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
     log_sigma = (vb * lb) @ vb.conj().T

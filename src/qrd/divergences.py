@@ -23,6 +23,7 @@ from .opcore import (
     DEFAULT_CUTOFF,
     HermitianOperator,
     _checked_pair,
+    _cut_spectrum,
     _pinch_exp,
     as_operator,
     spectral_map,
@@ -95,7 +96,7 @@ def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     alpha, z = params.alpha, params.z
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     return _q(rho, sigma, included, alpha, z)
 
 
@@ -124,14 +125,14 @@ def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> Divergence
     return DivergenceValue(math.exp(psi), d, psi, tuple(notes))
 
 
-def _d_alpha_z(rho, sigma, included, borderline, p_sigma, params) -> DivergenceValue:
+def _d_alpha_z(rho, sigma, included, borderline, params) -> DivergenceValue:
     alpha, z = params.alpha, params.z
     tr_rho = rho.trace
     notes = ["support_borderline"] if borderline else []
     if alpha == 1.0:
         return _value_from_d(alpha, tr_rho, _umegaki(rho, sigma, included), notes)
     if math.isinf(z):
-        q = _pinch_exp(rho, sigma, included, p_sigma, alpha)
+        q = _pinch_exp(rho, sigma, included, alpha)
         if q == 0.0:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
@@ -163,7 +164,7 @@ def _umegaki(rho, sigma, included: bool) -> float:
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log rho - log sigma) / Tr rho."""
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     return _umegaki(rho, sigma, included)
 
 
@@ -183,7 +184,7 @@ def d_max(rho, sigma) -> float:
     log lambda with rho <= lambda sigma, matching the divergence family
     at its z = alpha - 1, alpha -> inf corner.
     """
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     return _d_max(rho, sigma, included)
 
 
@@ -195,7 +196,7 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     if alpha > 1.0 and not included:
         return math.inf
     s_half = _power(sigma, 0.5)
@@ -219,14 +220,13 @@ def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:
     Reproduces Q_{alpha,1} of the operator pair exactly, which makes it
     the bridge between quantum z = 1 divergences and classical ones.
     """
-    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
-    a, v = rho.eig
-    b, w = sigma.eig
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     # eigenvalue and overlap dust below the support cutoff must become an
     # exact zero, or the two sides would disagree about infinities: the
     # quantum Q tests support inclusion, the classical one exact zeros
-    a = np.where(a > DEFAULT_CUTOFF.threshold(a), a, 0.0)
-    b = np.where(b > DEFAULT_CUTOFF.threshold(b), b, 0.0)
+    a, v, ka = _cut_spectrum(*rho.eig)
+    b, w, kb = _cut_spectrum(*sigma.eig)
+    a, b = np.where(ka, a, 0.0), np.where(kb, b, 0.0)
     overlap = np.abs(v.conj().T @ w) ** 2
     overlap[overlap <= DEFAULT_CUTOFF.relative_tau**2] = 0.0
     p = a[:, None] * overlap
@@ -240,7 +240,7 @@ def _variational_guard(rho, sigma, params: DivergenceParams):
         raise BadAlphaError(f"variational formula needs alpha in (1, 2], got {alpha}")
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"variational formula needs finite z > 0, got {z}")
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     if not included:
         raise SupportViolationError(
             "rho^{a/z} <= lambda sigma^{a/z} fails for every finite lambda"
@@ -305,13 +305,12 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
         raise BadParamsError(f"need 0 < z1 <= z2 finite, got ({z1}, {z2})")
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho, sigma, included, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
     qz1 = _q(rho, sigma, included, alpha, z1)
     qz2 = _q(rho, sigma, included, alpha, z2)
     ratio = z1 / z2
     rho_norm = float(np.clip(rho.eigenvalues[0], 0.0, None))
-    b = sigma.eigenvalues
-    kept = b > DEFAULT_CUTOFF.threshold(b)
+    b, _, kept = _cut_spectrum(*sigma.eig)
     tr_sig_pow = float(np.sum(b[kept] ** (1.0 - alpha)))
     if math.isinf(qz2):
         upper = math.inf
@@ -344,8 +343,8 @@ def dmax_domination_check(rho, sigma, params: DivergenceParams) -> DmaxDominatio
     alpha > 1 with z >= alpha - 1; it fails strictly for pure rho whose
     vector is not a sigma-eigenvector once z < alpha - 1.
     """
-    rho, sigma, included, borderline, p_sigma = _checked_pair(rho, sigma)
-    val = _d_alpha_z(rho, sigma, included, borderline, p_sigma, params).d_value
+    rho, sigma, included, borderline = _checked_pair(rho, sigma)
+    val = _d_alpha_z(rho, sigma, included, borderline, params).d_value
     dm = _d_max(rho, sigma, included)
     if math.isinf(val):
         dominated = math.isinf(dm)

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import WeightVector, classical_renyi
-from .errors import BadAlphaError, DimMismatchError, DimTooLargeError, ZeroOperatorError
+from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
-    SUPPORT_TEST_SLACK,
     HermitianOperator,
+    _checked_pair,
+    _cut_spectrum,
     as_operator,
     spectral_map,
     stiefel_ascent,
-    support_defect,
 )
 
 #: an infinite divergence is only trusted when some outcome carries at
@@ -249,7 +249,7 @@ def _povm_objective(rho, sigma, alpha):
     return value_grad
 
 
-def _stiefel_povms(rho, sigma, alpha, restarts, seed, iters, extra):
+def _stiefel_povms(rho, sigma, alpha, rank, restarts, seed, iters, extra):
     """Candidate measurements of the rank-one POVM ascent: (povms, starts, converged).
 
     A rank-one POVM with n = d^2 outcomes is an isometry V in C^(n x d),
@@ -263,7 +263,7 @@ def _stiefel_povms(rho, sigma, alpha, restarts, seed, iters, extra):
     d = rho.dim
     n = d * d
     value_grad = _povm_objective(rho, sigma, alpha)
-    povms = [_np_test(rho, sigma, alpha)[0]]
+    povms = [_np_test(rho, sigma, alpha, rank)[0]]
     povms.extend(_projective(basis) for basis in _seed_bases(rho, sigma))
     povms.extend(extra)
     rng = np.random.default_rng([seed, 0x6D65])
@@ -290,7 +290,7 @@ def _stiefel_povms(rho, sigma, alpha, restarts, seed, iters, extra):
     return povms, len(starts), converged
 
 
-def _fuchs_caves(rho, sigma) -> POVM:
+def _fuchs_caves(rho, sigma, n: int) -> POVM:
     """Projective measurement attaining D_M = -log F at alpha = 1/2.
 
     On sigma's support, with M = sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2
@@ -298,9 +298,9 @@ def _fuchs_caves(rho, sigma) -> POVM:
     of M has p_k = m_k^2 q_k and the classical fidelity is Tr M sigma,
     the quantum one (Fuchs and Caves 1995).  sigma's kernel is one more
     outcome: sigma gives it no weight, so it adds nothing to the fidelity.
+    n is sigma's support rank.
     """
     w, v = sigma.eig
-    n = spectral_map(sigma, np.ones_like)[1]
     iso = v[:, :n]
     s = np.sqrt(np.maximum(w[:n], 0.0))
     a = s[:, None] * (iso.conj().T @ rho.entries @ iso) * s[None, :]
@@ -339,7 +339,7 @@ def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
     return (math.log(total) + shift) / s, gamma * a_t / total
 
 
-def _variational_povms(rho, sigma, alpha, extra):
+def _variational_povms(rho, sigma, alpha, rank, extra):
     """Candidate measurements of the variational formula: (povms, starts, converged).
 
     Berta, Fawzi and Tomamichel: Q_M is the supremum (alpha > 1) or
@@ -355,17 +355,18 @@ def _variational_povms(rho, sigma, alpha, extra):
     with the seed's log outcome ratios as eigenvalues.  Every stationary
     point is a global optimum, the exponential map being a diffeomorphism
     onto omega > 0.  K lives in sigma's eigenbasis, cut to sigma's support
-    for alpha >= 1, where rho^0 <= sigma^0 holds (sigma's kernel then joins
-    the first outcome).  The candidates are the seed measurements, the
-    extra seed POVMs and each final K's eigenbasis.  L-BFGS-B stops when a
-    step gains less than LBFGS_FTOL, about what the objective resolves; a
-    start counts as converged when it met a stopping test or its line
-    search failed at a projected gradient below LBFGS_PGTOL.
+    (its first rank vectors) for alpha >= 1, where rho^0 <= sigma^0 holds
+    (sigma's kernel then joins the first outcome).  The candidates are the
+    seed measurements, the extra seed POVMs and each final K's eigenbasis.
+    L-BFGS-B stops when a step gains less than LBFGS_FTOL, about what the
+    objective resolves; a start counts as converged when it met a stopping
+    test or its line search failed at a projected gradient below
+    LBFGS_PGTOL.
     """
     from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
 
     w, v = sigma.eig
-    n = spectral_map(sigma, np.ones_like)[1] if alpha >= 1.0 else rho.dim
+    n = rank if alpha >= 1.0 else rho.dim
     iso = v[:, :n]
     # square roots: sigma is diag(w) in these coordinates, rho is rho_root rho_root^dag
     sig_root = np.sqrt(np.maximum(w[:n], 0.0))
@@ -425,34 +426,17 @@ def _variational_povms(rho, sigma, alpha, extra):
     return povms, len(bases), converged
 
 
-def _structural_infinity(rho, sigma, alpha) -> POVM | None:
-    """Support-projector POVM certifying an infinite measured divergence.
-
-    The searches never certify an infinity themselves, so the two
-    genuine infinite regimes are recognized at the operator level:
-    rho leaking outside the support of sigma (alpha >= 1), and fully
-    disjoint supports (alpha < 1).  Inclusion is the leak-mass test of
-    the divergence family, so a value stays finite wherever the
-    sandwiched divergence it bounds from below is.
-    """
-    p_sig, n = spectral_map(sigma, np.ones_like)
-    if alpha >= 1.0:
-        if support_defect(rho, p_sig) <= SUPPORT_TEST_SLACK:
-            return None
-        v = sigma.eig[1]
-        return _povm((v[:, n:], v[:, :n]))
-    p_rho, r = spectral_map(rho, np.ones_like)
-    overlap = float(np.linalg.norm(p_rho @ p_sig, 2))
-    if overlap > 1e-8:
-        return None
-    v = rho.eig[1]
-    return _povm((v[:, :r], v[:, r:]))
-
-
 def _measured_pair(rho, sigma, alpha):
-    """Validate a pair: (rho, sigma, witness of an infinite value or None).
+    """Validate a pair: (rho, sigma, witness of an infinite value or None, rank).
 
-    For alpha >= 1 a rho that passed the support test is compressed to
+    The pair check is opcore._checked_pair's, shared with the divergence
+    family; rank is sigma's support rank.  The searches never certify an
+    infinity themselves, so the two genuine infinite regimes are
+    recognized here, each with a separating support-projector POVM as
+    its witness: rho failing the divergence family's support test
+    (alpha >= 1), so that a value stays finite wherever the sandwiched
+    divergence it bounds from below is, and fully disjoint supports
+    (alpha < 1).  For alpha >= 1 a rho that passed is compressed to
     sigma's support, as the divergence family's kernels do: its leak of
     at most SUPPORT_TEST_SLACK would otherwise face sigma-weights that the
     support cutoff set to zero, and any outcome catching it would certify
@@ -460,18 +444,21 @@ def _measured_pair(rho, sigma, alpha):
     """
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if not rho.trace > 0.0:
-        raise ZeroOperatorError("rho is (numerically) zero")
-    witness = _structural_infinity(rho, sigma, alpha)
-    n = spectral_map(sigma, np.ones_like)[1]
-    if witness is None and alpha >= 1.0 and n < rho.dim:
-        iso = sigma.eig[1][:, :n]
+    rho, sigma, included, _ = _checked_pair(rho, sigma)
+    n = int(np.count_nonzero(_cut_spectrum(*sigma.eig)[2]))
+    if alpha < 1.0:
+        p_rho, r = spectral_map(rho, np.ones_like)
+        p_sig = spectral_map(sigma, np.ones_like)[0]
+        if float(np.linalg.norm(p_rho @ p_sig, 2)) > 1e-8:
+            return rho, sigma, None, n
+        return rho, sigma, _povm((rho.eig[1][:, :r], rho.eig[1][:, r:])), n
+    v = sigma.eig[1]
+    if not included:
+        return rho, sigma, _povm((v[:, n:], v[:, :n])), n
+    if n < rho.dim:
+        iso = v[:, :n]
         rho = HermitianOperator(iso @ (iso.conj().T @ rho.entries @ iso) @ iso.conj().T)
-    return rho, sigma, witness
+    return rho, sigma, None, n
 
 
 def measured_renyi_lower(
@@ -498,22 +485,26 @@ def measured_renyi_lower(
     recomputed exactly from the best candidate measurement, seed
     measurements included.  extra_seed_factors is a sequence of POVMs
     on rho's space, added as candidates and, below 1/2, as ascent seeds.
-    Deterministic for fixed (seed, restarts).  Infinite values are
-    returned only on operator-level support violations, with the
-    separating projective measurement attached.
+    Deterministic for fixed (seed, restarts).  The pair is validated at
+    entry as by every divergence (opcore._checked_pair): mismatched
+    dimensions, a non-PSD or a zero rho or sigma raise before any search.
+    Infinite values are returned only on operator-level support
+    violations, with the separating projective measurement attached.
     """
-    rho, sigma, witness = _measured_pair(rho, sigma, alpha)
+    rho, sigma, witness, rank = _measured_pair(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
         )
     if alpha == CONVEX_ALPHA_MIN:
-        povms, starts, converged = [_fuchs_caves(rho, sigma)], 0, True
+        povms, starts, converged = [_fuchs_caves(rho, sigma, rank)], 0, True
     elif alpha > CONVEX_ALPHA_MIN:
-        povms, starts, converged = _variational_povms(rho, sigma, alpha, extra_seed_factors)
+        povms, starts, converged = _variational_povms(
+            rho, sigma, alpha, rank, extra_seed_factors
+        )
     else:
         povms, starts, converged = _stiefel_povms(
-            rho, sigma, alpha, restarts, seed, iters, extra_seed_factors
+            rho, sigma, alpha, rank, restarts, seed, iters, extra_seed_factors
         )
     povm, exact = None, -math.inf
     for cand in povms:
@@ -554,19 +545,19 @@ def _split(w: np.ndarray) -> np.ndarray:
     return np.stack([top, rest])
 
 
-def _np_search(rho, sigma, alpha):
+def _np_search(rho, sigma, alpha, rank):
     """Best test of test_measured's angle search: (basis, rank, intervals).
 
     The tests are spans of the top r < n eigenvectors of
-    cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n
-    support vectors for alpha >= 1.  basis is the best test's
+    cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n =
+    rank support vectors for alpha >= 1.  basis is the best test's
     eigenvectors, top first, followed by sigma's kernel vectors outside
     those n, in the original coordinates: its first rank columns span
     the test, the rest its complement.  basis is None when every test
     sits on a rounding cliff or none exists (n < 2).
     """
     w, v = sigma.eig
-    n = spectral_map(sigma, np.ones_like)[1] if alpha >= 1.0 else rho.dim
+    n = rank if alpha >= 1.0 else rho.dim
     if n < 2:
         return None, 0, 0
     iso = v[:, :n]
@@ -623,15 +614,15 @@ def _np_search(rho, sigma, alpha):
     return np.hstack([iso @ best_u, v[:, n:]]), best_rank, n_int
 
 
-def _np_test(rho, sigma, alpha) -> tuple[POVM, int]:
+def _np_test(rho, sigma, alpha, rank) -> tuple[POVM, int]:
     """The projector pair of _np_search's best test and the intervals searched.
 
     T = I when no test clears the rounding cliffs.
     """
-    basis, rank, intervals = _np_search(rho, sigma, alpha)
+    basis, r, intervals = _np_search(rho, sigma, alpha, rank)
     if basis is None:
-        basis, rank = np.eye(rho.dim), rho.dim
-    return _povm((basis[:, :rank], basis[:, rank:])), intervals
+        basis, r = np.eye(rho.dim), rho.dim
+    return _povm((basis[:, :r], basis[:, r:])), intervals
 
 
 def test_measured(
@@ -657,17 +648,18 @@ def test_measured(
     restarts and seed are not used; restarts_used counts the searched
     intervals and converged is True.  The value is recomputed exactly
     from the returned projector pair, each weight a squared norm of the
-    test's eigenvectors (see apply_povm).  Infinite values are returned only
-    on operator-level support violations, with the separating projective
-    measurement attached.
+    test's eigenvectors (see apply_povm).  The pair is validated as in
+    measured_renyi_lower: a zero or non-PSD rho or sigma raises.
+    Infinite values are returned only on operator-level support
+    violations, with the separating projective measurement attached.
     """
-    rho, sigma, witness = _measured_pair(rho, sigma, alpha)
+    rho, sigma, witness, rank = _measured_pair(rho, sigma, alpha)
     if witness is not None:
         return MeasuredResult(
             value=math.inf, povm=witness, restarts_used=0, converged=True
         )
 
-    povm, intervals = _np_test(rho, sigma, alpha)
+    povm, intervals = _np_test(rho, sigma, alpha, rank)
     exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
     return MeasuredResult(
         value=exact, povm=povm, restarts_used=intervals, converged=True

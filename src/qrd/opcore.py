@@ -1,15 +1,16 @@
 """Hermitian operator algebra at desk scale.
 
-Supported real powers, logs on the support and support projections (all
-one spectral map), the support-inclusion test and the pair check built on
-it, projection meet, PSD order checks, the pinched exponential needed by
-the large-z divergence limit, the divided differences of spectral
-functions (Daleckii-Krein gradients), and the one optimizer of the
-package: gradient ascent on the complex Stiefel manifold, which the
-channel-input and measurement searches share.  Everything runs on exact
-eigendecompositions of d x d Hermitian matrices with a relative cutoff
-standing in for exact spectral projections.  All logs are natural, so
-values are in nats.
+The one support decision of the package (which eigenvalues count as
+zero, and whether rho leaks out of supp sigma) and the pair check built
+on it, supported real powers, logs on the support and support
+projections (all one spectral map), projection meet, PSD order checks,
+the pinched exponential needed by the large-z divergence limit, the
+divided differences of spectral functions (Daleckii-Krein gradients),
+and the one optimizer of the package: gradient ascent on the complex
+Stiefel manifold, which the channel-input and measurement searches
+share.  Everything runs on exact eigendecompositions of d x d Hermitian
+matrices with a relative cutoff standing in for exact spectral
+projections.  All logs are natural, so values are in nats.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class SupportCutoff:
     """Relative threshold below which eigenvalues count as exact zeros."""
 
     relative_tau: float = 1e-12
-
-    def threshold(self, eigenvalues: np.ndarray) -> float:
-        lam_max = float(np.max(eigenvalues)) if eigenvalues.size else 0.0
-        return self.relative_tau * max(lam_max, 0.0)
 
 
 DEFAULT_CUTOFF = SupportCutoff()
@@ -142,19 +139,24 @@ def as_operator(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
-def _psd_eigensystem(A: HermitianOperator):
-    """Eigensystem of A with the PSD precondition enforced.
+def _cut_spectrum(w: np.ndarray, v, cutoff: SupportCutoff = DEFAULT_CUTOFF):
+    """The support decision on an eigensystem (w, v): (w, v, kept).
 
-    Rejects when the most negative eigenvalue is below -PSD_REJECT_RTOL
-    relative to the largest one; smaller negative dust is clamped to 0.
+    Rejects a matrix whose most negative eigenvalue is below
+    -PSD_REJECT_RTOL times the largest, clamps smaller negative dust to
+    0, and keeps the eigenvalues above the cutoff relative to the
+    largest.  w is sorted either way (eigh's ascending order or the
+    operators' descending one), so its extremes are its ends.  Every
+    module decides supports and thresholds through this function.
     """
-    w, v = A.eig
-    lam_max = max(float(w[0]), 0.0)
-    if float(w[-1]) < -PSD_REJECT_RTOL * lam_max:
+    top, bottom = (w[0], w[-1]) if w[0] >= w[-1] else (w[-1], w[0])
+    lam_max = max(float(top), 0.0)
+    if float(bottom) < -PSD_REJECT_RTOL * lam_max:
         raise NotPSDError(
-            f"min eigenvalue {w[-1]:.3e} below -{PSD_REJECT_RTOL:g} * {lam_max:.3e}"
+            f"min eigenvalue {bottom:.3e} below -{PSD_REJECT_RTOL:g} * {lam_max:.3e}"
         )
-    return np.maximum(w, 0.0), v
+    w = np.maximum(w, 0.0)
+    return w, v, w > cutoff.relative_tau * lam_max
 
 
 def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndarray, int]:
@@ -165,8 +167,7 @@ def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndar
     support_projection wrap this in an operator; callers that only need
     the entries use the array directly.
     """
-    w, v = _psd_eigensystem(as_operator(A))
-    kept = w > cutoff.threshold(w)
+    w, v, kept = _cut_spectrum(*as_operator(A).eig, cutoff)
     vals = np.zeros_like(w)
     vals[kept] = fn(w[kept])
     m = (v * vals) @ v.conj().T
@@ -188,43 +189,45 @@ def support_projection(A, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> Projection:
     return Projection(*spectral_map(A, np.ones_like, cutoff))
 
 
-def support_defect(rho: HermitianOperator, p_sigma: np.ndarray) -> float:
-    """Relative mass of rho outside the range of the projection p_sigma.
+def support_defect(rho: np.ndarray, tr: float, kernel: np.ndarray) -> float:
+    """Relative mass of rho on the orthonormal columns of kernel.
 
-    The support-inclusion test of the divergence family: rho^0 <= sigma^0
-    holds when this is at most SUPPORT_TEST_SLACK.  A projector eigenvalue
-    gap would scale like an amplitude for low-rank rho and misread
-    harmless perturbations as violations; the mass does not.
+    With kernel sigma's cut-off eigenvectors this is the support-inclusion
+    test of the divergence family: rho^0 <= sigma^0 holds when it is at
+    most SUPPORT_TEST_SLACK.  Summed over the kernel directly, it builds
+    no support projection and avoids the cancellation of tr - Tr P rho P.
+    A projector eigenvalue gap would scale like an amplitude for low-rank
+    rho and misread harmless perturbations as violations; the mass does
+    not.
     """
-    leak = rho.trace - float(np.real(np.trace(p_sigma @ rho.entries @ p_sigma)))
-    return max(leak, 0.0) / rho.trace
+    return float(np.real(np.sum(kernel.conj() * (rho @ kernel)))) / tr
 
 
 def _checked_pair(
     rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF
-) -> tuple[HermitianOperator, HermitianOperator, bool, bool, np.ndarray]:
-    """Validate a pair once: (rho, sigma, included, borderline, p_sigma).
+) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
+    """Validate a pair once: (rho, sigma, included, borderline).
 
-    included is the support_defect test of rho^0 <= sigma^0; borderline
-    marks a defect between the strict cutoff and the test slack; p_sigma
-    is sigma's support projection the test was made with.  Every public
-    pair entry point (divergences, zlimits, pinch_exp) calls this exactly
-    once and hands the result to its array kernels.
+    Raises on mismatched dimensions, a non-PSD or (numerically) zero
+    operator.  included is the support_defect test of rho^0 <= sigma^0
+    on sigma's cut-off eigenvectors; borderline marks a defect between
+    the strict cutoff and the test slack.  Every public pair entry point
+    (divergences, zlimits, pinch_exp, measured) calls this exactly once
+    and hands the result to its array kernels.
     """
     rho = as_operator(rho)
     sigma = as_operator(sigma)
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    a, _ = _psd_eigensystem(rho)
-    if not np.any(a > cutoff.threshold(a)):
+    if not np.any(_cut_spectrum(*rho.eig, cutoff)[2]):
         raise ZeroOperatorError("rho is (numerically) zero")
-    p_sigma, rank_sigma = spectral_map(sigma, np.ones_like, cutoff)
-    if rank_sigma == 0:
+    _, v, kept = _cut_spectrum(*sigma.eig, cutoff)
+    if not np.any(kept):
         raise ZeroOperatorError("sigma is (numerically) zero")
-    defect = support_defect(rho, p_sigma)
+    defect = support_defect(rho.entries, rho.trace, v[:, ~kept])
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    return rho, sigma, included, borderline, p_sigma
+    return rho, sigma, included, borderline
 
 
 def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
@@ -262,7 +265,10 @@ def support_leq(A, B, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> bool:
     """Support inclusion A^0 <= B^0 as a projector order test.
 
     Stricter than support_defect for low-rank A: a leak of amplitude t
-    fails here once t exceeds the slack, there only once t^2 does.
+    fails here once t exceeds the slack, there only once t^2 does.  It
+    stays a separate test because its callers (the reverse tests) need
+    A reproduced exactly on B's support, which a leak mass below the
+    slack does not guarantee.
     """
     return psd_leq(
         support_projection(A, cutoff), support_projection(B, cutoff), SUPPORT_TEST_SLACK
@@ -283,23 +289,18 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    rho, sigma, included, _, p_sigma = _checked_pair(rho, sigma, cutoff)
-    return _pinch_exp(rho, sigma, included, p_sigma, alpha, cutoff)
+    rho, sigma, included, _ = _checked_pair(rho, sigma, cutoff)
+    return _pinch_exp(rho, sigma, included, alpha, cutoff)
 
 
 def _pinch_exp(
-    rho,
-    sigma,
-    included: bool,
-    p_sigma: np.ndarray,
-    alpha: float,
-    cutoff: SupportCutoff = DEFAULT_CUTOFF,
+    rho, sigma, included: bool, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF
 ) -> float:
     """pinch_exp on a pair already validated by _checked_pair, at its cutoff."""
     if alpha > 1.0 and not included:
         return math.inf
     p_rho = spectral_map(rho, np.ones_like, cutoff)[0]
-    pm, rank = _meet(p_rho, p_sigma)
+    pm, rank = _meet(p_rho, spectral_map(sigma, np.ones_like, cutoff)[0])
     if rank == 0:
         return 0.0
     m = alpha * (pm @ spectral_map(rho, np.log, cutoff)[0] @ pm)
@@ -415,9 +416,7 @@ def trace_power(A, z: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> float:
     """Sum of z-th powers of the above-cutoff eigenvalues."""
     if not z > 0.0:
         raise BadParamsError(f"trace_power needs z > 0, got {z}")
-    A = as_operator(A)
-    w, _ = _psd_eigensystem(A)
-    kept = w > cutoff.threshold(w)
+    w, _, kept = _cut_spectrum(*as_operator(A).eig, cutoff)
     return float(np.sum(w[kept] ** float(z)))
 
 

@@ -30,10 +30,10 @@ from .errors import (
     SingularSigmaError,
 )
 from .opcore import (
-    DEFAULT_CUTOFF,
     HermitianOperator,
     Projection,
     _checked_pair,
+    _cut_spectrum,
     as_operator,
     commutator_spectral_norm,
     spectral_map,
@@ -210,7 +210,7 @@ def genericity_condition_b(profile: SpectralProfile) -> GenericityResult:
 def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
     """Suffix-minor variant used by the alpha > 1 branch (sigma invertible)."""
     d = profile.dim
-    if profile.b[-1] <= DEFAULT_CUTOFF.relative_tau * max(profile.b[0], 0.0):
+    if not _cut_spectrum(profile.b, profile.w)[2][-1]:
         raise SingularSigmaError("suffix genericity needs invertible sigma")
     required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
     return _genericity(
@@ -245,22 +245,18 @@ def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
 
 def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     """z_alpha_eigenvalues for a profile whose genericity is already known to hold."""
-    a = profile.a
-    b = profile.b if alpha < 1.0 else profile.b[::-1]
-    thr_a = DEFAULT_CUTOFF.relative_tau * max(float(a[0]), 0.0)
-    thr_b = DEFAULT_CUTOFF.relative_tau * max(float(np.max(b)), 0.0)
+    a, _, on_a = _cut_spectrum(profile.a, profile.v)
+    b, _, on_b = _cut_spectrum(profile.b, profile.w)
+    if alpha > 1.0:
+        b, on_b = b[::-1], on_b[::-1]
     out = np.zeros_like(a)
-    for i in range(len(a)):
-        if a[i] <= thr_a:
-            continue
-        if b[i] <= thr_b:
-            # alpha < 1 only: positive power of a zero sigma-eigenvalue
-            continue
+    # a cut b_i (alpha < 1 only) gives a positive power of a zero eigenvalue
+    for i in np.flatnonzero(on_a & on_b):
         out[i] = a[i] ** alpha * b[i] ** (1.0 - alpha)
     return out
 
 
-def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float:
+def _mp_q_alpha_z(rho, sigma, overlap, alpha: float, z: float) -> float:
     """D_{alpha,z} in arbitrary precision via singular values of D_b O D_a.
 
     The inner matrix spans exp(range/z) orders of magnitude, far past
@@ -269,10 +265,9 @@ def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float
     """
     import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
 
-    thr_a = DEFAULT_CUTOFF.relative_tau * max(float(a[0]), 0.0)
-    thr_b = DEFAULT_CUTOFF.relative_tau * max(float(b[0]), 0.0)
-    ia = [i for i in range(len(a)) if a[i] > thr_a]
-    ib = [j for j in range(len(b)) if b[j] > thr_b]
+    a, _, on_a = _cut_spectrum(*rho.eig)
+    b, _, on_b = _cut_spectrum(*sigma.eig)
+    ia, ib = np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist()
     span_a = math.log(a[ia[0]] / a[ia[-1]]) if len(ia) > 1 else 0.0
     span_b = math.log(b[ib[0]] / b[ib[-1]]) if len(ib) > 1 else 0.0
     gamma = alpha / (2.0 * z)
@@ -294,25 +289,19 @@ def _mp_q_alpha_z(a, b, overlap, alpha: float, z: float, tr_rho: float) -> float
         for mu in eigs:
             if mu > 0:
                 q += mu ** z
-        d_val = (mp.log(q) - mp.log(tr_rho)) / (alpha - 1.0)
+        d_val = (mp.log(q) - mp.log(rho.trace)) / (alpha - 1.0)
         return float(d_val)
 
 
 def zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over a halving grid."""
-    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     return _zero_z_oracle(rho, sigma, alpha, z_nodes)
 
 
 def _zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
-    a, v = rho.eig
-    b, w = sigma.eig
-    overlap = v.conj().T @ w
-    tr_rho = rho.trace
-    d0, d1, d2 = (
-        _mp_q_alpha_z(np.clip(a, 0.0, None), np.clip(b, 0.0, None), overlap, alpha, z, tr_rho)
-        for z in z_nodes
-    )
+    overlap = rho.eigenvectors.conj().T @ sigma.eigenvectors
+    d0, d1, d2 = (_mp_q_alpha_z(rho, sigma, overlap, alpha, z) for z in z_nodes)
     r01 = 2.0 * d1 - d0
     r12 = 2.0 * d2 - d1
     return (4.0 * r12 - r01) / 3.0
@@ -329,7 +318,7 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     return _zero_z_divergence(rho, sigma, alpha)
 
 
@@ -388,9 +377,9 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    rho, sigma, _, _, _ = _checked_pair(rho, sigma)
+    rho, sigma, _, _ = _checked_pair(rho, sigma)
     profile = spectral_profile(rho, sigma)
-    if profile.b[-1] <= DEFAULT_CUTOFF.relative_tau * max(profile.b[0], 0.0):
+    if not _cut_spectrum(profile.b, profile.w)[2][-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")
     gen = (
         genericity_condition_b(profile)

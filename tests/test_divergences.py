@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qrd.channels import apply_extended, depolarizing_channel, identity_channel
+from qrd.channels import (
+    _renyi_grad,
+    _umegaki_grad,
+    apply_extended,
+    depolarizing_channel,
+    identity_channel,
+)
 from qrd.classical import classical_q, classical_renyi
 from qrd.divergences import (
     DivergenceParams,
@@ -29,7 +35,9 @@ from qrd.errors import (
     NotPSDError,
     ZeroOperatorError,
 )
-from qrd.opcore import HermitianOperator, as_operator, pinch_exp
+from qrd.measured import measured_renyi_lower
+from qrd.measured import test_measured as measured_by_test
+from qrd.opcore import SUPPORT_TEST_SLACK, HermitianOperator, as_operator, pinch_exp
 from qrd.verify import rand_density, rand_pure
 from qrd.zlimits import equality_case_check, zero_z_divergence, zero_z_oracle
 
@@ -219,6 +227,9 @@ PAIR_ENTRY_POINTS = {
     "zero_z_divergence": lambda r, s: zero_z_divergence(r, s, 1.5),
     "zero_z_oracle": lambda r, s: zero_z_oracle(r, s, 1.5),
     "equality_case_check": lambda r, s: equality_case_check(r, s, "below"),
+    "measured_renyi_lower[a=1.5]": lambda r, s: measured_renyi_lower(r, s, 1.5),
+    "measured_renyi_lower[a=0.3]": lambda r, s: measured_renyi_lower(r, s, 0.3),
+    "test_measured": lambda r, s: measured_by_test(r, s, 1.5),
 }
 
 GOOD = np.diag([0.6, 0.4])
@@ -240,3 +251,50 @@ BAD_INPUTS = [
 def test_pair_entry_points_validate_inputs(entry, rho, sigma, error):
     with pytest.raises(error):
         PAIR_ENTRY_POINTS[entry](rho, sigma)
+
+
+def leak_pair(t):
+    """d = 3 pair whose leak out of supp sigma has mass t.
+
+    sigma has rank 2 and rho = (1 - t) rho0 + t |k><k|, with rho0 inside
+    supp sigma and k spanning its kernel.
+    """
+    u = np.linalg.qr(np.array([[1, 1, 1], [1, -1, 2], [0, 1, -1]], dtype=complex))[0]
+    sigma = u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T
+    v = u[:, :2] @ np.array([[0.8], [0.6j]])
+    rho0 = 0.7 * (v @ v.conj().T) + 0.3 * np.outer(u[:, 0], u[:, 0].conj())
+    rho = (1.0 - t) * rho0 + t * np.outer(u[:, 2], u[:, 2].conj())
+    return 0.5 * (rho + rho.conj().T), sigma
+
+
+def support_decisions(rho, sigma):
+    """Every implementation of the alpha > 1 support decision, as values."""
+    return {
+        "d_alpha_z[z=1]": d_alpha_z(rho, sigma, DivergenceParams(1.5, 1.0)).d_value,
+        "d_alpha_z[z=inf]": d_alpha_z(rho, sigma, DivergenceParams(1.5, math.inf)).d_value,
+        "umegaki": umegaki(rho, sigma),
+        "d_max": d_max(rho, sigma),
+        "measured_renyi_lower": measured_renyi_lower(rho, sigma, 1.5).value,
+        "test_measured": measured_by_test(rho, sigma, 1.5).value,
+        "channels._renyi_grad[z=1]": _renyi_grad(rho, sigma, 1.5, 1.0)[0],
+        "channels._renyi_grad[z=inf]": _renyi_grad(rho, sigma, 1.5, math.inf)[0],
+        "channels._umegaki_grad": _umegaki_grad(rho, sigma)[0],
+    }
+
+
+@pytest.mark.parametrize(
+    "t,borderline", [(0.0, False), (1e-10, True), (0.5 * SUPPORT_TEST_SLACK, True)]
+)
+def test_one_inclusion_decision_below_the_slack(t, borderline):
+    rho, sigma = leak_pair(t)
+    values = support_decisions(rho, sigma)
+    assert all(math.isfinite(v) for v in values.values()), values
+    for z in (1.0, math.inf):
+        notes = d_alpha_z(rho, sigma, DivergenceParams(1.5, z)).notes
+        assert ("support_borderline" in notes) == borderline
+
+
+@pytest.mark.parametrize("t", [2.0 * SUPPORT_TEST_SLACK, 0.5])
+def test_one_inclusion_decision_above_the_slack(t):
+    values = support_decisions(*leak_pair(t))
+    assert all(v == math.inf for v in values.values()), values
