@@ -6,7 +6,8 @@ rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, and
 the near-product pair; the evaluations cover the divergence layer, the
 measured and test-measured lower bounds at d <= 4 and channel
-divergences on three random channel pairs.  Errors print as their type
+divergences on three random channel pairs (sandwiched, Umegaki or
+measured, Petz, and the (alpha, z) family at z = inf and at a finite z).  Errors print as their type
 and message.  Two checkouts compute the same values exactly when
 
     PYTHONPATH=src python3 scripts/value_digest.py > new.txt
@@ -140,12 +141,20 @@ def channel_layer() -> None:
     # for the first pair; n2's full-rank Choi matrix keeps the others finite
     for (kind, alpha), (k1, k2) in zip(jobs, ((2, 2), (2, 4), (3, 4))):
         n1, n2 = rand_channel(rng, 2, 2, kraus_n=k1), rand_channel(rng, 2, 2, kraus_n=k2)
-        for kind_, alpha_ in ((kind, alpha), ("petz", 0.7)):
+        # daz at z = inf and at a finite z != alpha reach both branches of
+        # the channel gradient that the sandwiched and Petz jobs miss
+        for kind_, alpha_, z in (
+            (kind, alpha, None),
+            ("petz", 0.7, None),
+            ("daz", 0.7, math.inf),
+            ("daz", 1.5, 1.2),
+        ):
             res = channel_divergence(
-                n1, n2, kind_, alpha=alpha_, restarts=4, seed=3, iters=25
+                n1, n2, kind_, alpha=alpha_, z=z, restarts=4, seed=3, iters=25
             )
+            label = f"channel{k1}{k2} {kind_} a={alpha_}" + ("" if z is None else f" z={z}")
             print(
-                f"channel{k1}{k2} {kind_} a={alpha_}: "
+                f"{label}: "
                 f"{(res.value, res.restarts_used, res.converged, digest(res.argmax_state))}"
             )
 

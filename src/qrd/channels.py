@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .classical import WeightVector, classical_renyi
-from .divergences import INNER_FLOOR_RTOL, DivergenceParams, d_alpha_z, d_max, umegaki
+from .divergences import _renyi_grad, _umegaki_grad, d_max
 from .errors import (
     BadParamsError,
     DimMismatchError,
@@ -26,16 +26,7 @@ from .errors import (
     MalformedInputError,
 )
 from .measured import _classical_value_grad, apply_povm, measured_renyi_lower
-from .opcore import (
-    SUPPORT_TEST_SLACK,
-    HermitianOperator,
-    _cut_spectrum,
-    _meet,
-    as_operator,
-    divided_differences,
-    stiefel_ascent,
-    support_defect,
-)
+from .opcore import HermitianOperator, as_operator, stiefel_ascent
 
 #: spectral slack for the completely-positive order test
 CP_ORDER_SLACK = 1e-9
@@ -54,11 +45,11 @@ class Channel:
 
     def __init__(self, kraus):
         mats = [np.asarray(k, dtype=complex) for k in kraus]
-        if not mats:
-            raise MalformedInputError("channel needs at least one Kraus operator")
+        if not mats or any(k.ndim != 2 or not np.all(np.isfinite(k)) for k in mats):
+            raise MalformedInputError("a channel needs one or more finite Kraus matrices")
         d_out, d_in = mats[0].shape
         for k in mats:
-            if k.ndim != 2 or k.shape != (d_out, d_in):
+            if k.shape != (d_out, d_in):
                 raise MalformedInputError(
                     f"Kraus shapes disagree: {k.shape} vs {(d_out, d_in)}"
                 )
@@ -247,124 +238,6 @@ class ChannelDivergenceResult:
     converged: bool
 
 
-def _measured_solve(alpha, seed: int):
-    # at alpha >= 1/2 the convex program runs and ignores the budget;
-    # below 1/2 the small fixed ascent budget keeps the outer search
-    # affordable.  The certificate stays a true lower bound either way
-    return lambda r, s: measured_renyi_lower(r, s, alpha, restarts=2, seed=seed, iters=8)
-
-
-def _state_objective(kind: str, alpha, z, seed: int):
-    if kind == "measured":
-        solve = _measured_solve(alpha, seed)
-        return lambda r, s: solve(r, s).value
-    if kind == "umegaki" or alpha == 1.0:
-        return lambda r, s: umegaki(r, s)
-    if kind == "sandwiched":
-        params = DivergenceParams(alpha, alpha)
-    elif kind == "petz":
-        params = DivergenceParams(alpha, 1.0)
-    elif kind == "daz":
-        params = DivergenceParams(alpha, z)
-    else:
-        raise KindNotWhitelistedError(f"unknown kind {kind!r}")
-    return lambda r, s: d_alpha_z(r, s, params).d_value
-
-
-def _cut_eigh(m: np.ndarray):
-    """Eigensystem of a PSD array cut as spectral_map cuts it (opcore._cut_spectrum).
-
-    Cut eigenvalues come back as 1.0 so that powers and logs of them stay
-    finite; every caller masks them out.
-    """
-    w, v, kept = _cut_spectrum(*np.linalg.eigh(0.5 * (m + m.conj().T)))
-    return np.where(kept, w, 1.0), v, kept
-
-
-def _dk_grad(w, v, kept, f, df, c):
-    """Gradient of A -> Tr c f(A) at A = v diag(w) v^dag (Daleckii-Krein).
-
-    f is cut to 0 below the support cutoff, as spectral_map cuts it, so
-    the gradient is finite where A loses rank.
-    """
-    f, df = np.where(kept, f, 0.0), np.where(kept, df, 0.0)
-    gamma = divided_differences(np.where(kept, w, 0.0), f, df)
-    return v @ (gamma * (v.conj().T @ c @ v)) @ v.conj().T
-
-
-def _renyi_grad(rho, sigma, alpha, z):
-    """D_{alpha,z}(rho || sigma) and its gradients in rho and sigma, on arrays.
-
-    Q = Tr Y^z with Y = A S A, A = rho^(alpha/2z), S = sigma^((1-alpha)/z);
-    dQ = z Tr Y^(z-1) dY gives grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S]
-    and grad_sigma Q = z DK_S[A Y^(z-1) A].  Y^(z-1) is cut on Y's kernel
-    (the identity there at z = 1, where Q is linear in Y).  z = inf is the
-    pinched exponential Tr P exp(H), H = P(alpha L_rho + (1-alpha) L_sigma)P
-    with P the meet of the supports, whose gradients are alpha DK_log[E]
-    and (1-alpha) DK_log[E] for E = P exp(H) P.
-    """
-    tr = float(np.trace(rho).real)
-    a, va, ka = _cut_eigh(rho)
-    b, vb, kb = _cut_eigh(sigma)
-    if alpha > 1.0 and support_defect(rho, tr, vb[:, ~kb]) > SUPPORT_TEST_SLACK:
-        return math.inf, None, None
-    if math.isinf(z):
-        la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
-        pm, rank = _meet(va[:, ka] @ va[:, ka].conj().T, vb[:, kb] @ vb[:, kb].conj().T)
-        if rank == 0:
-            return math.inf, None, None
-        m = alpha * (va * la) @ va.conj().T + (1.0 - alpha) * (vb * lb) @ vb.conj().T
-        h = pm @ m @ pm
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
-        q = float(np.trace(e).real)
-        gq_rho = alpha * _dk_grad(a, va, ka, la, 1.0 / a, e)
-        gq_sig = (1.0 - alpha) * _dk_grad(b, vb, kb, lb, 1.0 / b, e)
-        # dQ also has Tr (M E + E M) dP; P moves with the smaller support
-        # when one support holds the other, as the projector 1(A) does
-        c = m @ e + e @ m
-        ones, zeros = np.ones_like(a), np.zeros_like(a)
-        if rank == np.count_nonzero(ka):
-            gq_rho = gq_rho + _dk_grad(a, va, ka, ones, zeros, c)
-        elif rank == np.count_nonzero(kb):
-            gq_sig = gq_sig + _dk_grad(b, vb, kb, ones, zeros, c)
-    else:
-        pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
-        ga, gs = np.where(ka, a**pa, 0.0), np.where(kb, b**ps, 0.0)
-        amat, smat = (va * ga) @ va.conj().T, (vb * gs) @ vb.conj().T
-        y = amat @ smat @ amat
-        yw, yv = np.linalg.eigh(0.5 * (y + y.conj().T))
-        on = yw > INNER_FLOOR_RTOL * max(float(yw[-1]), 0.0)
-        if not np.any(on):
-            return math.inf, None, None
-        yw = np.where(on, yw, 1.0)
-        q = float(np.sum(yw[on] ** z))
-        ymat = (yv * np.where(on, yw ** (z - 1.0), 1.0 if z == 1.0 else 0.0)) @ yv.conj().T
-        c_rho = smat @ amat @ ymat + ymat @ amat @ smat
-        gq_rho = z * _dk_grad(a, va, ka, ga, pa * a ** (pa - 1.0), c_rho)
-        gq_sig = z * _dk_grad(b, vb, kb, gs, ps * b ** (ps - 1.0), amat @ ymat @ amat)
-    if math.isinf(q) or q == 0.0:
-        return math.inf, None, None
-    value = (math.log(q) - math.log(tr)) / (alpha - 1.0)
-    g_rho = (gq_rho / q - np.eye(len(a)) / tr) / (alpha - 1.0)
-    return value, g_rho, gq_sig / (q * (alpha - 1.0))
-
-
-def _umegaki_grad(rho, sigma):
-    """Umegaki relative entropy and its gradients in rho and sigma, on arrays."""
-    tr = float(np.trace(rho).real)
-    a, va, ka = _cut_eigh(rho)
-    b, vb, kb = _cut_eigh(sigma)
-    if support_defect(rho, tr, vb[:, ~kb]) > SUPPORT_TEST_SLACK:
-        return math.inf, None, None
-    la, lb = np.where(ka, np.log(a), 0.0), np.where(kb, np.log(b), 0.0)
-    log_sigma = (vb * lb) @ vb.conj().T
-    num = float(a[ka] @ la[ka]) - float(np.real(np.sum(rho * log_sigma.T)))
-    g_rho = ((va * np.where(ka, la + 1.0, 0.0)) @ va.conj().T - log_sigma) / tr
-    g_rho -= num / tr**2 * np.eye(len(a))
-    return num / tr, g_rho, -_dk_grad(b, vb, kb, lb, 1.0 / b, rho) / tr
-
-
 def _state_grad(kind: str, alpha, z, seed: int):
     """(value, grad_rho, grad_sigma) of the kind's divergence on output arrays.
 
@@ -373,11 +246,13 @@ def _state_grad(kind: str, alpha, z, seed: int):
     and sum_k (dD/dq_k) M_k in sigma.
     """
     if kind == "measured":
-        solve = _measured_solve(alpha, seed)
 
         def measured(rho, sigma):
             r, s = HermitianOperator(rho), HermitianOperator(sigma)
-            res = solve(r, s)
+            # at alpha >= 1/2 the convex program runs and ignores the budget;
+            # below 1/2 the small fixed ascent budget keeps the outer search
+            # affordable.  The certificate stays a true lower bound either way
+            res = measured_renyi_lower(r, s, alpha, restarts=2, seed=seed, iters=8)
             p, q = apply_povm(res.povm, r).values, apply_povm(res.povm, s).values
             _, dp, dq = _classical_value_grad(p, q, alpha)
             if math.isinf(res.value) or dp is None:
@@ -456,9 +331,10 @@ def channel_divergence(
     (see _input_objective) from the maximally entangled input, the d
     product inputs |jj> and random inputs up to restarts starts, at most
     iters steps each; converged reports whether the best start stopped
-    before its step cap.  The value is the library's divergence of the
-    best input's outputs.  Non-whitelisted parameter choices are rejected
-    rather than silently under-optimized.
+    before its step cap.  The value is the ascent's best, which is the
+    library's divergence of that input's outputs (the same kernels on the
+    same arrays).  Non-whitelisted parameter choices are rejected rather
+    than silently under-optimized.
     """
     if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise DimMismatchError("channels act between different spaces")
@@ -490,13 +366,9 @@ def channel_divergence(
             best_val, best_psi, converged = val, x[:, 0], conv
         if math.isinf(best_val) and best_val > 0:
             break
-    psi = best_psi / np.linalg.norm(best_psi)
-    state = HermitianOperator(np.outer(psi, psi.conj()))
-    value_of = _state_objective(kind, alpha, z, seed)
-    value = value_of(apply_extended(n1, state), apply_extended(n2, state))
     return ChannelDivergenceResult(
-        value=value,
-        argmax_state=psi,
+        value=best_val,
+        argmax_state=best_psi,
         restarts_used=len(seeds),
         converged=converged,
     )

@@ -22,9 +22,12 @@ from .errors import BadAlphaError, BadParamsError, SupportViolationError
 from .opcore import (
     DEFAULT_CUTOFF,
     HermitianOperator,
+    _array_pair,
     _checked_pair,
-    _cut_spectrum,
+    _dk_grad,
     _pinch_exp,
+    _pinch_grad,
+    _rebuild,
     as_operator,
     spectral_map,
 )
@@ -65,8 +68,8 @@ class DivergenceValue:
     notes: tuple[str, ...] = ()
 
 
-def _power(A: HermitianOperator, x: float) -> np.ndarray:
-    return spectral_map(A, lambda w: w ** x)[0]
+def _power(cut, x: float) -> np.ndarray:
+    return _rebuild(cut, lambda w: w ** x)
 
 
 def _sum_powers(matrix: np.ndarray, expo: float) -> float:
@@ -79,12 +82,43 @@ def _sum_powers(matrix: np.ndarray, expo: float) -> float:
     return float(np.sum(w[kept] ** float(expo)))
 
 
-def _q(rho, sigma, included: bool, alpha: float, z: float) -> float:
-    if alpha > 1.0 and not included:
-        return math.inf
-    rh = _power(rho, alpha / (2.0 * z))
-    sp = _power(sigma, (1.0 - alpha) / z)
-    return _sum_powers(rh @ sp @ rh, z)
+def _q(pair, alpha: float, z: float):
+    """Q_{alpha,z} on a pair record, with its parts A, S and Y = A S A (None at +inf)."""
+    if alpha > 1.0 and not pair.included:
+        return math.inf, None
+    rh = _power(pair.rho_cut, alpha / (2.0 * z))
+    sp = _power(pair.sigma_cut, (1.0 - alpha) / z)
+    y = rh @ sp @ rh
+    return _sum_powers(y, z), (rh, sp, y)
+
+
+def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
+    """D_{alpha,z}, alpha != 1, on arrays: d_alpha_z's value and its gradients (None at +inf).
+
+    At finite z, dQ = z Tr Y^(z-1) dY gives grad_rho Q = z DK_A[S A Y^(z-1) +
+    Y^(z-1) A S] and grad_sigma Q = z DK_S[A Y^(z-1) A], Y^(z-1) cut as in
+    _sum_powers (the identity at z = 1, where Q is linear in Y).
+    """
+    pair = _array_pair(rho, sigma)
+    q, parts = _pinch_exp(pair, alpha) if math.isinf(z) else _q(pair, alpha, z)
+    value = _value_from_q(alpha, pair.tr, q).d_value
+    if parts is None or math.isinf(value):
+        return value, None, None
+    if math.isinf(z):
+        gr, gs = _pinch_grad(pair, alpha, parts)
+    else:
+        amat, smat, y = parts
+        ymat = np.eye(len(y))
+        if z != 1.0:
+            yw, yv = np.linalg.eigh(0.5 * (y + y.conj().T))
+            on = yw > INNER_FLOOR_RTOL * max(float(yw[-1]), 0.0)
+            ymat = _rebuild((yw, yv, on), lambda w: w ** (z - 1.0))
+        pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
+        cr, cs = smat @ amat @ ymat + ymat @ amat @ smat, amat @ ymat @ amat
+        gr = z * _dk_grad(pair.rho_cut, lambda w: w**pa, lambda w: pa * w ** (pa - 1), cr)
+        gs = z * _dk_grad(pair.sigma_cut, lambda w: w**ps, lambda w: ps * w ** (ps - 1), cs)
+    g_rho = (gr / q - np.eye(len(pair.rho)) / pair.tr) / (alpha - 1.0)
+    return value, g_rho, gs / (q * (alpha - 1.0))
 
 
 def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
@@ -96,8 +130,7 @@ def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     alpha, z = params.alpha, params.z
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    return _q(rho, sigma, included, alpha, z)
+    return _q(_checked_pair(rho, sigma), alpha, z)[0]
 
 
 def _value_from_q(alpha: float, tr_rho: float, q: float, notes=()) -> DivergenceValue:
@@ -125,23 +158,24 @@ def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> Divergence
     return DivergenceValue(math.exp(psi), d, psi, tuple(notes))
 
 
-def _d_alpha_z(rho, sigma, included, borderline, params) -> DivergenceValue:
+def _d_alpha_z(rho, sigma, pair, params) -> DivergenceValue:
+    """d_alpha_z on a pair record; the operators serve the z = 0 limit."""
     alpha, z = params.alpha, params.z
-    tr_rho = rho.trace
-    notes = ["support_borderline"] if borderline else []
+    tr_rho = pair.tr
+    notes = ["support_borderline"] if pair.borderline else []
     if alpha == 1.0:
-        return _value_from_d(alpha, tr_rho, _umegaki(rho, sigma, included), notes)
+        return _value_from_d(alpha, tr_rho, _umegaki(pair)[0], notes)
     if math.isinf(z):
-        q = _pinch_exp(rho, sigma, included, alpha)
+        q = _pinch_exp(pair, alpha)[0]
         if q == 0.0:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
     if z == 0.0:
-        rec = _zero_z_divergence(rho, sigma, alpha)
+        rec = _zero_z_divergence(rho, sigma, pair, alpha)
         if rec.used_fallback:
             notes.append("zero_z_extrapolated")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
-    return _value_from_q(alpha, tr_rho, _q(rho, sigma, included, alpha, z), notes)
+    return _value_from_q(alpha, tr_rho, _q(pair, alpha, z)[0], notes)
 
 
 def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
@@ -151,28 +185,42 @@ def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     pinched exponential; z = 0 uses the spectral limit with extrapolation
     fallback.
     """
-    return _d_alpha_z(*_checked_pair(rho, sigma), params)
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    return _d_alpha_z(rho, sigma, _checked_pair(rho, sigma), params)
 
 
-def _umegaki(rho, sigma, included: bool) -> float:
-    if not included:
-        return math.inf
-    diff = spectral_map(rho, np.log)[0] - spectral_map(sigma, np.log)[0]
-    val = float(np.real(np.trace(rho.entries @ diff)))
-    return val / rho.trace
+def _umegaki(pair):
+    """Umegaki relative entropy on a pair record: (value, L_rho - L_sigma or None)."""
+    if not pair.included:
+        return math.inf, None
+    diff = _rebuild(pair.rho_cut, np.log) - _rebuild(pair.sigma_cut, np.log)
+    val = float(np.real(np.trace(pair.rho @ diff)))
+    return val / pair.tr, diff
+
+
+def _umegaki_grad(rho: np.ndarray, sigma: np.ndarray):
+    """Umegaki relative entropy D on arrays, umegaki's value, with its gradients.
+
+    (L_rho - L_sigma + P_rho - D I) / Tr rho in rho, -DK_log(sigma)[rho] / Tr rho in sigma.
+    """
+    pair = _array_pair(rho, sigma)
+    value, diff = _umegaki(pair)
+    if diff is None:
+        return value, None, None
+    g_rho = (diff + _rebuild(pair.rho_cut, np.ones_like) - value * np.eye(len(diff))) / pair.tr
+    return value, g_rho, -_dk_grad(pair.sigma_cut, np.log, np.reciprocal, pair.rho) / pair.tr
 
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log rho - log sigma) / Tr rho."""
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    return _umegaki(rho, sigma, included)
+    return _umegaki(_checked_pair(rho, sigma))[0]
 
 
-def _d_max(rho, sigma, included: bool) -> float:
-    if not included:
+def _d_max(pair) -> float:
+    if not pair.included:
         return math.inf
-    s_inv = _power(sigma, -0.5)
-    x = s_inv @ rho.entries @ s_inv
+    s_inv = _power(pair.sigma_cut, -0.5)
+    x = s_inv @ pair.rho @ s_inv
     top = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[-1])
     return math.log(top) if top > 0.0 else -math.inf
 
@@ -184,8 +232,7 @@ def d_max(rho, sigma) -> float:
     log lambda with rho <= lambda sigma, matching the divergence family
     at its z = alpha - 1, alpha -> inf corner.
     """
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    return _d_max(rho, sigma, included)
+    return _d_max(_checked_pair(rho, sigma))
 
 
 def d_hat_alpha(rho, sigma, alpha: float) -> float:
@@ -196,17 +243,17 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    if alpha > 1.0 and not included:
+    pair = _checked_pair(rho, sigma)
+    if alpha > 1.0 and not pair.included:
         return math.inf
-    s_half = _power(sigma, 0.5)
-    s_inv = _power(sigma, -0.5)
-    x = s_inv @ rho.entries @ s_inv
-    xa = _power(HermitianOperator(0.5 * (x + x.conj().T)), alpha)
+    s_half = _power(pair.sigma_cut, 0.5)
+    s_inv = _power(pair.sigma_cut, -0.5)
+    x = s_inv @ pair.rho @ s_inv
+    xa = spectral_map(HermitianOperator(0.5 * (x + x.conj().T)), lambda w: w**alpha)[0]
     tr = float(np.real(np.trace(s_half @ xa @ s_half)))
     if tr <= 0.0:
         return math.inf
-    return (math.log(tr) - math.log(rho.trace)) / (alpha - 1.0)
+    return (math.log(tr) - math.log(pair.tr)) / (alpha - 1.0)
 
 
 def d_alpha_zero(rho, sigma, alpha: float) -> float:
@@ -220,12 +267,12 @@ def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:
     Reproduces Q_{alpha,1} of the operator pair exactly, which makes it
     the bridge between quantum z = 1 divergences and classical ones.
     """
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    pair = _checked_pair(rho, sigma)
     # eigenvalue and overlap dust below the support cutoff must become an
     # exact zero, or the two sides would disagree about infinities: the
     # quantum Q tests support inclusion, the classical one exact zeros
-    a, v, ka = _cut_spectrum(*rho.eig)
-    b, w, kb = _cut_spectrum(*sigma.eig)
+    a, v, ka = pair.rho_cut
+    b, w, kb = pair.sigma_cut
     a, b = np.where(ka, a, 0.0), np.where(kb, b, 0.0)
     overlap = np.abs(v.conj().T @ w) ** 2
     overlap[overlap <= DEFAULT_CUTOFF.relative_tau**2] = 0.0
@@ -240,12 +287,12 @@ def _variational_guard(rho, sigma, params: DivergenceParams):
         raise BadAlphaError(f"variational formula needs alpha in (1, 2], got {alpha}")
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"variational formula needs finite z > 0, got {z}")
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    if not included:
+    pair = _checked_pair(rho, sigma)
+    if not pair.included:
         raise SupportViolationError(
             "rho^{a/z} <= lambda sigma^{a/z} fails for every finite lambda"
         )
-    return rho, sigma
+    return pair
 
 
 def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
@@ -254,11 +301,11 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
     alpha Tr(rho^{a/2z} H rho^{a/2z})^{z/a}
     + (1 - alpha) Tr(sigma^{(a-1)/2z} H sigma^{(a-1)/2z})^{z/(a-1)}.
     """
-    rho, sigma = _variational_guard(rho, sigma, params)
+    pair = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
     H = as_operator(H)
-    rh = _power(rho, alpha / (2.0 * z))
-    sh = _power(sigma, (alpha - 1.0) / (2.0 * z))
+    rh = _power(pair.rho_cut, alpha / (2.0 * z))
+    sh = _power(pair.sigma_cut, (alpha - 1.0) / (2.0 * z))
     t1 = _sum_powers(rh @ H.entries @ rh, z / alpha)
     t2 = _sum_powers(sh @ H.entries @ sh, z / (alpha - 1.0))
     return alpha * t1 + (1.0 - alpha) * t2
@@ -266,12 +313,13 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
 
 def variational_optimizer_H(rho, sigma, params: DivergenceParams) -> HermitianOperator:
     """The maximizer sigma^{(1-a)/2z} (sigma^{(1-a)/2z} rho^{a/z} sigma^{(1-a)/2z})^{a-1} sigma^{(1-a)/2z}."""
-    rho, sigma = _variational_guard(rho, sigma, params)
+    pair = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
-    s_out = _power(sigma, (1.0 - alpha) / (2.0 * z))
-    r_mid = _power(rho, alpha / z)
+    s_out = _power(pair.sigma_cut, (1.0 - alpha) / (2.0 * z))
+    r_mid = _power(pair.rho_cut, alpha / z)
     inner = s_out @ r_mid @ s_out
-    powered = _power(HermitianOperator(0.5 * (inner + inner.conj().T)), alpha - 1.0)
+    inner = HermitianOperator(0.5 * (inner + inner.conj().T))
+    powered = spectral_map(inner, lambda w: w ** (alpha - 1.0))[0]
     h = s_out @ powered @ s_out
     return HermitianOperator(0.5 * (h + h.conj().T))
 
@@ -305,12 +353,12 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
         raise BadParamsError(f"need 0 < z1 <= z2 finite, got ({z1}, {z2})")
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    qz1 = _q(rho, sigma, included, alpha, z1)
-    qz2 = _q(rho, sigma, included, alpha, z2)
+    pair = _checked_pair(rho, sigma)
+    qz1 = _q(pair, alpha, z1)[0]
+    qz2 = _q(pair, alpha, z2)[0]
     ratio = z1 / z2
-    rho_norm = float(np.clip(rho.eigenvalues[0], 0.0, None))
-    b, _, kept = _cut_spectrum(*sigma.eig)
+    rho_norm = float(pair.rho_cut[0][0])
+    b, _, kept = pair.sigma_cut
     tr_sig_pow = float(np.sum(b[kept] ** (1.0 - alpha)))
     if math.isinf(qz2):
         upper = math.inf
@@ -343,9 +391,10 @@ def dmax_domination_check(rho, sigma, params: DivergenceParams) -> DmaxDominatio
     alpha > 1 with z >= alpha - 1; it fails strictly for pure rho whose
     vector is not a sigma-eigenvector once z < alpha - 1.
     """
-    rho, sigma, included, borderline = _checked_pair(rho, sigma)
-    val = _d_alpha_z(rho, sigma, included, borderline, params).d_value
-    dm = _d_max(rho, sigma, included)
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    pair = _checked_pair(rho, sigma)
+    val = _d_alpha_z(rho, sigma, pair, params).d_value
+    dm = _d_max(pair)
     if math.isinf(val):
         dominated = math.isinf(dm)
     else:

@@ -33,7 +33,6 @@ from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
     HermitianOperator,
     _checked_pair,
-    _cut_spectrum,
     as_operator,
     spectral_map,
     stiefel_ascent,
@@ -444,16 +443,16 @@ def _measured_pair(rho, sigma, alpha):
     """
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho, sigma, included, _ = _checked_pair(rho, sigma)
-    n = int(np.count_nonzero(_cut_spectrum(*sigma.eig)[2]))
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    pair = _checked_pair(rho, sigma)
+    n = int(np.count_nonzero(pair.sigma_cut[2]))
     if alpha < 1.0:
         p_rho, r = spectral_map(rho, np.ones_like)
-        p_sig = spectral_map(sigma, np.ones_like)[0]
-        if float(np.linalg.norm(p_rho @ p_sig, 2)) > 1e-8:
+        if float(np.linalg.norm(p_rho @ pair.sigma_support(), 2)) > 1e-8:
             return rho, sigma, None, n
         return rho, sigma, _povm((rho.eig[1][:, :r], rho.eig[1][:, r:])), n
     v = sigma.eig[1]
-    if not included:
+    if not pair.included:
         return rho, sigma, _povm((v[:, n:], v[:, :n])), n
     if n < rho.dim:
         iso = v[:, :n]

@@ -1,10 +1,10 @@
 """Hermitian operator algebra at desk scale.
 
 The one support decision of the package (which eigenvalues count as
-zero, and whether rho leaks out of supp sigma) and the pair check built
+zero, and whether rho leaks out of supp sigma) and the pair record built
 on it, supported real powers, logs on the support and support
 projections (all one spectral map), projection meet, PSD order checks,
-the pinched exponential needed by the large-z divergence limit, the
+the pinched exponential of the large-z divergence limit and its gradient,
 divided differences of spectral functions (Daleckii-Krein gradients),
 and the one optimizer of the package: gradient ascent on the complex
 Stiefel manifold, which the channel-input and measurement searches
@@ -16,8 +16,9 @@ projections.  All logs are natural, so values are in nats.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,13 +56,15 @@ DIVIDED_DIFFERENCE_RTOL = 1e-5
 #: stiefel_ascent: sufficient-increase constant of the Armijo test, the
 #: length of the first trial move and of any move, the tangent-gradient
 #: norm at which it stops, the halvings before a step counts as failed,
-#: and the number of past steps its L-BFGS directions use
+#: the number of past steps its L-BFGS directions use, and the predicted
+#: gain, relative to max(1, |f|), below which the Armijo test meets f's rounding
 ARMIJO_C = 1e-4
 ASCENT_FIRST_MOVE = 0.1
 ASCENT_MAX_MOVE = 1.0
 ASCENT_GTOL = 1e-10
 ASCENT_HALVINGS = 30
 ASCENT_MEMORY = 8
+ASCENT_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class HermitianOperator:
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self.entries)
-        return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+        return _eigh_descending(self.entries)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -132,6 +134,11 @@ class Projection(HermitianOperator):
         if not np.allclose(p @ p, p, rtol=0.0, atol=1e-10):
             raise MalformedInputError("matrix is not idempotent within 1e-10")
         self.rank = int(round(self.trace)) if rank is None else int(rank)
+
+
+def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eigh(m)
+    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
 def as_operator(x) -> HermitianOperator:
@@ -167,11 +174,17 @@ def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndar
     support_projection wrap this in an operator; callers that only need
     the entries use the array directly.
     """
-    w, v, kept = _cut_spectrum(*as_operator(A).eig, cutoff)
+    cut = _cut_spectrum(*as_operator(A).eig, cutoff)
+    return _rebuild(cut, fn), int(np.count_nonzero(cut[2]))
+
+
+def _rebuild(cut, fn) -> np.ndarray:
+    """fn on the kept eigenvalues of a cut eigensystem (w, v, kept), zero on the rest."""
+    w, v, kept = cut
     vals = np.zeros_like(w)
     vals[kept] = fn(w[kept])
     m = (v * vals) @ v.conj().T
-    return 0.5 * (m + m.conj().T), int(np.count_nonzero(kept))
+    return 0.5 * (m + m.conj().T)
 
 
 def supported_power(A, x: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> HermitianOperator:
@@ -203,31 +216,67 @@ def support_defect(rho: np.ndarray, tr: float, kernel: np.ndarray) -> float:
     return float(np.real(np.sum(kernel.conj() * (rho @ kernel)))) / tr
 
 
-def _checked_pair(
-    rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF
-) -> tuple[HermitianOperator, HermitianOperator, bool, bool]:
-    """Validate a pair once: (rho, sigma, included, borderline).
+@dataclass(frozen=True)
+class _Pair:
+    """A validated pair as the divergence kernels read it (see _pair).
 
-    Raises on mismatched dimensions, a non-PSD or (numerically) zero
-    operator.  included is the support_defect test of rho^0 <= sigma^0
-    on sigma's cut-off eigenvectors; borderline marks a defect between
-    the strict cutoff and the test slack.  Every public pair entry point
-    (divergences, zlimits, pinch_exp, measured) calls this exactly once
-    and hands the result to its array kernels.
+    rho holds the symmetrized entries, the cuts the descending eigensystems
+    (w, v, kept) from _cut_spectrum; sigma_support() builds sigma's support
+    projection, which only the z = inf kernel needs.
     """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    if not np.any(_cut_spectrum(*rho.eig, cutoff)[2]):
+
+    rho: np.ndarray
+    rho_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sigma_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
+    tr: float
+    included: bool
+    borderline: bool
+    sigma_support: Callable[[], np.ndarray]
+
+
+def _pair(rho, rho_eig, sigma_eig, sigma_support=None, cutoff=DEFAULT_CUTOFF) -> _Pair:
+    """The pair record; raises on mismatched dimensions, a non-PSD or zero operator.
+
+    included is the support_defect test of rho^0 <= sigma^0 on sigma's cut-off
+    eigenvectors; borderline marks a defect between the cutoff and the slack.
+    """
+    if len(rho_eig[0]) != len(sigma_eig[0]):
+        raise DimMismatchError(f"dim {len(rho_eig[0])} vs {len(sigma_eig[0])}")
+    rho_cut = _cut_spectrum(*rho_eig, cutoff)
+    if not np.any(rho_cut[2]):
         raise ZeroOperatorError("rho is (numerically) zero")
-    _, v, kept = _cut_spectrum(*sigma.eig, cutoff)
+    sigma_cut = _cut_spectrum(*sigma_eig, cutoff)
+    _, v, kept = sigma_cut
     if not np.any(kept):
         raise ZeroOperatorError("sigma is (numerically) zero")
-    defect = support_defect(rho.entries, rho.trace, v[:, ~kept])
+    tr = float(np.real(np.trace(rho)))
+    defect = support_defect(rho, tr, v[:, ~kept])
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    return rho, sigma, included, borderline
+    sigma_support = sigma_support or partial(_rebuild, sigma_cut, np.ones_like)
+    return _Pair(rho, rho_cut, sigma_cut, tr, included, borderline, sigma_support)
+
+
+def _checked_pair(rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> _Pair:
+    """Validate a pair once: its record, from the operators' cached eigensystems.
+
+    Every public pair entry point calls this exactly once and hands the
+    record to its kernels; sigma's support projection is spectral_map's.
+    """
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    support = lambda: spectral_map(sigma, np.ones_like, cutoff)[0]  # noqa: E731
+    return _pair(rho.entries, rho.eig, sigma.eig, support, cutoff)
+
+
+def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
+    """The pair record of two PSD arrays, without the operator checks.
+
+    They are symmetrized and decomposed as by HermitianOperator, so that the
+    kernels give the public functions' values on them bit for bit.
+    """
+    rho, sigma = (np.asarray(m, dtype=complex) for m in (rho, sigma))
+    rho, sigma = 0.5 * (rho + rho.conj().T), 0.5 * (sigma + sigma.conj().T)
+    return _pair(rho, _eigh_descending(rho), _eigh_descending(sigma))
 
 
 def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
@@ -289,26 +338,44 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    rho, sigma, included, _ = _checked_pair(rho, sigma, cutoff)
-    return _pinch_exp(rho, sigma, included, alpha, cutoff)
+    return _pinch_exp(_checked_pair(rho, sigma, cutoff), alpha)[0]
 
 
-def _pinch_exp(
-    rho, sigma, included: bool, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF
-) -> float:
-    """pinch_exp on a pair already validated by _checked_pair, at its cutoff."""
-    if alpha > 1.0 and not included:
-        return math.inf
-    p_rho = spectral_map(rho, np.ones_like, cutoff)[0]
-    pm, rank = _meet(p_rho, spectral_map(sigma, np.ones_like, cutoff)[0])
+def _pinch_exp(pair: _Pair, alpha: float):
+    """pinch_exp on a pair record, with the parts its gradient extends (None at +inf or P = 0)."""
+    if alpha > 1.0 and not pair.included:
+        return math.inf, None
+    pm, rank = _meet(_rebuild(pair.rho_cut, np.ones_like), pair.sigma_support())
     if rank == 0:
-        return 0.0
-    m = alpha * (pm @ spectral_map(rho, np.log, cutoff)[0] @ pm)
-    m += (1.0 - alpha) * (pm @ spectral_map(sigma, np.log, cutoff)[0] @ pm)
+        return 0.0, None
+    l_rho, l_sigma = _rebuild(pair.rho_cut, np.log), _rebuild(pair.sigma_cut, np.log)
+    m = alpha * (pm @ l_rho @ pm)
+    m += (1.0 - alpha) * (pm @ l_sigma @ pm)
     m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, pm, v))
-    return float(np.sum(np.exp(w) * np.clip(weights, 0.0, None)))
+    value = float(np.sum(np.exp(w) * np.clip(weights, 0.0, None)))
+    return value, (pm, rank, l_rho, l_sigma, w, v)
+
+
+def _pinch_grad(pair: _Pair, alpha: float, parts):
+    """Gradients in rho and sigma of _pinch_exp's value, from its parts.
+
+    alpha DK_log[E] and (1 - alpha) DK_log[E] for E = P exp(P H P) P and
+    H = alpha L_rho + (1 - alpha) L_sigma, plus Tr (H E + E H) dP: P moves
+    with the smaller support when one holds the other, as 1(A) does.
+    """
+    pm, rank, l_rho, l_sigma, w, v = parts
+    e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
+    g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, e)
+    g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, e)
+    h = alpha * l_rho + (1.0 - alpha) * l_sigma
+    c = h @ e + e @ h
+    if rank == np.count_nonzero(pair.rho_cut[2]):
+        g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, c)
+    elif rank == np.count_nonzero(pair.sigma_cut[2]):
+        g_sigma = g_sigma + _dk_grad(pair.sigma_cut, np.ones_like, np.zeros_like, c)
+    return g_rho, g_sigma
 
 
 def divided_differences(w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -326,6 +393,15 @@ def divided_differences(w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndar
     close = np.abs(gap) <= DIVIDED_DIFFERENCE_RTOL * scale
     quotient = (f[:, None] - f[None, :]) / np.where(close, 1.0, gap)
     return np.where(close, 0.5 * (df[:, None] + df[None, :]), quotient)
+
+
+def _dk_grad(cut, fn, dfn, c: np.ndarray) -> np.ndarray:
+    """Gradient of A -> Tr c fn(A) at A's cut eigensystem, fn taken on the kept part."""
+    w, v, kept = cut
+    f, df = np.zeros_like(w), np.zeros_like(w)
+    f[kept], df[kept] = fn(w[kept]), dfn(w[kept])
+    gamma = divided_differences(np.where(kept, w, 0.0), f, df)
+    return v @ (gamma * (v.conj().T @ c @ v)) @ v.conj().T
 
 
 def _tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -359,9 +435,10 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
     decomposition; m = 1 is the unit sphere.  Stored steps are used
     without transport and the direction is projected onto the current
     tangent space.  A value of +inf ends the ascent (the supremum is
-    attained).  Returns (X, f, converged): converged is False only when
-    the iters steps ran out before the tangent gradient vanished or no
-    step could raise f any further.
+    attained), as does a trial step whose predicted gain t * slope is at
+    most ASCENT_ROUNDING * max(1, |f|), below f's rounding.  Returns
+    (X, f, converged): converged is False only when the iters steps ran
+    out before the tangent gradient vanished or no step could raise f.
     """
     x = _polar(x0)
     f, g = value_grad(x)
@@ -392,6 +469,8 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
             slope = _ip(d, xi)
         t = min(1.0, ASCENT_MAX_MOVE / math.sqrt(_ip(d, d)))
         for _ in range(ASCENT_HALVINGS):
+            if t * slope <= ASCENT_ROUNDING * max(1.0, abs(f)):
+                return x, f, True
             cand = _polar(x + t * d)
             f_new, g_new = value_grad(cand)
             if f_new >= f + ARMIJO_C * t * slope:

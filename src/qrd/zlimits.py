@@ -256,7 +256,7 @@ def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     return out
 
 
-def _mp_q_alpha_z(rho, sigma, overlap, alpha: float, z: float) -> float:
+def _mp_q_alpha_z(pair, alpha: float, z: float) -> float:
     """D_{alpha,z} in arbitrary precision via singular values of D_b O D_a.
 
     The inner matrix spans exp(range/z) orders of magnitude, far past
@@ -265,8 +265,9 @@ def _mp_q_alpha_z(rho, sigma, overlap, alpha: float, z: float) -> float:
     """
     import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
 
-    a, _, on_a = _cut_spectrum(*rho.eig)
-    b, _, on_b = _cut_spectrum(*sigma.eig)
+    a, va, on_a = pair.rho_cut
+    b, vb, on_b = pair.sigma_cut
+    overlap = va.conj().T @ vb
     ia, ib = np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist()
     span_a = math.log(a[ia[0]] / a[ia[-1]]) if len(ia) > 1 else 0.0
     span_b = math.log(b[ib[0]] / b[ib[-1]]) if len(ib) > 1 else 0.0
@@ -289,19 +290,17 @@ def _mp_q_alpha_z(rho, sigma, overlap, alpha: float, z: float) -> float:
         for mu in eigs:
             if mu > 0:
                 q += mu ** z
-        d_val = (mp.log(q) - mp.log(rho.trace)) / (alpha - 1.0)
+        d_val = (mp.log(q) - mp.log(pair.tr)) / (alpha - 1.0)
         return float(d_val)
 
 
 def zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over a halving grid."""
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
-    return _zero_z_oracle(rho, sigma, alpha, z_nodes)
+    return _zero_z_oracle(_checked_pair(rho, sigma), alpha, z_nodes)
 
 
-def _zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
-    overlap = rho.eigenvectors.conj().T @ sigma.eigenvectors
-    d0, d1, d2 = (_mp_q_alpha_z(rho, sigma, overlap, alpha, z) for z in z_nodes)
+def _zero_z_oracle(pair, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
+    d0, d1, d2 = (_mp_q_alpha_z(pair, alpha, z) for z in z_nodes)
     r01 = 2.0 * d1 - d0
     r12 = 2.0 * d2 - d1
     return (4.0 * r12 - r01) / 3.0
@@ -318,12 +317,12 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
-    return _zero_z_divergence(rho, sigma, alpha)
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    return _zero_z_divergence(rho, sigma, _checked_pair(rho, sigma), alpha)
 
 
-def _zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
-    """zero_z_divergence on a pair already validated by _checked_pair."""
+def _zero_z_divergence(rho, sigma, pair, alpha: float) -> ZeroZResult:
+    """zero_z_divergence on validated operators and their pair record."""
     profile = spectral_profile(rho, sigma)
     gen = _alpha_genericity(profile, alpha)
     if gen.holds:
@@ -331,13 +330,13 @@ def _zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
         q0 = float(np.sum(lam))
         if q0 <= 0.0:
             return ZeroZResult(math.inf, False, gen)
-        d_val = (math.log(q0) - math.log(rho.trace)) / (alpha - 1.0)
+        d_val = (math.log(q0) - math.log(pair.tr)) / (alpha - 1.0)
         return ZeroZResult(d_val, False, gen)
     if gen.undetermined:
         raise GenericityUndeterminedError(
             "overlap minors in the dead band; cannot choose formula vs fallback"
         )
-    return ZeroZResult(_zero_z_oracle(rho, sigma, alpha), True, gen)
+    return ZeroZResult(_zero_z_oracle(pair, alpha), True, gen)
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,8 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     """
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    rho, sigma, _, _ = _checked_pair(rho, sigma)
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    _checked_pair(rho, sigma)
     profile = spectral_profile(rho, sigma)
     if not _cut_spectrum(profile.b, profile.w)[2][-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")

@@ -18,6 +18,7 @@ from qrd.channels import (
     identity_channel,
     kind_whitelisted,
 )
+from qrd.divergences import DivergenceParams, d_alpha_z
 from qrd.errors import KindNotWhitelistedError, MalformedInputError
 from qrd.opcore import HermitianOperator
 from qrd.verify import rand_channel, rand_density
@@ -43,6 +44,14 @@ def test_choi_round_trip(rng):
     np.testing.assert_allclose(
         back.apply(rho).entries, ch.apply(rho).entries, atol=1e-9
     )
+
+
+@pytest.mark.parametrize(
+    "kraus", [[np.ones(3)], [np.eye(2), np.ones((2, 2, 2))], [np.array([[1.0, np.nan], [0.0, 1.0]])]]
+)
+def test_channel_rejects_malformed_kraus(kraus):
+    with pytest.raises(MalformedInputError):
+        Channel(kraus)
 
 
 def test_from_choi_rejects_negative(rng):
@@ -150,3 +159,17 @@ def test_measured_channel_divergence_below_channel_dmax():
     res = channel_divergence(n1, n2, "measured", alpha=1.5, restarts=1, seed=0, iters=5)
     assert math.isfinite(res.value)
     assert res.value <= channel_dmax(n1, n2) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind,alpha,z", [("sandwiched", 1.5, None), ("petz", 0.7, None), ("daz", 0.7, math.inf)]
+)
+def test_channel_value_is_the_library_value_at_its_argmax(rng, kind, alpha, z):
+    """The reported value is the ascent's; the library agrees on the returned input."""
+    n1, n2 = rand_channel(rng, 2, 2, kraus_n=2), rand_channel(rng, 2, 2, kraus_n=4)
+    res = channel_divergence(n1, n2, kind, alpha=alpha, z=z, restarts=3, seed=2, iters=15)
+    z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
+    state = HermitianOperator(np.outer(res.argmax_state, res.argmax_state.conj()))
+    lib = d_alpha_z(apply_extended(n1, state), apply_extended(n2, state), DivergenceParams(alpha, z))
+    assert res.value == pytest.approx(lib.d_value, rel=0.0, abs=1e-12)
+

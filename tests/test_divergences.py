@@ -298,3 +298,27 @@ def test_one_inclusion_decision_below_the_slack(t, borderline):
 def test_one_inclusion_decision_above_the_slack(t):
     values = support_decisions(*leak_pair(t))
     assert all(v == math.inf for v in values.values()), values
+
+
+def formula_pairs():
+    """d = 2, 3, 4 with full-rank, pure and rank-deficient rho against full-rank sigma."""
+    rng = np.random.default_rng(909)
+    for d in (2, 3, 4):
+        sigma = rand_density(rng, d).entries
+        for rho in (rand_density(rng, d), rand_pure(rng, d), rand_density(rng, d, rank=d - 1)):
+            yield rho.entries, sigma
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+def test_one_value_per_renyi_formula(alpha):
+    """The channel gradient's value is the library's, bit for bit."""
+    for rho, sigma in formula_pairs():
+        for z in (1.0, alpha, math.inf):
+            lib = d_alpha_z(rho, sigma, DivergenceParams(alpha, z)).d_value
+            assert _renyi_grad(rho, sigma, alpha, z)[0] == lib, (alpha, z)
+
+
+def test_one_value_for_umegaki():
+    for rho, sigma in formula_pairs():
+        assert _umegaki_grad(rho, sigma)[0] == umegaki(rho, sigma)
+
