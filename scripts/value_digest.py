@@ -5,6 +5,7 @@ The inputs are random pairs at d = 2, 3, 4 and 8 (full rank, sigma
 rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, and
 the near-product pair; the evaluations cover the divergence layer, the
+z -> 0 profile (equality-case gaps and both genericity conditions), the
 measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
 measured, Petz, and the (alpha, z) family at z = inf and at a finite z).  Errors print as their type
@@ -42,7 +43,13 @@ from qrd.divergences import (
 from qrd.measured import measured_renyi_lower, test_measured
 from qrd.opcore import HermitianOperator, pinch_exp
 from qrd.verify import rand_channel, rand_density, rand_pure
-from qrd.zlimits import zero_z_divergence
+from qrd.zlimits import (
+    equality_case_check,
+    genericity_condition_b,
+    genericity_condition_b_prime,
+    spectral_profile,
+    zero_z_divergence,
+)
 
 ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
@@ -121,6 +128,13 @@ def divergence_layer(name, rho, sigma) -> None:
     )
 
 
+def zlimit_layer(name, rho, sigma) -> None:
+    for direction in ("below", "above"):
+        emit(f"{name} equality {direction}", lambda: equality_case_check(rho, sigma, direction))
+    emit(f"{name} gen_b", lambda: genericity_condition_b(spectral_profile(rho, sigma)))
+    emit(f"{name} gen_b'", lambda: genericity_condition_b_prime(spectral_profile(rho, sigma)))
+
+
 def measured_layer(name, rho, sigma) -> None:
     def show(res):
         factors = "" if res.povm.factors is None else digest(np.hstack(res.povm.factors))
@@ -162,6 +176,7 @@ def channel_layer() -> None:
 def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
+        zlimit_layer(name, rho, sigma)
         if rho.dim <= 4:
             measured_layer(name, rho, sigma)
     channel_layer()

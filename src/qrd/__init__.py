@@ -60,7 +60,6 @@ from .measured import (
 from .opcore import (
     HermitianOperator,
     Projection,
-    SupportCutoff,
     logn,
     pinch_exp,
     projection_meet,

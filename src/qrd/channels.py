@@ -24,6 +24,7 @@ from .errors import (
     DimMismatchError,
     KindNotWhitelistedError,
     MalformedInputError,
+    ZeroOperatorError,
 )
 from .measured import _classical_value_grad, apply_povm, measured_renyi_lower
 from .opcore import HermitianOperator, as_operator, stiefel_ascent
@@ -331,10 +332,12 @@ def channel_divergence(
     (see _input_objective) from the maximally entangled input, the d
     product inputs |jj> and random inputs up to restarts starts, at most
     iters steps each; converged reports whether the best start stopped
-    before its step cap.  The value is the ascent's best, which is the
-    library's divergence of that input's outputs (the same kernels on the
-    same arrays).  Non-whitelisted parameter choices are rejected rather
-    than silently under-optimized.
+    before its step cap.  A start on which either channel's output is
+    zero is skipped; ZeroOperatorError is raised only when every start
+    is.  The value is the ascent's best, which is the library's
+    divergence of that input's outputs (the same kernels on the same
+    arrays).  Non-whitelisted parameter choices are rejected rather than
+    silently under-optimized.
     """
     if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise DimMismatchError("channels act between different spaces")
@@ -360,12 +363,19 @@ def channel_divergence(
     converged = False
     rng = np.random.default_rng([seed, 0x6368])
     seeds = _seed_states(d, restarts, rng)
+    zero_output = None
     for psi in seeds:
-        x, val, conv = stiefel_ascent(value_grad, psi.reshape(-1, 1), iters)
+        try:
+            x, val, conv = stiefel_ascent(value_grad, psi.reshape(-1, 1), iters)
+        except ZeroOperatorError as exc:
+            zero_output = exc
+            continue
         if best_psi is None or val > best_val:
             best_val, best_psi, converged = val, x[:, 0], conv
         if math.isinf(best_val) and best_val > 0:
             break
+    if best_psi is None:
+        raise zero_output
     return ChannelDivergenceResult(
         value=best_val,
         argmax_state=best_psi,

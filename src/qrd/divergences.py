@@ -20,7 +20,7 @@ import numpy as np
 from .classical import WeightVector
 from .errors import BadAlphaError, BadParamsError, SupportViolationError
 from .opcore import (
-    DEFAULT_CUTOFF,
+    SUPPORT_RTOL,
     HermitianOperator,
     _array_pair,
     _checked_pair,
@@ -158,8 +158,8 @@ def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> Divergence
     return DivergenceValue(math.exp(psi), d, psi, tuple(notes))
 
 
-def _d_alpha_z(rho, sigma, pair, params) -> DivergenceValue:
-    """d_alpha_z on a pair record; the operators serve the z = 0 limit."""
+def _d_alpha_z(pair, params) -> DivergenceValue:
+    """d_alpha_z on a pair record."""
     alpha, z = params.alpha, params.z
     tr_rho = pair.tr
     notes = ["support_borderline"] if pair.borderline else []
@@ -171,7 +171,7 @@ def _d_alpha_z(rho, sigma, pair, params) -> DivergenceValue:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
     if z == 0.0:
-        rec = _zero_z_divergence(rho, sigma, pair, alpha)
+        rec = _zero_z_divergence(pair, alpha)
         if rec.used_fallback:
             notes.append("zero_z_extrapolated")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
@@ -185,8 +185,7 @@ def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     pinched exponential; z = 0 uses the spectral limit with extrapolation
     fallback.
     """
-    rho, sigma = as_operator(rho), as_operator(sigma)
-    return _d_alpha_z(rho, sigma, _checked_pair(rho, sigma), params)
+    return _d_alpha_z(_checked_pair(rho, sigma), params)
 
 
 def _umegaki(pair):
@@ -275,7 +274,7 @@ def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:
     b, w, kb = pair.sigma_cut
     a, b = np.where(ka, a, 0.0), np.where(kb, b, 0.0)
     overlap = np.abs(v.conj().T @ w) ** 2
-    overlap[overlap <= DEFAULT_CUTOFF.relative_tau**2] = 0.0
+    overlap[overlap <= SUPPORT_RTOL**2] = 0.0
     p = a[:, None] * overlap
     q = b[None, :] * overlap
     return WeightVector(p.ravel()), WeightVector(q.ravel())
@@ -391,9 +390,8 @@ def dmax_domination_check(rho, sigma, params: DivergenceParams) -> DmaxDominatio
     alpha > 1 with z >= alpha - 1; it fails strictly for pure rho whose
     vector is not a sigma-eigenvector once z < alpha - 1.
     """
-    rho, sigma = as_operator(rho), as_operator(sigma)
     pair = _checked_pair(rho, sigma)
-    val = _d_alpha_z(rho, sigma, pair, params).d_value
+    val = _d_alpha_z(pair, params).d_value
     dm = _d_max(pair)
     if math.isinf(val):
         dominated = math.isinf(dm)

@@ -33,6 +33,7 @@ from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
     HermitianOperator,
     _checked_pair,
+    _rebuild,
     as_operator,
     spectral_map,
     stiefel_ascent,
@@ -447,8 +448,8 @@ def _measured_pair(rho, sigma, alpha):
     pair = _checked_pair(rho, sigma)
     n = int(np.count_nonzero(pair.sigma_cut[2]))
     if alpha < 1.0:
-        p_rho, r = spectral_map(rho, np.ones_like)
-        if float(np.linalg.norm(p_rho @ pair.sigma_support(), 2)) > 1e-8:
+        p_rho, r = _rebuild(pair.rho_cut, np.ones_like), np.count_nonzero(pair.rho_cut[2])
+        if float(np.linalg.norm(p_rho @ _rebuild(pair.sigma_cut, np.ones_like), 2)) > 1e-8:
             return rho, sigma, None, n
         return rho, sigma, _povm((rho.eig[1][:, :r], rho.eig[1][:, r:])), n
     v = sigma.eig[1]

@@ -16,9 +16,8 @@ projections.  All logs are natural, so values are in nats.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +35,9 @@ HERMITICITY_ATOL = 1e-10
 
 #: a matrix is rejected as not PSD when min eig < -PSD_REJECT_RTOL * max eig
 PSD_REJECT_RTOL = 1e-8
+
+#: eigenvalues at most SUPPORT_RTOL * max eig count as exact zeros
+SUPPORT_RTOL = 1e-12
 
 #: slack used by support-inclusion tests (rho^0 <= sigma^0 and friends)
 SUPPORT_TEST_SLACK = 1e-8
@@ -65,16 +67,6 @@ ASCENT_GTOL = 1e-10
 ASCENT_HALVINGS = 30
 ASCENT_MEMORY = 8
 ASCENT_ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class SupportCutoff:
-    """Relative threshold below which eigenvalues count as exact zeros."""
-
-    relative_tau: float = 1e-12
-
-
-DEFAULT_CUTOFF = SupportCutoff()
 
 
 class HermitianOperator:
@@ -146,13 +138,12 @@ def as_operator(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
-def _cut_spectrum(w: np.ndarray, v, cutoff: SupportCutoff = DEFAULT_CUTOFF):
+def _cut_spectrum(w: np.ndarray, v):
     """The support decision on an eigensystem (w, v): (w, v, kept).
 
     Rejects a matrix whose most negative eigenvalue is below
     -PSD_REJECT_RTOL times the largest, clamps smaller negative dust to
-    0, and keeps the eigenvalues above the cutoff relative to the
-    largest.  w is sorted either way (eigh's ascending order or the
+    0, and keeps the eigenvalues above SUPPORT_RTOL times the largest.  w is sorted either way (eigh's ascending order or the
     operators' descending one), so its extremes are its ends.  Every
     module decides supports and thresholds through this function.
     """
@@ -163,10 +154,10 @@ def _cut_spectrum(w: np.ndarray, v, cutoff: SupportCutoff = DEFAULT_CUTOFF):
             f"min eigenvalue {bottom:.3e} below -{PSD_REJECT_RTOL:g} * {lam_max:.3e}"
         )
     w = np.maximum(w, 0.0)
-    return w, v, w > cutoff.relative_tau * lam_max
+    return w, v, w > SUPPORT_RTOL * lam_max
 
 
-def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndarray, int]:
+def spectral_map(A, fn) -> tuple[np.ndarray, int]:
     """fn on the eigenvalues above the cutoff, zero on the rest.
 
     Returns the matrix as a plain array together with the number of kept
@@ -174,7 +165,7 @@ def spectral_map(A, fn, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> tuple[np.ndar
     support_projection wrap this in an operator; callers that only need
     the entries use the array directly.
     """
-    cut = _cut_spectrum(*as_operator(A).eig, cutoff)
+    cut = _cut_spectrum(*as_operator(A).eig)
     return _rebuild(cut, fn), int(np.count_nonzero(cut[2]))
 
 
@@ -187,19 +178,19 @@ def _rebuild(cut, fn) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def supported_power(A, x: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> HermitianOperator:
+def supported_power(A, x: float) -> HermitianOperator:
     """Real power taken on the support only: sum of s^x P_s over s > cutoff.
 
     For x = 0 this is the support projection; negative powers invert on the
     support and vanish on the kernel, so A^-x A^x equals the support
     projection rather than the identity.
     """
-    return HermitianOperator(spectral_map(A, lambda w: w ** float(x), cutoff)[0])
+    return HermitianOperator(spectral_map(A, lambda w: w ** float(x))[0])
 
 
-def support_projection(A, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> Projection:
+def support_projection(A) -> Projection:
     """Projection onto the span of eigenvectors above the cutoff."""
-    return Projection(*spectral_map(A, np.ones_like, cutoff))
+    return Projection(*spectral_map(A, np.ones_like))
 
 
 def support_defect(rho: np.ndarray, tr: float, kernel: np.ndarray) -> float:
@@ -221,8 +212,7 @@ class _Pair:
     """A validated pair as the divergence kernels read it (see _pair).
 
     rho holds the symmetrized entries, the cuts the descending eigensystems
-    (w, v, kept) from _cut_spectrum; sigma_support() builds sigma's support
-    projection, which only the z = inf kernel needs.
+    (w, v, kept) from _cut_spectrum.
     """
 
     rho: np.ndarray
@@ -231,10 +221,9 @@ class _Pair:
     tr: float
     included: bool
     borderline: bool
-    sigma_support: Callable[[], np.ndarray]
 
 
-def _pair(rho, rho_eig, sigma_eig, sigma_support=None, cutoff=DEFAULT_CUTOFF) -> _Pair:
+def _pair(rho, rho_eig, sigma_eig) -> _Pair:
     """The pair record; raises on mismatched dimensions, a non-PSD or zero operator.
 
     included is the support_defect test of rho^0 <= sigma^0 on sigma's cut-off
@@ -242,10 +231,10 @@ def _pair(rho, rho_eig, sigma_eig, sigma_support=None, cutoff=DEFAULT_CUTOFF) ->
     """
     if len(rho_eig[0]) != len(sigma_eig[0]):
         raise DimMismatchError(f"dim {len(rho_eig[0])} vs {len(sigma_eig[0])}")
-    rho_cut = _cut_spectrum(*rho_eig, cutoff)
+    rho_cut = _cut_spectrum(*rho_eig)
     if not np.any(rho_cut[2]):
         raise ZeroOperatorError("rho is (numerically) zero")
-    sigma_cut = _cut_spectrum(*sigma_eig, cutoff)
+    sigma_cut = _cut_spectrum(*sigma_eig)
     _, v, kept = sigma_cut
     if not np.any(kept):
         raise ZeroOperatorError("sigma is (numerically) zero")
@@ -253,19 +242,17 @@ def _pair(rho, rho_eig, sigma_eig, sigma_support=None, cutoff=DEFAULT_CUTOFF) ->
     defect = support_defect(rho, tr, v[:, ~kept])
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    sigma_support = sigma_support or partial(_rebuild, sigma_cut, np.ones_like)
-    return _Pair(rho, rho_cut, sigma_cut, tr, included, borderline, sigma_support)
+    return _Pair(rho, rho_cut, sigma_cut, tr, included, borderline)
 
 
-def _checked_pair(rho, sigma, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> _Pair:
+def _checked_pair(rho, sigma) -> _Pair:
     """Validate a pair once: its record, from the operators' cached eigensystems.
 
     Every public pair entry point calls this exactly once and hands the
-    record to its kernels; sigma's support projection is spectral_map's.
+    record to its kernels.
     """
     rho, sigma = as_operator(rho), as_operator(sigma)
-    support = lambda: spectral_map(sigma, np.ones_like, cutoff)[0]  # noqa: E731
-    return _pair(rho.entries, rho.eig, sigma.eig, support, cutoff)
+    return _pair(rho.entries, rho.eig, sigma.eig)
 
 
 def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
@@ -310,7 +297,7 @@ def psd_leq(A, B, slack: float | None = None) -> bool:
     return bool(w[0] >= -slack)
 
 
-def support_leq(A, B, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> bool:
+def support_leq(A, B) -> bool:
     """Support inclusion A^0 <= B^0 as a projector order test.
 
     Stricter than support_defect for low-rank A: a leak of amplitude t
@@ -319,17 +306,15 @@ def support_leq(A, B, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> bool:
     A reproduced exactly on B's support, which a leak mass below the
     slack does not guarantee.
     """
-    return psd_leq(
-        support_projection(A, cutoff), support_projection(B, cutoff), SUPPORT_TEST_SLACK
-    )
+    return psd_leq(support_projection(A), support_projection(B), SUPPORT_TEST_SLACK)
 
 
-def logn(A, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> HermitianOperator:
+def logn(A) -> HermitianOperator:
     """Natural log on the support, zero on the kernel."""
-    return HermitianOperator(spectral_map(A, np.log, cutoff)[0])
+    return HermitianOperator(spectral_map(A, np.log)[0])
 
 
-def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> float:
+def pinch_exp(rho, sigma, alpha: float) -> float:
     """Large-z limit kernel: Tr P exp(alpha P L_rho P + (1-alpha) P L_sigma P).
 
     P is the meet of the two supports and L denotes the log on the support.
@@ -338,14 +323,16 @@ def pinch_exp(rho, sigma, alpha: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) 
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    return _pinch_exp(_checked_pair(rho, sigma, cutoff), alpha)[0]
+    return _pinch_exp(_checked_pair(rho, sigma), alpha)[0]
 
 
 def _pinch_exp(pair: _Pair, alpha: float):
     """pinch_exp on a pair record, with the parts its gradient extends (None at +inf or P = 0)."""
     if alpha > 1.0 and not pair.included:
         return math.inf, None
-    pm, rank = _meet(_rebuild(pair.rho_cut, np.ones_like), pair.sigma_support())
+    pm, rank = _meet(
+        _rebuild(pair.rho_cut, np.ones_like), _rebuild(pair.sigma_cut, np.ones_like)
+    )
     if rank == 0:
         return 0.0, None
     l_rho, l_sigma = _rebuild(pair.rho_cut, np.log), _rebuild(pair.sigma_cut, np.log)
@@ -491,11 +478,11 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
     return x, f, False
 
 
-def trace_power(A, z: float, cutoff: SupportCutoff = DEFAULT_CUTOFF) -> float:
+def trace_power(A, z: float) -> float:
     """Sum of z-th powers of the above-cutoff eigenvalues."""
     if not z > 0.0:
         raise BadParamsError(f"trace_power needs z > 0, got {z}")
-    w, _, kept = _cut_spectrum(*as_operator(A).eig, cutoff)
+    w, _, kept = _cut_spectrum(*as_operator(A).eig)
     return float(np.sum(w[kept] ** float(z)))
 
 

@@ -16,22 +16,21 @@ import os
 import numpy as np
 
 from .channels import Channel
-from .errors import MalformedInputError, QrdError
-from .opcore import PSD_REJECT_RTOL, HermitianOperator
+from .errors import MalformedInputError, NotPSDError, QrdError
+from .opcore import HermitianOperator, _cut_spectrum
 
 #: JSON keys of a serialized matrix, in storage order
 MATRIX_KEYS = ("dim", "re", "im")
 
 
-def _as_float_grid(obj, dim: int, where: str) -> np.ndarray:
+def _as_float_grid(obj, shape: tuple[int, int], where: str) -> np.ndarray:
+    """A finite real array of the given shape; ragged or non-numeric input is malformed."""
     try:
         grid = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"{where}: entries are not numbers") from exc
-    if grid.shape != (dim, dim):
-        raise MalformedInputError(
-            f"{where}: expected shape {(dim, dim)}, got {grid.shape}"
-        )
+        raise MalformedInputError(f"{where}: entries are not a grid of numbers") from exc
+    if grid.shape != shape:
+        raise MalformedInputError(f"{where}: expected shape {shape}, got {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise MalformedInputError(f"{where}: entries must be finite")
     return grid
@@ -49,12 +48,15 @@ def _square_from_json(obj, where: str) -> np.ndarray:
         raise MalformedInputError(f"{where}: 'dim' is not an integer") from exc
     if dim < 1:
         raise MalformedInputError(f"{where}: 'dim' must be positive, got {dim}")
-    re = _as_float_grid(obj["re"], dim, f"{where}['re']")
+    return _complex_grid(obj, (dim, dim), where)
+
+
+def _complex_grid(obj, shape: tuple[int, int], where: str) -> np.ndarray:
+    """re + i im from an object with a 're' grid and an optional 'im' grid."""
+    re = _as_float_grid(obj["re"], shape, f"{where}['re']")
     if obj.get("im") is None:
-        im = np.zeros((dim, dim))
-    else:
-        im = _as_float_grid(obj["im"], dim, f"{where}['im']")
-    return re + 1j * im
+        return re + 0j
+    return re + 1j * _as_float_grid(obj["im"], shape, f"{where}['im']")
 
 
 def matrix_from_json(obj, where: str = "matrix") -> HermitianOperator:
@@ -76,11 +78,10 @@ def matrix_to_json(op: HermitianOperator) -> dict:
 def state_from_json(obj, where: str = "state") -> HermitianOperator:
     """A matrix that additionally passes the PSD and positive-trace gates."""
     op = matrix_from_json(obj, where)
-    floor = -PSD_REJECT_RTOL * max(float(op.eigenvalues[0]), 1e-300)
-    if float(op.eigenvalues[-1]) < floor:
-        raise MalformedInputError(
-            f"{where}: not positive semidefinite (eigenvalue {op.eigenvalues[-1]:.3e})"
-        )
+    try:
+        _cut_spectrum(*op.eig)
+    except NotPSDError as exc:
+        raise MalformedInputError(f"{where}: not positive semidefinite ({exc})") from exc
     if not op.trace > 0.0:
         raise MalformedInputError(f"{where}: trace {op.trace:.3e} is not positive")
     return op
@@ -126,17 +127,7 @@ def channel_from_json(obj, where: str = "channel") -> Channel:
             spot = f"{where}['kraus'][{i}]"
             if not isinstance(item, dict) or "re" not in item:
                 raise MalformedInputError(f"{spot}: expected an object with 're'")
-            re = np.asarray(item["re"], dtype=float)
-            if re.shape != (d_out, d_in):
-                raise MalformedInputError(
-                    f"{spot}: expected shape {(d_out, d_in)}, got {re.shape}"
-                )
-            im = np.zeros_like(re) if item.get("im") is None else np.asarray(item["im"], dtype=float)
-            if im.shape != re.shape:
-                raise MalformedInputError(f"{spot}: 're' and 'im' shapes differ")
-            if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-                raise MalformedInputError(f"{spot}: entries must be finite")
-            kraus.append(re + 1j * im)
+            kraus.append(_complex_grid(item, (d_out, d_in), spot))
         try:
             return Channel(kraus)
         except QrdError as exc:

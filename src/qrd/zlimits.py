@@ -34,9 +34,9 @@ from .opcore import (
     Projection,
     _checked_pair,
     _cut_spectrum,
+    _rebuild,
     as_operator,
     commutator_spectral_norm,
-    spectral_map,
 )
 
 #: a minor certifies genericity when its magnitude exceeds this
@@ -62,14 +62,19 @@ ORACLE_Z_NODES = (1e-2, 5e-3, 2.5e-3)
 class SpectralProfile:
     """Eigen-data of a pair with eigenvalues clustered into equal blocks.
 
+    a, v and b, w are the cut eigensystems of rho and sigma (eigenvalues
+    descending, negative dust clamped to 0) and on_a, on_b their kept
+    masks, from the package's one support decision (opcore._cut_spectrum).
     Boundaries are cumulative counts: bounds (0, k1, ..., d) mean the
-    first block covers indices [0, k1) and so on, eigenvalues descending.
+    first block covers indices [0, k1) and so on.
     """
 
     a: np.ndarray
     b: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    on_a: np.ndarray
+    on_b: np.ndarray
     i_bounds: tuple[int, ...]
     j_bounds: tuple[int, ...]
 
@@ -97,19 +102,16 @@ def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
     return tuple(bounds)
 
 
+def _profile(rho_cut, sigma_cut) -> SpectralProfile:
+    """The profile of two cut eigensystems (w, v, kept), e.g. a pair record's."""
+    (a, v, on_a), (b, w, on_b) = rho_cut, sigma_cut
+    return SpectralProfile(a, b, v, w, on_a, on_b, _cluster_bounds(a), _cluster_bounds(b))
+
+
 def spectral_profile(rho, sigma) -> SpectralProfile:
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    a, v = rho.eig
-    b, w = sigma.eig
-    return SpectralProfile(
-        a=np.clip(a, 0.0, None),
-        b=np.clip(b, 0.0, None),
-        v=v,
-        w=w,
-        i_bounds=_cluster_bounds(a),
-        j_bounds=_cluster_bounds(b),
-    )
+    """The clustered eigen-data of a pair; raises NotPSDError on a non-PSD operator."""
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    return _profile(_cut_spectrum(*rho.eig), _cut_spectrum(*sigma.eig))
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def genericity_condition_b(profile: SpectralProfile) -> GenericityResult:
 def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
     """Suffix-minor variant used by the alpha > 1 branch (sigma invertible)."""
     d = profile.dim
-    if not _cut_spectrum(profile.b, profile.w)[2][-1]:
+    if not profile.on_b[-1]:
         raise SingularSigmaError("suffix genericity needs invertible sigma")
     required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
     return _genericity(
@@ -245,8 +247,7 @@ def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
 
 def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     """z_alpha_eigenvalues for a profile whose genericity is already known to hold."""
-    a, _, on_a = _cut_spectrum(profile.a, profile.v)
-    b, _, on_b = _cut_spectrum(profile.b, profile.w)
+    a, on_a, b, on_b = profile.a, profile.on_a, profile.b, profile.on_b
     if alpha > 1.0:
         b, on_b = b[::-1], on_b[::-1]
     out = np.zeros_like(a)
@@ -294,13 +295,13 @@ def _mp_q_alpha_z(pair, alpha: float, z: float) -> float:
         return float(d_val)
 
 
-def zero_z_oracle(rho, sigma, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
-    """Richardson extrapolation of D_{alpha,z} to z = 0 over a halving grid."""
-    return _zero_z_oracle(_checked_pair(rho, sigma), alpha, z_nodes)
+def zero_z_oracle(rho, sigma, alpha: float) -> float:
+    """Richardson extrapolation of D_{alpha,z} to z = 0 over the halving grid ORACLE_Z_NODES."""
+    return _zero_z_oracle(_checked_pair(rho, sigma), alpha)
 
 
-def _zero_z_oracle(pair, alpha: float, z_nodes=ORACLE_Z_NODES) -> float:
-    d0, d1, d2 = (_mp_q_alpha_z(pair, alpha, z) for z in z_nodes)
+def _zero_z_oracle(pair, alpha: float) -> float:
+    d0, d1, d2 = (_mp_q_alpha_z(pair, alpha, z) for z in ORACLE_Z_NODES)
     r01 = 2.0 * d1 - d0
     r12 = 2.0 * d2 - d1
     return (4.0 * r12 - r01) / 3.0
@@ -317,13 +318,12 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho, sigma = as_operator(rho), as_operator(sigma)
-    return _zero_z_divergence(rho, sigma, _checked_pair(rho, sigma), alpha)
+    return _zero_z_divergence(_checked_pair(rho, sigma), alpha)
 
 
-def _zero_z_divergence(rho, sigma, pair, alpha: float) -> ZeroZResult:
-    """zero_z_divergence on validated operators and their pair record."""
-    profile = spectral_profile(rho, sigma)
+def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
+    """zero_z_divergence on a pair record, its profile built from the record's cuts."""
+    profile = _profile(pair.rho_cut, pair.sigma_cut)
     gen = _alpha_genericity(profile, alpha)
     if gen.holds:
         lam = _limit_eigenvalues(profile, alpha)
@@ -377,9 +377,9 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     rho, sigma = as_operator(rho), as_operator(sigma)
-    _checked_pair(rho, sigma)
-    profile = spectral_profile(rho, sigma)
-    if not _cut_spectrum(profile.b, profile.w)[2][-1]:
+    pair = _checked_pair(rho, sigma)
+    profile = _profile(pair.rho_cut, pair.sigma_cut)
+    if not profile.on_b[-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")
     gen = (
         genericity_condition_b(profile)
@@ -394,9 +394,7 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     b = profile.b if direction == "below" else profile.b[::-1]
     tr_rho = float(np.sum(a))
     paired = float(np.sum(a * np.log(b)))
-    tr_rho_log_sigma = float(
-        np.real(np.trace(rho.entries @ spectral_map(sigma, np.log)[0]))
-    )
+    tr_rho_log_sigma = float(np.real(np.trace(pair.rho @ _rebuild(pair.sigma_cut, np.log))))
     if direction == "below":
         gap = (paired - tr_rho_log_sigma) / tr_rho
     else:

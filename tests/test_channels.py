@@ -19,7 +19,7 @@ from qrd.channels import (
     kind_whitelisted,
 )
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import KindNotWhitelistedError, MalformedInputError
+from qrd.errors import KindNotWhitelistedError, MalformedInputError, ZeroOperatorError
 from qrd.opcore import HermitianOperator
 from qrd.verify import rand_channel, rand_density
 
@@ -173,3 +173,13 @@ def test_channel_value_is_the_library_value_at_its_argmax(rng, kind, alpha, z):
     lib = d_alpha_z(apply_extended(n1, state), apply_extended(n2, state), DivergenceParams(alpha, z))
     assert res.value == pytest.approx(lib.d_value, rel=0.0, abs=1e-12)
 
+
+
+def test_channel_divergence_skips_inputs_with_a_zero_output():
+    """|11> has a zero output under the first channel; the other starts still count."""
+    n1, n2 = Channel([np.diag([1.0, 0.0])]), depolarizing_channel(0.2)
+    for a, b in ((n1, n2), (n2, n1)):
+        res = channel_divergence(a, b, "petz", alpha=0.7, restarts=3, seed=0)
+        assert not math.isnan(res.value)
+    with pytest.raises(ZeroOperatorError):
+        channel_divergence(Channel([np.zeros((2, 2))]), n2, "petz", alpha=0.7, restarts=3)

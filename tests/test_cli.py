@@ -128,6 +128,25 @@ def test_channel_dmax_kind(capsys, tmp_path):
     assert payload["domination_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "kraus",
+    [
+        '{"re": [["a", 0], [0, 1]]}',
+        '{"re": [[1, 0], [0, 1]], "im": [["x", 0], [0, 0]]}',
+        '{"re": [[1, 0], [0]]}',
+    ],
+)
+def test_malformed_kraus_exits_two(capsys, tmp_path, kraus):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"d_in": 2, "d_out": 2, "kraus": [{kraus}]}}')
+    code, _, err = run_cli(
+        capsys, "channel", "--n1", str(bad), "--n2", str(bad), "--kind", "petz",
+        "--alpha-grid", "1.5", "--seed", "1",
+    )
+    assert code == 2
+    assert "error:" in err
+
+
 def test_channel_seed_required(capsys, tmp_path):
     rng = np.random.default_rng(3)
     p1 = tmp_path / "n1.json"

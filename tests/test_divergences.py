@@ -102,13 +102,13 @@ def test_z_infinity_builds_sigma_support_projection_once(qutrit_pair, monkeypatc
 
     rho, sigma = qutrit_pair
     seen = []
-    original = opcore.spectral_map
+    original = opcore._rebuild
 
-    def counting(A, fn, *args):
-        seen.append((A is sigma, fn is np.ones_like))
-        return original(A, fn, *args)
+    def counting(cut, fn):
+        seen.append((cut[1] is sigma.eigenvectors, fn is np.ones_like))
+        return original(cut, fn)
 
-    monkeypatch.setattr(opcore, "spectral_map", counting)
+    monkeypatch.setattr(opcore, "_rebuild", counting)
     for alpha in (0.7, 1.5):
         seen.clear()
         d_alpha_z(rho, sigma, DivergenceParams(alpha, math.inf))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrd.errors import DimTooLargeError, MalformedInputError, NotPSDError
+from qrd.divergences import DivergenceParams, d_alpha_z
 from qrd.opcore import (
     HermitianOperator,
     Projection,
@@ -15,6 +16,7 @@ from qrd.opcore import (
     pinch_exp,
     projection_meet,
     psd_leq,
+    spectral_map,
     support_leq,
     support_projection,
     supported_power,
@@ -139,3 +141,15 @@ def test_negative_eigenvalue_matrix_accepted_but_not_psd_ops():
     op = HermitianOperator(np.diag([1.0, -0.5]))
     with pytest.raises(NotPSDError):
         supported_power(op, 0.5)
+
+
+def test_support_cutoff_is_relative_to_the_largest_eigenvalue():
+    """An eigenvalue at 0.5e-12 * lambda_max is cut, one at 2e-12 * lambda_max kept."""
+    sigma = HermitianOperator(np.diag([4.0, 4.0 * 2e-12, 4.0 * 0.5e-12]))
+    assert spectral_map(sigma, np.ones_like)[1] == 2
+    assert trace_power(sigma, 1e-300) == 2.0  # a zeroth power counts the kept eigenvalues
+    assert support_projection(sigma).rank == 2
+    params = DivergenceParams(2.0, 1.0)
+    on_cut, on_kept = (HermitianOperator(np.diag(np.eye(3)[k])) for k in (2, 1))
+    assert d_alpha_z(on_cut, sigma, params).d_value == np.inf
+    assert d_alpha_z(on_kept, sigma, params).d_value == pytest.approx(-np.log(4.0 * 2e-12))

@@ -8,7 +8,7 @@ import pytest
 
 from qrd import zlimits
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import BadAlphaError, SingularSigmaError
+from qrd.errors import BadAlphaError, NotPSDError, SingularSigmaError
 from qrd.opcore import HermitianOperator, Projection
 from qrd.verify import generic_zero_z_pair, rand_balanced_pure, rand_density
 from qrd.zlimits import (
@@ -250,3 +250,8 @@ def test_one_evaluation_searches_once(alpha, rng, monkeypatch):
     assert len(calls) == 1
     d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.0))
     assert len(calls) == 2
+
+
+def test_spectral_profile_rejects_a_non_psd_operator(rng):
+    with pytest.raises(NotPSDError):
+        spectral_profile(HermitianOperator(np.diag([1.0, -0.5])), rand_density(rng, 2))
