@@ -24,7 +24,9 @@ from .opcore import (
     HermitianOperator,
     _array_pair,
     _checked_pair,
+    _cut_spectrum,
     _dk_grad,
+    _pair,
     _pinch_exp,
     _pinch_grad,
     _rebuild,
@@ -75,45 +77,61 @@ def _power(cut, x: float) -> np.ndarray:
 def _sum_powers(matrix: np.ndarray, expo: float) -> float:
     """Sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix."""
     w = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-    floor = INNER_FLOOR_RTOL * max(float(w[-1]), 0.0)
-    kept = w > floor
-    if not np.any(kept):
+    top = float(w[-1])
+    if not top > 0.0:
         return 0.0
-    return float(np.sum(w[kept] ** float(expo)))
+    return float(np.sum(w[w > INNER_FLOOR_RTOL * top] ** float(expo)))
 
 
-def _q(pair, alpha: float, z: float):
-    """Q_{alpha,z} on a pair record, with its parts A, S and Y = A S A (None at +inf)."""
+def _scaled_overlap(pair, x: float, y: float) -> np.ndarray:
+    """diag(a^x) U diag(b^y) over rho's kept (rows) and sigma's kept (columns) eigenvalues.
+
+    With M this matrix, M M^dag is rho^x sigma^2y rho^x and M^dag M is
+    sigma^y rho^2x sigma^y, in rho's and sigma's eigenbasis respectively,
+    both compressed to the supports.
+    """
+    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
+    return (a[ka] ** x)[:, None] * pair.overlap[ka][:, kb] * (b[kb] ** y)
+
+
+def _q(pair, alpha: float, z: float) -> float:
+    """Q_{alpha,z} on a pair record: the z-th power sum of the eigenvalues of M M^dag.
+
+    M = diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)) (_scaled_overlap), so
+    that M M^dag is A S A, A = rho^(alpha/2z) and S = sigma^((1-alpha)/z),
+    in rho's eigenbasis.
+    """
     if alpha > 1.0 and not pair.included:
-        return math.inf, None
-    rh = _power(pair.rho_cut, alpha / (2.0 * z))
-    sp = _power(pair.sigma_cut, (1.0 - alpha) / z)
-    y = rh @ sp @ rh
-    return _sum_powers(y, z), (rh, sp, y)
+        return math.inf
+    m = _scaled_overlap(pair, alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z))
+    return _sum_powers(m @ m.conj().T, z)
 
 
 def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     """D_{alpha,z}, alpha != 1, on arrays: d_alpha_z's value and its gradients (None at +inf).
 
-    At finite z, dQ = z Tr Y^(z-1) dY gives grad_rho Q = z DK_A[S A Y^(z-1) +
-    Y^(z-1) A S] and grad_sigma Q = z DK_S[A Y^(z-1) A], Y^(z-1) cut as in
-    _sum_powers (the identity at z = 1, where Q is linear in Y).
+    The value is the kernels' (_q, _pinch_exp); the gradients are built in
+    matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
+    grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S] and grad_sigma Q =
+    z DK_S[A Y^(z-1) A], Y^(z-1) cut as in _sum_powers (the identity at
+    z = 1, where Q is linear in Y).
     """
     pair = _array_pair(rho, sigma)
-    q, parts = _pinch_exp(pair, alpha) if math.isinf(z) else _q(pair, alpha, z)
+    q = _pinch_exp(pair, alpha) if math.isinf(z) else _q(pair, alpha, z)
     value = _value_from_q(alpha, pair.tr, q).d_value
-    if parts is None or math.isinf(value):
+    if math.isinf(value):
         return value, None, None
     if math.isinf(z):
-        gr, gs = _pinch_grad(pair, alpha, parts)
+        gr, gs = _pinch_grad(pair, alpha)
     else:
-        amat, smat, y = parts
+        pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
+        amat, smat = _power(pair.rho_cut, pa), _power(pair.sigma_cut, ps)
+        y = amat @ smat @ amat
         ymat = np.eye(len(y))
         if z != 1.0:
             yw, yv = np.linalg.eigh(0.5 * (y + y.conj().T))
             on = yw > INNER_FLOOR_RTOL * max(float(yw[-1]), 0.0)
             ymat = _rebuild((yw, yv, on), lambda w: w ** (z - 1.0))
-        pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
         cr, cs = smat @ amat @ ymat + ymat @ amat @ smat, amat @ ymat @ amat
         gr = z * _dk_grad(pair.rho_cut, lambda w: w**pa, lambda w: pa * w ** (pa - 1), cr)
         gs = z * _dk_grad(pair.sigma_cut, lambda w: w**ps, lambda w: ps * w ** (ps - 1), cs)
@@ -130,7 +148,7 @@ def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     alpha, z = params.alpha, params.z
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    return _q(_checked_pair(rho, sigma), alpha, z)[0]
+    return _q(_checked_pair(rho, sigma), alpha, z)
 
 
 def _value_from_q(alpha: float, tr_rho: float, q: float, notes=()) -> DivergenceValue:
@@ -164,9 +182,9 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
     tr_rho = pair.tr
     notes = ["support_borderline"] if pair.borderline else []
     if alpha == 1.0:
-        return _value_from_d(alpha, tr_rho, _umegaki(pair)[0], notes)
+        return _value_from_d(alpha, tr_rho, _umegaki(pair), notes)
     if math.isinf(z):
-        q = _pinch_exp(pair, alpha)[0]
+        q = _pinch_exp(pair, alpha)
         if q == 0.0:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
@@ -175,7 +193,7 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
         if rec.used_fallback:
             notes.append("zero_z_extrapolated")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
-    return _value_from_q(alpha, tr_rho, _q(pair, alpha, z)[0], notes)
+    return _value_from_q(alpha, tr_rho, _q(pair, alpha, z), notes)
 
 
 def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
@@ -188,13 +206,18 @@ def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     return _d_alpha_z(_checked_pair(rho, sigma), params)
 
 
-def _umegaki(pair):
-    """Umegaki relative entropy on a pair record: (value, L_rho - L_sigma or None)."""
+def _umegaki(pair) -> float:
+    """Umegaki relative entropy on a pair record.
+
+    (sum_i a_i log a_i - sum_ij a_i |U_ij|^2 log b_j) / Tr rho over the
+    kept eigenvalues: Tr rho log sigma in rho's eigenbasis.
+    """
     if not pair.included:
-        return math.inf, None
-    diff = _rebuild(pair.rho_cut, np.log) - _rebuild(pair.sigma_cut, np.log)
-    val = float(np.real(np.trace(pair.rho @ diff)))
-    return val / pair.tr, diff
+        return math.inf
+    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
+    a = a[ka]
+    weights = np.abs(pair.overlap[ka][:, kb]) ** 2
+    return float(a @ np.log(a) - a @ (weights @ np.log(b[kb]))) / pair.tr
 
 
 def _umegaki_grad(rho: np.ndarray, sigma: np.ndarray):
@@ -203,24 +226,30 @@ def _umegaki_grad(rho: np.ndarray, sigma: np.ndarray):
     (L_rho - L_sigma + P_rho - D I) / Tr rho in rho, -DK_log(sigma)[rho] / Tr rho in sigma.
     """
     pair = _array_pair(rho, sigma)
-    value, diff = _umegaki(pair)
-    if diff is None:
+    value = _umegaki(pair)
+    if math.isinf(value):
         return value, None, None
+    diff = _rebuild(pair.rho_cut, np.log) - _rebuild(pair.sigma_cut, np.log)
     g_rho = (diff + _rebuild(pair.rho_cut, np.ones_like) - value * np.eye(len(diff))) / pair.tr
     return value, g_rho, -_dk_grad(pair.sigma_cut, np.log, np.reciprocal, pair.rho) / pair.tr
 
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log rho - log sigma) / Tr rho."""
-    return _umegaki(_checked_pair(rho, sigma))[0]
+    return _umegaki(_checked_pair(rho, sigma))
+
+
+def _sigma_sandwich(pair) -> np.ndarray:
+    """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues."""
+    m = _scaled_overlap(pair, 0.5, -0.5)
+    x = m.conj().T @ m
+    return 0.5 * (x + x.conj().T)
 
 
 def _d_max(pair) -> float:
     if not pair.included:
         return math.inf
-    s_inv = _power(pair.sigma_cut, -0.5)
-    x = s_inv @ pair.rho @ s_inv
-    top = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[-1])
+    top = float(np.linalg.eigvalsh(_sigma_sandwich(pair))[-1])
     return math.log(top) if top > 0.0 else -math.inf
 
 
@@ -245,11 +274,10 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     pair = _checked_pair(rho, sigma)
     if alpha > 1.0 and not pair.included:
         return math.inf
-    s_half = _power(pair.sigma_cut, 0.5)
-    s_inv = _power(pair.sigma_cut, -0.5)
-    x = s_inv @ pair.rho @ s_inv
-    xa = spectral_map(HermitianOperator(0.5 * (x + x.conj().T)), lambda w: w**alpha)[0]
-    tr = float(np.real(np.trace(s_half @ xa @ s_half)))
+    # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag
+    lam, q, on = _cut_spectrum(*np.linalg.eigh(_sigma_sandwich(pair)))
+    b, _, kb = pair.sigma_cut
+    tr = float(np.sum(lam[on] ** alpha * (b[kb] @ np.abs(q[:, on]) ** 2)))
     if tr <= 0.0:
         return math.inf
     return (math.log(tr) - math.log(pair.tr)) / (alpha - 1.0)
@@ -270,10 +298,9 @@ def nussbaum_szkola(rho, sigma) -> tuple[WeightVector, WeightVector]:
     # eigenvalue and overlap dust below the support cutoff must become an
     # exact zero, or the two sides would disagree about infinities: the
     # quantum Q tests support inclusion, the classical one exact zeros
-    a, v, ka = pair.rho_cut
-    b, w, kb = pair.sigma_cut
+    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     a, b = np.where(ka, a, 0.0), np.where(kb, b, 0.0)
-    overlap = np.abs(v.conj().T @ w) ** 2
+    overlap = np.abs(pair.overlap) ** 2
     overlap[overlap <= SUPPORT_RTOL**2] = 0.0
     p = a[:, None] * overlap
     q = b[None, :] * overlap
@@ -353,8 +380,8 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
     pair = _checked_pair(rho, sigma)
-    qz1 = _q(pair, alpha, z1)[0]
-    qz2 = _q(pair, alpha, z2)[0]
+    qz1 = _q(pair, alpha, z1)
+    qz2 = _q(pair, alpha, z2)
     ratio = z1 / z2
     rho_norm = float(pair.rho_cut[0][0])
     b, _, kept = pair.sigma_cut
@@ -405,15 +432,13 @@ def epsilon_smoothing_curve(rho, sigma, params: DivergenceParams, eps_grid) -> l
 
     Monotone nonincreasing in eps; converges to the unsmoothed value when
     that is finite and diverges when the support condition fails.
+    sigma + eps I has sigma's eigenvectors W and eigenvalues b + eps, so
+    each point's pair record reuses both operators' cached spectra: no
+    operator is built and nothing is decomposed per eps.
     """
     eps = [float(e) for e in eps_grid]
     if any(e <= 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise BadParamsError("eps_grid must be positive and strictly descending")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    eye = np.eye(sigma.dim)
-    out = []
-    for e in eps:
-        smoothed = HermitianOperator(sigma.entries + e * eye)
-        out.append(d_alpha_z(rho, smoothed, params).d_value)
-    return out
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    b, w = sigma.eig
+    return [_d_alpha_z(_pair(rho.entries, rho.eig, (b + e, w)), params).d_value for e in eps]

@@ -16,6 +16,7 @@ projections.  All logs are natural, so values are in nats.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,7 +75,10 @@ class HermitianOperator:
 
     Eigenvalues are stored descending; the decomposition is computed once
     and reused by every operation, which keeps repeated divergence
-    evaluations on the same pair cheap and reproducible.
+    evaluations on the same pair cheap and reproducible.  The operator
+    also holds the pair records (_checked_pair) in which it is rho, keyed
+    weakly by sigma, so the entries must not be changed after the first
+    use.
     """
 
     def __init__(self, entries) -> None:
@@ -95,6 +99,10 @@ class HermitianOperator:
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         return _eigh_descending(self.entries)
+
+    @cached_property
+    def _pairs(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -212,12 +220,17 @@ class _Pair:
     """A validated pair as the divergence kernels read it (see _pair).
 
     rho holds the symmetrized entries, the cuts the descending eigensystems
-    (w, v, kept) from _cut_spectrum.
+    (a, V, kept) and (b, W, kept) from _cut_spectrum, and overlap the
+    matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma = V U
+    diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
+    is a function of a, b and U.  The kernels read the arrays and never
+    write them.
     """
 
     rho: np.ndarray
     rho_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
     sigma_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
+    overlap: np.ndarray
     tr: float
     included: bool
     borderline: bool
@@ -235,24 +248,31 @@ def _pair(rho, rho_eig, sigma_eig) -> _Pair:
     if not np.any(rho_cut[2]):
         raise ZeroOperatorError("rho is (numerically) zero")
     sigma_cut = _cut_spectrum(*sigma_eig)
-    _, v, kept = sigma_cut
+    _, w, kept = sigma_cut
     if not np.any(kept):
         raise ZeroOperatorError("sigma is (numerically) zero")
     tr = float(np.real(np.trace(rho)))
-    defect = support_defect(rho, tr, v[:, ~kept])
+    defect = support_defect(rho, tr, w[:, ~kept])
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
-    return _Pair(rho, rho_cut, sigma_cut, tr, included, borderline)
+    overlap = rho_cut[1].conj().T @ w
+    return _Pair(rho, rho_cut, sigma_cut, overlap, tr, included, borderline)
 
 
 def _checked_pair(rho, sigma) -> _Pair:
     """Validate a pair once: its record, from the operators' cached eigensystems.
 
     Every public pair entry point calls this exactly once and hands the
-    record to its kernels.
+    record to its kernels.  The record is cached on the rho operator,
+    keyed weakly by the sigma operator, so repeated calls on the same two
+    operators (an alpha or z sweep) validate and build it once and do not
+    keep sigma alive.  A raising pair is not cached.
     """
     rho, sigma = as_operator(rho), as_operator(sigma)
-    return _pair(rho.entries, rho.eig, sigma.eig)
+    pair = rho._pairs.get(sigma)
+    if pair is None:
+        pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.eig)
+    return pair
 
 
 def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
@@ -266,12 +286,10 @@ def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
     return _pair(rho, _eigh_descending(rho), _eigh_descending(sigma))
 
 
-def _meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+def _meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning range(p) intersect range(q), p and q projections."""
     w, v = np.linalg.eigh(p + q)
-    kept = np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL
-    vk = v[:, kept]
-    m = vk @ vk.conj().T
-    return 0.5 * (m + m.conj().T), int(np.count_nonzero(kept))
+    return v[:, np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL]
 
 
 def projection_meet(P: Projection, Q: Projection) -> Projection:
@@ -282,7 +300,9 @@ def projection_meet(P: Projection, Q: Projection) -> Projection:
     """
     if P.dim != Q.dim:
         raise DimMismatchError(f"dim {P.dim} vs {Q.dim}")
-    return Projection(*_meet(P.entries, Q.entries))
+    basis = _meet(P.entries, Q.entries)
+    m = basis @ basis.conj().T
+    return Projection(0.5 * (m + m.conj().T), basis.shape[1])
 
 
 def psd_leq(A, B, slack: float | None = None) -> bool:
@@ -323,40 +343,49 @@ def pinch_exp(rho, sigma, alpha: float) -> float:
     disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
     and the value is 0.
     """
-    return _pinch_exp(_checked_pair(rho, sigma), alpha)[0]
+    return _pinch_exp(_checked_pair(rho, sigma), alpha)
 
 
-def _pinch_exp(pair: _Pair, alpha: float):
-    """pinch_exp on a pair record, with the parts its gradient extends (None at +inf or P = 0)."""
+def _pinch_exp(pair: _Pair, alpha: float) -> float:
+    """pinch_exp on a pair record, in rho's eigenbasis.
+
+    There H = alpha L_rho + (1 - alpha) L_sigma is alpha diag(log a) +
+    (1 - alpha) U diag(log b) U^dag, the logs taken on the kept
+    eigenvalues, and the value is the sum of exp over the eigenvalues of
+    H compressed to the meet.  The meet is built only when a support is
+    proper: otherwise it is the whole space.
+    """
     if alpha > 1.0 and not pair.included:
-        return math.inf, None
-    pm, rank = _meet(
-        _rebuild(pair.rho_cut, np.ones_like), _rebuild(pair.sigma_cut, np.ones_like)
-    )
-    if rank == 0:
-        return 0.0, None
-    l_rho, l_sigma = _rebuild(pair.rho_cut, np.log), _rebuild(pair.sigma_cut, np.log)
-    m = alpha * (pm @ l_rho @ pm)
-    m += (1.0 - alpha) * (pm @ l_sigma @ pm)
-    m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
-    weights = np.real(np.einsum("ij,jk,ki->i", v.conj().T, pm, v))
-    value = float(np.sum(np.exp(w) * np.clip(weights, 0.0, None)))
-    return value, (pm, rank, l_rho, l_sigma, w, v)
+        return math.inf
+    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
+    sigma_cut = (b, pair.overlap, kb)  # sigma's cut eigensystem in rho's eigenbasis
+    h = (1.0 - alpha) * _rebuild(sigma_cut, np.log)
+    on = np.flatnonzero(ka)
+    h[on, on] += alpha * np.log(a[on])
+    if not (ka.all() and kb.all()):
+        basis = _meet(np.diag(ka.astype(float)), _rebuild(sigma_cut, np.ones_like))
+        if basis.shape[1] == 0:
+            return 0.0
+        h = basis.conj().T @ h @ basis
+    return float(np.sum(np.exp(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
 
 
-def _pinch_grad(pair: _Pair, alpha: float, parts):
-    """Gradients in rho and sigma of _pinch_exp's value, from its parts.
+def _pinch_grad(pair: _Pair, alpha: float):
+    """Gradients in rho and sigma of _pinch_exp's value, in matrix form.
 
     alpha DK_log[E] and (1 - alpha) DK_log[E] for E = P exp(P H P) P and
     H = alpha L_rho + (1 - alpha) L_sigma, plus Tr (H E + E H) dP: P moves
     with the smaller support when one holds the other, as 1(A) does.
     """
-    pm, rank, l_rho, l_sigma, w, v = parts
+    basis = _meet(_rebuild(pair.rho_cut, np.ones_like), _rebuild(pair.sigma_cut, np.ones_like))
+    rank = basis.shape[1]
+    pm = basis @ basis.conj().T
+    h = alpha * _rebuild(pair.rho_cut, np.log) + (1.0 - alpha) * _rebuild(pair.sigma_cut, np.log)
+    m = pm @ h @ pm
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
     g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, e)
     g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, e)
-    h = alpha * l_rho + (1.0 - alpha) * l_sigma
     c = h @ e + e @ h
     if rank == np.count_nonzero(pair.rho_cut[2]):
         g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, c)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadAlphaError,
+    DimMismatchError,
     GenericityFailsError,
     GenericityUndeterminedError,
     SingularSigmaError,
@@ -64,9 +65,10 @@ class SpectralProfile:
 
     a, v and b, w are the cut eigensystems of rho and sigma (eigenvalues
     descending, negative dust clamped to 0) and on_a, on_b their kept
-    masks, from the package's one support decision (opcore._cut_spectrum).
-    Boundaries are cumulative counts: bounds (0, k1, ..., d) mean the
-    first block covers indices [0, k1) and so on.
+    masks, from the package's one support decision (opcore._cut_spectrum);
+    overlap is v^dag w, computed once (the pair record's, where there is
+    one).  Boundaries are cumulative counts: bounds (0, k1, ..., d) mean
+    the first block covers indices [0, k1) and so on.
     """
 
     a: np.ndarray
@@ -75,16 +77,13 @@ class SpectralProfile:
     w: np.ndarray
     on_a: np.ndarray
     on_b: np.ndarray
+    overlap: np.ndarray
     i_bounds: tuple[int, ...]
     j_bounds: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.a)
-
-    @property
-    def overlap(self) -> np.ndarray:
-        return self.v.conj().T @ self.w
 
 
 def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
@@ -102,16 +101,25 @@ def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def _profile(rho_cut, sigma_cut) -> SpectralProfile:
-    """The profile of two cut eigensystems (w, v, kept), e.g. a pair record's."""
+def _profile(rho_cut, sigma_cut, overlap) -> SpectralProfile:
+    """The profile of two cut eigensystems (w, v, kept) and their overlap, e.g. a pair record's."""
     (a, v, on_a), (b, w, on_b) = rho_cut, sigma_cut
-    return SpectralProfile(a, b, v, w, on_a, on_b, _cluster_bounds(a), _cluster_bounds(b))
+    return SpectralProfile(
+        a, b, v, w, on_a, on_b, overlap, _cluster_bounds(a), _cluster_bounds(b)
+    )
 
 
 def spectral_profile(rho, sigma) -> SpectralProfile:
-    """The clustered eigen-data of a pair; raises NotPSDError on a non-PSD operator."""
+    """The clustered eigen-data of a pair.
+
+    Raises DimMismatchError on operators of different dimensions and
+    NotPSDError on a non-PSD operator.
+    """
     rho, sigma = as_operator(rho), as_operator(sigma)
-    return _profile(_cut_spectrum(*rho.eig), _cut_spectrum(*sigma.eig))
+    if rho.dim != sigma.dim:
+        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    rho_cut, sigma_cut = _cut_spectrum(*rho.eig), _cut_spectrum(*sigma.eig)
+    return _profile(rho_cut, sigma_cut, rho_cut[1].conj().T @ sigma_cut[1])
 
 
 @dataclass(frozen=True)
@@ -258,17 +266,18 @@ def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
 
 
 def _mp_q_alpha_z(pair, alpha: float, z: float) -> float:
-    """D_{alpha,z} in arbitrary precision via singular values of D_b O D_a.
+    """D_{alpha,z} in arbitrary precision via singular values of D_b U^dag D_a.
 
-    The inner matrix spans exp(range/z) orders of magnitude, far past
-    float64; mpf exponents are unbounded so the computation stays exact
-    to working precision.
+    U is the pair record's overlap matrix, the D are powers of the kept
+    eigenvalues: the float kernel's matrix (divergences._q) at working
+    precision.  The inner matrix spans exp(range/z) orders of magnitude,
+    far past float64; mpf exponents are unbounded so the computation
+    stays exact to working precision.
     """
     import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
 
-    a, va, on_a = pair.rho_cut
-    b, vb, on_b = pair.sigma_cut
-    overlap = va.conj().T @ vb
+    a, _, on_a = pair.rho_cut
+    b, _, on_b = pair.sigma_cut
     ia, ib = np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist()
     span_a = math.log(a[ia[0]] / a[ia[-1]]) if len(ia) > 1 else 0.0
     span_b = math.log(b[ib[0]] / b[ib[-1]]) if len(ib) > 1 else 0.0
@@ -282,7 +291,7 @@ def _mp_q_alpha_z(pair, alpha: float, z: float) -> float:
         y = mp.matrix(len(ib), len(ia))
         for r, j in enumerate(ib):
             for c, i in enumerate(ia):
-                o = overlap[i, j]  # overlap is <v_i|w_j>, row i, col j
+                o = pair.overlap[i, j]  # <v_i|w_j>, row i, col j
                 y[r, c] = mp.mpc(o.real, o.imag).conjugate() * db[r] * da[c]
         m = y.H * y
         m = (m + m.H) / 2
@@ -322,8 +331,8 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
 
 
 def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
-    """zero_z_divergence on a pair record, its profile built from the record's cuts."""
-    profile = _profile(pair.rho_cut, pair.sigma_cut)
+    """zero_z_divergence on a pair record, its profile built from the record."""
+    profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
     gen = _alpha_genericity(profile, alpha)
     if gen.holds:
         lam = _limit_eigenvalues(profile, alpha)
@@ -378,7 +387,7 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     rho, sigma = as_operator(rho), as_operator(sigma)
     pair = _checked_pair(rho, sigma)
-    profile = _profile(pair.rho_cut, pair.sigma_cut)
+    profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
     if not profile.on_b[-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")
     gen = (

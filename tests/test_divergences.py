@@ -14,6 +14,7 @@ from qrd.channels import (
 )
 from qrd.classical import classical_q, classical_renyi
 from qrd.divergences import (
+    INNER_FLOOR_RTOL,
     DivergenceParams,
     alt_chain,
     d_alpha_z,
@@ -21,6 +22,7 @@ from qrd.divergences import (
     d_hat_alpha,
     d_max,
     dmax_domination_check,
+    epsilon_smoothing_curve,
     nussbaum_szkola,
     q_alpha_z,
     umegaki,
@@ -37,7 +39,13 @@ from qrd.errors import (
 )
 from qrd.measured import measured_renyi_lower
 from qrd.measured import test_measured as measured_by_test
-from qrd.opcore import SUPPORT_TEST_SLACK, HermitianOperator, as_operator, pinch_exp
+from qrd.opcore import (
+    SUPPORT_TEST_SLACK,
+    HermitianOperator,
+    as_operator,
+    pinch_exp,
+    supported_power,
+)
 from qrd.verify import rand_density, rand_pure
 from qrd.zlimits import equality_case_check, zero_z_divergence, zero_z_oracle
 
@@ -97,22 +105,45 @@ def test_z_infinity_support_test_agrees_with_finite_z(alpha):
     assert val <= d_max(rho, sigma) + 1e-9
 
 
-def test_z_infinity_builds_sigma_support_projection_once(qutrit_pair, monkeypatch):
+def sigma_support_pairs(rng):
+    """(rho, sigma, number of sigma support projections a z = inf call builds).
+
+    Full supports need no meet, so none; on a rank-deficient sigma with rho
+    inside its support the meet is built from one projection of sigma's.
+    """
+    rho, sigma = rand_density(rng, 3, floor=0.05), rand_density(rng, 3, floor=0.05)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    kept = u[:, :2]
+    inner = rand_density(rng, 2, floor=0.05).entries
+    return [
+        (rho, sigma, 0),
+        (
+            HermitianOperator(kept @ inner @ kept.conj().T),
+            HermitianOperator(u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T),
+            1,
+        ),
+    ]
+
+
+def test_z_infinity_builds_sigma_support_projection_once(rng, monkeypatch):
+    """At most once per z = inf evaluation: none for full supports, one for a proper one."""
     from qrd import opcore
 
-    rho, sigma = qutrit_pair
-    seen = []
     original = opcore._rebuild
+    for rho, sigma, expected in sigma_support_pairs(rng):
+        sigma_w = opcore._checked_pair(rho, sigma).sigma_cut[0]
+        seen = []
 
-    def counting(cut, fn):
-        seen.append((cut[1] is sigma.eigenvectors, fn is np.ones_like))
-        return original(cut, fn)
+        def counting(cut, fn):
+            seen.append(cut[0] is sigma_w and fn is np.ones_like)
+            return original(cut, fn)
 
-    monkeypatch.setattr(opcore, "_rebuild", counting)
-    for alpha in (0.7, 1.5):
-        seen.clear()
-        d_alpha_z(rho, sigma, DivergenceParams(alpha, math.inf))
-        assert seen.count((True, True)) == 1
+        monkeypatch.setattr(opcore, "_rebuild", counting)
+        for alpha in (0.7, 1.5):
+            seen.clear()
+            assert math.isfinite(d_alpha_z(rho, sigma, DivergenceParams(alpha, math.inf)).d_value)
+            assert seen.count(True) == expected, (alpha, expected)
+        monkeypatch.setattr(opcore, "_rebuild", original)
 
 
 def test_self_divergence_zero(qutrit_pair):
@@ -322,3 +353,32 @@ def test_one_value_for_umegaki():
     for rho, sigma in formula_pairs():
         assert _umegaki_grad(rho, sigma)[0] == umegaki(rho, sigma)
 
+
+
+def matrix_q(rho, sigma, alpha, z):
+    """Q_{alpha,z} = Tr (A S A)^z from the d x d powers A = rho^(alpha/2z), S = sigma^((1-alpha)/z)."""
+    a = supported_power(rho, alpha / (2.0 * z)).entries
+    y = a @ supported_power(sigma, (1.0 - alpha) / z).entries @ a
+    w = np.linalg.eigvalsh(0.5 * (y + y.conj().T))
+    return float(np.sum(w[w > INNER_FLOOR_RTOL * max(w[-1], 0.0)] ** z))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, 3.0])
+def test_overlap_form_q_matches_the_matrix_form(alpha):
+    for rho, sigma in formula_pairs():
+        for z in (0.5, 1.0, alpha):
+            q = q_alpha_z(rho, sigma, DivergenceParams(alpha, z))
+            ref = matrix_q(rho, sigma, alpha, z)
+            assert abs(q - ref) <= 1e-9 * ref, (alpha, z, q, ref)
+
+
+@pytest.mark.parametrize("params", [(1.5, 1.5), (0.7, 1.0), (2.0, math.inf)])
+@pytest.mark.parametrize("sigma_rank", [3, 2])
+def test_smoothing_curve_matches_a_smoothed_sigma(rng, params, sigma_rank):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3, rank=sigma_rank)
+    eps = (1e-2, 1e-4, 1e-6, 1e-8)
+    params = DivergenceParams(*params)
+    curve = epsilon_smoothing_curve(rho, sigma, params, eps)
+    for e, value in zip(eps, curve):
+        ref = d_alpha_z(rho, sigma.entries + e * np.eye(3), params).d_value
+        assert abs(value - ref) <= 1e-8 * abs(ref), (e, value, ref)

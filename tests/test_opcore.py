@@ -1,15 +1,21 @@
 """Operator layer: construction guards, powers, supports, orderings."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrd.errors import DimTooLargeError, MalformedInputError, NotPSDError
-from qrd.divergences import DivergenceParams, d_alpha_z
+from qrd.divergences import DivergenceParams, _d_alpha_z, d_alpha_z, d_max, umegaki
 from qrd.opcore import (
     HermitianOperator,
     Projection,
+    _array_pair,
+    _checked_pair,
     as_operator,
     commutator_spectral_norm,
     logn,
@@ -153,3 +159,22 @@ def test_support_cutoff_is_relative_to_the_largest_eigenvalue():
     on_cut, on_kept = (HermitianOperator(np.diag(np.eye(3)[k])) for k in (2, 1))
     assert d_alpha_z(on_cut, sigma, params).d_value == np.inf
     assert d_alpha_z(on_kept, sigma, params).d_value == pytest.approx(-np.log(4.0 * 2e-12))
+
+
+def test_pair_record_is_cached_per_operator_pair(rng):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    pair = _checked_pair(rho, sigma)
+    assert _checked_pair(rho, sigma) is pair
+    assert _checked_pair(sigma, rho) is not pair
+    fresh = _array_pair(rho.entries, sigma.entries)
+    for alpha, z in ((0.7, 1.0), (1.5, 1.5), (2.0, math.inf), (0.6, 0.0), (1.0, 1.0)):
+        params = DivergenceParams(alpha, z)
+        assert d_alpha_z(rho, sigma, params) == _d_alpha_z(fresh, params)
+    assert umegaki(rho, sigma) == umegaki(rho.entries, sigma.entries)
+    assert d_max(rho, sigma) == d_max(rho.entries, sigma.entries)
+    # the record is kept on rho, keyed weakly by sigma: it does not keep sigma alive
+    alive = weakref.ref(sigma)
+    del sigma
+    gc.collect()
+    assert alive() is None
+    assert len(rho._pairs) == 0

@@ -8,8 +8,8 @@ import pytest
 
 from qrd import zlimits
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import BadAlphaError, NotPSDError, SingularSigmaError
-from qrd.opcore import HermitianOperator, Projection
+from qrd.errors import BadAlphaError, DimMismatchError, NotPSDError, SingularSigmaError
+from qrd.opcore import HermitianOperator, Projection, _checked_pair
 from qrd.verify import generic_zero_z_pair, rand_balanced_pure, rand_density
 from qrd.zlimits import (
     GenericityResult,
@@ -255,3 +255,13 @@ def test_one_evaluation_searches_once(alpha, rng, monkeypatch):
 def test_spectral_profile_rejects_a_non_psd_operator(rng):
     with pytest.raises(NotPSDError):
         spectral_profile(HermitianOperator(np.diag([1.0, -0.5])), rand_density(rng, 2))
+
+
+def test_spectral_profile_rejects_operators_of_different_dimensions():
+    with pytest.raises(DimMismatchError):
+        spectral_profile(np.diag([0.6, 0.4]), np.diag([0.5, 0.3, 0.2]))
+
+
+def test_profile_overlap_is_the_pair_records(rng):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    assert np.array_equal(spectral_profile(rho, sigma).overlap, _checked_pair(rho, sigma).overlap)
