@@ -5,8 +5,8 @@ The inputs are random pairs at d = 2, 3, 4 and 8 (full rank, sigma
 rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, and
 the near-product pair; the evaluations cover the divergence layer, the
-z -> 0 profile (equality-case gaps and both genericity conditions), the
-measured and test-measured lower bounds at d <= 4 and channel
+z -> 0 profile (equality-case gaps, both genericity conditions and the
+extrapolation oracle at two alphas), the measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
 measured, Petz, and the (alpha, z) family at z = inf and at a finite z).  Errors print as their type
 and message.  Two checkouts compute the same values exactly when
@@ -49,9 +49,11 @@ from qrd.zlimits import (
     genericity_condition_b_prime,
     spectral_profile,
     zero_z_divergence,
+    zero_z_oracle,
 )
 
 ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
+ORACLE_ALPHAS = (0.6, 1.7)
 MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 
@@ -133,6 +135,8 @@ def zlimit_layer(name, rho, sigma) -> None:
         emit(f"{name} equality {direction}", lambda: equality_case_check(rho, sigma, direction))
     emit(f"{name} gen_b", lambda: genericity_condition_b(spectral_profile(rho, sigma)))
     emit(f"{name} gen_b'", lambda: genericity_condition_b_prime(spectral_profile(rho, sigma)))
+    for alpha in ORACLE_ALPHAS:
+        emit(f"{name} oracle a={alpha}", lambda: zero_z_oracle(rho, sigma, alpha))
 
 
 def measured_layer(name, rho, sigma) -> None:

@@ -55,8 +55,11 @@ MINOR_BATCH = 1 << 19
 CLUSTER_TOL = 1e-10
 CLUSTER_AMBIGUOUS = 1e-8
 
-#: geometric z-grid for the extrapolation oracle
+#: geometric z-grid for the extrapolation oracle; each node halves the last
 ORACLE_Z_NODES = (1e-2, 5e-3, 2.5e-3)
+
+#: decimal digits the oracle keeps on the smallest singular value
+ORACLE_GUARD_DIGITS = 50
 
 
 @dataclass(frozen=True)
@@ -235,14 +238,18 @@ def _alpha_genericity(profile: SpectralProfile, alpha: float) -> GenericityResul
     return genericity_condition_b_prime(profile)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0 or alpha == 1.0:
+        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+
+
 def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     """Limit eigenvalues a_i^alpha b_i^(1-alpha) (or anti-paired for alpha > 1).
 
     Requires the matching genericity condition; raises when it fails or
     cannot be decided.
     """
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    _check_alpha(alpha)
     gen = _alpha_genericity(profile, alpha)
     if not gen.holds:
         if gen.undetermined:
@@ -265,52 +272,69 @@ def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     return out
 
 
-def _mp_q_alpha_z(pair, alpha: float, z: float) -> float:
-    """D_{alpha,z} in arbitrary precision via singular values of D_b U^dag D_a.
+def _oracle_nodes(pair, alpha: float) -> list[float]:
+    """D_{alpha,z} at each z of ORACLE_Z_NODES, in arbitrary precision.
 
-    U is the pair record's overlap matrix, the D are powers of the kept
-    eigenvalues: the float kernel's matrix (divergences._q) at working
-    precision.  The inner matrix spans exp(range/z) orders of magnitude,
-    far past float64; mpf exponents are unbounded so the computation
-    stays exact to working precision.
+    Q_{alpha,z} is the sum of s^(2z) over the singular values s of
+    Y = D_b U^dag D_a, U the pair record's overlap matrix and D_a =
+    diag(a^(alpha/2z)), D_b = diag(b^((1-alpha)/2z)) over the kept
+    eigenvalues: Y^dag Y is the float kernel's M M^dag (divergences._q).
+    Y has min(rank rho, rank sigma) singular values, so a rank-deficient
+    sigma gives no structural zero to raise to the z-th power.  Y's
+    singular values span up to exp(range/2), range = (alpha span_a +
+    |1 - alpha| span_b) / z nats the span of Y^dag Y's eigenvalues, far
+    past float64; mpf exponents are unbounded, and range/(2 ln 10) +
+    ORACLE_GUARD_DIGITS digits keep that many digits on the smallest
+    singular value.  The nodes halve z, so the powers of
+    a and b are taken once, at the last node's precision, and squared
+    from node to node.
     """
     import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
 
     a, _, on_a = pair.rho_cut
     b, _, on_b = pair.sigma_cut
-    ia, ib = np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist()
-    span_a = math.log(a[ia[0]] / a[ia[-1]]) if len(ia) > 1 else 0.0
-    span_b = math.log(b[ib[0]] / b[ib[-1]]) if len(ib) > 1 else 0.0
-    gamma = alpha / (2.0 * z)
-    beta = (1.0 - alpha) / (2.0 * z)
-    range_nats = 2.0 * gamma * span_a + 2.0 * abs(beta) * span_b
-    dps = int(range_nats / math.log(10.0)) + 50
-    with mp.workdps(dps):
-        da = [mp.mpf(a[i]) ** gamma for i in ia]
-        db = [mp.mpf(b[j]) ** beta for j in ib]
-        y = mp.matrix(len(ib), len(ia))
-        for r, j in enumerate(ib):
-            for c, i in enumerate(ia):
-                o = pair.overlap[i, j]  # <v_i|w_j>, row i, col j
-                y[r, c] = mp.mpc(o.real, o.imag).conjugate() * db[r] * da[c]
-        m = y.H * y
-        m = (m + m.H) / 2
-        eigs = mp.eighe(m, eigvals_only=True)
-        q = mp.mpf(0)
-        for mu in eigs:
-            if mu > 0:
-                q += mu ** z
-        d_val = (mp.log(q) - mp.log(pair.tr)) / (alpha - 1.0)
-        return float(d_val)
+    ia, ib = np.flatnonzero(on_a), np.flatnonzero(on_b)
+    span_a = math.log(a[ia[0]] / a[ia[-1]])
+    span_b = math.log(b[ib[0]] / b[ib[-1]])
+    nats = alpha * span_a + abs(1.0 - alpha) * span_b  # z times range
+
+    def digits(z: float) -> int:
+        return int(nats / (2.0 * z * math.log(10.0))) + ORACLE_GUARD_DIGITS
+
+    z0 = ORACLE_Z_NODES[0]
+    top = digits(ORACLE_Z_NODES[-1])
+    with mp.workdps(top):
+        da = [mp.mpf(a[i]) ** (alpha / (2.0 * z0)) for i in ia]
+        db = [mp.mpf(b[j]) ** ((1.0 - alpha) / (2.0 * z0)) for j in ib]
+    u_dag = pair.overlap[np.ix_(ia, ib)].conj().T
+    u_dag = [[mp.mpc(o.real, o.imag) for o in row] for row in u_dag]
+    out = []
+    for k, z in enumerate(ORACLE_Z_NODES):
+        if k:
+            with mp.workdps(top):
+                da, db = [x * x for x in da], [x * x for x in db]
+        with mp.workdps(digits(z)):
+            y = mp.matrix([[u * yb * ya for u, ya in zip(row, da)] for row, yb in zip(u_dag, db)])
+            q = mp.fsum(s ** (2 * z) for s in mp.svd_c(y, compute_uv=False))
+            out.append(float((mp.log(q) - mp.log(pair.tr)) / (alpha - 1.0)))
+    return out
 
 
 def zero_z_oracle(rho, sigma, alpha: float) -> float:
-    """Richardson extrapolation of D_{alpha,z} to z = 0 over the halving grid ORACLE_Z_NODES."""
+    """Richardson extrapolation of D_{alpha,z} to z = 0 over the halving grid ORACLE_Z_NODES.
+
+    +inf above alpha = 1 when rho leaks out of sigma's support, as at every z.
+    """
+    _check_alpha(alpha)
     return _zero_z_oracle(_checked_pair(rho, sigma), alpha)
 
 
 def _zero_z_oracle(pair, alpha: float) -> float:
-    d0, d1, d2 = (_mp_q_alpha_z(pair, alpha, z) for z in ORACLE_Z_NODES)
+    if alpha > 1.0 and not pair.included:
+        return math.inf
+    d0, d1, d2 = _oracle_nodes(pair, alpha)
+    if math.isinf(d2):  # Y = 0 at every node: the supports are orthogonal (alpha < 1)
+        return math.inf
     r01 = 2.0 * d1 - d0
     r12 = 2.0 * d2 - d1
     return (4.0 * r12 - r01) / 3.0
@@ -325,8 +349,7 @@ class ZeroZResult:
 
 def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    _check_alpha(alpha)
     return _zero_z_divergence(_checked_pair(rho, sigma), alpha)
 
 

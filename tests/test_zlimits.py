@@ -68,8 +68,10 @@ def test_genericity_holds_for_generic_draw(rng):
 
 def test_zero_z_alpha_validation(rng):
     rho, sigma = generic_zero_z_pair(rng, 2)
-    with pytest.raises(BadAlphaError):
-        zero_z_divergence(rho, sigma, 1.0)
+    for fn in (zero_z_divergence, zero_z_oracle):
+        for alpha in (1.0, 0.0, -0.5, math.nan):
+            with pytest.raises(BadAlphaError):
+                fn(rho, sigma, alpha)
 
 
 def test_spectral_limit_against_extrapolation(rng):
@@ -265,3 +267,86 @@ def test_spectral_profile_rejects_operators_of_different_dimensions():
 def test_profile_overlap_is_the_pair_records(rng):
     rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
     assert np.array_equal(spectral_profile(rho, sigma).overlap, _checked_pair(rho, sigma).overlap)
+
+
+# ------------------------------------------------------ extrapolation oracle
+
+
+def gram_node_value(pair, alpha, z):
+    """D_{alpha,z} from the eigenvalues of the Gram matrix Y^dag Y, Y = D_b U^dag D_a.
+
+    The reference for zlimits._oracle_nodes: mp.eighe of the
+    symmetrized Y^dag Y at range/(z ln 10) + 50 digits, positive
+    eigenvalues raised to z.  A rank-deficient sigma leaves structural
+    zero eigenvalues that eighe returns as +-1e-dps, so only full-rank
+    pairs compare.
+    """
+    import mpmath as mp
+
+    a, _, on_a = pair.rho_cut
+    b, _, on_b = pair.sigma_cut
+    ia, ib = np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist()
+    span_a = math.log(a[ia[0]] / a[ia[-1]]) if len(ia) > 1 else 0.0
+    span_b = math.log(b[ib[0]] / b[ib[-1]]) if len(ib) > 1 else 0.0
+    gamma = alpha / (2.0 * z)
+    beta = (1.0 - alpha) / (2.0 * z)
+    range_nats = 2.0 * gamma * span_a + 2.0 * abs(beta) * span_b
+    dps = int(range_nats / math.log(10.0)) + 50
+    with mp.workdps(dps):
+        da = [mp.mpf(a[i]) ** gamma for i in ia]
+        db = [mp.mpf(b[j]) ** beta for j in ib]
+        y = mp.matrix(len(ib), len(ia))
+        for r, j in enumerate(ib):
+            for c, i in enumerate(ia):
+                o = pair.overlap[i, j]
+                y[r, c] = mp.mpc(o.real, o.imag).conjugate() * db[r] * da[c]
+        m = y.H * y
+        m = (m + m.H) / 2
+        q = mp.mpf(0)
+        for mu in mp.eighe(m, eigvals_only=True):
+            if mu > 0:
+                q += mu ** z
+        return float((mp.log(q) - mp.log(pair.tr)) / (alpha - 1.0))
+
+
+def test_oracle_nodes_match_the_gram_reference_on_full_rank_pairs(rng):
+    pairs = [generic_zero_z_pair(rng, d) for d in (2, 3, 4)]
+    pairs += [(rand_density(rng, d), rand_density(rng, d)) for d in (2, 3)]
+    for rho, sigma in pairs:
+        pair = _checked_pair(rho, sigma)
+        for alpha in (0.6, 1.7):
+            got = zlimits._oracle_nodes(pair, alpha)
+            want = [gram_node_value(pair, alpha, z) for z in zlimits.ORACLE_Z_NODES]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_oracle_matches_the_limit_formula_on_rank_deficient_sigma():
+    # Y^dag Y of such a pair has a structural zero eigenvalue, whose
+    # rounding-level image raised to z = 2.5e-3 used to add O(1) to Q
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        found = 0
+        while found < 3:
+            rho, sigma = rand_density(rng, d), rand_density(rng, d, rank=d - 1)
+            if not genericity_condition_b(spectral_profile(rho, sigma)).holds:
+                continue
+            found += 1
+            res = zero_z_divergence(rho, sigma, 0.6)
+            assert not res.used_fallback
+            gap = abs(res.value - zero_z_oracle(rho, sigma, 0.6))
+            assert gap <= 1e-4, f"oracle gap {gap:.3g} at d = {d}"
+
+
+def test_oracle_is_inf_when_rho_leaks_out_of_sigma():
+    rng = np.random.default_rng(3)
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3, rank=2)
+    assert not _checked_pair(rho, sigma).included
+    assert d_alpha_z(rho, sigma, DivergenceParams(1.7, 0.01)).d_value == math.inf
+    assert zero_z_oracle(rho, sigma, 1.7) == math.inf
+    assert math.isfinite(zero_z_oracle(rho, sigma, 0.6))
+
+
+def test_oracle_is_inf_on_orthogonal_supports():
+    rho, sigma = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    assert d_alpha_z(rho, sigma, DivergenceParams(0.5, 0.01)).d_value == math.inf
+    assert zero_z_oracle(rho, sigma, 0.5) == math.inf
