@@ -10,7 +10,10 @@ quoted strings such as array hashes) is compared exactly, and a line
 whose text differs counts as a text change.  A number's relative move
 is |x - y| / max(|x|, |y|), and +inf against a finite number moves by
 inf.  Prints the count of changed lines, the text changes by label, and
-the largest relative move with its label.
+the largest relative move with its label.  A line's first number is its
+value; for a lower bound a fall is what matters, so the count of lines
+whose first number fell and the largest relative fall with its label
+follow.
 """
 
 import math
@@ -54,6 +57,7 @@ def main(argv) -> int:
         print(f"error: {len(old)} lines against {len(new)}", file=sys.stderr)
         return 1
     changed, text_changes, worst, worst_label = 0, [], 0.0, None
+    fell, worst_fall, fall_label = 0, 0.0, None
     for line_old, line_new in zip(old, new):
         if line_old == line_new:
             continue
@@ -70,6 +74,11 @@ def main(argv) -> int:
             move = max(relative_move(x, y) for x, y in zip(nums_old, nums_new))
             if move > worst or worst_label is None:
                 worst, worst_label = move, label
+        if nums_old and nums_new and nums_new[0] < nums_old[0]:
+            fell += 1
+            fall = relative_move(nums_old[0], nums_new[0])
+            if fall > worst_fall or fall_label is None:
+                worst_fall, fall_label = fall, label
     print(f"changed lines: {changed} of {len(old)}")
     print(f"text changes: {len(text_changes)}")
     for label in text_changes:
@@ -78,6 +87,11 @@ def main(argv) -> int:
         print("largest relative move: none")
     else:
         print(f"largest relative move: {worst:.3g} at {worst_label}")
+    print(f"first number fell: {fell} lines")
+    if fall_label is None:
+        print("largest relative fall: none")
+    else:
+        print(f"largest relative fall: {worst_fall:.3g} at {fall_label}")
     return 0
 
 

@@ -26,8 +26,8 @@ from .errors import (
     MalformedInputError,
     ZeroOperatorError,
 )
-from .measured import _classical_value_grad, apply_povm, measured_renyi_lower
-from .opcore import HermitianOperator, as_operator, stiefel_ascent
+from .measured import _classical_value_grad, _lower_bound
+from .opcore import HermitianOperator, _array_pair, as_operator, stiefel_ascent
 
 #: spectral slack for the completely-positive order test
 CP_ORDER_SLACK = 1e-9
@@ -249,19 +249,19 @@ def _state_grad(kind: str, alpha, z, seed: int):
     if kind == "measured":
 
         def measured(rho, sigma):
-            r, s = HermitianOperator(rho), HermitianOperator(sigma)
             # at alpha >= 1/2 the convex program runs and ignores the budget;
             # below 1/2 the small fixed ascent budget keeps the outer search
             # affordable.  The certificate stays a true lower bound either way
-            res = measured_renyi_lower(r, s, alpha, restarts=2, seed=seed, iters=8)
-            p, q = apply_povm(res.povm, r).values, apply_povm(res.povm, s).values
-            _, dp, dq = _classical_value_grad(p, q, alpha)
-            if math.isinf(res.value) or dp is None:
-                return res.value, None, None
-            cols = np.hstack(res.povm.factors)
-            reps = [f.shape[1] for f in res.povm.factors]
+            value, factors, p, q, _, _ = _lower_bound(
+                _array_pair(rho, sigma), alpha, restarts=2, seed=seed, iters=8
+            )
+            _, dp, dq = (value, None, None) if p is None else _classical_value_grad(p, q, alpha)
+            if math.isinf(value) or dp is None:
+                return value, None, None
+            cols = np.hstack(factors)
+            reps = [f.shape[1] for f in factors]
             g_rho = (cols * np.repeat(dp, reps)) @ cols.conj().T
-            return res.value, g_rho, (cols * np.repeat(dq, reps)) @ cols.conj().T
+            return value, g_rho, (cols * np.repeat(dq, reps)) @ cols.conj().T
 
         return measured
     if kind == "umegaki" or alpha == 1.0:

@@ -440,5 +440,6 @@ def epsilon_smoothing_curve(rho, sigma, params: DivergenceParams, eps_grid) -> l
     if any(e <= 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise BadParamsError("eps_grid must be positive and strictly descending")
     rho, sigma = as_operator(rho), as_operator(sigma)
-    b, w = sigma.eig
-    return [_d_alpha_z(_pair(rho.entries, rho.eig, (b + e, w)), params).d_value for e in eps]
+    (b, w), eye = sigma.eig, np.eye(sigma.dim)
+    pairs = (_pair(rho.entries, rho.eig, sigma.entries + e * eye, (b + e, w)) for e in eps)
+    return [_d_alpha_z(pair, params).d_value for pair in pairs]

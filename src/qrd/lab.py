@@ -145,14 +145,8 @@ def _eval_value(kind, rho, sigma, alpha, z, seed, restarts) -> tuple[float, dict
         params = DivergenceParams(_need(alpha, "alpha"), math.inf)
         return d_alpha_z(rho, sigma, params).d_value, {}
     seed = _need(seed, "seed")  # stochastic kinds must be reproducible
-    if kind == "measured":
-        res = measured_renyi_lower(
-            rho, sigma, _need(alpha, "alpha"), restarts=restarts, seed=seed
-        )
-    else:
-        res = test_measured(
-            rho, sigma, _need(alpha, "alpha"), restarts=restarts, seed=seed
-        )
+    search = measured_renyi_lower if kind == "measured" else test_measured
+    res = search(rho, sigma, _need(alpha, "alpha"), restarts=restarts, seed=seed)
     return res.value, {"seed": seed, "restarts": res.restarts_used}
 
 

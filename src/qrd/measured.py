@@ -15,24 +15,35 @@ Neyman-Pearson projections {rho - t sigma > 0}, which contain the
 optimal test, so its value is the optimum up to the angle search's
 resolution.
 
-All output is a certified lower bound: any feasible POVM certifies its
-own classical divergence, and returned values are always recomputed
-exactly from the returned POVM, with the weights of its rank-one and
-projector elements taken as squared norms.
+The searches read one view of the pair record per call (_measured_pair):
+the supported roots of rho and sigma, taken once, sigma's eigensystem,
+Tr rho and the eigensystem of sigma^-1/2 rho sigma^-1/2.  Candidates are
+tuples of factors F_k (M_k = F_k F_k^dag); only the winner becomes a POVM.
+All output is a certified lower bound: any POVM certifies its own
+classical divergence, and each weight ||rho^1/2 F_k||^2 is computed from
+the roots taken once, bit for bit as apply_povm computes it from the
+returned POVM on rho (for alpha >= 1, on rho compressed to sigma's support).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classical import WeightVector, classical_renyi
+from .divergences import _sigma_sandwich
 from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
+    SUPPORT_RTOL,
     HermitianOperator,
+    _Pair,
+    _array_pair,
     _checked_pair,
+    _cut_spectrum,
+    _eigh_descending,
     _rebuild,
     as_operator,
     spectral_map,
@@ -128,6 +139,12 @@ def _povm(factors) -> POVM:
     return POVM(tuple(HermitianOperator(f @ f.conj().T) for f in factors), factors)
 
 
+def _factors(povm: POVM) -> tuple[np.ndarray, ...]:
+    """A POVM's factors; for one given by its elements, V diag(w)^1/2 of each."""
+    eigs = (el.eig for el in povm.elements)
+    return povm.factors or tuple(v * np.sqrt(np.maximum(w, 0.0)) for w, v in eigs)
+
+
 @dataclass(frozen=True)
 class MeasuredResult:
     value: float
@@ -158,8 +175,8 @@ def apply_povm(povm: POVM, rho) -> WeightVector:
     return WeightVector(np.clip(vals, 0.0, None))
 
 
-def _certified_value(p: WeightVector, q: WeightVector, alpha: float) -> float:
-    """Classical divergence with floating-point infinities demoted.
+def _certified_value(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """Classical divergence of weights p, q with floating-point infinities demoted.
 
     Rounding can zero out an outcome weight on one side while dust
     survives on the other, which reads as a support violation and an
@@ -170,7 +187,7 @@ def _certified_value(p: WeightVector, q: WeightVector, alpha: float) -> float:
     val = classical_renyi(p, q, alpha)
     if not math.isinf(val):
         return val
-    certified = bool(np.any((q.values == 0.0) & (p.values >= INF_CERT_TOL)))
+    certified = bool(np.any((q == 0.0) & (p >= INF_CERT_TOL)))
     return math.inf if certified else DEMOTED
 
 
@@ -206,17 +223,85 @@ def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
     return val, (dp / qq - 1.0 / total) / (alpha - 1.0), dq / (qq * (alpha - 1.0))
 
 
-def _seed_bases(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The joint eigenbasis and the eigenbasis of sigma^-1/2 rho sigma^-1/2."""
-    joint = np.linalg.eigh(rho.entries + EIGENBASIS_MIX * sigma.entries)[1]
-    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
-    x = s_inv @ rho.entries @ s_inv
-    ratio_basis = np.linalg.eigh(0.5 * (x + x.conj().T))[1]
-    return joint, ratio_basis
+@dataclass(frozen=True)
+class _View:
+    """One call's arrays of a validated pair record (see _measured_pair).
+
+    rho is the record's rho (compressed where _measured_pair says so),
+    rho_cut its cut eigensystem and tr its trace, the roots the supported
+    square roots of rho and sigma; sigma_w, sigma_v are sigma's clamped
+    descending eigensystem, its first rank vectors spanning its support.
+    What only some searches read is built on first use.
+    """
+
+    pair: _Pair
+    rho: np.ndarray
+    rho_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rho_root: np.ndarray
+    sigma_root: np.ndarray
+    sigma_w: np.ndarray
+    sigma_v: np.ndarray
+    rank: int
+    tr: float
+    dim: int
+
+    @cached_property
+    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigensystem of sigma^-1/2 rho sigma^-1/2, sigma's kernel first at 0."""
+        lam, q = np.linalg.eigh(_sigma_sandwich(self.pair))
+        lam[lam <= SUPPORT_RTOL * lam[-1]] = 0.0  # rounding dust of rho's kernel
+        u, n = self.sigma_v, self.rank
+        return np.concatenate([np.zeros(self.dim - n), lam]), np.hstack([u[:, n:], u[:, :n] @ q])
+
+    @cached_property
+    def seed_bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenbases of rho + EIGENBASIS_MIX sigma and of the ratio operator."""
+        return np.linalg.eigh(self.rho + EIGENBASIS_MIX * self.pair.sigma)[1], self.ratios[1]
 
 
-def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> POVM:
-    """Projectors onto the orthonormal columns of basis.
+def _measured_pair(pair, alpha: float):
+    """The view of a pair record and the witness of an infinite value: (view, witness).
+
+    The searches never certify an infinity, so the two genuine infinite
+    regimes are recognized here, each with a separating support-projector
+    measurement (its factors) as witness and no view: rho failing the
+    divergence family's support test (alpha >= 1), so that a value stays
+    finite wherever the sandwiched divergence it bounds is, and fully
+    disjoint supports (alpha < 1).  For alpha >= 1 a rho that passed is
+    compressed to sigma's support, as the divergence family's kernels do:
+    its leak of at most SUPPORT_TEST_SLACK would otherwise face
+    sigma-weights that the cutoff set to zero, and an outcome catching it
+    would certify a value far above the sandwiched divergence.  Roots are
+    taken from the cut eigensystems, as apply_povm takes them.  A
+    non-positive alpha raises BadAlphaError.
+    """
+    if not alpha > 0.0:
+        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    (_, v, kept), (w, u, on) = pair.rho_cut, pair.sigma_cut
+    n, rho, rho_cut = int(np.count_nonzero(on)), pair.rho, pair.rho_cut
+    if alpha < 1.0 and float(np.linalg.norm(pair.overlap[kept][:, on], 2)) <= 1e-8:
+        return None, (v[:, kept], v[:, ~kept])
+    if alpha >= 1.0 and not pair.included:
+        return None, (u[:, n:], u[:, :n])
+    if alpha >= 1.0 and n < len(w):
+        m = u[:, :n] @ (u[:, :n].conj().T @ rho @ u[:, :n]) @ u[:, :n].conj().T
+        rho = 0.5 * (m + m.conj().T)
+        rho_cut = _cut_spectrum(*_eigh_descending(rho))
+    return _View(
+        pair, rho, rho_cut, _rebuild(rho_cut, np.sqrt), _rebuild(pair.sigma_cut, np.sqrt),
+        w, u, n, float(np.real(np.trace(rho))), len(w),
+    ), None
+
+
+def _weights(view: _View, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome weights (p, q) of the measurement F_k F_k^dag, as apply_povm takes them."""
+    p = np.array([np.sum(np.abs(view.rho_root @ f) ** 2) for f in factors])
+    q = np.array([np.sum(np.abs(view.sigma_root @ f) ** 2) for f in factors])
+    return p, q
+
+
+def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Factors of the projectors onto the orthonormal columns of basis.
 
     rest, orthonormal columns spanning the rest of the space when basis
     does not, joins the first outcome.
@@ -224,19 +309,20 @@ def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> POVM:
     factors = [basis[:, k : k + 1] for k in range(basis.shape[1])]
     if rest is not None and rest.shape[1]:
         factors[0] = np.hstack([factors[0], rest])
-    return _povm(factors)
+    return tuple(factors)
 
 
-def _povm_objective(rho, sigma, alpha):
-    """value_grad(V) of the rank-one POVM whose row k is v_k^dag.
+def _povm_objective(view: _View, alpha: float):
+    """value_grad(V) of the rank-one POVM whose row k is v_k^dag, on rho / Tr rho.
 
     With M_k = v_k v_k^dag the weights are p_k = ||rho^1/2 v_k||^2 and
     q_k = ||sigma^1/2 v_k||^2, and the gradient of the classical value
-    is 2 [diag(dD/dp) V rho + diag(dD/dq) V sigma].
+    is 2 [diag(dD/dp) V rho + diag(dD/dq) V sigma].  Normalizing rho
+    shifts the value by log Tr rho, moving no maximizer, and keeps the
+    gradient, which scales as 1 / Tr rho, finite on a tiny trace.
     """
-    rho_e, sig_e = rho.entries, sigma.entries
-    rho_root = spectral_map(rho, np.sqrt)[0]
-    sig_root = spectral_map(sigma, np.sqrt)[0]
+    rho_e, rho_root = view.rho / view.tr, view.rho_root / math.sqrt(view.tr)
+    sig_e, sig_root = view.pair.sigma, view.sigma_root
 
     def value_grad(v):
         p = np.sum(np.abs(v @ rho_root) ** 2, axis=1)
@@ -249,23 +335,20 @@ def _povm_objective(rho, sigma, alpha):
     return value_grad
 
 
-def _stiefel_povms(rho, sigma, alpha, rank, restarts, seed, iters, extra):
-    """Candidate measurements of the rank-one POVM ascent: (povms, starts, converged).
+def _stiefel_povms(view: _View, alpha, restarts, seed, iters, extra):
+    """Candidate measurements of the rank-one POVM ascent: (candidates, starts, converged).
 
     A rank-one POVM with n = d^2 outcomes is an isometry V in C^(n x d),
     ascended by opcore.stiefel_ascent on _povm_objective.  The seeds are
     the Neyman-Pearson test of _np_test, the joint and ratio eigenbases
-    and the extra seed POVMs, each split into its rank-one pieces,
+    and the extra seed measurements, each split into its rank-one pieces,
     padded to n rows and mixed with SEED_SPREAD random rows; random
     isometries follow up to restarts starts.  The candidates are the
     seed measurements themselves and the best ascent's end point.
     """
-    d = rho.dim
-    n = d * d
-    value_grad = _povm_objective(rho, sigma, alpha)
-    povms = [_np_test(rho, sigma, alpha, rank)[0]]
-    povms.extend(_projective(basis) for basis in _seed_bases(rho, sigma))
-    povms.extend(extra)
+    d, n = view.dim, view.dim**2
+    value_grad = _povm_objective(view, alpha)
+    cands = [_np_test(view, alpha)[0], *map(_projective, view.seed_bases), *extra]
     rng = np.random.default_rng([seed, 0x6D65])
 
     def scatter(rows):
@@ -273,10 +356,8 @@ def _stiefel_povms(rho, sigma, alpha, rank, restarts, seed, iters, extra):
         return rows + SEED_SPREAD * noise
 
     starts = []
-    for povm in povms:
-        if povm.factors is None:  # given by its elements only: a candidate, not a seed
-            continue
-        cols = np.hstack(povm.factors)
+    for factors in cands:
+        cols = np.hstack(factors)
         if cols.shape[1] <= n:
             starts.append(scatter(np.vstack([cols.conj().T, np.zeros((n - cols.shape[1], d))])))
     while len(starts) < restarts:
@@ -286,11 +367,11 @@ def _stiefel_povms(rho, sigma, alpha, rank, restarts, seed, iters, extra):
         v, val, conv = stiefel_ascent(value_grad, v0, iters)
         if best_v is None or val > best_val:
             best_val, best_v, converged = val, v, conv
-    povms.append(_povm(best_v[k : k + 1].conj().T for k in range(n)))
-    return povms, len(starts), converged
+    cands.append(tuple(best_v[k : k + 1].conj().T for k in range(n)))
+    return cands, len(starts), converged
 
 
-def _fuchs_caves(rho, sigma, n: int) -> POVM:
+def _fuchs_caves(view: _View) -> tuple[np.ndarray, ...]:
     """Projective measurement attaining D_M = -log F at alpha = 1/2.
 
     On sigma's support, with M = sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2
@@ -298,19 +379,16 @@ def _fuchs_caves(rho, sigma, n: int) -> POVM:
     of M has p_k = m_k^2 q_k and the classical fidelity is Tr M sigma,
     the quantum one (Fuchs and Caves 1995).  sigma's kernel is one more
     outcome: sigma gives it no weight, so it adds nothing to the fidelity.
-    n is sigma's support rank.
     """
-    w, v = sigma.eig
+    n, v = view.rank, view.sigma_v
     iso = v[:, :n]
-    s = np.sqrt(np.maximum(w[:n], 0.0))
-    a = s[:, None] * (iso.conj().T @ rho.entries @ iso) * s[None, :]
+    s = np.sqrt(view.sigma_w[:n])
+    a = s[:, None] * (iso.conj().T @ view.rho @ iso) * s[None, :]
     # the supported root: a root of rounding dust would tilt M's eigenvectors
-    m = spectral_map(0.5 * (a + a.conj().T), np.sqrt)[0] / np.outer(s, s)
+    m = _rebuild(_cut_spectrum(*_eigh_descending(0.5 * (a + a.conj().T))), np.sqrt)
+    m = m / np.outer(s, s)
     basis = iso @ np.linalg.eigh(0.5 * (m + m.conj().T))[1]
-    factors = [basis[:, k : k + 1] for k in range(n)]
-    if n < rho.dim:
-        factors.append(v[:, n:])
-    return _povm(factors)
+    return _projective(basis) + ((v[:, n:],) if n < view.dim else ())
 
 
 def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
@@ -339,8 +417,8 @@ def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
     return (math.log(total) + shift) / s, gamma * a_t / total
 
 
-def _variational_povms(rho, sigma, alpha, rank, extra):
-    """Candidate measurements of the variational formula: (povms, starts, converged).
+def _variational_povms(view: _View, alpha, extra):
+    """Candidate measurements of the variational formula: (candidates, starts, converged).
 
     Berta, Fawzi and Tomamichel: Q_M is the supremum (alpha > 1) or
     infimum (1/2 <= alpha < 1) over omega > 0 of
@@ -357,21 +435,21 @@ def _variational_povms(rho, sigma, alpha, rank, extra):
     onto omega > 0.  K lives in sigma's eigenbasis, cut to sigma's support
     (its first rank vectors) for alpha >= 1, where rho^0 <= sigma^0 holds
     (sigma's kernel then joins the first outcome).  The candidates are the
-    seed measurements, the extra seed POVMs and each final K's eigenbasis.
-    L-BFGS-B stops when a step gains less than LBFGS_FTOL, about what the
-    objective resolves; a start counts as converged when it met a stopping
-    test or its line search failed at a projected gradient below
-    LBFGS_PGTOL.
+    seed measurements, the extra seed measurements and each final K's
+    eigenbasis.  L-BFGS-B stops when a step gains less than LBFGS_FTOL,
+    about what the objective resolves; a start counts as converged when it
+    met a stopping test or its line search failed at a projected gradient
+    below LBFGS_PGTOL.
     """
     from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
 
-    w, v = sigma.eig
-    n = rank if alpha >= 1.0 else rho.dim
+    v = view.sigma_v
+    n = view.rank if alpha >= 1.0 else view.dim
     iso = v[:, :n]
     # square roots: sigma is diag(w) in these coordinates, rho is rho_root rho_root^dag
-    sig_root = np.sqrt(np.maximum(w[:n], 0.0))
-    a, b = rho.eig
-    rho_root = iso.conj().T @ (b * np.sqrt(np.maximum(a, 0.0) / rho.trace))
+    sig_root = np.sqrt(view.sigma_w[:n])
+    a, b, _ = view.rho_cut
+    rho_root = iso.conj().T @ (b * np.sqrt(a / view.tr))
     iu = np.triu_indices(n, 1)
     n_off = len(iu[0])
 
@@ -398,15 +476,13 @@ def _variational_povms(rho, sigma, alpha, rank, extra):
         # an off-diagonal entry and its conjugate move together: weight 2
         return -alpha * (f_rho - f_sig), -pack(grad, 2.0)
 
-    bases = _seed_bases(rho, sigma)
-    povms = [_projective(basis) for basis in bases]
-    povms.extend(extra)
+    cands = [*map(_projective, view.seed_bases), *extra]
     bounds = [(-LOG_RATIO_BOX, LOG_RATIO_BOX)] * (n * n)
     converged = False
     tiny = np.finfo(float).tiny
-    for basis in bases:
-        p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.entries, basis)) / rho.trace
-        q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), sigma.entries, basis))
+    for basis in view.seed_bases:
+        p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
+        q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.pair.sigma, basis))
         ratio = np.log(np.maximum(p, tiny)) - np.log(np.maximum(q, tiny))
         seed = iso.conj().T @ basis
         k0 = (seed * np.clip(ratio, -LOG_RATIO_BOX, LOG_RATIO_BOX)) @ seed.conj().T
@@ -422,43 +498,31 @@ def _variational_povms(rho, sigma, alpha, rank, extra):
         blocked |= (res.x >= LOG_RATIO_BOX) & (res.jac < 0)
         stalled = float(np.max(np.abs(np.where(blocked, 0.0, res.jac)))) <= LBFGS_PGTOL
         converged = converged or bool(res.success) or stalled
-        povms.append(_projective(iso @ np.linalg.eigh(unpack(res.x))[1], v[:, n:]))
-    return povms, len(bases), converged
+        cands.append(_projective(iso @ np.linalg.eigh(unpack(res.x))[1], v[:, n:]))
+    return cands, len(view.seed_bases), converged
 
 
-def _measured_pair(rho, sigma, alpha):
-    """Validate a pair: (rho, sigma, witness of an infinite value or None, rank).
+def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
+    """measured_renyi_lower on a pair record: (value, factors, p, q, starts, converged).
 
-    The pair check is opcore._checked_pair's, shared with the divergence
-    family; rank is sigma's support rank.  The searches never certify an
-    infinity themselves, so the two genuine infinite regimes are
-    recognized here, each with a separating support-projector POVM as
-    its witness: rho failing the divergence family's support test
-    (alpha >= 1), so that a value stays finite wherever the sandwiched
-    divergence it bounds from below is, and fully disjoint supports
-    (alpha < 1).  For alpha >= 1 a rho that passed is compressed to
-    sigma's support, as the divergence family's kernels do: its leak of
-    at most SUPPORT_TEST_SLACK would otherwise face sigma-weights that the
-    support cutoff set to zero, and any outcome catching it would certify
-    a value far above the sandwiched divergence.
+    factors is the best candidate measurement and p, q its weights (None
+    with an infinite value's witness); extra holds factor tuples.
     """
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    rho, sigma = as_operator(rho), as_operator(sigma)
-    pair = _checked_pair(rho, sigma)
-    n = int(np.count_nonzero(pair.sigma_cut[2]))
-    if alpha < 1.0:
-        p_rho, r = _rebuild(pair.rho_cut, np.ones_like), np.count_nonzero(pair.rho_cut[2])
-        if float(np.linalg.norm(p_rho @ _rebuild(pair.sigma_cut, np.ones_like), 2)) > 1e-8:
-            return rho, sigma, None, n
-        return rho, sigma, _povm((rho.eig[1][:, :r], rho.eig[1][:, r:])), n
-    v = sigma.eig[1]
-    if not pair.included:
-        return rho, sigma, _povm((v[:, n:], v[:, :n])), n
-    if n < rho.dim:
-        iso = v[:, :n]
-        rho = HermitianOperator(iso @ (iso.conj().T @ rho.entries @ iso) @ iso.conj().T)
-    return rho, sigma, None, n
+    view, witness = _measured_pair(pair, alpha)
+    if witness is not None:
+        return math.inf, witness, None, None, 0, True
+    if alpha == CONVEX_ALPHA_MIN:
+        cands, starts, converged = [_fuchs_caves(view)], 0, True
+    elif alpha > CONVEX_ALPHA_MIN:
+        cands, starts, converged = _variational_povms(view, alpha, extra)
+    else:
+        cands, starts, converged = _stiefel_povms(view, alpha, restarts, seed, iters, extra)
+    # last, the trivial measurement: its value log(tr rho / tr sigma) is always
+    # clean, so it wins when every other candidate ended on a rounding cliff
+    scored = [(f, *_weights(view, f)) for f in [*cands, (np.eye(view.dim),)]]
+    values = [_certified_value(p, q, alpha) for _, p, q in scored]
+    best = int(np.argmax(values))  # the first best, as the candidates are ranked
+    return (values[best], *scored[best], starts, converged)
 
 
 def measured_renyi_lower(
@@ -481,44 +545,24 @@ def measured_renyi_lower(
     1/2 a Riemannian ascent over rank-one d^2-outcome POVMs runs from
     restarts starts (at least the structured seeds) with at most iters
     steps each (see _stiefel_povms); converged reports whether the best
-    start stopped before its step cap.  Either way the value is
-    recomputed exactly from the best candidate measurement, seed
-    measurements included.  extra_seed_factors is a sequence of POVMs
-    on rho's space, added as candidates and, below 1/2, as ascent seeds.
-    Deterministic for fixed (seed, restarts).  The pair is validated at
-    entry as by every divergence (opcore._checked_pair): mismatched
-    dimensions, a non-PSD or a zero rho or sigma raise before any search.
-    Infinite values are returned only on operator-level support
-    violations, with the separating projective measurement attached.
+    start stopped before its step cap.  That value is a capped local
+    ascent, not a global optimum: which local maximum it ends on depends
+    on rounding in its seeds, so a change of the last bits of a seed
+    basis can move it.  Either way the value is the exact classical
+    divergence of the best candidate measurement, seed measurements
+    included.  extra_seed_factors is a sequence of POVMs on rho's space,
+    added as candidates and, below 1/2, as ascent seeds.  Deterministic
+    for fixed (seed, restarts).  The pair is validated at entry as by
+    every divergence (opcore._checked_pair): mismatched dimensions, a
+    non-PSD or a zero rho or sigma raise before any search.  Infinite
+    values are returned only on operator-level support violations, with
+    the separating projective measurement attached.
     """
-    rho, sigma, witness, rank = _measured_pair(rho, sigma, alpha)
-    if witness is not None:
-        return MeasuredResult(
-            value=math.inf, povm=witness, restarts_used=0, converged=True
-        )
-    if alpha == CONVEX_ALPHA_MIN:
-        povms, starts, converged = [_fuchs_caves(rho, sigma, rank)], 0, True
-    elif alpha > CONVEX_ALPHA_MIN:
-        povms, starts, converged = _variational_povms(
-            rho, sigma, alpha, rank, extra_seed_factors
-        )
-    else:
-        povms, starts, converged = _stiefel_povms(
-            rho, sigma, alpha, rank, restarts, seed, iters, extra_seed_factors
-        )
-    povm, exact = None, -math.inf
-    for cand in povms:
-        val = _certified_value(apply_povm(cand, rho), apply_povm(cand, sigma), alpha)
-        if povm is None or val > exact:
-            povm, exact = cand, val
-    if exact == DEMOTED:
-        # every candidate ended on a rounding cliff; certify the trivial
-        # measurement instead, whose value log(tr rho / tr sigma) is always clean
-        povm = _povm((np.eye(rho.dim),))
-        exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
-    return MeasuredResult(
-        value=exact, povm=povm, restarts_used=starts, converged=converged
+    extra = tuple(map(_factors, extra_seed_factors))
+    value, factors, _, _, starts, converged = _lower_bound(
+        _checked_pair(rho, sigma), alpha, restarts, seed, iters, extra
     )
+    return MeasuredResult(value, _povm(factors), starts, converged)
 
 
 def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
@@ -545,30 +589,27 @@ def _split(w: np.ndarray) -> np.ndarray:
     return np.stack([top, rest])
 
 
-def _np_search(rho, sigma, alpha, rank):
-    """Best test of test_measured's angle search: (basis, rank, intervals).
+def _np_test(view: _View, alpha):
+    """Best test of test_measured's angle search: (factors (T, I - T), intervals).
 
     The tests are spans of the top r < n eigenvectors of
     cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n =
-    rank support vectors for alpha >= 1.  basis is the best test's
-    eigenvectors, top first, followed by sigma's kernel vectors outside
-    those n, in the original coordinates: its first rank columns span
-    the test, the rest its complement.  basis is None when every test
-    sits on a rounding cliff or none exists (n < 2).
+    rank support vectors for alpha >= 1; sigma's kernel vectors outside
+    those n join the complement.  T = I when every test sits on a
+    rounding cliff or none exists (n < 2).
     """
-    w, v = sigma.eig
-    n = rank if alpha >= 1.0 else rho.dim
+    v, d = view.sigma_v, view.dim
+    n = view.rank if alpha >= 1.0 else d
     if n < 2:
-        return None, 0, 0
+        return (np.eye(d), np.eye(d)[:, :0]), 0
     iso = v[:, :n]
-    rho_s = iso.conj().T @ rho.entries @ iso
-    sig_w = np.maximum(w[:n], 0.0)  # sigma is diag(sig_w) in these coordinates
+    rho_s = iso.conj().T @ view.rho @ iso
+    sig_w = view.sigma_w[:n]  # sigma is diag(sig_w) in these coordinates
     sig_s = np.diag(sig_w)
     # rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
-    root = spectral_map(rho, np.sqrt)[0] @ iso
-    s_inv = spectral_map(sigma, lambda x: x ** -0.5)[0]
-    ratios = np.linalg.eigvalsh(s_inv @ rho.entries @ s_inv)
-    edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(np.maximum(ratios, 0.0))]))
+    root = view.rho_root @ iso
+    ratios = np.maximum(view.ratios[0], 0.0)
+    edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
     best_val, best_u, best_rank = DEMOTED, None, 0
 
     def scored(phis):
@@ -609,20 +650,9 @@ def _np_search(rho, sigma, alpha, rank):
         f_new = scored(x_new)[pick]
         x1, f1 = np.where(left, x_new, x_in), np.where(left, f_new, f_in)
         x2, f2 = np.where(left, x_in, x_new), np.where(left, f_in, f_new)
-    if best_u is None:
-        return None, 0, n_int
-    return np.hstack([iso @ best_u, v[:, n:]]), best_rank, n_int
-
-
-def _np_test(rho, sigma, alpha, rank) -> tuple[POVM, int]:
-    """The projector pair of _np_search's best test and the intervals searched.
-
-    T = I when no test clears the rounding cliffs.
-    """
-    basis, r, intervals = _np_search(rho, sigma, alpha, rank)
-    if basis is None:
-        basis, r = np.eye(rho.dim), rho.dim
-    return _povm((basis[:, :r], basis[:, r:])), intervals
+    basis = np.eye(d) if best_u is None else np.hstack([iso @ best_u, v[:, n:]])
+    r = d if best_u is None else best_rank
+    return (basis[:, :r], basis[:, r:]), n_int
 
 
 def test_measured(
@@ -653,17 +683,12 @@ def test_measured(
     Infinite values are returned only on operator-level support
     violations, with the separating projective measurement attached.
     """
-    rho, sigma, witness, rank = _measured_pair(rho, sigma, alpha)
+    view, witness = _measured_pair(_checked_pair(rho, sigma), alpha)
     if witness is not None:
-        return MeasuredResult(
-            value=math.inf, povm=witness, restarts_used=0, converged=True
-        )
-
-    povm, intervals = _np_test(rho, sigma, alpha, rank)
-    exact = classical_renyi(apply_povm(povm, rho), apply_povm(povm, sigma), alpha)
-    return MeasuredResult(
-        value=exact, povm=povm, restarts_used=intervals, converged=True
-    )
+        return MeasuredResult(math.inf, _povm(witness), 0, True)
+    factors, intervals = _np_test(view, alpha)
+    exact = classical_renyi(*_weights(view, factors), alpha)
+    return MeasuredResult(exact, _povm(factors), intervals, True)
 
 
 def regularized_measured_estimate(
@@ -671,49 +696,27 @@ def regularized_measured_estimate(
 ) -> list[tuple[int, float]]:
     """Per-copy measured lower bounds on explicit tensor powers, n <= 3.
 
-    Returns (n, value/n) pairs; below alpha = 1/2 the ascent iterations
-    shrink with n to keep the largest power affordable.
+    Returns (n, value/n) pairs, each value measured_renyi_lower's on the
+    n-th powers; below alpha = 1/2 the ascent iterations shrink with n to
+    keep the largest power affordable.
     """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
+    rho, sigma = as_operator(rho), as_operator(sigma)
     if not 1 <= max_n <= 3:
         raise DimTooLargeError(f"max_n must be in 1..3, got {max_n}")
     if rho.dim ** max_n > MAX_TENSOR_DIM:
-        raise DimTooLargeError(
-            f"dim^max_n = {rho.dim ** max_n} exceeds {MAX_TENSOR_DIM}"
-        )
-    out = []
-    rho_n = np.eye(1, dtype=complex)
-    sigma_n = np.eye(1, dtype=complex)
-    prev_povm = None
-    single_povm = None
+        raise DimTooLargeError(f"dim^max_n = {rho.dim ** max_n} exceeds {MAX_TENSOR_DIM}")
+    out, single, prev = [], None, None
+    rho_n = sigma_n = np.eye(1, dtype=complex)
     for n in range(1, max_n + 1):
-        rho_n = np.kron(rho_n, rho.entries)
-        sigma_n = np.kron(sigma_n, sigma.entries)
-        iters = {1: 60, 2: 20, 3: 5}[n]
-        extra = ()
-        if prev_povm is not None:
-            # products of the best lower-power measurements reproduce
-            # n times the single-copy value at the seed, so the per-copy
-            # sequence never regresses
-            extra = (_povm(
-                np.kron(a, b) for a in prev_povm.factors for b in single_povm.factors
-            ),)
-        res = measured_renyi_lower(
-            HermitianOperator(rho_n),
-            HermitianOperator(sigma_n),
-            alpha,
-            restarts=restarts,
-            seed=seed + n,
-            iters=iters,
-            extra_seed_factors=extra,
+        rho_n, sigma_n = np.kron(rho_n, rho.entries), np.kron(sigma_n, sigma.entries)
+        # products of the best lower-power measurements reproduce n times
+        # the single-copy value at the seed, so the per-copy sequence never
+        # regresses
+        extra = () if prev is None else (tuple(np.kron(a, b) for a in prev for b in single),)
+        value, factors, *_ = _lower_bound(
+            _array_pair(rho_n, sigma_n), alpha, restarts, seed + n, {1: 60, 2: 20, 3: 5}[n], extra
         )
-        if math.isinf(res.value):
-            out.append((n, math.inf))
-            continue
-        if prev_povm is None:
-            single_povm = res.povm
-        prev_povm = res.povm
-        out.append((n, res.value / n))
+        if math.isfinite(value):
+            single, prev = single or factors, factors
+        out.append((n, value / n))
     return out
-

@@ -219,15 +219,16 @@ def support_defect(rho: np.ndarray, tr: float, kernel: np.ndarray) -> float:
 class _Pair:
     """A validated pair as the divergence kernels read it (see _pair).
 
-    rho holds the symmetrized entries, the cuts the descending eigensystems
-    (a, V, kept) and (b, W, kept) from _cut_spectrum, and overlap the
-    matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma = V U
-    diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
+    rho and sigma hold the symmetrized entries, the cuts the descending
+    eigensystems (a, V, kept) and (b, W, kept) from _cut_spectrum, and
+    overlap the matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma
+    = V U diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
     is a function of a, b and U.  The kernels read the arrays and never
     write them.
     """
 
     rho: np.ndarray
+    sigma: np.ndarray
     rho_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
     sigma_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
     overlap: np.ndarray
@@ -236,7 +237,7 @@ class _Pair:
     borderline: bool
 
 
-def _pair(rho, rho_eig, sigma_eig) -> _Pair:
+def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:
     """The pair record; raises on mismatched dimensions, a non-PSD or zero operator.
 
     included is the support_defect test of rho^0 <= sigma^0 on sigma's cut-off
@@ -256,7 +257,7 @@ def _pair(rho, rho_eig, sigma_eig) -> _Pair:
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
     overlap = rho_cut[1].conj().T @ w
-    return _Pair(rho, rho_cut, sigma_cut, overlap, tr, included, borderline)
+    return _Pair(rho, sigma, rho_cut, sigma_cut, overlap, tr, included, borderline)
 
 
 def _checked_pair(rho, sigma) -> _Pair:
@@ -271,7 +272,7 @@ def _checked_pair(rho, sigma) -> _Pair:
     rho, sigma = as_operator(rho), as_operator(sigma)
     pair = rho._pairs.get(sigma)
     if pair is None:
-        pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.eig)
+        pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
     return pair
 
 
@@ -283,7 +284,7 @@ def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
     """
     rho, sigma = (np.asarray(m, dtype=complex) for m in (rho, sigma))
     rho, sigma = 0.5 * (rho + rho.conj().T), 0.5 * (sigma + sigma.conj().T)
-    return _pair(rho, _eigh_descending(rho), _eigh_descending(sigma))
+    return _pair(rho, _eigh_descending(rho), sigma, _eigh_descending(sigma))
 
 
 def _meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:

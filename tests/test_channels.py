@@ -20,6 +20,7 @@ from qrd.channels import (
 )
 from qrd.divergences import DivergenceParams, d_alpha_z
 from qrd.errors import KindNotWhitelistedError, MalformedInputError, ZeroOperatorError
+from qrd.measured import measured_renyi_lower
 from qrd.opcore import HermitianOperator
 from qrd.verify import rand_channel, rand_density
 
@@ -162,7 +163,14 @@ def test_measured_channel_divergence_below_channel_dmax():
 
 
 @pytest.mark.parametrize(
-    "kind,alpha,z", [("sandwiched", 1.5, None), ("petz", 0.7, None), ("daz", 0.7, math.inf)]
+    "kind,alpha,z",
+    [
+        ("sandwiched", 1.5, None),
+        ("petz", 0.7, None),
+        ("daz", 0.7, math.inf),
+        ("measured", 1.5, None),
+        ("measured", 0.7, None),
+    ],
 )
 def test_channel_value_is_the_library_value_at_its_argmax(rng, kind, alpha, z):
     """The reported value is the ascent's; the library agrees on the returned input."""
@@ -170,8 +178,12 @@ def test_channel_value_is_the_library_value_at_its_argmax(rng, kind, alpha, z):
     res = channel_divergence(n1, n2, kind, alpha=alpha, z=z, restarts=3, seed=2, iters=15)
     z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
     state = HermitianOperator(np.outer(res.argmax_state, res.argmax_state.conj()))
-    lib = d_alpha_z(apply_extended(n1, state), apply_extended(n2, state), DivergenceParams(alpha, z))
-    assert res.value == pytest.approx(lib.d_value, rel=0.0, abs=1e-12)
+    rho, sigma = apply_extended(n1, state), apply_extended(n2, state)
+    if kind == "measured":
+        lib = measured_renyi_lower(rho, sigma, alpha).value
+    else:
+        lib = d_alpha_z(rho, sigma, DivergenceParams(alpha, z)).d_value
+    assert res.value == pytest.approx(lib, rel=0.0, abs=1e-12)
 
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from qrd import channels
 from qrd.channels import _input_objective, depolarizing_channel, identity_channel
-from qrd.measured import _povm_objective
-from qrd.opcore import _polar, _tangent, stiefel_ascent
+from qrd.measured import _measured_pair, _povm_objective
+from qrd.opcore import _checked_pair, _polar, _tangent, stiefel_ascent
 from qrd.verify import rand_channel, rand_density, rand_pure
 
 
@@ -84,7 +84,8 @@ def test_channel_gradient_where_an_output_loses_rank(rng, kind, alpha):
 @pytest.mark.parametrize("d", [2, 3])
 def test_povm_objective_gradient(rng, d, alpha):
     for rho in (rand_density(rng, d), rand_pure(rng, d)):
-        value_grad = _povm_objective(rho, rand_density(rng, d), alpha)
+        view, _ = _measured_pair(_checked_pair(rho, rand_density(rng, d)), alpha)
+        value_grad = _povm_objective(view, alpha)
         v = _polar(rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d)))
         assert_gradient_matches(value_grad, v, rng, h=1e-6, rtol=1e-6)
 

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qrd.channels import apply_extended, depolarizing_channel, identity_channel
+from qrd import opcore
+from qrd.channels import _state_grad, apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
 from qrd.errors import ZeroOperatorError
@@ -332,3 +334,55 @@ def test_half_alpha_is_minus_log_fidelity(rng, d):
         assert res.value == pytest.approx(sand, abs=1e-12)
         exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), 0.5)
         assert exact == res.value
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.4])
+def test_tiny_trace_below_half_stays_finite(alpha):
+    """The ascent runs on rho / Tr rho: on rho itself its gradient, ~1 / Tr rho, overflows."""
+    got = measured_renyi_lower(np.diag([1e-300, 0.0]), np.diag([0.6, 0.4]), alpha).value
+    assert got == pytest.approx(math.log(1e-300 / 0.6), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+def test_searches_read_the_pair_record_once(monkeypatch, rng, alpha):
+    """On array inputs: one pair record, no spectral_map, and only the winner becomes a POVM.
+
+    The only HermitianOperators built are the coercions of rho and sigma
+    and the returned POVM's elements; the channel measured kind's state
+    objective builds none.  The second pair has rho inside sigma's
+    support, which alpha = 1.5 compresses rho to.
+    """
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    sigma_singular = (basis[:, :2] * [0.7, 0.3]) @ basis[:, :2].conj().T
+    pairs = [
+        (rand_density(rng, 2).entries, rand_density(rng, 2).entries),
+        (subspace_density(rng, basis[:, :2], 2).entries, sigma_singular),
+    ]
+    calls = {"spectral_map": 0, "_checked_pair": 0, "operators": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("spectral_map", "_checked_pair"):
+        wrapped = counted(name, getattr(opcore, name))
+        for module in [m for key, m in sys.modules.items() if key.startswith("qrd")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(
+        opcore.HermitianOperator, "__init__",
+        counted("operators", opcore.HermitianOperator.__init__),
+    )
+    for rho, sigma in pairs:
+        for fn in (measured_renyi_lower, measured_by_test):
+            calls.update(dict.fromkeys(calls, 0))
+            res = fn(rho.copy(), sigma.copy(), alpha)
+            assert calls == {
+                "spectral_map": 0, "_checked_pair": 1, "operators": 2 + len(res.povm.elements),
+            }, fn.__name__
+        calls.update(dict.fromkeys(calls, 0))
+        value, g_rho, _ = _state_grad("measured", alpha, None, 0)(rho, sigma)
+        assert calls == {"spectral_map": 0, "_checked_pair": 0, "operators": 0}
+        assert math.isfinite(value) == (g_rho is not None)
