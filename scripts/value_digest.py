@@ -8,8 +8,10 @@ the near-product pair; the evaluations cover the divergence layer, the
 z -> 0 profile (equality-case gaps, both genericity conditions and the
 extrapolation oracle at two alphas), the measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
-measured, Petz, and the (alpha, z) family at z = inf and at a finite z).  Errors print as their type
-and message.  Two checkouts compute the same values exactly when
+measured, Petz, and the (alpha, z) family at z = inf and at a finite z).
+Every record of every verify suite at 2 trials follows, as its
+(digest, ok, detail).  Errors print as their type and message.  Two
+checkouts compute the same values exactly when
 
     PYTHONPATH=src python3 scripts/value_digest.py > new.txt
 
@@ -42,7 +44,7 @@ from qrd.divergences import (
 )
 from qrd.measured import measured_renyi_lower, test_measured
 from qrd.opcore import HermitianOperator, pinch_exp
-from qrd.verify import rand_channel, rand_density, rand_pure
+from qrd.verify import SUITES, rand_channel, rand_density, rand_pure, run_suite
 from qrd.zlimits import (
     equality_case_check,
     genericity_condition_b,
@@ -56,6 +58,7 @@ ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 ORACLE_ALPHAS = (0.6, 1.7)
 MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
+SEED = 20261018
 
 
 def digest(a) -> str:
@@ -90,7 +93,7 @@ def near_product_pair():
 
 
 def pairs():
-    rng = np.random.default_rng(20261018)
+    rng = np.random.default_rng(SEED)
     out = []
     for d in (2, 3, 4, 8):
         out.append((f"full{d}", rand_density(rng, d), rand_density(rng, d)))
@@ -177,6 +180,12 @@ def channel_layer() -> None:
             )
 
 
+def verify_layer() -> None:
+    for suite in SUITES:
+        for rec in run_suite(suite, 2, SEED):
+            print(f"verify {suite} {rec.case}: {(rec.digest, rec.ok, rec.detail)}")
+
+
 def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
@@ -184,6 +193,7 @@ def main() -> None:
         if rho.dim <= 4:
             measured_layer(name, rho, sigma)
     channel_layer()
+    verify_layer()
 
 
 if __name__ == "__main__":

@@ -147,6 +147,15 @@ def _factors(povm: POVM) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class MeasuredResult:
+    """A measured lower bound and the measurement that certifies it.
+
+    value is the classical Renyi divergence of the povm's outcome
+    weights.  For alpha >= 1 the certificate is for rho compressed to
+    sigma's support: the povm applied to P rho P, P = support_projection
+    (sigma), reproduces value, while on the uncompressed rho an outcome
+    that catches rho's leak out of that support can read far higher.
+    """
+
     value: float
     povm: POVM
     restarts_used: int
@@ -556,7 +565,9 @@ def measured_renyi_lower(
     every divergence (opcore._checked_pair): mismatched dimensions, a
     non-PSD or a zero rho or sigma raise before any search.  Infinite
     values are returned only on operator-level support violations, with
-    the separating projective measurement attached.
+    the separating projective measurement attached.  For alpha >= 1 the
+    certificate is for rho compressed to sigma's support (see
+    MeasuredResult).
     """
     extra = tuple(map(_factors, extra_seed_factors))
     value, factors, _, _, starts, converged = _lower_bound(
@@ -682,6 +693,8 @@ def test_measured(
     measured_renyi_lower: a zero or non-PSD rho or sigma raises.
     Infinite values are returned only on operator-level support
     violations, with the separating projective measurement attached.
+    For alpha >= 1 the certificate is for rho compressed to sigma's
+    support (see MeasuredResult).
     """
     view, witness = _measured_pair(_checked_pair(rho, sigma), alpha)
     if witness is not None:

@@ -1,9 +1,11 @@
 """Randomized verification suites behind the ``qrd verify`` subcommand.
 
-Each suite checks one cluster of library invariants on seeded random
-instances and returns a flat list of records.  Trials run in order, each
-with its own generator derived from (seed, trial index), so extending the
-trial count keeps the earlier records unchanged.
+Each suite checks one cluster of library invariants.  A suite is a trial
+generator, run on seeded random instances, and optionally a generator of
+fixed cases; both yield (case, digest, ok, detail) checks, and run_suite
+turns every check into a record.  Trials run in order, each with its own
+generator derived from (seed, trial index), so extending the trial count
+keeps the earlier records unchanged.
 """
 
 from __future__ import annotations
@@ -68,18 +70,6 @@ from .zlimits import (
     spectral_profile,
     zero_z_divergence,
     zero_z_oracle,
-)
-
-SUITES = (
-    "alt",
-    "variational",
-    "dmaxbound",
-    "nszkola",
-    "caratheodory",
-    "zlimits",
-    "families",
-    "channels",
-    "smoothing",
 )
 
 #: adjacent ratio bound on the sorted z -> 0 limit eigenvalues; spectra
@@ -164,16 +154,6 @@ def generic_zero_z_pair(rng, d: int, alphas=(0.6, 1.7)) -> tuple[HermitianOperat
             return r, s
 
 
-def _record(suite: str, case: str, digest: str, ok: bool, detail: str, t0: float) -> ResultRecord:
-    return ResultRecord(suite, case, digest, bool(ok), detail, time.perf_counter() - t0)
-
-
-def _map_trials(per_trial, trials: int, seed: int) -> list[ResultRecord]:
-    return [
-        rec
-        for i in range(trials)
-        for rec in per_trial(i, np.random.default_rng([seed, i]))
-    ]
 
 
 # ---------------------------------------------------------------- alt
@@ -183,105 +163,62 @@ ALT_Z_PAIRS = ((0.5, 1.0), (0.7, 1.7), (1.0, 2.0), (0.3, 0.6), (1.5, 3.0))
 ALT_Z_GRID = (0.4, 0.8, 1.3, 2.1)
 
 
-def _alt_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _transport_gap(alpha: float, pair, moved, shift: float = 0.0) -> float:
+    """Largest |D(moved) - D(pair) - shift| over D_{alpha,1}, D_max and Umegaki.
+
+    An infinity on one side only, or infinities that differ, gives inf.
+    """
+    daz = lambda a, b: d_alpha_z(a, b, DivergenceParams(alpha, 1.0)).d_value
+    worst = 0.0
+    for fn in (daz, d_max, umegaki):
+        base, after = fn(*pair), fn(*moved)
+        if math.isinf(base) or math.isinf(after):
+            if base != after:
+                worst = math.inf
+        else:
+            worst = max(worst, abs(after - base - shift))
+    return worst
+
+
+def _alt_trial(i: int, rng):
     d = int(rng.integers(2, 5))
     r = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
     s = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
     dig = _digest(r.entries, s.entries)
-    out = []
     alpha = ALT_ALPHAS[i % len(ALT_ALPHAS)]
     for z1, z2 in ALT_Z_PAIRS:
         rec = alt_chain(r, s, alpha, z1, z2)
-        out.append(
-            _record(
-                "alt",
-                f"trial-{i:04d}/chain-a{alpha}-z{z1}-{z2}",
-                dig,
-                rec.ok_lower and rec.ok_upper,
-                f"power-sum chain in z: Q_z2={rec.q_z2:.6g} Q_z1={rec.q_z1:.6g} "
-                f"upper={rec.upper:.6g}",
-                t0,
-            )
+        yield (
+            f"chain-a{alpha}-z{z1}-{z2}",
+            dig,
+            rec.ok_lower and rec.ok_upper,
+            f"power-sum chain in z: Q_z2={rec.q_z2:.6g} Q_z1={rec.q_z1:.6g} "
+            f"upper={rec.upper:.6g}",
         )
-    t0 = time.perf_counter()
     values = [d_alpha_z(r, s, DivergenceParams(alpha, z)).d_value for z in ALT_Z_GRID]
     pairs = list(zip(values, values[1:]))
     if alpha < 1.0:
         mono = all(b >= a - 1e-9 for a, b in pairs)
     else:
         mono = all(b <= a + 1e-9 or math.isinf(a) for a, b in pairs)
-    out.append(
-        _record(
-            "alt",
-            f"trial-{i:04d}/z-monotone-a{alpha}",
-            dig,
-            mono,
-            f"divergence monotone in z: {['%.6g' % v for v in values]}",
-            t0,
-        )
+    yield (
+        f"z-monotone-a{alpha}",
+        dig,
+        mono,
+        f"divergence monotone in z: {['%.6g' % v for v in values]}",
     )
     # scaling law and isometric invariance ride along on the same pair
-    t0 = time.perf_counter()
     lam, eta = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
-    shift = math.log(lam) - math.log(eta)
-    r_s = HermitianOperator(lam * r.entries)
-    s_s = HermitianOperator(eta * s.entries)
-    worst = 0.0
-    for name, fn in (
-        ("daz", lambda a, b: d_alpha_z(a, b, DivergenceParams(alpha, 1.0)).d_value),
-        ("dmax", d_max),
-        ("umegaki", umegaki),
-    ):
-        base, scaled = fn(r, s), fn(r_s, s_s)
-        if math.isinf(base) or math.isinf(scaled):
-            if base != scaled - (0.0 if math.isinf(scaled) else shift):
-                worst = math.inf
-        else:
-            worst = max(worst, abs(scaled - base - shift))
-    out.append(
-        _record(
-            "alt",
-            f"trial-{i:04d}/scaling-a{alpha}",
-            dig,
-            worst <= 1e-9,
-            f"scaling law gap {worst:.3g}",
-            t0,
-        )
-    )
-    t0 = time.perf_counter()
+    scaled = (HermitianOperator(lam * r.entries), HermitianOperator(eta * s.entries))
+    worst = _transport_gap(alpha, (r, s), scaled, math.log(lam) - math.log(eta))
+    yield f"scaling-a{alpha}", dig, worst <= 1e-9, f"scaling law gap {worst:.3g}"
     big = 4
     iso = np.zeros((big, d), dtype=complex)
     iso[:d, :d] = np.eye(d)
     u = rand_unitary(rng, big)
     emb = lambda x: HermitianOperator(u @ iso @ x.entries @ iso.conj().T @ u.conj().T)
-    worst = 0.0
-    for fn in (
-        lambda a, b: d_alpha_z(a, b, DivergenceParams(alpha, 1.0)).d_value,
-        d_max,
-        umegaki,
-    ):
-        base, lifted = fn(r, s), fn(emb(r), emb(s))
-        if math.isinf(base) or math.isinf(lifted):
-            if math.isinf(base) != math.isinf(lifted):
-                worst = math.inf
-        else:
-            worst = max(worst, abs(lifted - base))
-    out.append(
-        _record(
-            "alt",
-            f"trial-{i:04d}/isometry-a{alpha}",
-            dig,
-            worst <= 1e-9,
-            f"isometric invariance gap {worst:.3g}",
-            t0,
-        )
-    )
-    return out
-
-
-def suite_alt(trials: int, seed: int) -> list[ResultRecord]:
-    return _map_trials(_alt_trial, trials, seed)
+    worst = _transport_gap(alpha, (r, s), (emb(r), emb(s)))
+    yield f"isometry-a{alpha}", dig, worst <= 1e-9, f"isometric invariance gap {worst:.3g}"
 
 
 # ---------------------------------------------------------- variational
@@ -289,15 +226,13 @@ def suite_alt(trials: int, seed: int) -> list[ResultRecord]:
 VAR_ALPHAS = (1.3, 1.7, 2.0)
 
 
-def _variational_trial(i: int, rng) -> list[ResultRecord]:
+def _variational_trial(i: int, rng):
     d = int(rng.integers(2, 4))
     r = rand_density(rng, d, floor=0.02)
     s = rand_density(rng, d, floor=0.02)
     dig = _digest(r.entries, s.entries)
-    out = []
     alpha = VAR_ALPHAS[i % len(VAR_ALPHAS)]
     for z in (alpha, alpha / 2 + 0.5, 1.0):
-        t0 = time.perf_counter()
         params = DivergenceParams(alpha, z)
         q_true = q_alpha_z(r, s, params)
         h_star = variational_optimizer_H(r, s, params)
@@ -309,21 +244,12 @@ def _variational_trial(i: int, rng) -> list[ResultRecord]:
             h = HermitianOperator(h * (rng.uniform(0.1, 2.0) / np.linalg.norm(h, 2)))
             if variational_objective(r, s, params, h) > q_true * (1.0 + 1e-9):
                 n_bad += 1
-        out.append(
-            _record(
-                "variational",
-                f"trial-{i:04d}/a{alpha}-z{z:.2f}",
-                dig,
-                rel <= 1e-9 and n_bad == 0,
-                f"plug-in optimality rel={rel:.3g}, random-H dominations broken={n_bad}",
-                t0,
-            )
+        yield (
+            f"a{alpha}-z{z:.2f}",
+            dig,
+            rel <= 1e-9 and n_bad == 0,
+            f"plug-in optimality rel={rel:.3g}, random-H dominations broken={n_bad}",
         )
-    return out
-
-
-def suite_variational(trials: int, seed: int) -> list[ResultRecord]:
-    return _map_trials(_variational_trial, trials, seed)
 
 
 # ------------------------------------------------------------ dmaxbound
@@ -331,60 +257,35 @@ def suite_variational(trials: int, seed: int) -> list[ResultRecord]:
 DMAX_ALPHAS = (1.5, 2.5, 4.0)
 
 
-def _dmaxbound_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _dmaxbound_trial(i: int, rng):
     d = int(rng.integers(2, 4))
     sig = rand_density(rng, d, floor=0.02)
     psi = rand_balanced_pure(rng, sig)
     dig = _digest(psi.entries, sig.entries)
-    out = []
     for alpha in DMAX_ALPHAS:
         rec = dmax_domination_check(psi, sig, DivergenceParams(alpha, 0.9 * (alpha - 1.0)))
         gap = rec.d_az - rec.d_max
-        out.append(
-            _record(
-                "dmaxbound",
-                f"trial-{i:04d}/strict-a{alpha}",
-                dig,
-                (not rec.dominated) and gap > 1e-6,
-                f"strict violation below z=alpha-1: gap={gap:.3g}",
-                t0,
-            )
-        )
-        t0 = time.perf_counter()
+        ok = (not rec.dominated) and gap > 1e-6
+        yield f"strict-a{alpha}", dig, ok, f"strict violation below z=alpha-1: gap={gap:.3g}"
         oks, worst = [], -math.inf
         for z in (alpha - 1.0, alpha, 2.0 * alpha):
             rec = dmax_domination_check(psi, sig, DivergenceParams(alpha, z))
             oks.append(rec.dominated)
             worst = max(worst, rec.d_az - rec.d_max)
-        out.append(
-            _record(
-                "dmaxbound",
-                f"trial-{i:04d}/dominated-a{alpha}",
-                dig,
-                all(oks),
-                f"domination at z >= alpha-1: worst excess {worst:.3g}",
-                t0,
-            )
+        yield (
+            f"dominated-a{alpha}",
+            dig,
+            all(oks),
+            f"domination at z >= alpha-1: worst excess {worst:.3g}",
         )
-        t0 = time.perf_counter()
     mixed = rand_density(rng, d)
     rec = dmax_domination_check(mixed, sig, DivergenceParams(0.5, float(rng.uniform(0.5, 3.0))))
-    out.append(
-        _record(
-            "dmaxbound",
-            f"trial-{i:04d}/below-one",
-            _digest(mixed.entries, sig.entries),
-            rec.dominated,
-            f"domination for alpha<1: excess {rec.d_az - rec.d_max:.3g}",
-            t0,
-        )
+    yield (
+        "below-one",
+        _digest(mixed.entries, sig.entries),
+        rec.dominated,
+        f"domination for alpha<1: excess {rec.d_az - rec.d_max:.3g}",
     )
-    return out
-
-
-def suite_dmaxbound(trials: int, seed: int) -> list[ResultRecord]:
-    return _map_trials(_dmaxbound_trial, trials, seed)
 
 
 # -------------------------------------------------------------- nszkola
@@ -392,8 +293,7 @@ def suite_dmaxbound(trials: int, seed: int) -> list[ResultRecord]:
 NS_ALPHAS = (0.3, 0.8, 1.5, 3.0)
 
 
-def _nszkola_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _nszkola_trial(i: int, rng):
     d = int(rng.integers(2, 5))
     r = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
     s = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
@@ -407,20 +307,8 @@ def _nszkola_trial(i: int, rng) -> list[ResultRecord]:
             inf_ok = inf_ok and math.isinf(q_quantum) and math.isinf(q_classical)
         else:
             worst = max(worst, abs(q_quantum - q_classical) / max(q_classical, 1e-300))
-    return [
-        _record(
-            "nszkola",
-            f"trial-{i:04d}",
-            dig,
-            inf_ok and worst <= 1e-10,
-            f"distribution identity for Q at z=1: rel={worst:.3g} inf-agree={inf_ok}",
-            t0,
-        )
-    ]
-
-
-def suite_nszkola(trials: int, seed: int) -> list[ResultRecord]:
-    return _map_trials(_nszkola_trial, trials, seed)
+    ok = inf_ok and worst <= 1e-10
+    yield "", dig, ok, f"distribution identity for Q at z=1: rel={worst:.3g} inf-agree={inf_ok}"
 
 
 # --------------------------------------------------------- caratheodory
@@ -446,69 +334,47 @@ def anchors_and_mixtures_rt(rng, n_anchors: int = 5, n_mix: int = 3) -> ReverseT
     )
 
 
-def _caratheodory_trial(i: int, rng) -> list[ResultRecord]:
-    out = []
+def _hull_fold(rt: ReverseTest, pair, f) -> tuple[bool, str]:
+    """Fold rt's hull to a fixpoint under f: (ok, "<columns>, certificate <before> -> <after>").
+
+    ok asks for at most 5 columns, a reduced test that still realizes
+    pair, and a certificate that did not rise.
+    """
+    before = rt_f_divergence(rt, f)
+    reduced = caratheodory_fixpoint(rt, f=f)
+    after = rt_f_divergence(reduced, f)
+    ok = (
+        reduced.n_columns <= 5
+        and validate_reverse_test(reduced, *pair)
+        and after <= before + 1e-9
+    )
+    return ok, f"{reduced.n_columns}, certificate {before:.6g} -> {after:.6g}"
+
+
+def _caratheodory_trial(i: int, rng):
     rt = anchors_and_mixtures_rt(rng)
-    r0, s0 = realized_pair(rt)
+    pair = realized_pair(rt)
     dig = _digest(*(w.entries for w in rt.omegas))
     for f, tag in ((power_spec(2.0), "f2"), (eta_spec(), "eta")):
-        t0 = time.perf_counter()
-        before = rt_f_divergence(rt, f)
-        reduced = caratheodory_fixpoint(rt, f=f)
-        after = rt_f_divergence(reduced, f)
-        ok = (
-            reduced.n_columns <= 5
-            and validate_reverse_test(reduced, r0, s0)
-            and after <= before + 1e-9
-        )
-        out.append(
-            _record(
-                "caratheodory",
-                f"trial-{i:04d}/{tag}",
-                dig,
-                ok,
-                f"hull reduction 8 -> {reduced.n_columns}, certificate "
-                f"{before:.6g} -> {after:.6g}",
-                t0,
-            )
-        )
-    return out
+        ok, folded = _hull_fold(rt, pair, f)
+        yield tag, dig, ok, f"hull reduction 8 -> {folded}"
 
 
-def _caratheodory_fixed() -> list[ResultRecord]:
+def _caratheodory_fixed():
     # duplicated column with proportional weights must merge away
-    t0 = time.perf_counter()
     rng = np.random.default_rng(17)
     base = [rand_pure(rng, 2) for _ in range(4)] + [rand_density(rng, 2)]
     omegas = tuple(base) + (base[0],)
     p = np.array([0.2, 0.1, 0.15, 0.15, 0.2, 0.2])
     q = np.array([0.1, 0.2, 0.2, 0.2, 0.2, 0.1])
     rt = ReverseTest(omegas=omegas, p=p, q=q)
-    r0, s0 = realized_pair(rt)
-    f = power_spec(2.0)
-    before = rt_f_divergence(rt, f)
-    reduced = caratheodory_fixpoint(rt, f=f)
-    after = rt_f_divergence(reduced, f)
-    ok = (
-        reduced.n_columns <= 5
-        and validate_reverse_test(reduced, r0, s0)
-        and after <= before + 1e-9
+    ok, folded = _hull_fold(rt, realized_pair(rt), power_spec(2.0))
+    yield (
+        "duplicate-merge",
+        _digest(*(w.entries for w in omegas)),
+        ok,
+        f"duplicate column merged: 6 -> {folded}",
     )
-    return [
-        _record(
-            "caratheodory",
-            "fixed/duplicate-merge",
-            _digest(*(w.entries for w in omegas)),
-            ok,
-            f"duplicate column merged: 6 -> {reduced.n_columns}, "
-            f"certificate {before:.6g} -> {after:.6g}",
-            t0,
-        )
-    ]
-
-
-def suite_caratheodory(trials: int, seed: int) -> list[ResultRecord]:
-    return _caratheodory_fixed() + _map_trials(_caratheodory_trial, trials, seed)
 
 
 # -------------------------------------------------------------- zlimits
@@ -516,43 +382,27 @@ def suite_caratheodory(trials: int, seed: int) -> list[ResultRecord]:
 ZL_ALPHAS = (0.6, 1.7)
 
 
-def _zlimits_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _zlimits_trial(i: int, rng):
     d = int(rng.integers(2, 4))
     r, s = generic_zero_z_pair(rng, d, ZL_ALPHAS)
     dig = _digest(r.entries, s.entries)
-    out = []
     for alpha in ZL_ALPHAS:
         res = zero_z_divergence(r, s, alpha)
         oracle = zero_z_oracle(r, s, alpha)
         gap = abs(res.value - oracle)
-        out.append(
-            _record(
-                "zlimits",
-                f"trial-{i:04d}/oracle-a{alpha}",
-                dig,
-                (not res.used_fallback) and gap <= 1e-4,
-                f"spectral formula vs extrapolation: gap={gap:.3g}",
-                t0,
-            )
-        )
-        t0 = time.perf_counter()
+        ok = (not res.used_fallback) and gap <= 1e-4
+        yield f"oracle-a{alpha}", dig, ok, f"spectral formula vs extrapolation: gap={gap:.3g}"
         # the z -> 0 limit caps the z-monotone family from the right side
         worst = -math.inf
         for z in (0.3, 0.7, 1.4):
             dz = d_alpha_z(r, s, DivergenceParams(alpha, z)).d_value
             worst = max(worst, dz - res.value if alpha > 1.0 else res.value - dz)
-        out.append(
-            _record(
-                "zlimits",
-                f"trial-{i:04d}/endpoint-a{alpha}",
-                dig,
-                worst <= 1e-8,
-                f"limit bounds finite-z values: worst excess {worst:.3g}",
-                t0,
-            )
+        yield (
+            f"endpoint-a{alpha}",
+            dig,
+            worst <= 1e-8,
+            f"limit bounds finite-z values: worst excess {worst:.3g}",
         )
-        t0 = time.perf_counter()
     sig = rand_density(rng, 3, floor=0.05)
     psi = rand_balanced_pure(rng, sig)
     b = sig.eigenvalues
@@ -561,18 +411,13 @@ def _zlimits_trial(i: int, rng) -> list[ResultRecord]:
     u_m, d_m = umegaki(psi, sig), d_max(psi, sig)
     closed = max(abs(lo - math.log(1.0 / b[0])), abs(hi - math.log(1.0 / b[-1])))
     margins = (u_m - lo, d_m - u_m, hi - d_m)
-    out.append(
-        _record(
-            "zlimits",
-            f"trial-{i:04d}/pure-chain",
-            _digest(psi.entries, sig.entries),
-            closed <= 1e-8 and min(margins) > 1e-6,
-            f"pure-state closed forms gap={closed:.3g}, chain margins "
-            f"{['%.3g' % m for m in margins]}",
-            t0,
-        )
+    yield (
+        "pure-chain",
+        _digest(psi.entries, sig.entries),
+        closed <= 1e-8 and min(margins) > 1e-6,
+        f"pure-state closed forms gap={closed:.3g}, chain margins "
+        f"{['%.3g' % m for m in margins]}",
     )
-    t0 = time.perf_counter()
     a_op = rand_density(rng, 3)
     top = a_op.eigenvectors[:, :1]
     p_top = Projection(top @ top.conj().T)
@@ -585,21 +430,12 @@ def _zlimits_trial(i: int, rng) -> list[ResultRecord]:
         and rec_top.reduces
         and ((not rec_mix.trace_attains_topk) or rec_mix.reduces)
     )
-    out.append(
-        _record(
-            "zlimits",
-            f"trial-{i:04d}/reducing",
-            _digest(a_op.entries),
-            ok,
-            "top-k trace attainment forces an invariant subspace",
-            t0,
-        )
+    yield (
+        "reducing", _digest(a_op.entries), ok, "top-k trace attainment forces an invariant subspace"
     )
-    return out
 
 
-def _zlimits_fixed() -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _zlimits_fixed():
     a = np.array([0.5, 0.3, 0.2])
     b = np.array([0.6, 0.25, 0.15])
     aligned = equality_case_check(HermitianOperator(np.diag(a)), HermitianOperator(np.diag(b)), "below")
@@ -619,45 +455,30 @@ def _zlimits_fixed() -> list[ResultRecord]:
         and not nc_below.commuting_aligned
         and nc_above.gap > 1e-6
     )
-    return [
-        _record(
-            "zlimits",
-            "fixed/equality-cases",
-            _digest(a, b, r2.entries, s2.entries),
-            ok,
-            f"aligned gaps ({aligned.gap:.3g}, {anti.gap:.3g}); non-commuting "
-            f"gaps ({nc_below.gap:.3g}, {nc_above.gap:.3g})",
-            t0,
-        )
-    ]
-
-
-def suite_zlimits(trials: int, seed: int) -> list[ResultRecord]:
-    return _zlimits_fixed() + _map_trials(_zlimits_trial, trials, seed)
+    yield (
+        "equality-cases",
+        _digest(a, b, r2.entries, s2.entries),
+        ok,
+        f"aligned gaps ({aligned.gap:.3g}, {anti.gap:.3g}); non-commuting "
+        f"gaps ({nc_below.gap:.3g}, {nc_above.gap:.3g})",
+    )
 
 
 # ------------------------------------------------------------- families
 
 
-def _families_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
-    out = []
+def _families_trial(i: int, rng):
     gamma = float(rng.uniform(0.3, 2.0))
     n = int(rng.integers(2, 21))
     gap = a2_overlap_gap(gamma, n)
     r, s = gen_a2(gamma, n)
     traces = max(abs(r.trace - 1.0), abs(s.trace - 1.0))
-    out.append(
-        _record(
-            "families",
-            f"trial-{i:04d}/a2-overlap-g{gamma:.2f}-n{n}",
-            _digest(r.entries, s.entries),
-            gap <= 1e-10 and traces <= 1e-10,
-            f"eigenvector overlap identity gap={gap:.3g}, trace gap={traces:.3g}",
-            t0,
-        )
+    yield (
+        f"a2-overlap-g{gamma:.2f}-n{n}",
+        _digest(r.entries, s.entries),
+        gap <= 1e-10 and traces <= 1e-10,
+        f"eigenvector overlap identity gap={gap:.3g}, trace gap={traces:.3g}",
     )
-    t0 = time.perf_counter()
     c = float(rng.uniform(0.3, 2.0))
     eps = float(rng.uniform(0.01, min(1.0, 1.0 / c) * 0.9))
     rp, sp = gen_pure(c, eps)
@@ -665,62 +486,40 @@ def _families_trial(i: int, rng) -> list[ResultRecord]:
     dv = d_alpha_z(rp, sp, DivergenceParams(alpha, alpha - 1.0)).d_value
     dm = d_max(rp, sp)
     formula_gap = abs(dm - pure_family_dmax(c, eps))
-    out.append(
-        _record(
-            "families",
-            f"trial-{i:04d}/pure-c{c:.2f}-e{eps:.3f}",
-            _digest(rp.entries, sp.entries),
-            formula_gap <= 1e-9 and abs(dv - dm) <= 1e-9,
-            f"closed form gap={formula_gap:.3g}; D at z=alpha-1 vs dmax "
-            f"gap={abs(dv - dm):.3g}",
-            t0,
-        )
+    yield (
+        f"pure-c{c:.2f}-e{eps:.3f}",
+        _digest(rp.entries, sp.entries),
+        formula_gap <= 1e-9 and abs(dv - dm) <= 1e-9,
+        f"closed form gap={formula_gap:.3g}; D at z=alpha-1 vs dmax "
+        f"gap={abs(dv - dm):.3g}",
     )
-    return out
 
 
-def _families_fixed() -> list[ResultRecord]:
-    out = []
-    t0 = time.perf_counter()
+def _families_fixed():
     r, s = gen_kappa(1.0, 2.0, 1e-6)
     gap = abs(d_alpha_z(r, s, DivergenceParams(2.0, 1.0)).d_value - math.log(2.0))
     dmax_gap = abs(d_max(r, s) - math.log(2.0))
-    out.append(
-        _record(
-            "families",
-            "fixed/kappa-unit",
-            _digest(r.entries, s.entries),
-            gap <= 1e-3 and dmax_gap <= 1e-3,
-            f"kappa=1 limits: divergence gap={gap:.3g}, dmax gap={dmax_gap:.3g}",
-            t0,
-        )
+    yield (
+        "kappa-unit",
+        _digest(r.entries, s.entries),
+        gap <= 1e-3 and dmax_gap <= 1e-3,
+        f"kappa=1 limits: divergence gap={gap:.3g}, dmax gap={dmax_gap:.3g}",
     )
-    t0 = time.perf_counter()
     trend = [d_max(*gen_kappa(0.5, 2.0, e)) for e in (1e-2, 1e-3, 1e-4)]
-    out.append(
-        _record(
-            "families",
-            "fixed/kappa-blowup",
-            _digest(np.array(trend)),
-            trend[0] < trend[1] < trend[2],
-            f"kappa<1 dmax grows along eps: {['%.4g' % t for t in trend]}",
-            t0,
-        )
+    yield (
+        "kappa-blowup",
+        _digest(np.array(trend)),
+        trend[0] < trend[1] < trend[2],
+        f"kappa<1 dmax grows along eps: {['%.4g' % t for t in trend]}",
     )
-    t0 = time.perf_counter()
     raw_r, raw_s = gen_congruence(0.5, 1e-3, normalized=False)
     ident = abs(d_max(raw_r, raw_s) - math.log(congruence_norm(0.5)))
-    out.append(
-        _record(
-            "families",
-            "fixed/congruence-identity",
-            _digest(raw_r.entries, raw_s.entries),
-            ident <= 1e-9,
-            f"dmax equals the congruence norm exactly: gap={ident:.3g}",
-            t0,
-        )
+    yield (
+        "congruence-identity",
+        _digest(raw_r.entries, raw_s.entries),
+        ident <= 1e-9,
+        f"dmax equals the congruence norm exactly: gap={ident:.3g}",
     )
-    t0 = time.perf_counter()
     knife = []
     for beta, expect in ((1.0, "knife"), (0.5, "blowup"), (1.5, "vanish")):
         p, q = knife_edge_family(1.0, 1.0, beta, 2.0, 10**6)
@@ -731,50 +530,30 @@ def _families_fixed() -> list[ResultRecord]:
             knife.append(qv > 1e3)
         else:
             knife.append(math.log(qv) <= 1e-3)
-    out.append(
-        _record(
-            "families",
-            "fixed/knife-trichotomy",
-            _digest(np.array([1.0, 2.0])),
-            all(knife),
-            f"decay-ratio trichotomy at alpha=2: {knife}",
-            t0,
-        )
+    yield (
+        "knife-trichotomy",
+        _digest(np.array([1.0, 2.0])),
+        all(knife),
+        f"decay-ratio trichotomy at alpha=2: {knife}",
     )
-    return out
-
-
-def suite_families(trials: int, seed: int) -> list[ResultRecord]:
-    return _families_fixed() + _map_trials(_families_trial, trials, seed)
 
 
 # ------------------------------------------------------------- channels
 
 
-def _channels_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _channels_trial(i: int, rng):
     n1 = rand_channel(rng, 2, 2, 2)
     # full Kraus rank keeps the second Choi invertible, so the dmax
     # domination case is exercised on finite values, not vacuous infinities
     n2 = rand_channel(rng, 2, 2, 4)
     dig = _digest(n1.choi.entries, n2.choi.entries)
-    out = []
     roundtrip = Channel.from_choi(n1.choi, 2, 2)
     probe = rand_density(rng, 2)
     rt_gap = float(
         np.max(np.abs(roundtrip.apply(probe).entries - n1.apply(probe).entries))
     )
-    out.append(
-        _record(
-            "channels",
-            f"trial-{i:04d}/choi-roundtrip",
-            dig,
-            rt_gap <= 1e-9 and n1.trace_preserving and n1.cp_plus,
-            f"Kraus/Choi roundtrip gap={rt_gap:.3g}",
-            t0,
-        )
-    )
-    t0 = time.perf_counter()
+    ok = rt_gap <= 1e-9 and n1.trace_preserving and n1.cp_plus
+    yield "choi-roundtrip", dig, ok, f"Kraus/Choi roundtrip gap={rt_gap:.3g}"
     dm = channel_dmax(n1, n2)
     bis = channel_dmax_bisection(n1, n2)
     agree = abs(dm - bis) <= 1e-6 if math.isfinite(dm) else math.isinf(bis)
@@ -785,53 +564,36 @@ def _channels_trial(i: int, rng) -> list[ResultRecord]:
                 n1, n2, kind, alpha=alpha, restarts=4, seed=1000 + i, iters=30
             )
             worst = max(worst, res.value - dm)
-    out.append(
-        _record(
-            "channels",
-            f"trial-{i:04d}/dmax-dominates",
-            dig,
-            agree and worst <= 1e-6,
-            f"bisection gap={abs(dm - bis) if math.isfinite(dm) else 0:.3g}, "
-            f"worst excess over channel dmax={worst:.3g}",
-            t0,
-        )
+    yield (
+        "dmax-dominates",
+        dig,
+        agree and worst <= 1e-6,
+        f"bisection gap={abs(dm - bis) if math.isfinite(dm) else 0:.3g}, "
+        f"worst excess over channel dmax={worst:.3g}",
     )
-    return out
 
 
-def _channels_fixed() -> list[ResultRecord]:
-    out = []
-    t0 = time.perf_counter()
+def _channels_fixed():
     ident, dep = identity_channel(2), depolarizing_channel(0.2)
     val = channel_dmax(ident, dep)
     expected = math.log(1.0 / 0.85)
-    out.append(
-        _record(
-            "channels",
-            "fixed/depolarizing-dmax",
-            _digest(dep.choi.entries),
-            abs(val - expected) <= 1e-8,
-            f"identity vs depolarizing(0.2): dmax={val:.8f}, "
-            f"closed form gap={abs(val - expected):.3g}",
-            t0,
-        )
+    yield (
+        "depolarizing-dmax",
+        _digest(dep.choi.entries),
+        abs(val - expected) <= 1e-8,
+        f"identity vs depolarizing(0.2): dmax={val:.8f}, "
+        f"closed form gap={abs(val - expected):.3g}",
     )
-    t0 = time.perf_counter()
     lam_star = math.exp(expected)
     order_ok = (not cp_order_check(ident, dep, lam_star - 1e-3)) and cp_order_check(
         ident, dep, lam_star + 2e-3
     )
-    out.append(
-        _record(
-            "channels",
-            "fixed/cp-order-threshold",
-            _digest(dep.choi.entries),
-            order_ok,
-            "complete-positivity order flips exactly at the dmax scale",
-            t0,
-        )
+    yield (
+        "cp-order-threshold",
+        _digest(dep.choi.entries),
+        order_ok,
+        "complete-positivity order flips exactly at the dmax scale",
     )
-    t0 = time.perf_counter()
     table_ok = (
         kind_whitelisted("daz", 2.0, 1.5)
         and not kind_whitelisted("daz", 3.0, 1.0)
@@ -845,49 +607,23 @@ def _channels_fixed() -> list[ResultRecord]:
         and kind_whitelisted("dmax")
         and kind_whitelisted("measured", 5.0)
     )
-    out.append(
-        _record(
-            "channels",
-            "fixed/whitelist",
-            _digest(np.array([0.0])),
-            table_ok,
-            "monotone-parameter whitelist truth table",
-            t0,
-        )
+    yield (
+        "whitelist", _digest(np.array([0.0])), table_ok, "monotone-parameter whitelist truth table"
     )
-    t0 = time.perf_counter()
     t1 = np.array([[0.8, 0.3], [0.2, 0.7]])
     t2 = np.array([[0.55, 0.45], [0.45, 0.55]])
     ch1, ch2 = classical_channel(t1), classical_channel(t2)
     res = channel_divergence(ch1, ch2, "sandwiched", alpha=1.5, restarts=6, seed=3, iters=40)
     oracle, _ = classical_channel_divergence_grid(t1, t2, 1.5)
-    out.append(
-        _record(
-            "channels",
-            "fixed/classical-oracle",
-            _digest(t1, t2),
-            abs(res.value - oracle) <= 1e-3,
-            f"quantum optimizer vs simplex grid: gap={abs(res.value - oracle):.3g}",
-            t0,
-        )
+    yield (
+        "classical-oracle",
+        _digest(t1, t2),
+        abs(res.value - oracle) <= 1e-3,
+        f"quantum optimizer vs simplex grid: gap={abs(res.value - oracle):.3g}",
     )
-    t0 = time.perf_counter()
     zero = channel_divergence(ch1, ch1, "sandwiched", alpha=2.0, restarts=2, seed=0, iters=10)
-    out.append(
-        _record(
-            "channels",
-            "fixed/self-zero",
-            _digest(t1),
-            abs(zero.value) <= 1e-9,
-            f"identical channels diverge by {zero.value:.3g}",
-            t0,
-        )
-    )
-    return out
-
-
-def suite_channels(trials: int, seed: int) -> list[ResultRecord]:
-    return _channels_fixed() + _map_trials(_channels_trial, trials, seed)
+    ok = abs(zero.value) <= 1e-9
+    yield "self-zero", _digest(t1), ok, f"identical channels diverge by {zero.value:.3g}"
 
 
 # ------------------------------------------------------------ smoothing
@@ -896,80 +632,88 @@ SMOOTH_GRID = tuple(10.0 ** (-k) for k in range(2, 9))
 DEEP_GRID = tuple(10.0 ** (-k) for k in range(2, 165, 18))
 
 
-def _smoothing_trial(i: int, rng) -> list[ResultRecord]:
-    t0 = time.perf_counter()
+def _smoothing_trial(i: int, rng):
     d = int(rng.integers(2, 4))
     params = DivergenceParams((1.6, 0.7, 3.0)[i % 3], 1.0)
     r = rand_density(rng, d)
     s = rand_density(rng, d, floor=0.02)
     dig = _digest(r.entries, s.entries)
-    out = []
     curve = epsilon_smoothing_curve(r, s, params, SMOOTH_GRID)
     mono = all(b >= a - 1e-10 for a, b in zip(curve, curve[1:]))
     target = d_alpha_z(r, s, params).d_value
-    out.append(
-        _record(
-            "smoothing",
-            f"trial-{i:04d}/converges-a{params.alpha}",
-            dig,
-            mono and abs(curve[-1] - target) <= 1e-3,
-            f"monotone={mono}, final gap={abs(curve[-1] - target):.3g}",
-            t0,
-        )
+    yield (
+        f"converges-a{params.alpha}",
+        dig,
+        mono and abs(curve[-1] - target) <= 1e-3,
+        f"monotone={mono}, final gap={abs(curve[-1] - target):.3g}",
     )
-    t0 = time.perf_counter()
     r_wide = rand_density(rng, d)
     s_thin = rand_pure(rng, d)
     assert not support_leq(r_wide, s_thin)
     deep_params = DivergenceParams(3.0, 1.0)
     deep = epsilon_smoothing_curve(r_wide, s_thin, deep_params, DEEP_GRID)
     mono = all(b >= a - 1e-10 for a, b in zip(deep, deep[1:]))
-    out.append(
-        _record(
-            "smoothing",
-            f"trial-{i:04d}/diverges",
-            _digest(r_wide.entries, s_thin.entries),
-            mono and max(deep) > 1e3,
-            f"unsupported pair blows up: tail={deep[-1]}, monotone={mono}",
-            t0,
-        )
+    yield (
+        "diverges",
+        _digest(r_wide.entries, s_thin.entries),
+        mono and max(deep) > 1e3,
+        f"unsupported pair blows up: tail={deep[-1]}, monotone={mono}",
     )
-    t0 = time.perf_counter()
     self_curve = epsilon_smoothing_curve(r, r, params, SMOOTH_GRID)
     ok = all(v <= 1e-12 for v in self_curve) and abs(self_curve[-1]) <= 1e-6
-    out.append(
-        _record(
-            "smoothing",
-            f"trial-{i:04d}/self",
-            _digest(r.entries),
-            ok,
-            f"self-divergence rises to zero from below: final={self_curve[-1]:.3g}",
-            t0,
-        )
+    yield (
+        "self",
+        _digest(r.entries),
+        ok,
+        f"self-divergence rises to zero from below: final={self_curve[-1]:.3g}",
     )
+
+
+# --------------------------------------------------------------- runner
+
+#: suite name -> (trial generator, fixed-case generator or None)
+_SUITES = {
+    "alt": (_alt_trial, None),
+    "variational": (_variational_trial, None),
+    "dmaxbound": (_dmaxbound_trial, None),
+    "nszkola": (_nszkola_trial, None),
+    "caratheodory": (_caratheodory_trial, _caratheodory_fixed),
+    "zlimits": (_zlimits_trial, _zlimits_fixed),
+    "families": (_families_trial, _families_fixed),
+    "channels": (_channels_trial, _channels_fixed),
+    "smoothing": (_smoothing_trial, None),
+}
+
+SUITES = tuple(_SUITES)
+
+
+def _records(suite: str, prefix: str, checks) -> list[ResultRecord]:
+    """One record per (case, digest, ok, detail) check, its case under prefix.
+
+    wall_time is the time since the previous record of the same checks
+    (since the start, for the first).
+    """
+    out = []
+    t0 = time.perf_counter()
+    for case, digest, ok, detail in checks:
+        now = time.perf_counter()
+        full = f"{prefix}/{case}" if case else prefix
+        out.append(ResultRecord(suite, full, digest, bool(ok), detail, now - t0))
+        t0 = now
     return out
 
 
-def suite_smoothing(trials: int, seed: int) -> list[ResultRecord]:
-    return _map_trials(_smoothing_trial, trials, seed)
-
-
-SUITE_RUNNERS = {
-    "alt": suite_alt,
-    "variational": suite_variational,
-    "dmaxbound": suite_dmaxbound,
-    "nszkola": suite_nszkola,
-    "caratheodory": suite_caratheodory,
-    "zlimits": suite_zlimits,
-    "families": suite_families,
-    "channels": suite_channels,
-    "smoothing": suite_smoothing,
-}
-
-
 def run_suite(name: str, trials: int, seed: int) -> list[ResultRecord]:
-    if name not in SUITE_RUNNERS:
+    """The suite's fixed cases under fixed/, then trials 0..trials-1 under trial-NNNN.
+
+    Trial i draws from default_rng([seed, i]).
+    """
+    if name not in _SUITES:
         raise BadParamsError(f"unknown suite {name!r}; choose from {SUITES}")
     if trials < 1:
         raise BadParamsError(f"trials must be positive, got {trials}")
-    return SUITE_RUNNERS[name](trials, seed)
+    trial, fixed = _SUITES[name]
+    records = _records(name, "fixed", fixed()) if fixed else []
+    for i in range(trials):
+        records += _records(name, f"trial-{i:04d}", trial(i, np.random.default_rng([seed, i])))
+    return records

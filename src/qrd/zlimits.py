@@ -31,7 +31,6 @@ from .errors import (
     SingularSigmaError,
 )
 from .opcore import (
-    HermitianOperator,
     Projection,
     _checked_pair,
     _cut_spectrum,
@@ -377,26 +376,6 @@ class EqualityCaseResult:
     commuting_aligned: bool
 
 
-def _joint_eigenvalue_pairs(rho: HermitianOperator, sigma: HermitianOperator):
-    """Eigenvalue pairs (a_k, b_k) over a common eigenbasis of a commuting pair."""
-    a, v = rho.eig
-    pairs = []
-    k = 0
-    while k < rho.dim:
-        # extend over the rho-eigenvalue cluster starting at k
-        scale = max(abs(float(a[0])), 1e-300)
-        kk = k + 1
-        while kk < rho.dim and abs(float(a[kk - 1] - a[kk])) <= CLUSTER_AMBIGUOUS * scale:
-            kk += 1
-        block = v[:, k:kk]
-        comp = block.conj().T @ sigma.entries @ block
-        bvals = np.linalg.eigvalsh(0.5 * (comp + comp.conj().T))
-        for bv in bvals:
-            pairs.append((float(a[k]), float(bv)))
-        k = kk
-    return pairs
-
-
 def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     """Gap of the one-sided alpha -> 1 limit of D_{alpha,0} against Umegaki.
 
@@ -434,7 +413,13 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     scale = max(rho.spectral_norm * sigma.spectral_norm, 1e-300)
     aligned = False
     if commutator_spectral_norm(rho, sigma) <= 1e-10 * scale:
-        pairs = _joint_eigenvalue_pairs(rho, sigma)
+        # a commuting pair's joint eigenvalues: sigma compressed to each rho block
+        pairs = []
+        for k, kk in zip(profile.i_bounds, profile.i_bounds[1:]):
+            block = profile.v[:, k:kk]
+            comp = block.conj().T @ pair.sigma @ block
+            bvals = np.linalg.eigvalsh(0.5 * (comp + comp.conj().T))
+            pairs += [(float(a[k]), float(bv)) for bv in bvals]
         sign = 1.0 if direction == "below" else -1.0
         aligned = all(
             sign * (p1[0] - p2[0]) * (p1[1] - p2[1]) >= -1e-8 * scale

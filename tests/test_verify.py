@@ -1,5 +1,8 @@
 """Verification runner: determinism, coverage, and failure reporting."""
 
+import re
+import time
+
 import pytest
 
 from qrd.errors import BadParamsError
@@ -42,3 +45,16 @@ def test_trial_extension_is_prefix_stable():
     long = run_suite("nszkola", 3, 31)
     short_cases = [(r.case, r.digest) for r in short]
     assert [(r.case, r.digest) for r in long[: len(short)]] == short_cases
+
+
+def test_runner_stamps_suite_case_and_wall_time():
+    case_grammar = re.compile(r"fixed/.+|trial-\d{4}(/.+)?")
+    for name in SUITES:
+        t0 = time.perf_counter()
+        records = run_suite(name, 2, 5)
+        elapsed = time.perf_counter() - t0
+        assert all(r.suite == name for r in records), name
+        bad_cases = [r.case for r in records if not case_grammar.fullmatch(r.case)]
+        assert not bad_cases, f"{name}: {bad_cases}"
+        assert all(r.wall_time >= 0.0 for r in records), name
+        assert sum(r.wall_time for r in records) <= elapsed, name
