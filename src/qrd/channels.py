@@ -26,14 +26,11 @@ from .errors import (
     MalformedInputError,
     ZeroOperatorError,
 )
-from .measured import _classical_value_grad, _lower_bound
 from .opcore import HermitianOperator, _array_pair, as_operator, stiefel_ascent
+from .serialize import CHANNEL_KINDS
 
 #: spectral slack for the completely-positive order test
 CP_ORDER_SLACK = 1e-9
-
-#: kinds that channel optimization accepts
-CHANNEL_KINDS = ("daz", "sandwiched", "petz", "umegaki", "measured", "dmax")
 
 
 class Channel:
@@ -247,6 +244,7 @@ def _state_grad(kind: str, alpha, z, seed: int):
     and sum_k (dD/dq_k) M_k in sigma.
     """
     if kind == "measured":
+        from .measured import _classical_value_grad, _lower_bound
 
         def measured(rho, sigma):
             # at alpha >= 1/2 the convex program runs and ignores the budget;

@@ -33,7 +33,6 @@ from .opcore import (
     as_operator,
     spectral_map,
 )
-from .zlimits import _zero_z_divergence, zero_z_divergence
 
 #: relative slack for the self-check inequalities (ALT chain, domination)
 REL_SLACK = 1e-9
@@ -189,6 +188,8 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
             notes.append("degenerate_support")
         return _value_from_q(alpha, tr_rho, q, notes)
     if z == 0.0:
+        from .zlimits import _zero_z_divergence
+
         rec = _zero_z_divergence(pair, alpha)
         if rec.used_fallback:
             notes.append("zero_z_extrapolated")
@@ -285,6 +286,8 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
 
 def d_alpha_zero(rho, sigma, alpha: float) -> float:
     """z -> 0 limit divergence; see zlimits for the spectral machinery."""
+    from .zlimits import zero_z_divergence
+
     return zero_z_divergence(rho, sigma, alpha).value
 
 

@@ -16,25 +16,25 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, channel_divergence, channel_dmax, kind_whitelisted
-from .divergences import (
-    DivergenceParams,
-    d_alpha_z,
-    d_alpha_zero,
-    d_hat_alpha,
-    d_max,
-    umegaki,
-)
 from .errors import (
     BadParamsError,
     KindNotWhitelistedError,
     MalformedInputError,
     QrdError,
 )
-from .families import family_pair, parse_family
-from .measured import measured_renyi_lower, test_measured
-from .serialize import csv_cell, load_channel, load_config, load_state, value_to_json
-from .verify import SUITES, _digest, run_suite
+from .serialize import (
+    CHANNEL_KINDS,
+    SUITES,
+    _digest,
+    csv_cell,
+    load_channel,
+    load_config,
+    load_state,
+    value_to_json,
+)
+
+# Each command imports the library modules it runs, so a closed-form
+# `eval` never loads the optimizers, the channel calculus or the suites.
 
 EVAL_KINDS = ("daz", "dmax", "umegaki", "dhat", "dzero", "dinf", "measured", "test")
 Z_MODES = ("fixed", "alpha", "alpha-half", "alpha-minus-1-over-kappa")
@@ -52,6 +52,10 @@ exit codes:
   3 parameter domain violation, 4 divergence kind not whitelisted.
 --config FILE holds a JSON object whose entries override the flags.
 """
+
+
+#: JSON value types that fit a config field of each annotated type
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,18 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         raw = load_config(path)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        wanted = {f.name: f.type.split(" | ")[0] for f in fields(cls)}
+        unknown = set(raw) - set(wanted)
         if unknown:
             raise MalformedInputError(
-                f"{path}: unknown config keys {sorted(unknown)}; know {sorted(known)}"
+                f"{path}: unknown config keys {sorted(unknown)}; know {sorted(wanted)}"
             )
+        for key, value in raw.items():
+            fits = isinstance(value, _JSON_TYPES[wanted[key]]) and not isinstance(value, bool)
+            if value is not None and not fits:
+                raise MalformedInputError(
+                    f"{path}: config key {key!r} needs a {wanted[key]}, got {value!r}"
+                )
         return cls(**raw)
 
     def apply(self, args: argparse.Namespace) -> None:
@@ -99,11 +109,17 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise BadParamsError(f"grid {text!r} is not start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise BadParamsError(f"grid {text!r} is not start:stop:count: {exc}") from exc
         if count < 1:
             raise BadParamsError("grid needs at least one point")
         return tuple(float(x) for x in np.linspace(start, stop, count))
-    values = tuple(float(x) for x in text.split(",") if x.strip())
+    try:
+        values = tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise BadParamsError(f"grid {text!r} is not a comma list of numbers: {exc}") from exc
     if not values:
         raise BadParamsError("empty grid")
     return values
@@ -114,6 +130,8 @@ def _load_pair(args) -> tuple:
     if args.family is not None:
         if args.rho is not None or args.sigma is not None:
             raise BadParamsError("give either --family or --rho/--sigma, not both")
+        from .families import family_pair, parse_family
+
         rho, sigma = family_pair(parse_family(args.family))
         return rho, sigma, {"family": args.family}
     if args.rho is None or args.sigma is None:
@@ -130,6 +148,15 @@ def _need(value, name: str):
 
 
 def _eval_value(kind, rho, sigma, alpha, z, seed, restarts) -> tuple[float, dict]:
+    from .divergences import (
+        DivergenceParams,
+        d_alpha_z,
+        d_alpha_zero,
+        d_hat_alpha,
+        d_max,
+        umegaki,
+    )
+
     if kind == "daz":
         params = DivergenceParams(_need(alpha, "alpha"), _need(z, "z"))
         return d_alpha_z(rho, sigma, params).d_value, {}
@@ -144,6 +171,8 @@ def _eval_value(kind, rho, sigma, alpha, z, seed, restarts) -> tuple[float, dict
     if kind == "dinf":
         params = DivergenceParams(_need(alpha, "alpha"), math.inf)
         return d_alpha_z(rho, sigma, params).d_value, {}
+    from .measured import measured_renyi_lower, test_measured
+
     seed = _need(seed, "seed")  # stochastic kinds must be reproducible
     search = measured_renyi_lower if kind == "measured" else test_measured
     res = search(rho, sigma, _need(alpha, "alpha"), restarts=restarts, seed=seed)
@@ -191,6 +220,8 @@ def _sweep_z(mode: str, alpha: float, z_fixed: float | None, kappa: float) -> fl
 
 
 def cmd_sweep(args) -> int:
+    from .divergences import DivergenceParams, d_alpha_z
+
     rho, sigma, _ = _load_pair(args)
     grid = _parse_grid(args.alpha_grid)
     lines = ["alpha,z,value"]
@@ -206,6 +237,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    from .channels import channel_divergence, channel_dmax, kind_whitelisted
+
     n1 = load_channel(args.n1)
     n2 = load_channel(args.n2)
     dm = channel_dmax(n1, n2)
@@ -260,7 +293,11 @@ def cmd_channel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = tuple(SUITES) if "all" in args.suite else tuple(dict.fromkeys(args.suite))
+    from .verify import run_suite
+
+    # the flag gives a list, a config file one name
+    asked = [args.suite] if isinstance(args.suite, str) else args.suite
+    names = SUITES if "all" in asked else tuple(dict.fromkeys(asked))
     if args.seed is None:
         raise BadParamsError("--seed is required: every suite draws random instances")
     failures = []

@@ -174,6 +174,43 @@ def _hull_coordinates(omegas) -> np.ndarray:
     return np.array(rows)
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """argmin ||a x - b|| over x >= 0, and its residual norm.
+
+    The Lawson-Hanson active-set method (Solving Least Squares Problems,
+    SIAM 1995, ch. 23): move the column with the largest gradient entry
+    into the passive set, solve least squares on that set, and step back
+    along the segment to the last nonnegative point whenever an entry
+    turns nonpositive.  At most 3 n moves, as in the reference code.
+    """
+    m, n = a.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(np.abs(a).sum(axis=0).max(), 1.0)
+    for _ in range(3 * n):
+        # summed column by column, so equal columns tie exactly and the first enters
+        w = np.where(passive, -np.inf, ((b - a @ x)[:, None] * a).sum(axis=0))
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            break
+        before = passive.copy()
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(s[passive] > 0.0):
+                break
+            out = passive & (s <= 0.0)
+            step = np.min(x[out] / np.maximum(x[out] - s[out], np.finfo(float).tiny))
+            x += step * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = s
+        if np.array_equal(passive, before):
+            break  # the entering column fell straight out: optimal to working precision
+    return x, float(np.linalg.norm(a @ x - b))
+
+
 def caratheodory_reduce(rt: ReverseTest, f: ConvexFunctionSpec | None = None) -> ReverseTest:
     """Fold one column lying in the convex hull of the others.
 
@@ -183,8 +220,6 @@ def caratheodory_reduce(rt: ReverseTest, f: ConvexFunctionSpec | None = None) ->
     any classical f-divergence.  Only legal while the column count
     exceeds dim^2 + 1.
     """
-    from scipy.optimize import nnls  # deferred: slow to import, only the hull fit needs it
-
     n, d = rt.n_columns, rt.dim
     if n <= d * d + 1:
         raise BadParamsError(f"{n} columns at dim {d} is already at the floor")
@@ -192,7 +227,7 @@ def caratheodory_reduce(rt: ReverseTest, f: ConvexFunctionSpec | None = None) ->
     before = None if f is None else classical_fdiv(f, rt.p, rt.q)
     for k in range(n):
         others = [i for i in range(n) if i != k]
-        lam, residual = nnls(coords[others].T, coords[k])
+        lam, residual = _nnls(coords[others].T, coords[k])
         if residual > HULL_RESIDUAL_TOL:
             continue
         p = rt.p.values.copy()
@@ -244,12 +279,9 @@ def _project_column(m: np.ndarray) -> np.ndarray:
 
 
 def _refit_weights(omegas, target) -> tuple[np.ndarray, float]:
-    from scipy.optimize import nnls  # deferred: slow to import, only the hull fit needs it
-
     coords = _hull_coordinates(omegas)[:, :-1]
     t = np.concatenate([target.entries.real.ravel(), target.entries.imag.ravel()])
-    lam, residual = nnls(coords.T, t)
-    return lam, residual
+    return _nnls(coords.T, t)
 
 
 def maximal_divergence_upper(

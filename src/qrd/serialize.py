@@ -9,18 +9,44 @@ CSV, so downstream tools never meet a non-numeric token unannounced.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import Channel
 from .errors import MalformedInputError, NotPSDError, QrdError
 from .opcore import HermitianOperator, _cut_spectrum
 
+if TYPE_CHECKING:
+    from .channels import Channel
+
 #: JSON keys of a serialized matrix, in storage order
 MATRIX_KEYS = ("dim", "re", "im")
+
+# The names the command line and config files accept for `qrd channel
+# --kind` and `qrd verify --suite`.  They live here, with the other
+# boundary formats, so the parser can offer them without importing the
+# channel calculus or the suites.
+
+#: kinds that channel optimization accepts
+CHANNEL_KINDS = ("daz", "sandwiched", "petz", "umegaki", "measured", "dmax")
+
+#: verification suites, in run order; verify runs _<name>_trial and _<name>_fixed
+SUITES = (
+    "alt", "variational", "dmaxbound", "nszkola", "caratheodory", "zlimits",
+    "families", "channels", "smoothing",
+)
+
+
+def _digest(*arrays) -> str:
+    """12 hex digits of the SHA-256 of the arrays' bytes: the input fingerprint of a record."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a)).tobytes())
+    return h.hexdigest()[:12]
 
 
 def _as_float_grid(obj, shape: tuple[int, int], where: str) -> np.ndarray:
@@ -109,6 +135,8 @@ def dump_matrix(op: HermitianOperator, path: str | os.PathLike) -> None:
 
 def channel_from_json(obj, where: str = "channel") -> Channel:
     """Kraus form preferred; a "choi" matrix is accepted as an alternative."""
+    from .channels import Channel
+
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{where}: expected an object, got {type(obj).__name__}")
     try:

@@ -10,7 +10,6 @@ keeps the earlier records unchanged.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -61,6 +60,7 @@ from .reversetests import (
     rt_f_divergence,
     validate_reverse_test,
 )
+from .serialize import SUITES, _digest
 from .zlimits import (
     _limit_eigenvalues,
     equality_case_check,
@@ -85,13 +85,6 @@ class ResultRecord:
     ok: bool
     detail: str
     wall_time: float
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(np.asarray(a)).tobytes())
-    return h.hexdigest()[:12]
 
 
 def rand_unitary(rng, d: int) -> np.ndarray:
@@ -671,21 +664,6 @@ def _smoothing_trial(i: int, rng):
 
 # --------------------------------------------------------------- runner
 
-#: suite name -> (trial generator, fixed-case generator or None)
-_SUITES = {
-    "alt": (_alt_trial, None),
-    "variational": (_variational_trial, None),
-    "dmaxbound": (_dmaxbound_trial, None),
-    "nszkola": (_nszkola_trial, None),
-    "caratheodory": (_caratheodory_trial, _caratheodory_fixed),
-    "zlimits": (_zlimits_trial, _zlimits_fixed),
-    "families": (_families_trial, _families_fixed),
-    "channels": (_channels_trial, _channels_fixed),
-    "smoothing": (_smoothing_trial, None),
-}
-
-SUITES = tuple(_SUITES)
-
 
 def _records(suite: str, prefix: str, checks) -> list[ResultRecord]:
     """One record per (case, digest, ok, detail) check, its case under prefix.
@@ -708,11 +686,12 @@ def run_suite(name: str, trials: int, seed: int) -> list[ResultRecord]:
 
     Trial i draws from default_rng([seed, i]).
     """
-    if name not in _SUITES:
+    if name not in SUITES:
         raise BadParamsError(f"unknown suite {name!r}; choose from {SUITES}")
     if trials < 1:
         raise BadParamsError(f"trials must be positive, got {trials}")
-    trial, fixed = _SUITES[name]
+    # suite <name> is the generator _<name>_trial, plus _<name>_fixed if it has fixed cases
+    trial, fixed = globals()[f"_{name}_trial"], globals().get(f"_{name}_fixed")
     records = _records(name, "fixed", fixed()) if fixed else []
     for i in range(trials):
         records += _records(name, f"trial-{i:04d}", trial(i, np.random.default_rng([seed, i])))

@@ -8,7 +8,7 @@ import pytest
 
 from qrd.lab import ExperimentConfig, main
 from qrd.serialize import dump_channel, dump_matrix
-from qrd.verify import rand_channel, rand_density
+from qrd.verify import rand_channel, rand_density, run_suite
 
 
 @pytest.fixture
@@ -113,6 +113,16 @@ def test_sweep_rejects_bad_grid(capsys, state_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("grid", ["a:b:3", "0.5:2:x", "0.5:2:2.5", "1.5,abc"])
+def test_sweep_malformed_grid_exits_three(capsys, state_files, grid):
+    rho, sigma = state_files
+    code, out, err = run_cli(
+        capsys, "sweep", "--alpha-grid", grid, "--z", "1", "--rho", rho, "--sigma", sigma,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and repr(grid) in err
+
+
 def test_channel_dmax_kind(capsys, tmp_path):
     rng = np.random.default_rng(3)
     p1 = tmp_path / "n1.json"
@@ -181,12 +191,12 @@ def test_verify_subcommand_summary(capsys):
 
 
 def test_verify_failure_reporting(capsys, monkeypatch):
-    import qrd.lab as lab
+    import qrd.verify
 
     class FakeRecord:
         suite, case, digest, ok, detail = "alt", "fake", "d", False, "broken"
 
-    monkeypatch.setattr(lab, "run_suite", lambda *a: [FakeRecord()])
+    monkeypatch.setattr(qrd.verify, "run_suite", lambda *a: [FakeRecord()])
     code, out, _ = run_cli(capsys, "verify", "--suite", "alt", "--seed", "0")
     assert code == 1
     last = out.strip().split("\n")[-1]
@@ -203,6 +213,61 @@ def test_config_overrides_flags(capsys, tmp_path, state_files):
     )
     assert code == 0
     assert json.loads(out)["metadata"]["alpha"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (("eval", "--kind", "dhat", "--alpha", "1.5"), {"alpha": "abc"}),
+        (("eval", "--kind", "dhat", "--alpha", "1.5"), {"alpha": True}),
+        (("eval", "--kind", "dhat", "--alpha", "1.5"), {"family": 3}),
+        (("verify", "--suite", "alt", "--seed", "1"), {"trials": "3"}),
+        (("verify", "--suite", "alt", "--seed", "1"), {"trials": 2.0}),
+        (("verify", "--suite", "alt", "--seed", "1"), {"seed": False}),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(capsys, tmp_path, state_files, argv, config):
+    rho, sigma = state_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    pair = ("--rho", rho, "--sigma", sigma) if argv[0] == "eval" else ()
+    code, out, err = run_cli(capsys, *argv, *pair, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    [(key, value)] = config.items()
+    assert f"config key {key!r}" in err and repr(value) in err
+
+
+def test_config_takes_an_integer_for_a_float_field(capsys, tmp_path, state_files):
+    rho, sigma = state_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2, "kind": "dhat", "z": None}))
+    code, out, _ = run_cli(
+        capsys, "eval", "--kind", "dmax", "--rho", rho, "--sigma", sigma, "--config", str(cfg),
+    )
+    assert code == 0
+    assert json.loads(out)["metadata"]["kind"] == "dhat"
+
+
+def test_config_suite_names_one_suite(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "families"}))
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "alt", "--trials", "1", "--seed", "8", "--config", str(cfg),
+    )
+    assert code == 0
+    assert out.splitlines()[0].startswith("families: ")
+
+
+def test_eval_digest_is_pinned_and_shared_with_verify(capsys):
+    # gen_kappa(1, 2, 1e-6): the pair of the families suite's fixed case kappa-unit
+    code, out, _ = run_cli(
+        capsys, "eval", "--kind", "dmax", "--family", "kappa:kappa=1,lam=2,eps=1e-6"
+    )
+    assert code == 0
+    digest = json.loads(out)["metadata"]["digest"]
+    assert digest == "e1e2ac363346"
+    [record] = [r for r in run_suite("families", 1, 0) if r.case == "fixed/kappa-unit"]
+    assert record.digest == digest
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path, state_files):

@@ -1,4 +1,9 @@
-"""Import cost: scipy.optimize and mpmath load only where they are called."""
+"""Import cost: each subcommand loads only the modules it runs.
+
+scipy.optimize and mpmath load only where they are called, ``import qrd``
+loads no submodule, and a closed-form evaluation loads none of the
+optimizers, the suites, the channel calculus or the z -> 0 machinery.
+"""
 
 import json
 import math
@@ -7,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -24,17 +30,102 @@ print(json.dumps({{"code": code, "after_import": after_import, "after_main": aft
 """
 
 
-def run_fresh(*argv):
-    """Run qrd.lab.main(argv) in a new interpreter: (record, report)."""
+# the modules a closed-form evaluation or a sweep must not load
+LAZY = (
+    "qrd.verify", "qrd.measured", "qrd.channels", "qrd.reversetests", "qrd.families",
+    "qrd.zlimits",
+)
+
+# prints main's exit code, then every qrd submodule and heavy module loaded
+LOADED = f"""
+import contextlib, io, json, sys
+from qrd import lab
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lab.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qrd.") or m in {HEAVY!r})]))
+"""
+
+
+def fresh_stdout(child, *argv):
+    """Run the child script in a new interpreter with src on the path: its stdout lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", child, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    *_, record, report = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def run_fresh(*argv):
+    """Run qrd.lab.main(argv) in a new interpreter: (record, report)."""
+    *_, record, report = fresh_stdout(CHILD, *argv)
     return json.loads(record), json.loads(report)
+
+
+def loaded_by(*argv):
+    """(exit code, qrd submodules and heavy modules loaded) of qrd.lab.main(argv), run fresh."""
+    code, loaded = json.loads(fresh_stdout(LOADED, *argv)[-1])
+    return code, set(loaded)
+
+
+@pytest.fixture
+def state_files(tmp_path):
+    from qrd.serialize import dump_matrix
+    from qrd.verify import rand_density
+
+    rng = np.random.default_rng(4)
+    paths = tmp_path / "rho.json", tmp_path / "sigma.json"
+    for path in paths:
+        dump_matrix(rand_density(rng, 3, floor=0.05), path)
+    return ["--rho", str(paths[0]), "--sigma", str(paths[1])]
+
+
+def test_import_qrd_loads_no_submodule():
+    [loaded] = fresh_stdout(
+        "import sys, qrd; print(sorted(m for m in sys.modules if m.startswith('qrd.')))"
+    )
+    assert loaded == "[]"
+
+
+def test_public_names_resolve_lazily():
+    import qrd
+
+    listed = dir(qrd)
+    for name in qrd.__all__:
+        assert name in listed
+        assert getattr(qrd, name) is getattr(sys.modules[f"qrd.{qrd._HOME[name]}"], name)
+    namespace = {}
+    exec("from qrd import *", namespace)
+    assert set(qrd.__all__) <= set(namespace)
+    assert qrd.opcore is sys.modules["qrd.opcore"] and "lab" in listed
+    with pytest.raises(AttributeError):
+        qrd.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--kind", "daz", "--alpha", "1.5", "--z", "0.5"),
+        ("eval", "--kind", "dmax"),
+        ("eval", "--kind", "umegaki"),
+        ("eval", "--kind", "dhat", "--alpha", "1.5"),
+        ("eval", "--kind", "dinf", "--alpha", "0.7"),
+        ("sweep", "--alpha-grid", "0.5:2:4", "--z-mode", "alpha"),
+    ],
+    ids=["daz", "dmax", "umegaki", "dhat", "dinf", "sweep"],
+)
+def test_closed_form_commands_load_only_the_divergence_layer(state_files, argv):
+    code, loaded = loaded_by(*argv, *state_files)
+    assert code == 0
+    assert not loaded & set(LAZY + HEAVY), sorted(loaded)
+
+
+def test_caratheodory_suite_loads_no_optimizer():
+    code, loaded = loaded_by("verify", "--suite", "caratheodory", "--trials", "1", "--seed", "3")
+    assert code == 0
+    assert "qrd.reversetests" in loaded and "scipy.optimize" not in loaded
 
 
 def test_import_and_closed_form_eval_load_no_heavy_module():

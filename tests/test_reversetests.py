@@ -7,7 +7,10 @@ from qrd.classical import power_spec
 from qrd.divergences import DivergenceParams, d_alpha_z, d_hat_alpha
 from qrd.errors import BadParamsError, DimMismatchError, NoConvexWitnessError
 from qrd.reversetests import (
+    HULL_RESIDUAL_TOL,
     ReverseTest,
+    _hull_coordinates,
+    _nnls,
     caratheodory_fixpoint,
     caratheodory_reduce,
     maximal_divergence_upper,
@@ -107,3 +110,35 @@ def test_maximal_divergence_exact_below_two(rng):
     res = maximal_divergence_upper(rho, sigma, 1.5, restarts=1, seed=0)
     assert res.exact
     assert res.value == pytest.approx(d_hat_alpha(rho, sigma, 1.5), abs=1e-9)
+
+
+def _nnls_problems(rng, m, n):
+    """(A, b) pairs: full-rank and rank-deficient A, b in the cone of A's columns or not."""
+    for trial in range(48):
+        a = rng.standard_normal((m, n))
+        if trial % 3 == 1:
+            a[:, -1] = a[:, 0]  # a repeated column
+        elif trial % 3 == 2:
+            a[:, -1] = a[:, :3] @ rng.random(3)  # a column inside the cone of three others
+        x = rng.random(n) * (rng.random(n) < 0.6)
+        yield a, (a @ x if trial % 2 else rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (9, 6), (9, 7), (12, 8), (18, 10)])
+def test_nnls_agrees_with_scipy(shape):
+    from scipy.optimize import nnls  # the cross-check oracle
+
+    rng = np.random.default_rng(shape)
+    problems = list(_nnls_problems(rng, *shape))
+    # the hull fits of caratheodory_reduce on a test with interior columns
+    coords = _hull_coordinates(anchors_and_mixtures_rt(rng).omegas)
+    problems += [(np.delete(coords, k, axis=0).T, coords[k]) for k in range(len(coords))]
+    sides = set()
+    for a, b in problems:
+        want, want_residual = nnls(a, b)
+        got, got_residual = _nnls(a, b)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got_residual == pytest.approx(want_residual, rel=1e-9, abs=1e-12)
+        assert (got_residual > HULL_RESIDUAL_TOL) == (want_residual > HULL_RESIDUAL_TOL)
+        sides.add(got_residual > HULL_RESIDUAL_TOL)
+    assert sides == {True, False}
