@@ -73,6 +73,12 @@ def emit(label: str, fn) -> None:
     print(f"{label}: {out}")
 
 
+def zero_z_pair(rho, sigma, alpha: float):
+    """zero_z_divergence's (value, used_fallback), the fields every version carries."""
+    res = zero_z_divergence(rho, sigma, alpha)
+    return res.value, res.used_fallback
+
+
 def slack_pair(t: float):
     """d = 3, sigma of rank 2, rho = (1 - t) rho0 + t |k><k| with k spanning ker sigma."""
     sigma = np.diag([0.5, 0.5, 0.0]).astype(complex)
@@ -126,7 +132,7 @@ def divergence_layer(name, rho, sigma) -> None:
         )
         if alpha != 1.0:
             emit(f"{name} dhat a={alpha}", lambda: d_hat_alpha(rho, sigma, alpha))
-            emit(f"{name} zero a={alpha}", lambda: zero_z_divergence(rho, sigma, alpha))
+            emit(f"{name} zero a={alpha}", lambda: zero_z_pair(rho, sigma, alpha))
     emit(
         f"{name} smooth",
         lambda: epsilon_smoothing_curve(rho, sigma, DivergenceParams(1.5, 1.5), EPS_GRID),

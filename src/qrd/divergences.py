@@ -192,7 +192,7 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
 
         rec = _zero_z_divergence(pair, alpha)
         if rec.used_fallback:
-            notes.append("zero_z_extrapolated")
+            notes.append("zero_z_nongeneric")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
     return _value_from_q(alpha, tr_rho, _q(pair, alpha, z), notes)
 
@@ -201,8 +201,9 @@ def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
     """Renyi (alpha, z)-divergence with its Q and psi companions.
 
     alpha = 1 is Umegaki relative entropy for every z; z = inf uses the
-    pinched exponential; z = 0 uses the spectral limit with extrapolation
-    fallback.
+    pinched exponential; z = 0 is the exact spectral limit for every pair
+    (zlimits.zero_z_divergence), noted zero_z_nongeneric where the closed
+    form a_i^alpha b_i^(1-alpha) does not apply.
     """
     return _d_alpha_z(_checked_pair(rho, sigma), params)
 

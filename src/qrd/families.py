@@ -173,7 +173,10 @@ def parse_family(text: str) -> FamilySpec:
             key, sep, value = chunk.partition("=")
             if not sep or not key:
                 raise BadParamsError(f"bad family parameter {chunk!r}")
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise BadParamsError(f"family parameter {chunk!r} is not a number") from None
     return FamilySpec(tag.strip(), params)
 
 

@@ -1,17 +1,21 @@
 """Small-z limit of the (alpha, z) family: spectral formula and checks.
 
-The z -> 0 limit of Q_{alpha,z} has eigenvalues a_i^alpha b_i^(1-alpha)
-(alpha < 1) or a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1) whenever a
-determinant genericity condition on the eigenvector overlap matrix holds.
-This module tests those conditions by exhaustive minor search, with the
-determinants of each minor size evaluated in batches: when sigma is one
-eigenvalue block (sigma = I/d) and rho's eigenvalues are distinct, that
-is 2^d - 2 determinants per condition, and one evaluation searches once.
-It evaluates the closed form and falls back to Richardson extrapolation
-of Q_{alpha,z} over a small z-grid in arbitrary precision when
-genericity fails.  It also hosts the equality-case checker for the
-one-sided alpha -> 1 limits and the reducing-subspace test used in its
-proof.
+The z -> 0 limit of Q_{alpha,z} has eigenvalues lambda_1 >= lambda_2 >= ...
+with log(lambda_1 ... lambda_k) the largest alpha sum_I log a_i +
+(1 - alpha) sum_J log b_j over |I| = |J| = k with det U[I, J] != 0, U the
+eigenvector overlap (Audenaert-Hiai, "Reciprocal Lie-Trotter formula").
+zero_z_divergence evaluates it for every pair in O(d^3): Gaussian
+elimination of U pivoting on the entry of largest valuation
+(_limit_pivots), with the library's minor band deciding exact zeros.
+When the determinant genericity conditions (b) and (b') hold the limit
+is the closed form a_i^alpha b_i^(1-alpha) (alpha < 1) or
+a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1); the exhaustive minor search
+that tests them (2^d - 2 determinants when sigma = I/d) stays as a
+diagnostic, as does the Richardson extrapolation of Q_{alpha,z} over a
+small z-grid in arbitrary precision (zero_z_oracle), the only code here
+that loads mpmath.  The module also hosts the equality-case checker for
+the one-sided alpha -> 1 limits and the reducing-subspace test used in
+its proof.
 """
 
 from __future__ import annotations
@@ -89,10 +93,12 @@ class SpectralProfile:
 
 
 def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
-    scale = max(float(np.max(np.abs(values))), 1e-300)
+    """Block boundaries of a sorted, nonnegative (cut) spectrum."""
+    values = values.tolist()
+    scale = max(values[0], values[-1], 1e-300)
     bounds = [0]
     for k in range(1, len(values)):
-        gap = abs(float(values[k - 1] - values[k]))
+        gap = abs(values[k - 1] - values[k])
         if CLUSTER_TOL * scale < gap < CLUSTER_AMBIGUOUS * scale:
             raise GenericityUndeterminedError(
                 f"near-degenerate spectrum: gap {gap:.3e} at position {k}"
@@ -230,13 +236,6 @@ def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
     )
 
 
-def _alpha_genericity(profile: SpectralProfile, alpha: float) -> GenericityResult:
-    """The condition the limit formula needs on the side of 1 where alpha is."""
-    if alpha < 1.0:
-        return genericity_condition_b(profile)
-    return genericity_condition_b_prime(profile)
-
-
 def _check_alpha(alpha: float) -> None:
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
@@ -249,7 +248,7 @@ def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
     cannot be decided.
     """
     _check_alpha(alpha)
-    gen = _alpha_genericity(profile, alpha)
+    gen = (genericity_condition_b if alpha < 1.0 else genericity_condition_b_prime)(profile)
     if not gen.holds:
         if gen.undetermined:
             raise GenericityUndeterminedError(
@@ -325,10 +324,7 @@ def zero_z_oracle(rho, sigma, alpha: float) -> float:
     +inf above alpha = 1 when rho leaks out of sigma's support, as at every z.
     """
     _check_alpha(alpha)
-    return _zero_z_oracle(_checked_pair(rho, sigma), alpha)
-
-
-def _zero_z_oracle(pair, alpha: float) -> float:
+    pair = _checked_pair(rho, sigma)
     if alpha > 1.0 and not pair.included:
         return math.inf
     d0, d1, d2 = _oracle_nodes(pair, alpha)
@@ -341,33 +337,103 @@ def _zero_z_oracle(pair, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class ZeroZResult:
+    """D_{alpha,0} with the (i, j) pivot of each limit eigenvalue a_i^alpha b_j^(1-alpha).
+
+    Indices are positions in the profile's descending spectra.
+    used_fallback: the limit spectrum differs from the closed-form pairing
+    (_limit_eigenvalues), which would be wrong for the pair; the name is
+    kept from when such pairs fell back to zero_z_oracle.
+    """
+
     value: float
     used_fallback: bool
-    genericity: GenericityResult
+    pivots: tuple[tuple[int, int], ...]
 
 
 def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
-    """D_{alpha,0} via the spectral formula, oracle fallback when non-generic."""
+    """D_{alpha,0} from the limit eigenvalues of the valuation-pivoted elimination (_limit_pivots)."""
     _check_alpha(alpha)
     return _zero_z_divergence(_checked_pair(rho, sigma), alpha)
 
 
 def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
     """zero_z_divergence on a pair record, its profile built from the record."""
+    if alpha > 1.0 and not pair.included:
+        return ZeroZResult(math.inf, False, ())
     profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
-    gen = _alpha_genericity(profile, alpha)
-    if gen.holds:
-        lam = _limit_eigenvalues(profile, alpha)
-        q0 = float(np.sum(lam))
-        if q0 <= 0.0:
-            return ZeroZResult(math.inf, False, gen)
-        d_val = (math.log(q0) - math.log(pair.tr)) / (alpha - 1.0)
-        return ZeroZResult(d_val, False, gen)
-    if gen.undetermined:
-        raise GenericityUndeterminedError(
-            "overlap minors in the dead band; cannot choose formula vs fallback"
-        )
-    return ZeroZResult(_zero_z_oracle(pair, alpha), True, gen)
+    val = _valuations(profile, alpha)
+    na, nb = val.shape
+    pivots = _limit_pivots(profile.overlap[:na, :nb].copy(), val)
+    # both valuation sequences are non-increasing, the closed form's
+    # because its pairs run down rho's spectrum and down sigma's (alpha < 1)
+    # or up it (alpha > 1), so equal spectra are equal sequences
+    natural = np.diagonal(val) if alpha < 1.0 else np.diagonal(val[:, ::-1], nb - profile.dim)
+    used_fallback = [val[p, q] for p, q in pivots] != natural.tolist()
+    a, b, lam = profile.a.tolist(), profile.b.tolist(), [0.0] * profile.dim
+    for i, j in pivots:  # at rho's index, as _limit_eigenvalues places them
+        lam[i] = a[i] ** alpha * b[j] ** (1.0 - alpha)
+    q0 = float(np.sum(lam))
+    if q0 <= 0.0:  # no pivot: the supports are orthogonal (alpha < 1)
+        return ZeroZResult(math.inf, used_fallback, pivots)
+    return ZeroZResult((math.log(q0) - math.log(pair.tr)) / (alpha - 1.0), used_fallback, pivots)
+
+
+def _valuations(profile: SpectralProfile, alpha: float) -> np.ndarray:
+    """alpha log a_i + (1 - alpha) log b_j over the kept eigenvalues, a prefix of each spectrum.
+
+    Each eigenvalue reads as its cluster's first, so degenerate
+    eigenvalues give exactly equal valuations.
+    """
+    def logs(values, bounds, kept):
+        values = values.tolist()
+        first = [values[lo] for lo, hi in zip(bounds, bounds[1:]) for _ in range(lo, hi)]
+        return np.log(first[:np.count_nonzero(kept)])
+
+    ra = logs(profile.a, profile.i_bounds, profile.on_a)
+    cb = logs(profile.b, profile.j_bounds, profile.on_b)
+    return alpha * ra[:, None] + (1.0 - alpha) * cb
+
+
+def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Gaussian elimination of c (overwritten) pivoting on the live entry of largest valuation.
+
+    diag(t^ra) c diag(t^cb), val = ra + cb, has monomial entries, and
+    each Schur complement keeps them with the same exponents, so the
+    elimination is a Smith normal form over the valuation ring: the
+    first k pivots give the largest k x k minor, and the k-th pivot's
+    valuation is the k-th limit log-eigenvalue (the maximum over
+    det c[I, J] != 0 of the summed valuations, Audenaert-Hiai).  A tie
+    goes to the entry of largest magnitude.  Entry (i, j)'s minor
+    det c[I + i, J + j] is the product of the pivots so far times the
+    entry: at most MINOR_DEAD it is an exact zero, and a best minor at the
+    top live valuation of at most MINOR_OK raises
+    GenericityUndeterminedError.  Returns the pivots in order, their
+    valuations non-increasing.
+    """
+    cols, steps = c.shape[1], min(c.shape)
+    neg = -val.ravel()
+    order = np.argsort(neg, kind="stable")
+    keys = neg[order]  # ascending: equal valuations are one run
+    det, pivots = 1.0, []
+    for k in range(steps):
+        mag, live = np.abs(c.take(order)), MINOR_DEAD / det
+        first = int((mag > live).argmax())
+        if not mag[first] > live:
+            break
+        end = int(keys.searchsorted(keys[first], "right"))
+        at = first + int(mag[first:end].argmax())
+        minor = det * float(mag[at])
+        if minor <= MINOR_OK:
+            raise GenericityUndeterminedError(
+                f"overlap minor {minor:.3e} in the dead band at pivot {k + 1}"
+            )
+        p, q = divmod(int(order[at]), cols)
+        pivots.append((p, q))
+        det = minor
+        if k + 1 < steps:
+            c -= (c[:, q] / c[p, q])[:, None] * c[p]
+            c[p], c[:, q] = 0.0, 0.0
+    return tuple(pivots)
 
 
 @dataclass(frozen=True)

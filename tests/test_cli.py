@@ -68,6 +68,12 @@ def test_eval_requires_pair(capsys):
     assert "rho" in err
 
 
+def test_eval_family_with_a_non_numeric_parameter_exits_three(capsys):
+    code, out, err = run_cli(capsys, "eval", "--kind", "dmax", "--family", "pure:c=abc,eps=1")
+    assert code == 3 and out == ""
+    assert "'c=abc'" in err
+
+
 def test_eval_seed_required_for_measured(capsys, state_files):
     rho, sigma = state_files
     code, _, err = run_cli(

@@ -134,6 +134,23 @@ def test_import_and_closed_form_eval_load_no_heavy_module():
     assert record["value"] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def test_dzero_on_a_non_generic_pair_loads_no_mpmath(tmp_path):
+    from qrd.opcore import HermitianOperator
+    from qrd.serialize import dump_matrix
+
+    # anti-aligned commuting pair: below alpha = 1 the closed form does not apply
+    a = np.array([0.5, 0.3, 0.2])
+    paths = tmp_path / "rho.json", tmp_path / "sigma.json"
+    dump_matrix(HermitianOperator(np.diag(a)), paths[0])
+    dump_matrix(HermitianOperator(np.diag(a[::-1])), paths[1])
+    record, report = run_fresh(
+        "eval", "--kind", "dzero", "--alpha", "0.6", "--rho", str(paths[0]), "--sigma", str(paths[1])
+    )
+    assert report == {"code": 0, "after_import": [], "after_main": []}
+    classical = math.log(np.sum(a**0.6 * a[::-1] ** 0.4)) / -0.4
+    assert record["value"] == pytest.approx(classical, abs=1e-12)
+
+
 def test_test_kind_loads_no_heavy_module():
     record, report = run_fresh(
         "eval", "--kind", "test", "--alpha", "1.5", "--seed", "3",

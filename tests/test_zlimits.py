@@ -8,7 +8,13 @@ import pytest
 
 from qrd import zlimits
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import BadAlphaError, DimMismatchError, NotPSDError, SingularSigmaError
+from qrd.errors import (
+    BadAlphaError,
+    DimMismatchError,
+    GenericityUndeterminedError,
+    NotPSDError,
+    SingularSigmaError,
+)
 from qrd.opcore import HermitianOperator, Projection, _checked_pair
 from qrd.verify import generic_zero_z_pair, rand_balanced_pure, rand_density
 from qrd.zlimits import (
@@ -238,7 +244,7 @@ def test_anti_aligned_minors_are_exact_zeros():
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.7])
-def test_one_evaluation_searches_once(alpha, rng, monkeypatch):
+def test_evaluation_runs_no_genericity_search(alpha, rng, monkeypatch):
     rho, sigma = generic_zero_z_pair(rng, 4)
     calls = []
     search = zlimits._genericity
@@ -249,9 +255,8 @@ def test_one_evaluation_searches_once(alpha, rng, monkeypatch):
 
     monkeypatch.setattr(zlimits, "_genericity", counting)
     zero_z_divergence(rho, sigma, alpha)
-    assert len(calls) == 1
     d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.0))
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_spectral_profile_rejects_a_non_psd_operator(rng):
@@ -350,3 +355,173 @@ def test_oracle_is_inf_on_orthogonal_supports():
     rho, sigma = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     assert d_alpha_z(rho, sigma, DivergenceParams(0.5, 0.01)).d_value == math.inf
     assert zero_z_oracle(rho, sigma, 0.5) == math.inf
+
+
+# ------------------------------------------- valuation-pivoted elimination
+
+
+def minor_reference(a, b, u, alpha):
+    """D_{alpha,0} from the limit formula by brute force over the minors of u.
+
+    log(lambda_1 ... lambda_k) is the largest alpha sum_I log a_i +
+    (1 - alpha) sum_J log b_j over |I| = |J| = k with |det u[I, J]| > 1e-8
+    (Audenaert-Hiai); u is the exact overlap, so its zeros carry no rounding.
+    """
+    d, partial = len(a), [0.0]
+    for k in range(1, d + 1):
+        sums = [
+            alpha * np.sum(np.log(a[list(rows)])) + (1.0 - alpha) * np.sum(np.log(b[list(cols)]))
+            for rows in itertools.combinations(range(d), k)
+            for cols in itertools.combinations(range(d), k)
+            if abs(np.linalg.det(u[np.ix_(rows, cols)])) > 1e-8
+        ]
+        if not sums:
+            break
+        partial.append(max(sums))
+    q0 = float(np.sum(np.exp(np.diff(partial))))
+    return math.log(q0 / np.sum(a)) / (alpha - 1.0)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _exact_structure_cases():
+    """(rho, sigma, a, b, U) with U = P (B + I), B a random 2 x 2 unitary: exact zeros in U."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (2, 3, 4):
+        for rotated in (False, True):
+            for _ in range(10):
+                a = np.sort(rng.uniform(0.05, 1.0, d))[::-1]
+                b = np.sort(rng.uniform(0.05, 1.0, d))[::-1]
+                a, b = a / a.sum(), b / b.sum()
+                u = np.eye(d, dtype=complex)
+                u[:2, :2] = _unitary(rng, 2)
+                u = u[rng.permutation(d)]
+                v = _unitary(rng, d) if rotated else np.eye(d)
+                w = v @ u
+                rho = HermitianOperator((v * a) @ v.conj().T)
+                cases.append((rho, HermitianOperator((w * b) @ w.conj().T), a, b, u))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.7])
+def test_limit_matches_the_brute_force_minor_formula(alpha):
+    fallback = 0
+    for rho, sigma, a, b, u in _exact_structure_cases():
+        res = zero_z_divergence(rho, sigma, alpha)
+        assert res.value == pytest.approx(minor_reference(a, b, u, alpha), abs=1e-12)
+        fallback += res.used_fallback
+    assert fallback > 0  # the set holds pairs where the closed form is wrong
+
+
+def test_non_generic_pair_value():
+    a, b = np.array([0.6, 0.3, 0.1]), np.array([0.5, 0.3, 0.2])
+    u = np.array([[-0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    rho, sigma = HermitianOperator(np.diag(a)), HermitianOperator((u * b) @ u.T)
+    res = zero_z_divergence(rho, sigma, 1.7)
+    assert res.used_fallback
+    assert res.value == pytest.approx(0.3142786, abs=1e-7)
+    assert res.value == pytest.approx(minor_reference(a, b, u, 1.7), abs=1e-12)
+    # the limit eigenvalues pair a_0 with b_1, a_1 with b_0 and a_2 with b_2
+    assert sorted(res.pivots) == [(0, 1), (1, 0), (2, 2)]
+
+
+def _slack_pair():
+    """sigma = 1/2 on a 2-plane; rho = (rho0 + |k><k|) / 2 with k spanning ker sigma."""
+    u = np.linalg.qr(np.array([[1, 1, 1], [1, -1, 2], [0, 1, -1]], dtype=complex))[0]
+    sigma = u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T
+    k = u[:, 2:3]
+    v = u[:, :2] @ np.array([[0.8], [0.6j]])
+    rho0 = 0.7 * (v @ v.conj().T) + 0.3 * (u[:, :1] @ u[:, :1].conj().T)
+    return HermitianOperator(0.5 * rho0 + 0.5 * (k @ k.conj().T)), HermitianOperator(sigma)
+
+
+def test_block_diagonal_pair_with_rounding_level_overlaps():
+    # rho's top eigenvector spans ker sigma, so its overlaps with sigma's
+    # kept eigenvectors are rounding dust; the pair is block-diagonal and
+    # D_{alpha,z} is the same at every z
+    rho, sigma = _slack_pair()
+    for alpha in (0.3, 0.5, 0.7):
+        res = zero_z_divergence(rho, sigma, alpha)
+        assert res.used_fallback
+        finite_z = d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.05)).d_value
+        assert res.value == pytest.approx(finite_z, rel=1e-12)
+    assert zero_z_divergence(rho, sigma, 0.3).value == pytest.approx(0.461945, abs=1e-6)
+    value = d_alpha_z(rho, sigma, DivergenceParams(0.3, 0.0))
+    assert value.notes == ("zero_z_nongeneric",)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_anti_aligned_commuting_pairs_give_the_classical_value(d):
+    rng = np.random.default_rng(d)
+    a = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
+    a /= a.sum()
+    rho, sigma = HermitianOperator(np.diag(a)), HermitianOperator(np.diag(a[::-1]))
+    for alpha in (0.6, 1.7):
+        res = zero_z_divergence(rho, sigma, alpha)
+        classical = math.log(np.sum(a**alpha * a[::-1] ** (1.0 - alpha))) / (alpha - 1.0)
+        assert res.value == pytest.approx(classical, abs=1e-12)
+        assert res.used_fallback == (alpha < 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.7])
+def test_maximally_mixed_sigma_at_d16(alpha):
+    rng = np.random.default_rng(16)
+    rho = rand_density(rng, 16)
+    sigma = HermitianOperator(np.eye(16) / 16)
+    w = rho.eigenvalues
+    exact = math.log(16) + math.log(np.sum(w**alpha)) / (alpha - 1.0)
+    res = zero_z_divergence(rho, sigma, alpha)
+    assert not res.used_fallback
+    assert res.value == pytest.approx(exact, abs=1e-10)
+    assert [p for p, _ in res.pivots] == list(range(16))
+
+
+def test_leak_out_of_sigma_is_inf_above_one_and_a_value_inside():
+    rng = np.random.default_rng(3)
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3, rank=2)
+    assert zero_z_divergence(rho, sigma, 1.7).value == math.inf
+    assert d_alpha_z(rho, sigma, DivergenceParams(1.7, 0.0)).d_value == math.inf
+    # rho inside sigma's support: a singular sigma gets a value, for a
+    # commuting rho the classical one
+    w, b = sigma.eigenvectors[:, :2], sigma.eigenvalues[:2]
+    commuting = HermitianOperator(w @ np.diag([0.7, 0.3]) @ w.conj().T)
+    classical = math.log(np.sum(np.array([0.7, 0.3]) ** 1.7 * b**-0.7)) / 0.7
+    assert zero_z_divergence(commuting, sigma, 1.7).value == pytest.approx(classical, abs=1e-12)
+    inside = HermitianOperator(w @ rand_density(rng, 2, floor=0.05).entries @ w.conj().T)
+    res = zero_z_divergence(inside, sigma, 1.7)
+    assert res.value == pytest.approx(zero_z_oracle(inside, sigma, 1.7), abs=1e-4)
+
+
+def test_dead_band_minor_raises_and_a_dead_one_is_a_zero():
+    a, b = np.array([0.7, 0.3]), np.array([0.6, 0.4])
+
+    def rotated(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        u = np.array([[c, -s], [s, c]])
+        return HermitianOperator(np.diag(a)), HermitianOperator((u * b) @ u.T)
+
+    # above 1 the top valuation is a_0 against b_1, whose overlap is sin(theta)
+    with pytest.raises(GenericityUndeterminedError):
+        zero_z_divergence(*rotated(1e-11), 1.7)
+    res = zero_z_divergence(*rotated(1e-13), 1.7)
+    classical = math.log(np.sum(a**1.7 * b**-0.7)) / 0.7
+    assert res.value == pytest.approx(classical, abs=1e-12)
+    assert res.pivots == ((0, 0), (1, 1)) and res.used_fallback
+
+
+@pytest.mark.parametrize("theta", [1e-11, math.pi / 2 - 1e-11])
+def test_a_tie_goes_to_the_largest_entry(theta):
+    # sigma = I/2 ties both columns; one of rho's top overlaps sits in the
+    # dead band, the other is ~1 and is the pivot
+    a = np.array([0.7, 0.3])
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.array([[c, -s], [s, c]])
+    rho, sigma = HermitianOperator((u * a) @ u.T), HermitianOperator(np.eye(2) / 2)
+    for alpha in (0.6, 1.7):
+        res = zero_z_divergence(rho, sigma, alpha)
+        exact = math.log(2.0) + math.log(np.sum(a**alpha)) / (alpha - 1.0)
+        assert res.value == pytest.approx(exact, abs=1e-12) and not res.used_fallback
