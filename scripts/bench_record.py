@@ -91,6 +91,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=20.0, help="--seconds of each harness run")
     p.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error("quartiles need at least two seeds")
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         print("error: run from the repository root", file=sys.stderr)
