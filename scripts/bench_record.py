@@ -4,8 +4,8 @@
     python3 scripts/bench_record.py --out BENCH_<n>.json
 
 Run from the repository root.  For each workload the harness
-perfbench/run.py runs unchanged, once per seed at --trace 0 and once
-at --trace 1 (first seed); then the Tier-1 suite runs with
+perfbench/run.py runs unchanged for 20 s, once per seed 1-10 at
+--trace 0 and once at --trace 1 (seed 1); then the Tier-1 suite runs with
 ``pytest --durations=5``.  The file holds the environment of the
 harness's report line (machine, library versions, BLAS threads,
 commit), the median and quartiles over the seeds of every end-to-end
@@ -27,15 +27,18 @@ from pathlib import Path
 from time import perf_counter
 
 WORKLOADS = ("spectral", "optimize", "zlimit", "cli")
+SEEDS = list(range(1, 11))
+#: --seconds of each harness run
+SECONDS = 20.0
 #: a --durations line: "2.10s call     tests/test_x.py::test_y"
 DURATION = re.compile(r"^(\d+\.\d+)s\s+(\w+)\s+(\S+)$")
 SUMMARY = re.compile(r"(\d+) passed")
 
 
-def harness(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def harness(root: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """(report, result) of one perfbench/run.py invocation."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     *_, report, result = out.stdout.strip().splitlines()
     return json.loads(report)["report"], json.loads(result)
@@ -46,18 +49,18 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def workload_record(root: Path, workload: str, seeds: list[int], seconds: float) -> tuple[dict, dict]:
+def workload_record(root: Path, workload: str) -> tuple[dict, dict]:
     """(record, env): end-to-end metrics over the seeds, per-layer metrics of one traced run."""
     runs, failed, env = {}, [], None
-    for seed in seeds:
-        report, result = harness(root, workload, seed, seconds, 0)
+    for seed in SEEDS:
+        report, result = harness(root, workload, seed, 0)
         env = env or report["env"]
         failed.append(result["failed"])
         for name, metric in result["metrics"].items():
             runs.setdefault(name, (metric["unit"], []))[1].append(metric["value"])
-    _, traced = harness(root, workload, seeds[0], seconds, 1)
+    _, traced = harness(root, workload, SEEDS[0], 1)
     record = {
-        "seeds": seeds,
+        "seeds": SEEDS,
         "failed_ops": failed,
         "end_to_end": {name: {"unit": unit, **summary(vals)} for name, (unit, vals) in runs.items()},
         "per_layer": traced["metrics"],
@@ -87,21 +90,16 @@ def tier1(root: Path) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    p.add_argument("--seconds", type=float, default=20.0, help="--seconds of each harness run")
-    p.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     args = p.parse_args(argv)
-    if len(args.seeds) < 2:
-        p.error("quartiles need at least two seeds")
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         print("error: run from the repository root", file=sys.stderr)
         return 2
     workloads, env = {}, None
-    for name in args.workload:
-        workloads[name], env = workload_record(root, name, args.seeds, args.seconds)
+    for name in WORKLOADS:
+        workloads[name], env = workload_record(root, name)
         print(f"{name}: done", file=sys.stderr)
-    record = {"env": env, "seconds": args.seconds, "workloads": workloads, "tier1": tier1(root)}
+    record = {"env": env, "seconds": SECONDS, "workloads": workloads, "tier1": tier1(root)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
