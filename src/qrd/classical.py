@@ -143,7 +143,11 @@ def classical_q(p, q, alpha: float) -> float:
     q = as_weights(q)
     if len(p) != len(q):
         raise DimMismatchError(f"length {len(p)} vs {len(q)}")
-    pv, qv = p.values, q.values
+    return _power_sum(p.values, q.values, alpha)
+
+
+def _power_sum(pv: np.ndarray, qv: np.ndarray, alpha: float) -> float:
+    """classical_q on validated weight arrays."""
     if alpha > 1.0 and np.any((pv > 0.0) & (qv == 0.0)):
         return math.inf
     both = (pv > 0.0) & (qv > 0.0)
@@ -160,7 +164,9 @@ def classical_renyi(p, q, alpha: float) -> float:
 
     Normalized by the total weight of p, so scaling p or q shifts the
     value by the log of the scale.  alpha = 1 is the normalized
-    Kullback-Leibler divergence.
+    Kullback-Leibler divergence.  The value is taken on p / sum p, with
+    log sum p added back, so that p^alpha cannot underflow on a tiny
+    total.
     """
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
@@ -168,19 +174,20 @@ def classical_renyi(p, q, alpha: float) -> float:
     q = as_weights(q)
     if len(p) != len(q):
         raise DimMismatchError(f"length {len(p)} vs {len(q)}")
-    pv, qv = p.values, q.values
+    total = p.total
+    pv, qv = p.values / total, q.values
     if alpha == 1.0:
         if np.any((pv > 0.0) & (qv == 0.0)):
             return math.inf
         on = pv > 0.0
-        return float(np.sum(pv[on] * (np.log(pv[on]) - np.log(qv[on]))) / pv.sum())
-    qq = classical_q(p, q, alpha)
+        return math.log(total) + float(np.sum(pv[on] * (np.log(pv[on]) - np.log(qv[on]))))
+    qq = _power_sum(pv, qv, alpha)
     if math.isinf(qq):
         return math.inf
     if qq == 0.0:
         # disjoint supports with alpha < 1
         return math.inf
-    return (math.log(qq) - math.log(p.total)) / (alpha - 1.0)
+    return math.log(total) + math.log(qq) / (alpha - 1.0)
 
 
 def knife_edge_family(

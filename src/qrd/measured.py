@@ -12,8 +12,9 @@ Neyman-Pearson test and the joint and ratio eigenbases keeps it at or
 above the test-measured value and exact on commuting pairs.  The
 two-outcome test variant is a one-dimensional search over
 Neyman-Pearson projections {rho - t sigma > 0}, which contain the
-optimal test, so its value is the optimum up to the angle search's
-resolution.
+optimal test: a grid of angles t = tan(phi), refined by a secant on the
+first-order condition of the binary divergence along the projections,
+so its value is the optimum up to the angle search's resolution.
 
 The searches read one view of the pair record per call (_measured_pair):
 the supported roots of rho and sigma, taken once, sigma's eigensystem,
@@ -95,10 +96,8 @@ LBFGS_MEMORY = 30
 #: grid angles per interval of test_measured's Neyman-Pearson search
 NP_GRID = 16
 
-#: bracket width (radians) at which the golden-section refinement stops
+#: step (radians) at which the secant refinement of a test's angle stops
 NP_ANGLE_TOL = 1e-9
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -579,8 +578,8 @@ def measured_renyi_lower(
 def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
     """Renyi divergences of two-outcome weights p, q (outcomes on axis 0), elementwise.
 
-    Infinite values rank last as DEMOTED: in _np_search every outcome
-    has sigma-weight for alpha >= 1, and only disjoint supports, caught
+    Infinite values rank last as DEMOTED: in _np_test every outcome has
+    sigma-weight for alpha >= 1, and only disjoint supports, caught
     earlier, give +inf below 1, so an infinity is a rounding cliff.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -593,6 +592,26 @@ def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, DEMOTED)
 
 
+def _binary_slopes(p: np.ndarray, q: np.ndarray, alpha: float, phis: np.ndarray) -> np.ndarray:
+    """g = sin(phi) dD/dp + cos(phi) dD/dq of two-outcome weights, up to a positive factor.
+
+    p, q are as in _binary_values, p[0], q[0] the weights of the top-r
+    test at angle phis[a] (axis 1).  With x_k = p_k / q_k the outcomes'
+    likelihood ratios, D's partial derivatives in the first outcome's
+    weights are alpha/(alpha-1) (x_0^(alpha-1) - x_1^(alpha-1)) / S and
+    -(x_0^alpha - x_1^alpha) / S, S = sum p^alpha q^(1-alpha) > 0 (the
+    log-ratio and ratio differences at alpha = 1).  NaN where the ratios
+    give no sign (an empty outcome on both sides).
+    """
+    s, c = np.sin(phis)[:, None], np.cos(phis)[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x0, x1 = p[0] / q[0], p[1] / q[1]
+        if alpha == 1.0:
+            return s * (np.log(x0) - np.log(x1)) - c * (x0 - x1)
+        ratio = alpha / (alpha - 1.0)
+        return s * ratio * (x0 ** (alpha - 1.0) - x1 ** (alpha - 1.0)) - c * (x0**alpha - x1**alpha)
+
+
 def _split(w: np.ndarray) -> np.ndarray:
     """(top, rest) sums of weights w[a, i] at every split point 1 ... n-1."""
     top = np.cumsum(w, axis=1)[:, :-1]
@@ -603,28 +622,41 @@ def _split(w: np.ndarray) -> np.ndarray:
 def _np_test(view: _View, alpha):
     """Best test of test_measured's angle search: (factors (T, I - T), intervals).
 
-    The tests are spans of the top r < n eigenvectors of
+    The tests are spans of the top r < n eigenvectors of A(phi) =
     cos(phi) rho - sin(phi) sigma in sigma's eigenbasis, cut to its n =
     rank support vectors for alpha >= 1; sigma's kernel vectors outside
-    those n join the complement.  T = I when every test sits on a
-    rounding cliff or none exists (n < 2).
+    those n join the complement.  rho is normalized to unit trace, which
+    shifts every value by log Tr rho, and sigma's eigenvalues are cut as
+    _weights cuts them.  Along phi the top-r projector P has Tr A dP = 0,
+    so its weights move as cos(phi) dp = sin(phi) dq with dq <= 0, and
+    dD/dphi is a non-positive multiple of g = sin(phi) dD/dp + cos(phi)
+    dD/dq (_binary_slopes): a maximum is a root where g turns from
+    negative to positive.  From the best grid angle of each interval and
+    rank the neighbour on the side where D rises brackets one, and an
+    Illinois secant on g, all intervals per batch, runs until its next
+    step would be at most NP_ANGLE_TOL (a bisection step where a slope is
+    infinite).  Where no neighbour brackets a root (D still rising at the
+    interval's end, or a zero or NaN slope), the grid angle stands.  Every
+    scored test competes: T = I when every test sits on a rounding cliff
+    or none exists (n < 2).
     """
     v, d = view.sigma_v, view.dim
     n = view.rank if alpha >= 1.0 else d
     if n < 2:
         return (np.eye(d), np.eye(d)[:, :0]), 0
     iso = v[:, :n]
-    rho_s = iso.conj().T @ view.rho @ iso
-    sig_w = view.sigma_w[:n]  # sigma is diag(sig_w) in these coordinates
+    rho_s = iso.conj().T @ view.rho @ iso / view.tr
+    # sigma, cut as _weights cuts it, is diag(sig_w) in these coordinates
+    sig_w = np.where(view.pair.sigma_cut[2][:n], view.sigma_w[:n], 0.0)
     sig_s = np.diag(sig_w)
-    # rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
-    root = view.rho_root @ iso
-    ratios = np.maximum(view.ratios[0], 0.0)
+    # rho / Tr rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
+    root = view.rho_root @ iso / math.sqrt(view.tr)
+    ratios = np.maximum(view.ratios[0], 0.0) / view.tr
     edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
     best_val, best_u, best_rank = DEMOTED, None, 0
 
     def scored(phis):
-        """Value of every top-r test at each angle; keeps the best seen."""
+        """Values and slopes g of every top-r test at each angle; keeps the best seen."""
         nonlocal best_val, best_u, best_rank
         m = np.cos(phis)[:, None, None] * rho_s - np.sin(phis)[:, None, None] * sig_s
         u = np.linalg.eigh(m)[1][:, :, ::-1]
@@ -636,31 +668,45 @@ def _np_test(view: _View, alpha):
         a, k = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[a, k] > best_val:
             best_val, best_u, best_rank = vals[a, k], u[a], k + 1
-        return vals
+        return vals, _binary_slopes(p, q, alpha, phis)
 
     n_int = len(edges) - 1
     angles = np.append(np.linspace(edges[:-1], edges[1:], NP_GRID, endpoint=False).T, edges[-1])
     # interval j holds grid angles j * NP_GRID ... (j + 1) * NP_GRID, its end included
     first = np.arange(n_int) * NP_GRID
-    blocks = scored(angles)[first[:, None] + np.arange(NP_GRID + 1)]
+    vals, slopes = scored(angles)
+    blocks = vals[first[:, None] + np.arange(NP_GRID + 1)]
     i, k = np.divmod(np.argmax(blocks.reshape(n_int, -1), axis=1), n - 1)
     i = i + first
-    lo = angles[np.maximum(i - 1, first)]
-    hi = angles[np.minimum(i + 1, first + NP_GRID)]
-    # golden section on each interval's best rank, all intervals per batch
-    pick = np.arange(n_int), k
-    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f1, f2 = scored(x1)[pick], scored(x2)[pick]
-    width = max(float(np.max(hi - lo)), NP_ANGLE_TOL)
-    steps = math.ceil(math.log(width / NP_ANGLE_TOL) / -math.log(GOLDEN))
-    for _ in range(steps):
-        left = f1 >= f2  # the maximum lies in [lo, x2]
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        x_in, f_in = np.where(left, x1, x2), np.where(left, f1, f2)
-        x_new = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-        f_new = scored(x_new)[pick]
-        x1, f1 = np.where(left, x_new, x_in), np.where(left, f_new, f_in)
-        x2, f2 = np.where(left, x_in, x_new), np.where(left, f_in, f_new)
+    # D rises to the right of the best angle where g < 0, to its left where g > 0
+    g_i = slopes[i, k]
+    j = np.clip(np.where(g_i < 0.0, i + 1, i - 1), first, first + NP_GRID)
+    g_j = slopes[j, k]
+    alive = np.where(g_i < 0.0, g_j > 0.0, (g_i > 0.0) & (g_j < 0.0))  # a bracketed root
+    lo, hi = angles[np.minimum(i, j)], angles[np.maximum(i, j)]
+    g_lo, g_hi = np.minimum(g_i, g_j), np.maximum(g_i, g_j)
+    x = angles[i]
+    side = np.zeros(n_int)  # the end replaced last: -1 lo, +1 hi
+    # at most as many rounds as a bisection down to NP_ANGLE_TOL takes
+    width = max(float(np.max((hi - lo)[alive], initial=0.0)), NP_ANGLE_TOL)
+    for _ in range(math.ceil(math.log2(width / NP_ANGLE_TOL))):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        # an infinite slope gives NaN: bisect
+        x_new = np.clip(np.where(np.isnan(x_new), 0.5 * (lo + hi), x_new), lo, hi)
+        go = alive & (np.abs(x_new - x) > NP_ANGLE_TOL)
+        lo, hi, g_lo, g_hi, k, x, side = (a[go] for a in (lo, hi, g_lo, g_hi, k, x_new, side))
+        if not len(k):
+            break
+        g = scored(x)[1][np.arange(len(k)), k]
+        up, down = g < 0.0, g > 0.0
+        # Illinois: the end kept twice in a row has its slope halved
+        g_lo = np.where(down & (side > 0), 0.5 * g_lo, g_lo)
+        g_hi = np.where(up & (side < 0), 0.5 * g_hi, g_hi)
+        lo, g_lo = np.where(up, x, lo), np.where(up, g, g_lo)
+        hi, g_hi = np.where(down, x, hi), np.where(down, g, g_hi)
+        side = np.where(up, -1.0, 1.0)
+        alive = up | down  # a zero or NaN slope ends the search: a root, or a rounding cliff
     basis = np.eye(d) if best_u is None else np.hstack([iso @ best_u, v[:, n:]])
     r = d if best_u is None else best_rank
     return (basis[:, :r], basis[:, r:]), n_int
@@ -682,9 +728,13 @@ def test_measured(
     those angles, NP_GRID angles and the interval's end are scored from
     one batched eigh of cos(phi) rho - sin(phi) sigma, taking the span of
     the top r eigenvectors for every rank r (so both limit projections at
-    each end are among them), and the best is refined by golden section
-    down to NP_ANGLE_TOL.  For alpha >= 1 the tests live on sigma's
-    support, where rho^0 <= sigma^0 holds.
+    each end are among them).  The best angle of each interval is then
+    refined to a root of the stationarity condition sin(phi) dD/dp +
+    cos(phi) dD/dq = 0, which the same eigh's weights give, by a
+    bracketed Illinois secant with steps down to NP_ANGLE_TOL, all
+    intervals in one batched eigh per round (see _np_test).  For
+    alpha >= 1 the tests live on sigma's support, where rho^0 <= sigma^0
+    holds.
 
     restarts and seed are not used; restarts_used counts the searched
     intervals and converged is True.  The value is recomputed exactly

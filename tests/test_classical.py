@@ -52,6 +52,14 @@ def test_renyi_zero_on_equal(alpha):
     assert abs(classical_renyi(p, p, alpha)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_renyi_scaling_p_shifts_by_the_log_of_the_scale(alpha):
+    # at 1e-300, p^alpha of the raw weights underflows for alpha > 1
+    p, q = np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.4, 0.2])
+    scaled = classical_renyi(1e-300 * p, q, alpha)
+    assert scaled == pytest.approx(math.log(1e-300) + classical_renyi(p, q, alpha), rel=1e-14)
+
+
 def test_disjoint_supports():
     p = np.array([1.0, 0.0])
     q = np.array([0.0, 1.0])

@@ -3,11 +3,12 @@
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from qrd import opcore
+from qrd import measured, opcore
 from qrd.channels import _state_grad, apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
@@ -406,3 +407,143 @@ def test_certificate_is_for_rho_compressed_to_sigma_support(alpha):
         res = fn(rho, sigma, alpha)
         weights = apply_povm(res.povm, p @ rho @ p), apply_povm(res.povm, sigma)
         assert classical_renyi(*weights, alpha) == pytest.approx(res.value, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+@pytest.mark.parametrize("fn", [measured_renyi_lower, measured_by_test])
+def test_tiny_trace_value_is_the_log_trace_ratio(fn, alpha):
+    """On rho = diag(1e-300, 0) the only test is rho's support; p^alpha of the raw weights underflows."""
+    got = fn(np.diag([1e-300, 0.0]), np.diag([0.6, 0.4]), alpha).value
+    assert got == pytest.approx(math.log(1e-300 / 0.6), rel=1e-12)
+
+
+def top_weights(rho, sigma, phi):
+    """(p_r, q_r) for r = 1 ... d-1: weights of the top-r eigenvectors of cos(phi) rho - sin(phi) sigma."""
+    u = np.linalg.eigh(math.cos(phi) * rho - math.sin(phi) * sigma)[1][:, ::-1]
+    p = np.cumsum(np.real(np.einsum("ji,jk,ki->i", u.conj(), rho, u)))[:-1]
+    q = np.cumsum(np.real(np.einsum("ji,jk,ki->i", u.conj(), sigma, u)))[:-1]
+    return p, q
+
+
+def test_top_projection_weights_move_along_the_boundary_direction(rng):
+    """cos(phi) dp/dphi = sin(phi) dq/dphi with dq/dphi <= 0, for every rank, by central differences.
+
+    Tr A dP = 0 for a spectral projector P of A(phi) = cos(phi) rho -
+    sin(phi) sigma, and the test search's slope rests on it: dD/dphi is
+    dq/dphi / cos(phi) times sin(phi) dD/dp + cos(phi) dD/dq, which
+    measured._binary_slopes gives times S = sum p^alpha q^(1-alpha)
+    (times 1 at alpha = 1).
+    """
+    h = 1e-6
+    for d in (2, 3, 4):
+        for _ in range(4):
+            rho, sigma = rand_density(rng, d).entries, rand_density(rng, d).entries
+            for phi in (0.1, 0.5, 0.9, 1.3):
+                (p_lo, q_lo), (p_hi, q_hi) = (top_weights(rho, sigma, phi + s) for s in (-h, h))
+                dp, dq = (p_hi - p_lo) / (2 * h), (q_hi - q_lo) / (2 * h)
+                np.testing.assert_allclose(
+                    math.cos(phi) * dp, math.sin(phi) * dq, rtol=1e-6, atol=1e-8
+                )
+                assert np.all(dq <= 1e-8)
+                for alpha in (0.3, 1.0, 2.0):
+                    (p, q), f = top_weights(rho, sigma, phi), []
+                    for s in (-h, h):
+                        ps, qs = top_weights(rho, sigma, phi + s)
+                        f.append(measured._binary_values(
+                            np.stack([ps, 1.0 - ps]), np.stack([qs, 1.0 - qs]), alpha))
+                    df = (f[1] - f[0]) / (2 * h)
+                    g = measured._binary_slopes(
+                        np.stack([p, 1.0 - p])[:, None], np.stack([q, 1.0 - q])[:, None],
+                        alpha, np.array([phi]),
+                    )[0]
+                    terms = np.stack([p, 1.0 - p]) ** alpha * np.stack([q, 1.0 - q]) ** (1 - alpha)
+                    scale = 1.0 if alpha == 1.0 else np.sum(terms, axis=0)
+                    np.testing.assert_allclose(
+                        df, dq / math.cos(phi) * g / scale, rtol=1e-5, atol=1e-8
+                    )
+
+
+def cut_sigma_weights(sigma):
+    """q(u) = sum_j w_j |<v_j|u>|^2 over sigma's eigenvalues above SUPPORT_RTOL times the largest."""
+    w, v = np.linalg.eigh(sigma)
+    w = np.where(w > opcore.SUPPORT_RTOL * w[-1], w, 0.0)
+    return lambda u: np.einsum("j,aji->ai", w, np.abs(v.conj().T @ u) ** 2)
+
+
+def scan_test_weights(rho, sigma, points=20001):
+    """Weights (p, q) of the top-r tests of cos(phi) rho - sin(phi) sigma on a dense grid.
+
+    Traces against rho and against sigma with its support cut, the
+    convention of the measured certificates; outcomes on axis 0, then
+    (angle, rank).
+    """
+    phis = np.linspace(0.0, 0.5 * math.pi, points)
+    m = np.cos(phis)[:, None, None] * rho - np.sin(phis)[:, None, None] * sigma
+    u = np.linalg.eigh(m)[1][:, :, ::-1]
+    q_of = cut_sigma_weights(sigma)
+    p = np.cumsum(np.real(np.einsum("aji,jk,aki->ai", u.conj(), rho, u)), axis=1)[:, :-1]
+    q = np.cumsum(q_of(u), axis=1)[:, :-1]
+    p = np.clip(np.stack([p, np.real(np.trace(rho)) - p]), 0.0, None)
+    q = np.clip(np.stack([q, np.sum(q_of(np.eye(len(rho))[None])) - q]), 0.0, None)
+    return p, q
+
+
+def test_test_variant_is_at_least_a_dense_angle_scan(rng):
+    """Over all ranks, the search beats 20 001 angles in [0, pi/2], sigma rank-deficient included.
+
+    An outcome that should be empty, such as sigma's kernel, carries
+    rounding dust in every computed weight, up to ~1e-30 in a
+    certificate and different in the scan; below alpha = 1 a dust weight
+    w moves the value by up to w^(1-alpha) / (1-alpha), which is allowed
+    on the scanned tests with an outcome under 1e-20.
+    """
+    for d in (2, 3, 4):
+        for k in range(4):
+            rho = rand_density(rng, d)
+            sigma = rand_density(rng, d, rank=d - 1 if k % 2 else None)
+            p, q = scan_test_weights(rho.entries, sigma.entries)
+            smallest = np.minimum(p.min(axis=0), q.min(axis=0))
+            for alpha in TEST_ALPHAS if k % 2 == 0 else (0.3, 0.5, 0.7):
+                got = measured_by_test(rho, sigma, alpha).value
+                dust = 1e-30 ** (1.0 - alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
+                vals = measured._binary_values(p, q, alpha)
+                ref = np.max(vals - np.where(smallest < 1e-20, dust, 0.0))
+                assert got >= ref - 1e-12, (d, k, alpha, got, ref)
+
+
+def test_test_variant_search_costs_few_batched_eigh_rounds(monkeypatch, rng):
+    """The grid and each secant round take one batched eigh; generic pairs need at most 12."""
+    rounds = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        rounds[-1] += np.ndim(a) == 3
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for d in (2, 3, 4):
+        for _ in range(10):
+            rho, sigma = rand_density(rng, d).entries, rand_density(rng, d).entries
+            for alpha in TEST_ALPHAS:
+                rounds.append(0)
+                measured_by_test(rho, sigma, alpha)
+    assert min(rounds) >= 1 and max(rounds) <= 12
+
+
+def test_test_variant_raises_no_runtime_warning(rng):
+    """Empty outcomes and rounding cliffs give infinite or NaN slopes, never a warning."""
+    pairs = [
+        (rand_density(rng, 3), rand_density(rng, 3, rank=2)),
+        (rand_density(rng, 3, rank=2), rand_density(rng, 3)),
+        (rand_pure(rng, 4), rand_density(rng, 4, rank=3)),
+        (HermitianOperator(np.diag([0.5, 0.5, 0.0])), HermitianOperator(np.diag([0.2, 0.3, 0.5]))),
+        (HermitianOperator(np.diag([0.7, 0.3, 0.0])), HermitianOperator(np.diag([0.0, 0.4, 0.6]))),
+        near_product_pair(),
+        gen_pure(1.0, 0.3),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for rho, sigma in pairs:
+            for alpha in (0.1, *TEST_ALPHAS, 10.0):
+                measured_by_test(rho, sigma, alpha)
+    assert [str(w.message) for w in caught if w.filename == measured.__file__] == []
