@@ -89,8 +89,10 @@ class HermitianOperator:
             raise DimTooLargeError(
                 f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}"
             )
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
-            gap = float(np.max(np.abs(m - m.conj().T)))
+        if not np.isfinite(m).all():
+            raise MalformedInputError("matrix has non-finite entries")
+        gap = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        if gap > HERMITICITY_ATOL:
             raise MalformedInputError(f"matrix is not Hermitian (deviation {gap:.3e})")
         # symmetrize away the sub-tolerance residue so eigh sees an exact input
         self.entries = 0.5 * (m + m.conj().T)

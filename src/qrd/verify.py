@@ -139,7 +139,8 @@ def generic_zero_z_pair(rng, d: int, alphas=(0.6, 1.7)) -> tuple[HermitianOperat
             continue
         if not genericity_condition_b_prime(profile).holds:
             continue
-        # both conditions hold, so every alpha's limit needs no second search
+        # both conditions hold (one O(d^3) elimination each), so every
+        # alpha's limit is the closed form
         if all(
             np.all(lam[1:] / lam[:-1] <= LIMIT_SEPARATION)
             for lam in (np.sort(_limit_eigenvalues(profile, a))[::-1] for a in alphas)

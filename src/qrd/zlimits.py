@@ -9,18 +9,17 @@ elimination of U pivoting on the entry of largest valuation
 (_limit_pivots), with the library's minor band deciding exact zeros.
 When the determinant genericity conditions (b) and (b') hold the limit
 is the closed form a_i^alpha b_i^(1-alpha) (alpha < 1) or
-a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1); the exhaustive minor search
-that tests them (2^d - 2 determinants when sigma = I/d) stays as a
-diagnostic, as does the Richardson extrapolation of Q_{alpha,z} over a
-small z-grid in arbitrary precision (zero_z_oracle), the only code here
-that loads mpmath.  The module also hosts the equality-case checker for
-the one-sided alpha -> 1 limits and the reducing-subspace test used in
-its proof.
+a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1); the same elimination, with
+valuations that rank eigenvalue blocks, decides them in O(d^3).  The
+Richardson extrapolation of Q_{alpha,z} over a small z-grid in
+arbitrary precision (zero_z_oracle) stays as a diagnostic, the only
+code here that loads mpmath.  The module also hosts the equality-case
+checker for the one-sided alpha -> 1 limits and the reducing-subspace
+test used in its proof.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ import numpy as np
 
 from .errors import (
     BadAlphaError,
-    DimMismatchError,
     GenericityFailsError,
     GenericityUndeterminedError,
     SingularSigmaError,
@@ -37,7 +35,6 @@ from .errors import (
 from .opcore import (
     Projection,
     _checked_pair,
-    _cut_spectrum,
     _rebuild,
     as_operator,
     commutator_spectral_norm,
@@ -48,10 +45,6 @@ MINOR_OK = 1e-10
 
 #: below this the best minor counts as an exact zero (definite failure)
 MINOR_DEAD = 1e-12
-
-#: matrix entries per batched determinant call of the minor search, which
-#: bounds its working memory at 16 bytes times this
-MINOR_BATCH = 1 << 19
 
 #: adjacent-eigenvalue gaps between these relative thresholds make the
 #: block clustering ambiguous
@@ -118,16 +111,13 @@ def _profile(rho_cut, sigma_cut, overlap) -> SpectralProfile:
 
 
 def spectral_profile(rho, sigma) -> SpectralProfile:
-    """The clustered eigen-data of a pair.
+    """The clustered eigen-data of a pair, from its pair record.
 
-    Raises DimMismatchError on operators of different dimensions and
-    NotPSDError on a non-PSD operator.
+    Raises DimMismatchError on operators of different dimensions,
+    NotPSDError on a non-PSD operator and ZeroOperatorError on a zero one.
     """
-    rho, sigma = as_operator(rho), as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    rho_cut, sigma_cut = _cut_spectrum(*rho.eig), _cut_spectrum(*sigma.eig)
-    return _profile(rho_cut, sigma_cut, rho_cut[1].conj().T @ sigma_cut[1])
+    pair = _checked_pair(rho, sigma)
+    return _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
 
 
 @dataclass(frozen=True)
@@ -145,84 +135,47 @@ class GenericityResult:
     witnesses: tuple[MinorWitness, ...]
 
 
-def _index_sets(head: tuple, block: range, m: int, tail: tuple) -> np.ndarray:
-    """Rows head + c + tail for every m-subset c of block, lexicographically.
+def _genericity(profile: SpectralProfile, required, anti: bool) -> GenericityResult:
+    """Condition (b), or (b') when anti, from one valuation-pivoted elimination of U.
 
-    One intp array, one index set per row.
+    Row i's valuation is minus its rho block index and column j's sqrt(2)
+    times sigma's, negated for (b) so that prefix blocks win and kept for
+    (b') so that suffix blocks do; two block pairs never tie.  The k-th
+    valuation sum of _limit_pivots is the largest over nonzero k x k
+    minors, and it reaches the closed-form pairing's exactly when a minor
+    of the condition's family (prefix rows; prefix or suffix columns) is
+    nonzero.  Both sums are concave in k and the pairing's is linear
+    between block boundaries, so agreement at every required k is
+    agreement at every k: the condition holds when all d pivots carry the
+    pairing's valuations, and a matching pivot in the band
+    (MINOR_DEAD, MINOR_OK] leaves it undetermined.  Each required k's
+    witness is the minor on the first k pivots, |det| the product of
+    their magnitudes; past the agreement it is the pairing's own minor.
     """
-    n, k = math.comb(len(block), m), len(head) + m + len(tail)
-    sets = (head + c + tail for c in itertools.combinations(block, m))
-    return np.fromiter(itertools.chain.from_iterable(sets), np.intp, n * k).reshape(n, k)
-
-
-def _prefix_sets(bounds: tuple[int, ...], k: int) -> np.ndarray:
-    """All index sets of size k squeezed between consecutive prefix blocks.
-
-    Two blocks hold k only when k is a boundary, and then both give the
-    one set range(k), so the block [lo, hi) with lo < k <= hi gives every set.
-    """
-    r = bisect.bisect_left(bounds, k)
-    lo, hi = bounds[r - 1], bounds[r]
-    return _index_sets(tuple(range(lo)), range(lo, hi), k - lo, ())
-
-
-def _suffix_sets(bounds: tuple[int, ...], k: int, d: int) -> np.ndarray:
-    """All index sets of size k squeezed between consecutive suffix blocks.
-
-    The suffix {hi..d-1} is mandatory and the rest comes from the block
-    [lo, hi) with lo < d - k <= hi; as for prefixes, that gives every set.
-    """
-    r = bisect.bisect_left(bounds, d - k)
-    lo, hi = bounds[r - 1], bounds[r]
-    return _index_sets((), range(lo, hi), hi - (d - k), tuple(range(hi, d)))
-
-
-def _best_minor(overlap: np.ndarray, row_sets, col_sets, k: int) -> MinorWitness:
-    """Largest |k x k minor| over row_sets x col_sets, rows outer, columns inner.
-
-    The first strict maximum wins.  Each batched determinant call covers
-    whole row sets, or one row set's columns in slices, and at most
-    MINOR_BATCH matrix entries; |det| is np.hypot of its parts, which is
-    bitwise Python's abs() of the complex determinant.
-    """
-    step = max(1, MINOR_BATCH // (k * k))
-    n_cols = len(col_sets)
-    rows_per, cols_per = max(1, step // n_cols), min(n_cols, step)
-    best, best_at = -1.0, (0, 0)
-    for r0 in range(0, len(row_sets), rows_per):
-        rows = row_sets[r0:r0 + rows_per, None, :, None]
-        for c0 in range(0, n_cols, cols_per):
-            cols = col_sets[None, c0:c0 + cols_per, None, :]
-            det = np.linalg.det(overlap[rows, cols]).ravel()
-            val = np.hypot(det.real, det.imag)
-            at = int(val.argmax())
-            if val[at] > best:
-                i, j = divmod(at, cols.shape[1])
-                best, best_at = float(val[at]), (r0 + i, c0 + j)
-    r, c = best_at
-    return MinorWitness(k, best, tuple(row_sets[r].tolist()), tuple(col_sets[c].tolist()))
-
-
-def _genericity(profile: SpectralProfile, required, col_sets_for) -> GenericityResult:
-    ov = profile.overlap
+    d, ov = profile.dim, profile.overlap
+    index = np.arange(d)
+    rho_block = np.array(profile.i_bounds[1:]).searchsorted(index, "right")
+    sigma_block = np.array(profile.j_bounds[1:]).searchsorted(index, "right")
+    val = (math.sqrt(2.0) if anti else -math.sqrt(2.0)) * sigma_block - rho_block[:, None]
+    pivots, minors = _limit_pivots(ov.copy(), val)
+    n, _ = _closed_form_agreement(val, pivots, d, anti)
     witnesses = []
     for k in sorted(required):
-        rows = _prefix_sets(profile.i_bounds, k)
-        cols = col_sets_for(k)
-        witnesses.append(_best_minor(ov, rows, cols, k))
-    holds = all(wit.best_abs_det > MINOR_OK for wit in witnesses)
-    undetermined = (not holds) and all(
-        wit.best_abs_det > MINOR_DEAD for wit in witnesses
-    )
-    return GenericityResult(holds, undetermined, tuple(witnesses))
+        if k <= n:
+            rows, cols = (tuple(sorted(ix)) for ix in zip(*pivots[:k]))
+            det = minors[k - 1]
+        else:
+            rows, cols = tuple(range(k)), tuple(range(d - k, d) if anti else range(k))
+            det = float(abs(np.linalg.det(ov[np.ix_(rows, cols)])))
+        witnesses.append(MinorWitness(k, det, rows, cols))
+    band = any(w.best_abs_det <= MINOR_OK for w in witnesses)
+    return GenericityResult(n == d and not band, n == d and band, tuple(witnesses))
 
 
 def genericity_condition_b(profile: SpectralProfile) -> GenericityResult:
     """Prefix-minor genericity used by the alpha < 1 spectral formula."""
     required = set(profile.i_bounds[1:-1]) | set(profile.j_bounds[1:-1])
-    return _genericity(
-        profile, required, lambda k: _prefix_sets(profile.j_bounds, k)
-    )
+    return _genericity(profile, required, anti=False)
 
 
 def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
@@ -231,9 +184,7 @@ def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
     if not profile.on_b[-1]:
         raise SingularSigmaError("suffix genericity needs invertible sigma")
     required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
-    return _genericity(
-        profile, required, lambda k: _suffix_sets(profile.j_bounds, k, d)
-    )
+    return _genericity(profile, required, anti=True)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -363,12 +314,14 @@ def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
     profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
     val = _valuations(profile, alpha)
     na, nb = val.shape
-    pivots = _limit_pivots(profile.overlap[:na, :nb].copy(), val)
-    # both valuation sequences are non-increasing, the closed form's
-    # because its pairs run down rho's spectrum and down sigma's (alpha < 1)
-    # or up it (alpha > 1), so equal spectra are equal sequences
-    natural = np.diagonal(val) if alpha < 1.0 else np.diagonal(val[:, ::-1], nb - profile.dim)
-    used_fallback = [val[p, q] for p, q in pivots] != natural.tolist()
+    pivots, minors = _limit_pivots(profile.overlap[:na, :nb].copy(), val)
+    for k, minor in enumerate(minors):
+        if minor <= MINOR_OK:
+            raise GenericityUndeterminedError(
+                f"overlap minor {minor:.3e} in the dead band at pivot {k + 1}"
+            )
+    agree, pairs = _closed_form_agreement(val, pivots, profile.dim, alpha > 1.0)
+    used_fallback = not (agree == pairs == len(pivots))
     a, b, lam = profile.a.tolist(), profile.b.tolist(), [0.0] * profile.dim
     for i, j in pivots:  # at rho's index, as _limit_eigenvalues places them
         lam[i] = a[i] ** alpha * b[j] ** (1.0 - alpha)
@@ -394,7 +347,25 @@ def _valuations(profile: SpectralProfile, alpha: float) -> np.ndarray:
     return alpha * ra[:, None] + (1.0 - alpha) * cb
 
 
-def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[int, int], ...]:
+def _closed_form_agreement(val: np.ndarray, pivots, dim: int, anti: bool) -> tuple[int, int]:
+    """How many leading pivots carry the closed-form pairing's valuations, and its length.
+
+    The pairing runs down rho's spectrum and down sigma's, or up sigma's
+    (anti), over the kept prefixes that val covers in spectra of size
+    dim.  Both valuation sequences are non-increasing, so the limit
+    spectrum is the closed form's exactly when every pivot agrees and
+    there are as many pivots as pairs.
+    """
+    natural = (np.diagonal(val[:, ::-1], val.shape[1] - dim) if anti else np.diagonal(val)).tolist()
+    agree = 0
+    for (p, q), want in zip(pivots, natural):
+        if val[p, q] != want:
+            break
+        agree += 1
+    return agree, len(natural)
+
+
+def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[tuple[int, int], ...], list[float]]:
     """Gaussian elimination of c (overwritten) pivoting on the live entry of largest valuation.
 
     diag(t^ra) c diag(t^cb), val = ra + cb, has monomial entries, and
@@ -405,16 +376,16 @@ def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[int, int], ...]
     det c[I, J] != 0 of the summed valuations, Audenaert-Hiai).  A tie
     goes to the entry of largest magnitude.  Entry (i, j)'s minor
     det c[I + i, J + j] is the product of the pivots so far times the
-    entry: at most MINOR_DEAD it is an exact zero, and a best minor at the
-    top live valuation of at most MINOR_OK raises
-    GenericityUndeterminedError.  Returns the pivots in order, their
-    valuations non-increasing.
+    entry: at most MINOR_DEAD it is an exact zero.  Returns the pivots in
+    order, their valuations non-increasing, and |det| of each leading
+    minor, the best at its valuation; the callers treat one of at most
+    MINOR_OK as undecidable.
     """
     cols, steps = c.shape[1], min(c.shape)
     neg = -val.ravel()
     order = np.argsort(neg, kind="stable")
     keys = neg[order]  # ascending: equal valuations are one run
-    det, pivots = 1.0, []
+    det, pivots, minors = 1.0, [], []
     for k in range(steps):
         mag, live = np.abs(c.take(order)), MINOR_DEAD / det
         first = int((mag > live).argmax())
@@ -422,18 +393,14 @@ def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[int, int], ...]
             break
         end = int(keys.searchsorted(keys[first], "right"))
         at = first + int(mag[first:end].argmax())
-        minor = det * float(mag[at])
-        if minor <= MINOR_OK:
-            raise GenericityUndeterminedError(
-                f"overlap minor {minor:.3e} in the dead band at pivot {k + 1}"
-            )
+        det = det * float(mag[at])
         p, q = divmod(int(order[at]), cols)
         pivots.append((p, q))
-        det = minor
+        minors.append(det)
         if k + 1 < steps:
             c -= (c[:, q] / c[p, q])[:, None] * c[p]
             c[p], c[:, q] = 0.0, 0.0
-    return tuple(pivots)
+    return tuple(pivots), minors
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,18 @@ def test_rejects_non_hermitian():
         HermitianOperator(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_rejects_non_finite_entries(bad, where):
+    m = np.eye(2)
+    if where == "diagonal":
+        m[0, 0] = bad
+    else:
+        m[0, 1] = m[1, 0] = bad
+    with pytest.raises(MalformedInputError, match="non-finite"):
+        HermitianOperator(m)
+
+
 def test_rejects_oversized():
     with pytest.raises(DimTooLargeError):
         HermitianOperator(np.eye(65))

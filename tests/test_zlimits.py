@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qrd.errors import (
     GenericityUndeterminedError,
     NotPSDError,
     SingularSigmaError,
+    ZeroOperatorError,
 )
 from qrd.opcore import HermitianOperator, Projection, _checked_pair
 from qrd.verify import generic_zero_z_pair, rand_balanced_pure, rand_density
@@ -223,17 +225,75 @@ def _search_cases():
 SEARCH_CASES = _search_cases()
 
 
-@pytest.mark.parametrize("batch", [None, 3, 40])
+RANDOM_KINDS = ("full", "rho-deficient", "sigma-deficient", "clustered", "commuting", "near-aligned")
+
+
+def _random_pair(rng, kind, d):
+    """A seeded pair of the given kind; near-aligned rotates sigma's extreme
+    eigenvectors by an angle around the minor band (MINOR_DEAD, MINOR_OK]."""
+    if kind == "full":
+        return rand_density(rng, d), rand_density(rng, d)
+    if kind == "rho-deficient":
+        return rand_density(rng, d, rank=int(rng.integers(1, d))), rand_density(rng, d)
+    if kind == "sigma-deficient":
+        return rand_density(rng, d), rand_density(rng, d, rank=int(rng.integers(1, d)))
+    if kind == "clustered":
+        return _rotated(rng, rng.integers(1, 3, d)), _rotated(rng, rng.integers(1, 3, d))
+    rho = HermitianOperator(np.diag(np.sort(rng.uniform(0.1, 1.0, d))[::-1]))
+    if kind == "commuting":  # sigma's eigenvalues in a random order against rho's
+        return rho, HermitianOperator(np.diag(rng.uniform(0.1, 1.0, d)))
+    theta = 10.0 ** rng.uniform(-13.5, -9.5)
+    u = np.eye(d)
+    u[0, 0] = u[-1, -1] = math.cos(theta)
+    u[0, -1], u[-1, 0] = -math.sin(theta), math.sin(theta)
+    return rho, HermitianOperator((u * np.sort(rng.uniform(0.1, 1.0, d))[::-1]) @ u.T)
+
+
+def _assert_matches_reference(prof):
+    """Both conditions give the per-minor search's verdict, each witness a minor of its family."""
+    d = prof.dim
+    conditions = [(False, genericity_condition_b)]
+    if prof.on_b[-1]:
+        conditions.append((True, genericity_condition_b_prime))
+    else:
+        with pytest.raises(SingularSigmaError):
+            genericity_condition_b_prime(prof)
+    for prime, condition in conditions:
+        got, want = condition(prof), _ref_genericity(prof, prime)
+        assert (got.holds, got.undetermined) == (want.holds, want.undetermined)
+        assert [w.k for w in got.witnesses] == [w.k for w in want.witnesses]
+        for w in got.witnesses:
+            cols = (_ref_suffix_sets(prof.j_bounds, w.k, d) if prime
+                    else _ref_prefix_sets(prof.j_bounds, w.k))
+            assert w.rows in _ref_prefix_sets(prof.i_bounds, w.k) and w.cols in cols
+            det = abs(np.linalg.det(prof.overlap[np.ix_(w.rows, w.cols)]))
+            assert abs(w.best_abs_det - det) <= 1e-12 * det
+
+
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=[c[0] for c in SEARCH_CASES])
-def test_batched_search_matches_per_minor_reference(case, batch, monkeypatch):
-    if batch is not None:
-        monkeypatch.setattr(zlimits, "MINOR_BATCH", batch)
+def test_conditions_match_the_per_minor_reference(case):
     _, rho, sigma = case
+    _assert_matches_reference(spectral_profile(rho, sigma))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", RANDOM_KINDS)
+def test_conditions_match_the_per_minor_reference_on_random_pairs(kind, d):
+    rng = np.random.default_rng([78, RANDOM_KINDS.index(kind), d])
+    for _ in range(10):
+        _assert_matches_reference(spectral_profile(*_random_pair(rng, kind, d)))
+
+
+@pytest.mark.parametrize("d", [24, 64])
+def test_conditions_at_maximally_mixed_sigma_take_bounded_time(d):
+    # the per-minor search takes 2^d - 2 determinants here
+    rng = np.random.default_rng(d)
+    rho, sigma = rand_density(rng, d), HermitianOperator(np.eye(d) / d)
+    start = time.perf_counter()
     prof = spectral_profile(rho, sigma)
-    for prime, search in ((False, genericity_condition_b), (True, genericity_condition_b_prime)):
-        got, want = search(prof), _ref_genericity(prof, prime)
-        assert got == want
-        assert repr(got) == repr(want)
+    assert genericity_condition_b(prof).holds and genericity_condition_b_prime(prof).holds
+    assert equality_case_check(rho, sigma, "below").gap == pytest.approx(0.0, abs=1e-10)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_anti_aligned_minors_are_exact_zeros():
@@ -241,22 +301,6 @@ def test_anti_aligned_minors_are_exact_zeros():
     gen = genericity_condition_b(spectral_profile(rho, sigma))
     assert not gen.holds and not gen.undetermined
     assert any(w.best_abs_det == 0.0 for w in gen.witnesses)
-
-
-@pytest.mark.parametrize("alpha", [0.6, 1.7])
-def test_evaluation_runs_no_genericity_search(alpha, rng, monkeypatch):
-    rho, sigma = generic_zero_z_pair(rng, 4)
-    calls = []
-    search = zlimits._genericity
-
-    def counting(*args):
-        calls.append(1)
-        return search(*args)
-
-    monkeypatch.setattr(zlimits, "_genericity", counting)
-    zero_z_divergence(rho, sigma, alpha)
-    d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.0))
-    assert calls == []
 
 
 def test_spectral_profile_rejects_a_non_psd_operator(rng):
@@ -267,6 +311,11 @@ def test_spectral_profile_rejects_a_non_psd_operator(rng):
 def test_spectral_profile_rejects_operators_of_different_dimensions():
     with pytest.raises(DimMismatchError):
         spectral_profile(np.diag([0.6, 0.4]), np.diag([0.5, 0.3, 0.2]))
+
+
+def test_spectral_profile_rejects_a_zero_operator(rng):
+    with pytest.raises(ZeroOperatorError):
+        spectral_profile(np.zeros((2, 2)), rand_density(rng, 2))
 
 
 def test_profile_overlap_is_the_pair_records(rng):
