@@ -164,8 +164,12 @@ def _ref_suffix_sets(bounds, k, d):
     return sorted(out)
 
 
-def _ref_genericity(profile, prime: bool) -> GenericityResult:
-    """One np.linalg.det per minor, rows outer, first strict maximum wins."""
+def _ref_genericity(profile, prime: bool, batch=None) -> GenericityResult:
+    """Every minor of the condition's families, rows outer, first strict maximum wins.
+
+    With batch=None each minor is one np.linalg.det call; otherwise the
+    minors of each size go through np.linalg.det in stacks of `batch`.
+    """
     d = profile.dim
     if prime:
         required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
@@ -179,13 +183,20 @@ def _ref_genericity(profile, prime: bool) -> GenericityResult:
             if prime
             else _ref_prefix_sets(profile.j_bounds, k)
         )
+        minors = [(rows, cols) for rows in _ref_prefix_sets(profile.i_bounds, k)
+                  for cols in col_sets]
+        if batch is None:
+            vals = [abs(np.linalg.det(ov[np.ix_(rows, cols)])) for rows, cols in minors]
+        else:
+            det = np.concatenate([
+                np.linalg.det(np.stack([ov[np.ix_(r, c)] for r, c in minors[i:i + batch]]))
+                for i in range(0, len(minors), batch)
+            ])
+            vals = np.hypot(det.real, det.imag)  # bitwise abs() of each complex determinant
         best = MinorWitness(k, -1.0, (), ())
-        for rows in _ref_prefix_sets(profile.i_bounds, k):
-            sub_rows = ov[list(rows), :]
-            for cols in col_sets:
-                val = abs(np.linalg.det(sub_rows[:, list(cols)]))
-                if val > best.best_abs_det:
-                    best = MinorWitness(k, float(val), tuple(rows), tuple(cols))
+        for (rows, cols), val in zip(minors, vals):
+            if val > best.best_abs_det:
+                best = MinorWitness(k, float(val), tuple(rows), tuple(cols))
         witnesses.append(best)
     holds = all(w.best_abs_det > zlimits.MINOR_OK for w in witnesses)
     undetermined = (not holds) and all(w.best_abs_det > zlimits.MINOR_DEAD for w in witnesses)
@@ -270,10 +281,16 @@ def _assert_matches_reference(prof):
             assert abs(w.best_abs_det - det) <= 1e-12 * det
 
 
+@pytest.mark.parametrize("batch", [None, 3, 40])
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=[c[0] for c in SEARCH_CASES])
-def test_conditions_match_the_per_minor_reference(case):
+def test_batched_search_matches_per_minor_reference(case, batch):
     _, rho, sigma = case
-    _assert_matches_reference(spectral_profile(rho, sigma))
+    prof = spectral_profile(rho, sigma)
+    for prime in (False, True) if prof.on_b[-1] else (False,):
+        got, want = _ref_genericity(prof, prime, batch), _ref_genericity(prof, prime)
+        assert got == want
+        assert repr(got) == repr(want)
+    _assert_matches_reference(prof)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
