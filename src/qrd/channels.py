@@ -17,9 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import WeightVector, classical_renyi
+from .classical import WeightVector, _renyi
 from .divergences import _renyi_grad, _umegaki_grad, d_max
 from .errors import (
+    BadAlphaError,
     BadParamsError,
     DimMismatchError,
     KindNotWhitelistedError,
@@ -395,21 +396,22 @@ def classical_channel_divergence_grid(
     """Brute-force oracle for binary-input classical channel divergences.
 
     Scans input distributions (r, 1-r) on a grid and maximizes the
-    classical Renyi divergence of the joint distributions.  Returns
-    (value, argmax r).
+    classical Renyi divergence of the joint distributions, every grid
+    point's joint weights a column of one batched kernel call.  Returns
+    (value, argmax r), the first r of the maximum.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     if t1.shape != t2.shape or t1.shape[1] != 2:
         raise DimMismatchError("the oracle needs two binary-input channels")
-    best, best_r = -math.inf, 0.0
-    for r in np.arange(0.0, 1.0 + grid_step / 2, grid_step):
-        weights = np.array([r, 1.0 - r])
-        val = classical_renyi(
-            classical_joint_weights(t1, weights),
-            classical_joint_weights(t2, weights),
-            alpha,
-        )
-        if val > best:
-            best, best_r = val, float(r)
-    return best, best_r
+    if min(t1.min(), t2.min()) < 0.0:
+        raise BadParamsError("the oracle needs nonnegative transition matrices")
+    if not alpha > 0.0:
+        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    r = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    inputs = np.stack([r, 1.0 - r])
+    # column k of each holds classical_joint_weights(t, inputs[:, k])
+    p, q = ((t.T[:, :, None] * inputs[:, None, :]).reshape(-1, len(r)) for t in (t1, t2))
+    vals = _renyi(p, q, alpha)
+    best = int(np.argmax(vals))
+    return float(vals[best]), float(r[best])

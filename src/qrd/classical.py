@@ -118,12 +118,8 @@ def perspective(f: ConvexFunctionSpec, x: float, y: float) -> float:
 
 def classical_fdiv(f: ConvexFunctionSpec, p, q) -> float:
     """Sum of perspectives P_f(p_i, q_i); +inf propagates through the sum."""
-    p = as_weights(p)
-    q = as_weights(q)
-    if len(p) != len(q):
-        raise DimMismatchError(f"length {len(p)} vs {len(q)}")
     total = 0.0
-    for x, y in zip(p.values, q.values):
+    for x, y in zip(*_checked(p, q)):
         term = perspective(f, float(x), float(y))
         if math.isinf(term):
             return math.inf
@@ -131,32 +127,59 @@ def classical_fdiv(f: ConvexFunctionSpec, p, q) -> float:
     return total
 
 
+def _renyi(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Classical Renyi divergences of weights p, q along axis 0, any trailing shape.
+
+    Ratio form: D = log E / (alpha - 1), E = E_w[(p/q)^(alpha-1)] with w =
+    p / sum p, taken as log1p of E - 1 = sum w expm1((alpha-1) log(p/q)) in
+    one pass; alpha = 1 is E_w[log(p/q)].  Nothing cancels as alpha -> 1,
+    and only ratios enter, so no power of a tiny total under- or overflows.
+    Where E - 1 overflows or E < 1/100 (log1p would lose digits) a
+    max-shifted log-sum-exp is taken.  The value is +inf where p meets q's
+    zeros (alpha >= 1) or the supports are disjoint (alpha < 1).
+    """
+    on = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = p / p.sum(axis=0)
+        # +inf on q's zeros; 0 where p = 0, whose weight w is 0
+        log_ratio = np.where(on, np.log(p) - np.log(q), 0.0)
+        if alpha == 1.0:
+            return (w * log_ratio).sum(axis=0)
+        x = (alpha - 1.0) * log_ratio
+        e_m1 = (w * np.expm1(x)).sum(axis=0)
+        val = np.log1p(e_m1) / (alpha - 1.0)
+        redo = (e_m1 < -0.99) | (e_m1 == np.inf)
+        if redo.any():
+            x = np.where(on, x, -np.inf)
+            top = x.max(axis=0)
+            # an infinite top (a leak above 1, all ratios infinite below 1) shifts by 0
+            top = np.where(np.isfinite(top), top, 0.0)
+            lse = top + np.log((w * np.exp(x - top)).sum(axis=0))
+            val = np.where(redo, lse / (alpha - 1.0), val)
+    return val
+
+
+def _checked(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Validated weight arrays of equal length."""
+    p, q = as_weights(p), as_weights(q)
+    if len(p) != len(q):
+        raise DimMismatchError(f"length {len(p)} vs {len(q)}")
+    return p.values, q.values
+
+
 def classical_q(p, q, alpha: float) -> float:
     """Power sum Q_alpha = sum p^alpha q^(1-alpha) with support conventions.
 
     For alpha > 1 the value is +inf unless p is absolutely continuous
     w.r.t. q; for alpha < 1 entries where either vector vanishes drop out.
+    Taken as sum p exp((alpha-1) D_alpha) from the divergence kernel.
     """
     if not alpha > 0.0 or alpha == 1.0:
         raise BadAlphaError(f"classical_q needs alpha in (0,1) or (1,inf), got {alpha}")
-    p = as_weights(p)
-    q = as_weights(q)
-    if len(p) != len(q):
-        raise DimMismatchError(f"length {len(p)} vs {len(q)}")
-    return _power_sum(p.values, q.values, alpha)
-
-
-def _power_sum(pv: np.ndarray, qv: np.ndarray, alpha: float) -> float:
-    """classical_q on validated weight arrays."""
-    if alpha > 1.0 and np.any((pv > 0.0) & (qv == 0.0)):
-        return math.inf
-    both = (pv > 0.0) & (qv > 0.0)
-    if not np.any(both):
-        return 0.0
-    x, y = pv[both], qv[both]
+    pv, qv = _checked(p, q)
     with np.errstate(over="ignore"):
         # overflow to +inf is a legitimate outcome at large alpha
-        return float(np.sum(np.exp(alpha * np.log(x) + (1.0 - alpha) * np.log(y))))
+        return float(np.exp(math.log(pv.sum()) + (alpha - 1.0) * _renyi(pv, qv, alpha)))
 
 
 def classical_renyi(p, q, alpha: float) -> float:
@@ -164,30 +187,12 @@ def classical_renyi(p, q, alpha: float) -> float:
 
     Normalized by the total weight of p, so scaling p or q shifts the
     value by the log of the scale.  alpha = 1 is the normalized
-    Kullback-Leibler divergence.  The value is taken on p / sum p, with
-    log sum p added back, so that p^alpha cannot underflow on a tiny
-    total.
+    Kullback-Leibler divergence.  Evaluated in ratio form (_renyi), so
+    it stays exact as alpha -> 1 and on tiny totals of p or q.
     """
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
-    p = as_weights(p)
-    q = as_weights(q)
-    if len(p) != len(q):
-        raise DimMismatchError(f"length {len(p)} vs {len(q)}")
-    total = p.total
-    pv, qv = p.values / total, q.values
-    if alpha == 1.0:
-        if np.any((pv > 0.0) & (qv == 0.0)):
-            return math.inf
-        on = pv > 0.0
-        return math.log(total) + float(np.sum(pv[on] * (np.log(pv[on]) - np.log(qv[on]))))
-    qq = _power_sum(pv, qv, alpha)
-    if math.isinf(qq):
-        return math.inf
-    if qq == 0.0:
-        # disjoint supports with alpha < 1
-        return math.inf
-    return math.log(total) + math.log(qq) / (alpha - 1.0)
+    return float(_renyi(*_checked(p, q), alpha))
 
 
 def knife_edge_family(

@@ -39,6 +39,14 @@ from .serialize import (
 EVAL_KINDS = ("daz", "dmax", "umegaki", "dhat", "dzero", "dinf", "measured", "test")
 Z_MODES = ("fixed", "alpha", "alpha-half", "alpha-minus-1-over-kappa")
 
+#: each command's flag choices, which a config file's values must meet too
+CONFIG_CHOICES = {
+    "eval": {"kind": EVAL_KINDS},
+    "sweep": {"z_mode": Z_MODES},
+    "channel": {"kind": CHANNEL_KINDS},
+    "verify": {"suite": SUITES + ("all",)},
+}
+
 #: optimizer slack allowed before a channel curve counts as breaking the
 #: max-relative-entropy domination bound
 CHANNEL_DOMINATION_SLACK = 1e-6
@@ -78,7 +86,8 @@ class ExperimentConfig:
     out: str | None = None
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def from_file(cls, path: str, choices: dict | None = None) -> "ExperimentConfig":
+        """The config in path; choices maps a key to the values its flag allows."""
         raw = load_config(path)
         wanted = {f.name: f.type.split(" | ")[0] for f in fields(cls)}
         unknown = set(raw) - set(wanted)
@@ -91,6 +100,10 @@ class ExperimentConfig:
             if value is not None and not fits:
                 raise MalformedInputError(
                     f"{path}: config key {key!r} needs a {wanted[key]}, got {value!r}"
+                )
+            if value is not None and value not in (choices or {}).get(key, (value,)):
+                raise MalformedInputError(
+                    f"{path}: config key {key!r} must be one of {list(choices[key])}, got {value!r}"
                 )
         return cls(**raw)
 
@@ -401,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
-            ExperimentConfig.from_file(args.config).apply(args)
+            ExperimentConfig.from_file(args.config, CONFIG_CHOICES[args.command]).apply(args)
         return args.func(args)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

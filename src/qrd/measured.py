@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import WeightVector, classical_renyi
+from .classical import WeightVector, _renyi, classical_renyi
 from .divergences import _sigma_sandwich
 from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
@@ -138,12 +138,6 @@ def _povm(factors) -> POVM:
     return POVM(tuple(HermitianOperator(f @ f.conj().T) for f in factors), factors)
 
 
-def _factors(povm: POVM) -> tuple[np.ndarray, ...]:
-    """A POVM's factors; for one given by its elements, V diag(w)^1/2 of each."""
-    eigs = (el.eig for el in povm.elements)
-    return povm.factors or tuple(v * np.sqrt(np.maximum(w, 0.0)) for w, v in eigs)
-
-
 @dataclass(frozen=True)
 class MeasuredResult:
     """A measured lower bound and the measurement that certifies it.
@@ -192,7 +186,7 @@ def _certified_value(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     outcome with weight above INF_CERT_TOL facing an exact zero) are
     kept; the rest become DEMOTED so search moves away from the cliff.
     """
-    val = classical_renyi(p, q, alpha)
+    val = float(_renyi(p, q, alpha))
     if not math.isinf(val):
         return val
     certified = bool(np.any((q == 0.0) & (p >= INF_CERT_TOL)))
@@ -203,32 +197,27 @@ def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
     """Classical Renyi divergence of weights p, q with its partial derivatives.
 
     Returns (value, dD/dp, dD/dq), or (+inf, None, None) when the weights
-    give an infinite value.  A derivative that is infinite at an empty
-    weight (a power below 0) is set to 0, the spectral maps' cutoff
-    convention, so the gradient stays finite on measurements with empty
-    outcomes.
+    give an infinite value.  D is the kernel's (classical._renyi).  With
+    y = (alpha-1)(log(p/q) - D) the normalized terms of sum p^alpha
+    q^(1-alpha) are w exp(y), w = p / sum p, so dD/dp = (1 + alpha
+    expm1(y)/(alpha-1)) / sum p, the quotient read as log(p/q) - D at
+    alpha = 1, and dD/dq = -w exp(y) / q.  A derivative that is infinite
+    at an empty weight (a power below 0) drops that part, the spectral
+    maps' cutoff convention, so the gradient stays finite on measurements
+    with empty outcomes.
     """
-    total = float(p.sum())
-    dp, dq = np.zeros_like(p), np.zeros_like(q)
-    on_p, on_q = p > 0.0, q > 0.0
-    if np.any(on_p & ~on_q) and alpha >= 1.0:
-        return math.inf, None, None
-    if alpha == 1.0:
-        lr = np.log(p[on_p] / q[on_p])
-        val = float(p[on_p] @ lr) / total
-        dp[on_p] = (lr + 1.0 - val) / total
-        dq[on_p] = -p[on_p] / q[on_p] / total
-        return val, dp, dq
-    both = on_p & on_q
-    terms = np.zeros_like(p)
-    terms[both] = p[both] ** alpha * q[both] ** (1.0 - alpha)
-    qq = float(terms.sum())
-    if qq == 0.0:
-        return math.inf, None, None
-    dp[both] = alpha * terms[both] / p[both]
-    dq[both] = (1.0 - alpha) * terms[both] / q[both]
-    val = (math.log(qq) - math.log(total)) / (alpha - 1.0)
-    return val, (dp / qq - 1.0 / total) / (alpha - 1.0), dq / (qq * (alpha - 1.0))
+    val = float(_renyi(p, q, alpha))
+    if math.isinf(val):
+        return val, None, None
+    total, on = float(p.sum()), p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.log(p) - np.log(q) - val  # +inf on q's zeros, below alpha = 1 only
+        y = (alpha - 1.0) * shifted
+        rel = shifted if alpha == 1.0 else np.expm1(y) / (alpha - 1.0)
+        empty = 0.0 if alpha == 1.0 else -1.0 / (alpha - 1.0)
+        dp = np.where(on, 1.0 + alpha * rel, empty) / total
+        dq = np.where(on & (q > 0.0), -p * np.exp(y) / (q * total), 0.0)
+    return val, dp, dq
 
 
 @dataclass(frozen=True)
@@ -540,7 +529,6 @@ def measured_renyi_lower(
     restarts: int = 6,
     seed: int = 0,
     iters: int = 60,
-    extra_seed_factors=(),
 ) -> MeasuredResult:
     """Certified lower bound on the measured Renyi divergence.
 
@@ -558,19 +546,16 @@ def measured_renyi_lower(
     on rounding in its seeds, so a change of the last bits of a seed
     basis can move it.  Either way the value is the exact classical
     divergence of the best candidate measurement, seed measurements
-    included.  extra_seed_factors is a sequence of POVMs on rho's space,
-    added as candidates and, below 1/2, as ascent seeds.  Deterministic
-    for fixed (seed, restarts).  The pair is validated at entry as by
-    every divergence (opcore._checked_pair): mismatched dimensions, a
-    non-PSD or a zero rho or sigma raise before any search.  Infinite
-    values are returned only on operator-level support violations, with
-    the separating projective measurement attached.  For alpha >= 1 the
-    certificate is for rho compressed to sigma's support (see
-    MeasuredResult).
+    included.  Deterministic for fixed (seed, restarts).  The pair is
+    validated at entry as by every divergence (opcore._checked_pair):
+    mismatched dimensions, a non-PSD or a zero rho or sigma raise before
+    any search.  Infinite values are returned only on operator-level
+    support violations, with the separating projective measurement
+    attached.  For alpha >= 1 the certificate is for rho compressed to
+    sigma's support (see MeasuredResult).
     """
-    extra = tuple(map(_factors, extra_seed_factors))
     value, factors, _, _, starts, converged = _lower_bound(
-        _checked_pair(rho, sigma), alpha, restarts, seed, iters, extra
+        _checked_pair(rho, sigma), alpha, restarts, seed, iters
     )
     return MeasuredResult(value, _povm(factors), starts, converged)
 
@@ -582,13 +567,7 @@ def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
     sigma-weight for alpha >= 1, and only disjoint supports, caught
     earlier, give +inf below 1, so an infinity is a rounding cliff.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lp, lq = np.log(p), np.log(q)
-        if alpha == 1.0:
-            vals = np.sum(np.where(p > 0.0, p * (lp - lq), 0.0), axis=0) / p.sum(axis=0)
-        else:
-            qq = np.sum(np.exp(alpha * lp + (1.0 - alpha) * lq), axis=0)
-            vals = (np.log(qq) - np.log(p.sum(axis=0))) / (alpha - 1.0)
+    vals = _renyi(p, q, alpha)
     return np.where(np.isfinite(vals), vals, DEMOTED)
 
 

@@ -23,9 +23,6 @@ from .opcore import HermitianOperator, _cut_spectrum
 if TYPE_CHECKING:
     from .channels import Channel
 
-#: JSON keys of a serialized matrix, in storage order
-MATRIX_KEYS = ("dim", "re", "im")
-
 # The names the command line and config files accept for `qrd channel
 # --kind` and `qrd verify --suite`.  They live here, with the other
 # boundary formats, so the parser can offer them without importing the

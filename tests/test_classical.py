@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qrd.classical import (
     WeightVector,
+    _renyi,
     classical_fdiv,
     classical_q,
     classical_renyi,
@@ -58,6 +59,48 @@ def test_renyi_scaling_p_shifts_by_the_log_of_the_scale(alpha):
     p, q = np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.4, 0.2])
     scaled = classical_renyi(1e-300 * p, q, alpha)
     assert scaled == pytest.approx(math.log(1e-300) + classical_renyi(p, q, alpha), rel=1e-14)
+
+
+def test_renyi_on_a_tiny_q_total():
+    """q = 1e-300 (0.6, 0.4): q^(1 - alpha) of the raw weights overflows for alpha > 1."""
+    got = classical_renyi([0.5, 0.5], 1e-300 * np.array([0.6, 0.4]), 3.0)
+    d3 = 0.5 * math.log(0.5**3 / 0.6**2 + 0.5**3 / 0.4**2)
+    assert got == pytest.approx(300 * math.log(10) + d3, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_renyi_near_one_matches_a_60_digit_reference(rng, gap, side):
+    """The ratio form loses nothing as alpha -> 1; log(sum p^a q^(1-a)) / (a - 1) lost ~1e-16 / |a - 1|."""
+    import mpmath as mp
+
+    alpha = 1.0 + side * gap
+    for n in (2, 3, 4, 6):
+        p, q = rng.uniform(0.05, 1.0, n), rng.uniform(0.05, 1.0, n)
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            ps, qs = [mp.mpf(x) for x in p], [mp.mpf(x) for x in q]
+            power_sum = mp.fsum(x**a * y ** (1 - a) for x, y in zip(ps, qs))
+            ref = float(mp.log(power_sum / mp.fsum(ps)) / (a - 1))
+        assert abs(float(_renyi(p, q, alpha)) - ref) <= 1e-15, (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 3.0])
+def test_batched_kernel_is_classical_renyi_per_column(rng, alpha):
+    """Bit for bit, with empty entries, leaks (p on q's zeros), disjoint supports and tiny totals.
+
+    Up to seven outcomes numpy sums a column in order in either layout.
+    """
+    for n in (2, 4, 7):
+        p, q = rng.uniform(0.0, 1.0, (n, 5, 3)), rng.uniform(0.0, 1.0, (n, 5, 3))
+        p[0, 0], q[1, 1] = 0.0, 0.0  # empty p, a leak
+        p[: n // 2, 2], q[n // 2 :, 2] = 0.0, 0.0  # disjoint
+        p[0, 3], q[0, 3] = 0.0, 0.0  # an outcome neither reaches
+        p[:, 4] *= 1e-300
+        q[:, 4, 0] *= 1e-300
+        got = _renyi(p, q, alpha)
+        want = [[classical_renyi(p[:, i, j], q[:, i, j], alpha) for j in range(3)] for i in range(5)]
+        np.testing.assert_array_equal(got, np.array(want))
 
 
 def test_disjoint_supports():

@@ -230,6 +230,11 @@ def test_config_overrides_flags(capsys, tmp_path, state_files):
         (("verify", "--suite", "alt", "--seed", "1"), {"trials": "3"}),
         (("verify", "--suite", "alt", "--seed", "1"), {"trials": 2.0}),
         (("verify", "--suite", "alt", "--seed", "1"), {"seed": False}),
+        # a value outside the matching flag's choices
+        (("eval", "--kind", "dhat", "--alpha", "1.5"), {"kind": "bogus"}),
+        (("sweep", "--alpha-grid", "1.5", "--z", "1"), {"z_mode": "nonsense"}),
+        (("channel", "--n1", "n1.json", "--n2", "n2.json", "--kind", "petz"), {"kind": "test"}),
+        (("verify", "--suite", "alt", "--seed", "1"), {"suite": "bogus"}),
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(capsys, tmp_path, state_files, argv, config):

@@ -409,12 +409,38 @@ def test_certificate_is_for_rho_compressed_to_sigma_support(alpha):
         assert classical_renyi(*weights, alpha) == pytest.approx(res.value, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("alpha", [1.5, 3.0])
+@pytest.mark.parametrize(
+    "rho,sigma,alpha,want",
+    [
+        pytest.param([1e-300, 0.0], [0.6, 0.4], 1.5, math.log(1e-300 / 0.6), id="1.5"),
+        pytest.param([1e-300, 0.0], [0.6, 0.4], 3.0, math.log(1e-300 / 0.6), id="3.0"),
+        # 300 ln 10 + D_3((1/2, 1/2) || (0.6, 0.4)): q^(1 - alpha) of the raw weights overflows
+        pytest.param(
+            [0.5, 0.5], [0.6e-300, 0.4e-300], 3.0,
+            300 * math.log(10) + 0.5 * math.log(0.5**3 / 0.6**2 + 0.5**3 / 0.4**2),
+            id="3.0-tiny-sigma",
+        ),
+    ],
+)
 @pytest.mark.parametrize("fn", [measured_renyi_lower, measured_by_test])
-def test_tiny_trace_value_is_the_log_trace_ratio(fn, alpha):
-    """On rho = diag(1e-300, 0) the only test is rho's support; p^alpha of the raw weights underflows."""
-    got = fn(np.diag([1e-300, 0.0]), np.diag([0.6, 0.4]), alpha).value
-    assert got == pytest.approx(math.log(1e-300 / 0.6), rel=1e-12)
+def test_tiny_trace_value_is_the_log_trace_ratio(fn, rho, sigma, alpha, want):
+    """A tiny Tr rho or Tr sigma shifts the value by the log of the scale, and stays converged.
+
+    On rho = diag(1e-300, 0) the only test is rho's support; p^alpha of
+    the raw weights underflows.
+    """
+    got = fn(np.diag(rho), np.diag(sigma), alpha)
+    assert got.value == pytest.approx(want, rel=1e-12) and got.converged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_test_variant_is_continuous_at_alpha_one(rng, d):
+    """|D(1 +- 1e-12) - D(1)| <= 1e-9: the value carries no 1e-16 / |alpha - 1| cancellation."""
+    for _ in range(4):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        at_one = measured_by_test(rho, sigma, 1.0).value
+        for alpha in (1.0 - 1e-12, 1.0 + 1e-12):
+            assert abs(measured_by_test(rho, sigma, alpha).value - at_one) <= 1e-9, (alpha, at_one)
 
 
 def top_weights(rho, sigma, phi):
