@@ -404,8 +404,8 @@ def classical_channel_divergence_grid(
     t2 = np.asarray(t2, dtype=float)
     if t1.shape != t2.shape or t1.shape[1] != 2:
         raise DimMismatchError("the oracle needs two binary-input channels")
-    if min(t1.min(), t2.min()) < 0.0:
-        raise BadParamsError("the oracle needs nonnegative transition matrices")
+    if min(t1.min(), t2.min()) < 0.0 or min(t1.sum(axis=0).min(), t2.sum(axis=0).min()) <= 0.0:
+        raise BadParamsError("the oracle needs nonnegative transition matrices, no column zero")
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
     r = np.arange(0.0, 1.0 + grid_step / 2, grid_step)

@@ -19,7 +19,13 @@ from qrd.channels import (
     kind_whitelisted,
 )
 from qrd.divergences import DivergenceParams, d_alpha_z
-from qrd.errors import KindNotWhitelistedError, MalformedInputError, ZeroOperatorError
+from qrd.errors import (
+    BadAlphaError,
+    BadParamsError,
+    KindNotWhitelistedError,
+    MalformedInputError,
+    ZeroOperatorError,
+)
 from qrd.measured import measured_renyi_lower
 from qrd.opcore import HermitianOperator
 from qrd.verify import rand_channel, rand_density
@@ -131,6 +137,16 @@ def test_channel_self_divergence_zero(rng):
     ch = rand_channel(rng, 2, 2, kraus_n=3)
     res = channel_divergence(ch, ch, "sandwiched", alpha=1.5, restarts=2, seed=0)
     assert abs(res.value) <= 1e-9
+
+
+def test_classical_grid_rejects_invalid_input():
+    """Checked up front: the batched kernel would score a zero joint column as NaN."""
+    t = np.array([[0.55, 0.45], [0.45, 0.55]])
+    for bad in ([[0.8, 0.0], [0.2, 0.0]], [[0.8, -0.1], [0.2, 1.1]]):
+        with pytest.raises(BadParamsError):
+            classical_channel_divergence_grid(np.array(bad), t, 1.5)
+    with pytest.raises(BadAlphaError):
+        classical_channel_divergence_grid(t, t, 0.0)
 
 
 def test_classical_channel_optimum_matches_grid():
