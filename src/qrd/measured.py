@@ -47,6 +47,7 @@ from .opcore import (
     _eigh_descending,
     _rebuild,
     as_operator,
+    box_geometry,
     spectral_map,
     stiefel_ascent,
 )
@@ -78,20 +79,12 @@ SEED_SPREAD = 0.1
 #: every iterate finite
 LOG_RATIO_BOX = 30.0
 
-#: iteration cap of each L-BFGS solve
-LBFGS_MAXITER = 500
-
-#: L-BFGS-B's relative-decrease stopping test, near what the O(1)
-#: objective resolves (below it line searches end ABNORMAL on rounding)
-LBFGS_FTOL = 1e-13
-
-#: projected-gradient size below which a failed line search counts as
-#: having stopped at the optimum
-LBFGS_PGTOL = 1e-6
-
-#: L-BFGS-B's memory: past the default 10 pairs, d = 4 solves at large
-#: alpha no longer run into LBFGS_MAXITER short of the optimum
-LBFGS_MEMORY = 30
+#: step cap and L-BFGS memory of each ascent of the variational formula;
+#: with less memory d = 4 solves at large alpha hit the cap short of the optimum
+BFT_ITERS = 500
+BFT_MEMORY = 30
+#: |alpha - 1| below which the variational objective takes its log1p form
+LOG_TRACE_SERIES = 1e-3
 
 #: grid angles per interval of test_measured's Neyman-Pearson search
 NP_GRID = 16
@@ -389,29 +382,32 @@ def _fuchs_caves(view: _View) -> tuple[np.ndarray, ...]:
 
 
 def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
-    """phi_s(K) = (1/s) log Tr A exp(sK) and its gradient, in K's eigenbasis.
+    """phi_s(K) = (1/s) log (Tr A exp(sK) / Tr A) and its gradient, in K's eigenbasis.
 
     a_t is A in the eigenbasis of K, whose eigenvalues are h.  By the
     Daleckii-Krein formula the gradient is (Gamma o a_t) / Tr A exp(sK),
-    Gamma being the divided differences of exp(s x) / s; s = 0 is the
-    limit Tr A K of a unit-trace A.  Exponents are shifted by their
-    maximum, which cancels in both outputs.
+    Gamma the divided differences of exp(s x) / s, taken as max(e_i, e_j)
+    (1 - exp(-x)) / x, e = exp(s h), x = |s (h_i - h_j)|, free of
+    cancellation and overflow; s = 0 is the limit Tr A K of a unit-trace
+    A.  For |s| < LOG_TRACE_SERIES the value is (1/s) log1p(sum w
+    expm1(s h) / sum w), w A's diagonal, so 1/s magnifies no rounding of
+    Tr A; further out exponents are shifted by their maximum.
     """
-    weights = np.real(np.diag(a_t))
+    w = a_t.diagonal().real
     if s == 0.0:
-        return float(weights @ h), a_t
-    e = s * h
-    shift = float(e.max())
-    e = np.exp(e - shift)
-    x = 0.5 * s * (h[:, None] - h[None, :])
-    small = np.abs(x) < 1e-2
-    # (e_i - e_j) / (2x), and its series sqrt(e_i e_j) sinh(x)/x where that cancels
-    ratio = (e[:, None] - e[None, :]) / np.where(small, 1.0, 2.0 * x)
-    x2 = x * x
-    series = np.sqrt(np.outer(e, e)) * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-    gamma = np.where(small, series, ratio)
-    total = max(float(weights @ e), np.finfo(float).tiny)
-    return (math.log(total) + shift) / s, gamma * a_t / total
+        return float(w @ h), a_t
+    near = abs(s) < LOG_TRACE_SERIES
+    sh = s * h
+    shift = 0.0 if near else float(sh.max())
+    e = np.exp(sh - shift)
+    x = np.abs(s * (h[:, None] - h[None, :]))
+    gamma = np.maximum.outer(e, e) * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+    mass = float(w.sum())
+    if near:
+        rel = float(w @ np.expm1(sh)) / mass
+        return math.log1p(rel) / s, gamma * a_t / (mass * (1.0 + rel))
+    total = max(float(w @ e), np.finfo(float).tiny)
+    return (math.log(total / mass) + shift) / s, gamma * a_t / total
 
 
 def _variational_povms(view: _View, alpha, extra):
@@ -422,24 +418,20 @@ def _variational_povms(view: _View, alpha, extra):
     alpha Tr rho omega^(1-1/alpha) + (1-alpha) Tr sigma omega, and
     D_M = sup_omega Tr rho log omega + Tr rho - Tr sigma omega at alpha = 1.
     With the scale of omega = exp(alpha K) optimized out and rho of unit
-    trace, L-BFGS-B maximizes over the entries of K
+    trace, opcore.stiefel_ascent maximizes over Hermitian K in the box
+    |Re K_ij|, |Im K_ij| <= LOG_RATIO_BOX, from each seed basis with the
+    seed's log outcome ratios as eigenvalues,
 
         D(K) = alpha/(alpha-1) log Tr rho exp((alpha-1) K) - log Tr sigma exp(alpha K)
 
-    (Tr rho K - log Tr sigma exp(K) at alpha = 1), from each seed basis
-    with the seed's log outcome ratios as eigenvalues.  Every stationary
+    (Tr rho K - log Tr sigma exp(K) at alpha = 1).  Every stationary
     point is a global optimum, the exponential map being a diffeomorphism
     onto omega > 0.  K lives in sigma's eigenbasis, cut to sigma's support
-    (its first rank vectors) for alpha >= 1, where rho^0 <= sigma^0 holds
-    (sigma's kernel then joins the first outcome).  The candidates are the
-    seed measurements, the extra seed measurements and each final K's
-    eigenbasis.  L-BFGS-B stops when a step gains less than LBFGS_FTOL,
-    about what the objective resolves; a start counts as converged when it
-    met a stopping test or its line search failed at a projected gradient
-    below LBFGS_PGTOL.
+    for alpha >= 1, where rho^0 <= sigma^0 holds (sigma's kernel then
+    joins the first outcome).  The candidates are the seed measurements,
+    the extra ones and each final K's eigenbasis; converged reports
+    whether an ascent stopped before its step cap.
     """
-    from scipy.optimize import minimize  # deferred: slow to import, only the search needs it
-
     v = view.sigma_v
     n = view.rank if alpha >= 1.0 else view.dim
     iso = v[:, :n]
@@ -447,55 +439,29 @@ def _variational_povms(view: _View, alpha, extra):
     sig_root = np.sqrt(view.sigma_w[:n])
     a, b, _ = view.rho_cut
     rho_root = iso.conj().T @ (b * np.sqrt(a / view.tr))
-    iu = np.triu_indices(n, 1)
-    n_off = len(iu[0])
 
-    def unpack(x):
-        k = np.zeros((n, n), dtype=complex)
-        k[iu] = x[n : n + n_off] + 1j * x[n + n_off :]
-        k = k + k.conj().T
-        k[np.diag_indices(n)] = x[:n]
-        return k
-
-    def pack(m, off_weight=1.0):
-        return np.concatenate(
-            [np.real(np.diag(m)), off_weight * m[iu].real, off_weight * m[iu].imag]
-        )
-
-    def neg_objective(x):
-        h, u = np.linalg.eigh(unpack(x))
+    def value_grad(k):
+        h, u = np.linalg.eigh(k)
         uh = u.conj().T
         r_t = uh @ rho_root
         s_t = uh * sig_root
         f_rho, g_rho = _log_trace_exp(r_t @ r_t.conj().T, h, alpha - 1.0)
         f_sig, g_sig = _log_trace_exp(s_t @ s_t.conj().T, h, alpha)
-        grad = alpha * (u @ (g_rho - g_sig) @ uh)
-        # an off-diagonal entry and its conjugate move together: weight 2
-        return -alpha * (f_rho - f_sig), -pack(grad, 2.0)
+        grad = u @ (g_rho - g_sig) @ uh
+        # Hermitian to the last bit, so that every iterate stays Hermitian
+        return alpha * (f_rho - f_sig), (0.5 * alpha) * (grad + grad.conj().T)
 
     cands = [*map(_projective, view.seed_bases), *extra]
-    bounds = [(-LOG_RATIO_BOX, LOG_RATIO_BOX)] * (n * n)
-    converged = False
-    tiny = np.finfo(float).tiny
+    box, converged, tiny = box_geometry(LOG_RATIO_BOX, BFT_MEMORY), False, np.finfo(float).tiny
     for basis in view.seed_bases:
         p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
         q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.pair.sigma, basis))
         ratio = np.log(np.maximum(p, tiny)) - np.log(np.maximum(q, tiny))
         seed = iso.conj().T @ basis
         k0 = (seed * np.clip(ratio, -LOG_RATIO_BOX, LOG_RATIO_BOX)) @ seed.conj().T
-        res = minimize(
-            neg_objective, pack(k0), jac=True, method="L-BFGS-B", bounds=bounds,
-            options={
-                "maxiter": LBFGS_MAXITER, "maxcor": LBFGS_MEMORY,
-                "ftol": LBFGS_FTOL, "gtol": 1e-11,
-            },
-        )
-        # the projected gradient: zero where a box face blocks the descent
-        blocked = (res.x <= -LOG_RATIO_BOX) & (res.jac > 0)
-        blocked |= (res.x >= LOG_RATIO_BOX) & (res.jac < 0)
-        stalled = float(np.max(np.abs(np.where(blocked, 0.0, res.jac)))) <= LBFGS_PGTOL
-        converged = converged or bool(res.success) or stalled
-        cands.append(_projective(iso @ np.linalg.eigh(unpack(res.x))[1], v[:, n:]))
+        k, _, conv = stiefel_ascent(value_grad, 0.5 * (k0 + k0.conj().T), BFT_ITERS, box)
+        converged = converged or conv
+        cands.append(_projective(iso @ np.linalg.eigh(k)[1], v[:, n:]))
     return cands, len(view.seed_bases), converged
 
 
@@ -535,8 +501,8 @@ def measured_renyi_lower(
     Above alpha = 1/2 the convex variational formula is optimized (see
     _variational_povms) and the value is the global optimum up to
     solver tolerance; restarts and iters are not used there, and
-    restarts_used counts the L-BFGS starts, converged reports whether
-    one of them stopped at the optimum.  At alpha = 1/2 the Fuchs-Caves
+    restarts_used counts the ascent's starts, converged reports whether
+    one of them stopped before its step cap.  At alpha = 1/2 the Fuchs-Caves
     measurement gives -log F in closed form (restarts_used 0).  Below
     1/2 a Riemannian ascent over rank-one d^2-outcome POVMs runs from
     restarts starts (at least the structured seeds) with at most iters

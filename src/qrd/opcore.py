@@ -7,18 +7,20 @@ projections (all one spectral map), projection meet, PSD order checks,
 the pinched exponential of the large-z divergence limit and its gradient,
 divided differences of spectral functions (Daleckii-Krein gradients),
 and the one optimizer of the package: gradient ascent on the complex
-Stiefel manifold, which the channel-input and measurement searches
-share.  Everything runs on exact eigendecompositions of d x d Hermitian
-matrices with a relative cutoff standing in for exact spectral
-projections.  All logs are natural, so values are in nats.
+Stiefel manifold (the channel-input and POVM searches) or in a box (the
+measured divergence's variational formula).  Everything runs on exact
+eigendecompositions of d x d Hermitian matrices with a relative cutoff
+standing in for exact spectral projections.  All logs are natural, so
+values are in nats.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,16 +59,15 @@ MAX_DIM = 64
 DIVIDED_DIFFERENCE_RTOL = 1e-5
 
 #: stiefel_ascent: sufficient-increase constant of the Armijo test, the
-#: length of the first trial move and of any move, the tangent-gradient
+#: length of the first trial move and of any move, the projected-gradient
 #: norm at which it stops, the halvings before a step counts as failed,
-#: the number of past steps its L-BFGS directions use, and the predicted
-#: gain, relative to max(1, |f|), below which the Armijo test meets f's rounding
+#: and the predicted gain, relative to max(1, |f|), below which the Armijo
+#: test meets f's rounding
 ARMIJO_C = 1e-4
 ASCENT_FIRST_MOVE = 0.1
 ASCENT_MAX_MOVE = 1.0
 ASCENT_GTOL = 1e-10
 ASCENT_HALVINGS = 30
-ASCENT_MEMORY = 8
 ASCENT_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -436,34 +437,65 @@ def _polar(x: np.ndarray) -> np.ndarray:
 
 
 def _ip(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product Re Tr a^dag b of the Stiefel manifold's metric."""
+    """Real inner product Re Tr a^dag b of the ascent's metric."""
     return float(np.vdot(a, b).real)
 
 
-def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
-    """Maximize f over {X in C^(n x m) : X^dag X = I} from x0.
+#: where stiefel_ascent moves: retract(X) maps a trial point onto the set;
+#: tangent(X, G) returns G projected onto the directions open at X and that
+#: projection, which every search direction there passes; memory is the
+#: number of past steps the L-BFGS directions use
+Geometry = namedtuple("Geometry", "retract tangent memory")
+
+#: the complex Stiefel manifold {X : X^dag X = I}, retracted by polar decomposition
+STIEFEL = Geometry(_polar, lambda x, g: (_tangent(x, g), partial(_tangent, x)), 8)
+
+
+def box_geometry(bound: float, memory: int) -> Geometry:
+    """C-contiguous complex matrices with real and imaginary parts in [-bound, bound].
+
+    Trial points are clipped; a part on a face that the gradient pushes
+    outward is blocked (zeroed in the gradient, the stopping test and every
+    direction), as in L-BFGS-B's projected gradient.  Hermitian starts and
+    gradients keep every point Hermitian.
+    """
+
+    def tangent(x, g):
+        x, g = x.view(float), g.view(float)  # the real and imaginary parts
+        free = ~(((x <= -bound) & (g < 0.0)) | ((x >= bound) & (g > 0.0)))
+        return np.where(free, g, 0.0).view(complex), (
+            lambda v: np.where(free, v.view(float), 0.0).view(complex)
+        )
+
+    def retract(x):
+        return np.clip(x.view(float), -bound, bound).view(complex)
+
+    return Geometry(retract, tangent, memory)
+
+
+def stiefel_ascent(value_grad, x0: np.ndarray, iters: int, geometry: Geometry = STIEFEL):
+    """Maximize f from x0 over the geometry's set, by default the Stiefel manifold.
 
     value_grad(X) returns (f, G), G the Euclidean gradient, so that
     f(X + dX) = f(X) + Re Tr G^dag dX to first order; G may be None when
-    f is +inf.  Each step projects G onto the tangent space
-    (G - X herm(X^dag G)), turns it into a search direction by the
-    L-BFGS two-loop recursion over the last ASCENT_MEMORY steps (the
-    initial scale is the Barzilai-Borwein step s.y / y.y; without
-    memory the first move has length ASCENT_FIRST_MOVE), halves the
-    step until the Armijo test accepts it, and retracts by polar
-    decomposition; m = 1 is the unit sphere.  Stored steps are used
-    without transport and the direction is projected onto the current
-    tangent space.  A value of +inf ends the ascent (the supremum is
-    attained), as does a trial step whose predicted gain t * slope is at
-    most ASCENT_ROUNDING * max(1, |f|), below f's rounding.  Returns
-    (X, f, converged): converged is False only when the iters steps ran
-    out before the tangent gradient vanished or no step could raise f.
+    f is +inf.  Each step projects G by the geometry's tangent map, turns
+    it into a search direction by the L-BFGS two-loop recursion over the
+    geometry's last memory steps (the initial scale is the
+    Barzilai-Borwein step s.y / y.y; without memory the first move has
+    length ASCENT_FIRST_MOVE), halves the step until the Armijo test
+    accepts it, and retracts.  Stored steps are used without transport
+    and the direction is projected at the current point.  A value of
+    +inf ends the ascent (the supremum is attained), as does a trial step
+    whose predicted gain t * slope is at most ASCENT_ROUNDING *
+    max(1, |f|), below f's rounding.  Returns (X, f, converged):
+    converged is False only when the iters steps ran out before the
+    projected gradient vanished or no step could raise f.
     """
-    x = _polar(x0)
+    x = geometry.retract(x0)
     f, g = value_grad(x)
     if f == math.inf:
         return x, f, True
-    xi = _tangent(x, g)
+    xi, project = geometry.tangent(x, g)
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
     for _ in range(iters):
         gn = math.sqrt(_ip(xi, xi))
@@ -480,7 +512,7 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
             d = (_ip(s, y) / _ip(y, y)) * d
             for (s, y, r), c in zip(memory, reversed(coefs)):
                 d = d + (c - r * _ip(y, d)) * s
-            d = _tangent(x, d)
+            d = project(d)
         slope = _ip(d, xi)
         if not memory or slope <= 0.0:
             memory.clear()
@@ -490,7 +522,7 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
         for _ in range(ASCENT_HALVINGS):
             if t * slope <= ASCENT_ROUNDING * max(1.0, abs(f)):
                 return x, f, True
-            cand = _polar(x + t * d)
+            cand = geometry.retract(x + t * d)
             f_new, g_new = value_grad(cand)
             if f_new >= f + ARMIJO_C * t * slope:
                 break
@@ -499,13 +531,13 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int):
             return x, f, True
         if f_new == math.inf:
             return cand, f_new, True
-        xi_new = _tangent(cand, g_new)
+        xi_new, project = geometry.tangent(cand, g_new)
         # a step and the change of the gradient of -f along it
         s, y = cand - x, xi - xi_new
         sy = _ip(s, y)
         if sy > 0.0:
             memory.append((s, y, 1.0 / sy))
-            del memory[:-ASCENT_MEMORY]
+            del memory[:-geometry.memory]
         x, f, xi = cand, f_new, xi_new
     return x, f, False
 

@@ -54,7 +54,7 @@ CLUSTER_AMBIGUOUS = 1e-8
 #: geometric z-grid for the extrapolation oracle; each node halves the last
 ORACLE_Z_NODES = (1e-2, 5e-3, 2.5e-3)
 
-#: decimal digits the oracle keeps on the smallest singular value
+#: decimal digits the oracle keeps on the smallest singular value and in its sums
 ORACLE_GUARD_DIGITS = 50
 
 
@@ -233,10 +233,10 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
     singular values span up to exp(range/2), range = (alpha span_a +
     |1 - alpha| span_b) / z nats the span of Y^dag Y's eigenvalues, far
     past float64; mpf exponents are unbounded, and range/(2 ln 10) +
-    ORACLE_GUARD_DIGITS digits keep that many digits on the smallest
-    singular value.  The nodes halve z, so the powers of
-    a and b are taken once, at the last node's precision, and squared
-    from node to node.
+    ORACLE_GUARD_DIGITS digits keep that many relative digits on every
+    singular value, so their power sum and logs run at that precision.
+    The nodes halve z, so the powers of a and b are taken once, at the
+    last node's precision, and squared from node to node.
     """
     import mpmath as mp  # deferred: only the oracle needs it, and it is slow to import
 
@@ -264,7 +264,9 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
                 da, db = [x * x for x in da], [x * x for x in db]
         with mp.workdps(digits(z)):
             y = mp.matrix([[u * yb * ya for u, ya in zip(row, da)] for row, yb in zip(u_dag, db)])
-            q = mp.fsum(s ** (2 * z) for s in mp.svd_c(y, compute_uv=False))
+            sv = mp.svd_c(y, compute_uv=False)
+        with mp.workdps(ORACLE_GUARD_DIGITS):
+            q = mp.fsum(s ** (2 * z) for s in sv)
             out.append(float((mp.log(q) - mp.log(pair.tr)) / (alpha - 1.0)))
     return out
 

@@ -1,10 +1,12 @@
 """Import cost: each subcommand loads only the modules it runs.
 
-scipy.optimize and mpmath load only where they are called, ``import qrd``
-loads no submodule, and a closed-form evaluation loads none of the
-optimizers, the suites, the channel calculus or the z -> 0 machinery.
+No module of the package imports scipy, mpmath loads only where it is
+called, ``import qrd`` loads no submodule, and a closed-form evaluation
+loads none of the optimizers, the suites, the channel calculus or the
+z -> 0 machinery.
 """
 
+import ast
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.optimize", "mpmath")
+HEAVY = ("scipy", "scipy.optimize", "mpmath")
 
 # runs in a fresh interpreter, so modules loaded by other tests do not count
 CHILD = f"""
@@ -160,13 +162,29 @@ def test_test_kind_loads_no_heavy_module():
     assert math.isfinite(record["value"]) and record["value"] > 0.0
 
 
-def test_measured_kind_imports_the_optimizer_on_first_use():
+def test_measured_kind_loads_no_heavy_module():
+    # the convex path above alpha = 1/2 runs on the package's own ascent
     record, report = run_fresh(
         "eval", "--kind", "measured", "--alpha", "1.5", "--seed", "3",
         "--family", "pure:c=1,eps=0.3",
     )
-    assert report == {"code": 0, "after_import": [], "after_main": ["scipy.optimize"]}
+    assert report == {"code": 0, "after_import": [], "after_main": []}
     assert math.isfinite(record["value"]) and record["value"] > 0.0
+
+
+def test_no_library_module_imports_scipy():
+    """scipy is a test dependency only (the NNLS cross-check oracle)."""
+    offenders = []
+    for path in sorted((SRC / "qrd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_measured_kind_below_half_loads_no_heavy_module():

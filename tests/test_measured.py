@@ -325,6 +325,34 @@ def test_convex_path_reports_converged():
                 assert measured_renyi_lower(rho, sigma, alpha, seed=0).converged, (d, alpha)
 
 
+def test_convex_path_is_continuous_at_alpha_one():
+    """|D(1 +- 1e-12) - D(1)| <= 1e-9 on the ascent of the variational formula.
+
+    (1/s) log Tr A exp(sK) at s = alpha - 1 would divide the rounding of
+    Tr A by s, and the ascent would stop on a worse measurement (1.2e-5
+    and 3.2e-5 below on this pair).
+    """
+    rng = np.random.default_rng(11)
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    at_one = measured_renyi_lower(rho, sigma, 1.0).value
+    for alpha in (1.0 - 1e-12, 1.0 + 1e-12):
+        res = measured_renyi_lower(rho, sigma, alpha)
+        assert abs(res.value - at_one) <= 1e-9 and res.converged, (alpha, res.value - at_one)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0, 3.0])
+def test_qubit_measured_value_is_the_test_value(rng, alpha):
+    """For d = 2 every projective measurement is a test, so D_M = D_test above 1/2.
+
+    The two searches share no optimizer: the convex ascent on one side,
+    the Neyman-Pearson angle search on the other.
+    """
+    for _ in range(20):
+        rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
+        got = measured_renyi_lower(rho, sigma, alpha).value
+        assert abs(got - measured_by_test(rho, sigma, alpha).value) <= 1e-9
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_half_alpha_is_minus_log_fidelity(rng, d):
     """At alpha = 1/2, D_M = -log F, certified by the Fuchs-Caves measurement."""
