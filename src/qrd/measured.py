@@ -46,6 +46,7 @@ from .opcore import (
     _cut_spectrum,
     _eigh_descending,
     _rebuild,
+    ASCENT_MEMORY,
     as_operator,
     box_geometry,
     spectral_map,
@@ -79,10 +80,13 @@ SEED_SPREAD = 0.1
 #: every iterate finite
 LOG_RATIO_BOX = 30.0
 
-#: step cap and L-BFGS memory of each ascent of the variational formula;
-#: with less memory d = 4 solves at large alpha hit the cap short of the optimum
+#: step cap of each ascent of the variational formula; L-BFGS memory of the
+#: unpreconditioned ascent at alpha <= 1 (with less, d = 4 solves hit the cap
+#: short of the optimum); floor of the preconditioner's curvatures above 1,
+#: relative to the largest (lower floors let starts run off to plateaus)
 BFT_ITERS = 500
 BFT_MEMORY = 30
+BFT_CURVATURE_FLOOR = 1e-6
 #: |alpha - 1| below which the variational objective takes its log1p form
 LOG_TRACE_SERIES = 1e-3
 
@@ -381,33 +385,48 @@ def _fuchs_caves(view: _View) -> tuple[np.ndarray, ...]:
     return _projective(basis) + ((v[:, n:],) if n < view.dim else ())
 
 
-def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float):
+def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float, curvature: bool = False):
     """phi_s(K) = (1/s) log (Tr A exp(sK) / Tr A) and its gradient, in K's eigenbasis.
 
     a_t is A in the eigenbasis of K, whose eigenvalues are h.  By the
     Daleckii-Krein formula the gradient is (Gamma o a_t) / Tr A exp(sK),
     Gamma the divided differences of exp(s x) / s, taken as max(e_i, e_j)
     (1 - exp(-x)) / x, e = exp(s h), x = |s (h_i - h_j)|, free of
-    cancellation and overflow; s = 0 is the limit Tr A K of a unit-trace
-    A.  For |s| < LOG_TRACE_SERIES the value is (1/s) log1p(sum w
-    expm1(s h) / sum w), w A's diagonal, so 1/s magnifies no rounding of
-    Tr A; further out exponents are shifted by their maximum.
+    cancellation and overflow; s = 0 is the limit Tr A K / Tr A.  For
+    |s| < LOG_TRACE_SERIES the value is (1/s) log1p(sum w expm1(s h) /
+    sum w), w A's diagonal, so 1/s magnifies no rounding of Tr A; further
+    out exponents are shifted by their maximum.  With curvature (s != 0)
+    a third output holds, in its real and imaginary parts at (i, j), the
+    second derivatives of phi_s along the unit Hermitian directions of
+    K_ij's real and imaginary parts, from the second divided differences
+    (Gamma_ij - e_i) / (s (h_j - h_i)).
     """
     w = a_t.diagonal().real
+    mass = float(w.sum())
     if s == 0.0:
-        return float(w @ h), a_t
+        return float(w @ h) / mass, a_t / mass
     near = abs(s) < LOG_TRACE_SERIES
     sh = s * h
     shift = 0.0 if near else float(sh.max())
     e = np.exp(sh - shift)
     x = np.abs(s * (h[:, None] - h[None, :]))
     gamma = np.maximum.outer(e, e) * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
-    mass = float(w.sum())
     if near:
         rel = float(w @ np.expm1(sh)) / mass
-        return math.log1p(rel) / s, gamma * a_t / (mass * (1.0 + rel))
-    total = max(float(w @ e), np.finfo(float).tiny)
-    return (math.log(total / mass) + shift) / s, gamma * a_t / total
+        value, total = math.log1p(rel) / s, mass * (1.0 + rel)
+    else:
+        total = max(float(w @ e), np.finfo(float).tiny)
+        value = (math.log(total / mass) + shift) / s
+    grad = gamma * a_t / total
+    if not curvature:
+        return value, grad
+    y = s * (h - h[:, None])
+    div = 0.5 * gamma  # the limit at h_i = h_j
+    np.divide(gamma - e[:, None], y, out=div, where=np.abs(y) > 1e-6)
+    div *= w[:, None] * (s / total)
+    sq = (2.0 * s) * (grad.real**2 + 1j * grad.imag**2)
+    sq.flat[:: len(h) + 1] *= 0.5
+    return value, grad, (div + div.T) * (1.0 + 1j) - sq
 
 
 def _variational_povms(view: _View, alpha, extra):
@@ -428,9 +447,15 @@ def _variational_povms(view: _View, alpha, extra):
     point is a global optimum, the exponential map being a diffeomorphism
     onto omega > 0.  K lives in sigma's eigenbasis, cut to sigma's support
     for alpha >= 1, where rho^0 <= sigma^0 holds (sigma's kernel then
-    joins the first outcome).  The candidates are the seed measurements,
-    the extra ones and each final K's eigenbasis; converged reports
-    whether an ascent stopped before its step cap.
+    joins the first outcome).  Above alpha = 1, where D(K) is a difference
+    of convex functions whose curvature spans orders of magnitude across
+    K's eigenbasis, the ascent is preconditioned by the diagonal of that
+    curvature in K's eigenbasis (see _log_trace_exp), floored at
+    BFT_CURVATURE_FLOOR of its largest entry; at alpha <= 1 D(K) is
+    concave and the plain ascent with BFT_MEMORY steps of memory runs.
+    The candidates are the seed measurements, the extra ones and each
+    final K's eigenbasis; converged reports whether an ascent stopped
+    before its step cap.
     """
     v = view.sigma_v
     n = view.rank if alpha >= 1.0 else view.dim
@@ -439,20 +464,34 @@ def _variational_povms(view: _View, alpha, extra):
     sig_root = np.sqrt(view.sigma_w[:n])
     a, b, _ = view.rho_cut
     rho_root = iso.conj().T @ (b * np.sqrt(a / view.tr))
+    tiny = np.finfo(float).tiny
 
     def value_grad(k):
         h, u = np.linalg.eigh(k)
         uh = u.conj().T
         r_t = uh @ rho_root
         s_t = uh * sig_root
-        f_rho, g_rho = _log_trace_exp(r_t @ r_t.conj().T, h, alpha - 1.0)
-        f_sig, g_sig = _log_trace_exp(s_t @ s_t.conj().T, h, alpha)
+        f_rho, g_rho, *c_rho = _log_trace_exp(r_t @ r_t.conj().T, h, alpha - 1.0, alpha > 1.0)
+        f_sig, g_sig, *c_sig = _log_trace_exp(s_t @ s_t.conj().T, h, alpha, alpha > 1.0)
         grad = u @ (g_rho - g_sig) @ uh
         # Hermitian to the last bit, so that every iterate stays Hermitian
-        return alpha * (f_rho - f_sig), (0.5 * alpha) * (grad + grad.conj().T)
+        value, grad = alpha * (f_rho - f_sig), (0.5 * alpha) * (grad + grad.conj().T)
+        if alpha <= 1.0:
+            return value, grad
+        c = alpha * (c_sig[0] - c_rho[0])
+        floor = BFT_CURVATURE_FLOOR * max(c.real.max(), c.imag.max(), tiny)
+        c_re, c_im = np.maximum(c.real, floor), np.maximum(c.imag, floor)
+
+        def precondition(m):
+            m = uh @ m @ u
+            m = u @ (m.real / c_re + 1j * (m.imag / c_im)) @ uh
+            return 0.5 * (m + m.conj().T)
+
+        return value, grad, precondition
 
     cands = [*map(_projective, view.seed_bases), *extra]
-    box, converged, tiny = box_geometry(LOG_RATIO_BOX, BFT_MEMORY), False, np.finfo(float).tiny
+    box = box_geometry(LOG_RATIO_BOX, BFT_MEMORY if alpha <= 1.0 else ASCENT_MEMORY)
+    converged = False
     for basis in view.seed_bases:
         p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
         q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.pair.sigma, basis))

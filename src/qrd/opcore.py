@@ -61,6 +61,7 @@ DIVIDED_DIFFERENCE_RTOL = 1e-5
 #: stiefel_ascent: sufficient-increase constant of the Armijo test, the
 #: length of the first trial move and of any move, the projected-gradient
 #: norm at which it stops, the halvings before a step counts as failed,
+#: the number of past steps the Stiefel ascent's L-BFGS directions use,
 #: and the predicted gain, relative to max(1, |f|), below which the Armijo
 #: test meets f's rounding
 ARMIJO_C = 1e-4
@@ -68,6 +69,7 @@ ASCENT_FIRST_MOVE = 0.1
 ASCENT_MAX_MOVE = 1.0
 ASCENT_GTOL = 1e-10
 ASCENT_HALVINGS = 30
+ASCENT_MEMORY = 8
 ASCENT_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -448,7 +450,7 @@ def _ip(a: np.ndarray, b: np.ndarray) -> float:
 Geometry = namedtuple("Geometry", "retract tangent memory")
 
 #: the complex Stiefel manifold {X : X^dag X = I}, retracted by polar decomposition
-STIEFEL = Geometry(_polar, lambda x, g: (_tangent(x, g), partial(_tangent, x)), 8)
+STIEFEL = Geometry(_polar, lambda x, g: (_tangent(x, g), partial(_tangent, x)), ASCENT_MEMORY)
 
 
 def box_geometry(bound: float, memory: int) -> Geometry:
@@ -478,21 +480,23 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int, geometry: Geometry = 
 
     value_grad(X) returns (f, G), G the Euclidean gradient, so that
     f(X + dX) = f(X) + Re Tr G^dag dX to first order; G may be None when
-    f is +inf.  Each step projects G by the geometry's tangent map, turns
-    it into a search direction by the L-BFGS two-loop recursion over the
-    geometry's last memory steps (the initial scale is the
-    Barzilai-Borwein step s.y / y.y; without memory the first move has
-    length ASCENT_FIRST_MOVE), halves the step until the Armijo test
-    accepts it, and retracts.  Stored steps are used without transport
-    and the direction is projected at the current point.  A value of
-    +inf ends the ascent (the supremum is attained), as does a trial step
-    whose predicted gain t * slope is at most ASCENT_ROUNDING *
-    max(1, |f|), below f's rounding.  Returns (X, f, converged):
-    converged is False only when the iters steps ran out before the
-    projected gradient vanished or no step could raise f.
+    f is +inf.  A third item, when returned, is a preconditioner P: a map
+    approximating the inverse Hessian of -f at X.  Each step projects G
+    by the geometry's tangent map, turns it into a search direction by
+    the L-BFGS two-loop recursion over the geometry's last memory steps
+    (the initial matrix is P scaled by s.y / y.P(y), P the identity when
+    not given; without memory the first move is P of the projected
+    gradient, or without P has length ASCENT_FIRST_MOVE), halves the step
+    until the Armijo test accepts it, and retracts.  Stored steps are
+    used without transport and the direction is projected at the current
+    point.  A value of +inf ends the ascent (the supremum is attained),
+    as does a trial step whose predicted gain t * slope is at most
+    ASCENT_ROUNDING * max(1, |f|), below f's rounding.  Returns (X, f,
+    converged): converged is False only when the iters steps ran out
+    before the projected gradient vanished or no step could raise f.
     """
     x = geometry.retract(x0)
-    f, g = value_grad(x)
+    f, g, *pre = value_grad(x)
     if f == math.inf:
         return x, f, True
     xi, project = geometry.tangent(x, g)
@@ -509,21 +513,24 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int, geometry: Geometry = 
                 coefs.append(c)
                 d = d - c * y
             s, y, _ = memory[-1]
-            d = (_ip(s, y) / _ip(y, y)) * d
+            py, d = (pre[0](y), pre[0](d)) if pre else (y, d)
+            d = (_ip(s, y) / _ip(y, py)) * d
             for (s, y, r), c in zip(memory, reversed(coefs)):
                 d = d + (c - r * _ip(y, d)) * s
             d = project(d)
         slope = _ip(d, xi)
         if not memory or slope <= 0.0:
             memory.clear()
-            d = (ASCENT_FIRST_MOVE / gn) * xi
+            d = project(pre[0](xi)) if pre else xi
+            if not pre or _ip(d, xi) <= 0.0:
+                d = (ASCENT_FIRST_MOVE / gn) * xi
             slope = _ip(d, xi)
         t = min(1.0, ASCENT_MAX_MOVE / math.sqrt(_ip(d, d)))
         for _ in range(ASCENT_HALVINGS):
             if t * slope <= ASCENT_ROUNDING * max(1.0, abs(f)):
                 return x, f, True
             cand = geometry.retract(x + t * d)
-            f_new, g_new = value_grad(cand)
+            f_new, g_new, *pre_new = value_grad(cand)
             if f_new >= f + ARMIJO_C * t * slope:
                 break
             t *= 0.5
@@ -538,7 +545,7 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int, geometry: Geometry = 
         if sy > 0.0:
             memory.append((s, y, 1.0 / sy))
             del memory[:-geometry.memory]
-        x, f, xi = cand, f_new, xi_new
+        x, f, xi, pre = cand, f_new, xi_new, pre_new
     return x, f, False
 
 

@@ -325,6 +325,22 @@ def test_convex_path_reports_converged():
                 assert measured_renyi_lower(rho, sigma, alpha, seed=0).converged, (d, alpha)
 
 
+@pytest.mark.parametrize("d, alpha", [(5, 2.0), (6, 3.0), (8, 2.0), (8, 3.0)])
+def test_convex_path_converges_above_dimension_four(monkeypatch, d, alpha):
+    """A solve at d >= 5 and alpha >= 2 converges and ends where four times its step cap ends.
+
+    Without the preconditioner the starts crawl along directions whose
+    curvature is ~1e-6 of the largest: they hit the step cap, and the
+    longer solve ends up to 1.2e-6 higher.
+    """
+    rng = np.random.default_rng(7)
+    rho, sigma = rand_density(rng, d), rand_density(rng, d)
+    res = measured_renyi_lower(rho, sigma, alpha)
+    monkeypatch.setattr(measured, "BFT_ITERS", 4 * measured.BFT_ITERS)
+    longer = measured_renyi_lower(rho, sigma, alpha)
+    assert res.converged and res.value >= longer.value - 1e-10, (res.value - longer.value)
+
+
 def test_convex_path_is_continuous_at_alpha_one():
     """|D(1 +- 1e-12) - D(1)| <= 1e-9 on the ascent of the variational formula.
 
