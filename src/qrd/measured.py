@@ -81,11 +81,14 @@ SEED_SPREAD = 0.1
 LOG_RATIO_BOX = 30.0
 
 #: step cap of each ascent of the variational formula; L-BFGS memory of the
-#: unpreconditioned ascent at alpha <= 1 (with less, d = 4 solves hit the cap
-#: short of the optimum); floor of the preconditioner's curvatures above 1,
-#: relative to the largest (lower floors let starts run off to plateaus)
+#: unpreconditioned ascent (with less, d = 4 solves at large alpha hit the cap
+#: short of the optimum); smallest K, above alpha = 1, whose ascent is
+#: preconditioned (on qubits and qutrits it costs more per step than it
+#: saves); floor of the preconditioner's curvatures relative to the largest
+#: (lower floors let starts run off to plateaus)
 BFT_ITERS = 500
 BFT_MEMORY = 30
+BFT_PRECONDITION_DIM = 4
 BFT_CURVATURE_FLOOR = 1e-6
 #: |alpha - 1| below which the variational objective takes its log1p form
 LOG_TRACE_SERIES = 1e-3
@@ -449,10 +452,11 @@ def _variational_povms(view: _View, alpha, extra):
     for alpha >= 1, where rho^0 <= sigma^0 holds (sigma's kernel then
     joins the first outcome).  Above alpha = 1, where D(K) is a difference
     of convex functions whose curvature spans orders of magnitude across
-    K's eigenbasis, the ascent is preconditioned by the diagonal of that
-    curvature in K's eigenbasis (see _log_trace_exp), floored at
-    BFT_CURVATURE_FLOOR of its largest entry; at alpha <= 1 D(K) is
-    concave and the plain ascent with BFT_MEMORY steps of memory runs.
+    K's eigenbasis, an ascent over K of size n >= BFT_PRECONDITION_DIM is
+    preconditioned by the diagonal of that curvature in K's eigenbasis
+    (see _log_trace_exp), floored at BFT_CURVATURE_FLOOR of its largest
+    entry; otherwise (at alpha <= 1 D(K) is concave) the plain ascent
+    runs with BFT_MEMORY steps of memory.
     The candidates are the seed measurements, the extra ones and each
     final K's eigenbasis; converged reports whether an ascent stopped
     before its step cap.
@@ -464,19 +468,19 @@ def _variational_povms(view: _View, alpha, extra):
     sig_root = np.sqrt(view.sigma_w[:n])
     a, b, _ = view.rho_cut
     rho_root = iso.conj().T @ (b * np.sqrt(a / view.tr))
-    tiny = np.finfo(float).tiny
+    tiny, pre = np.finfo(float).tiny, alpha > 1.0 and n >= BFT_PRECONDITION_DIM
 
     def value_grad(k):
         h, u = np.linalg.eigh(k)
         uh = u.conj().T
         r_t = uh @ rho_root
         s_t = uh * sig_root
-        f_rho, g_rho, *c_rho = _log_trace_exp(r_t @ r_t.conj().T, h, alpha - 1.0, alpha > 1.0)
-        f_sig, g_sig, *c_sig = _log_trace_exp(s_t @ s_t.conj().T, h, alpha, alpha > 1.0)
+        f_rho, g_rho, *c_rho = _log_trace_exp(r_t @ r_t.conj().T, h, alpha - 1.0, pre)
+        f_sig, g_sig, *c_sig = _log_trace_exp(s_t @ s_t.conj().T, h, alpha, pre)
         grad = u @ (g_rho - g_sig) @ uh
         # Hermitian to the last bit, so that every iterate stays Hermitian
         value, grad = alpha * (f_rho - f_sig), (0.5 * alpha) * (grad + grad.conj().T)
-        if alpha <= 1.0:
+        if not pre:
             return value, grad
         c = alpha * (c_sig[0] - c_rho[0])
         floor = BFT_CURVATURE_FLOOR * max(c.real.max(), c.imag.max(), tiny)
@@ -490,7 +494,7 @@ def _variational_povms(view: _View, alpha, extra):
         return value, grad, precondition
 
     cands = [*map(_projective, view.seed_bases), *extra]
-    box = box_geometry(LOG_RATIO_BOX, BFT_MEMORY if alpha <= 1.0 else ASCENT_MEMORY)
+    box = box_geometry(LOG_RATIO_BOX, ASCENT_MEMORY if pre else BFT_MEMORY)
     converged = False
     for basis in view.seed_bases:
         p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
