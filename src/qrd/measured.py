@@ -456,10 +456,9 @@ def _variational_povms(view: _View, alpha, extra):
     preconditioned by the diagonal of that curvature in K's eigenbasis
     (see _log_trace_exp), floored at BFT_CURVATURE_FLOOR of its largest
     entry; otherwise (at alpha <= 1 D(K) is concave) the plain ascent
-    runs with BFT_MEMORY steps of memory.
-    The candidates are the seed measurements, the extra ones and each
-    final K's eigenbasis; converged reports whether an ascent stopped
-    before its step cap.
+    runs with BFT_MEMORY steps of memory.  The candidates are the seed
+    measurements, the extra ones and each final K's eigenbasis; converged
+    reports whether an ascent stopped before its step cap.
     """
     v = view.sigma_v
     n = view.rank if alpha >= 1.0 else view.dim
@@ -494,8 +493,7 @@ def _variational_povms(view: _View, alpha, extra):
         return value, grad, precondition
 
     cands = [*map(_projective, view.seed_bases), *extra]
-    box = box_geometry(LOG_RATIO_BOX, ASCENT_MEMORY if pre else BFT_MEMORY)
-    converged = False
+    box, converged = box_geometry(LOG_RATIO_BOX, ASCENT_MEMORY if pre else BFT_MEMORY), False
     for basis in view.seed_bases:
         p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
         q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.pair.sigma, basis))

@@ -61,7 +61,7 @@ DIVIDED_DIFFERENCE_RTOL = 1e-5
 #: stiefel_ascent: sufficient-increase constant of the Armijo test, the
 #: length of the first trial move and of any move, the projected-gradient
 #: norm at which it stops, the halvings before a step counts as failed,
-#: the number of past steps the Stiefel ascent's L-BFGS directions use,
+#: the Stiefel geometry's L-BFGS memory (past steps its directions use),
 #: and the predicted gain, relative to max(1, |f|), below which the Armijo
 #: test meets f's rounding
 ARMIJO_C = 1e-4
