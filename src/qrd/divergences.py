@@ -26,8 +26,9 @@ from .opcore import (
     _checked_pair,
     _cut_spectrum,
     _dk_grad,
+    _exp_or_inf,
+    _log_pinch_exp,
     _pair,
-    _pinch_exp,
     _pinch_grad,
     _rebuild,
     as_operator,
@@ -74,52 +75,59 @@ def _power(cut, x: float) -> np.ndarray:
 
 
 def _sum_powers(matrix: np.ndarray, expo: float) -> float:
-    """Sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix."""
-    w = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-    top = float(w[-1])
+    """Sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix (its lower triangle)."""
+    w = np.linalg.eigvalsh(matrix).tolist()
+    top = w[-1]
     if not top > 0.0:
         return 0.0
-    return float(np.sum(w[w > INNER_FLOOR_RTOL * top] ** float(expo)))
+    return math.fsum(x**expo for x in w if x > INNER_FLOOR_RTOL * top)
 
 
-def _scaled_overlap(pair, x: float, y: float) -> np.ndarray:
-    """diag(a^x) U diag(b^y) over rho's kept (rows) and sigma's kept (columns) eigenvalues.
+def _log_q(pair, alpha: float, z: float) -> float:
+    """log Q_{alpha,z} on a pair record at finite z; +inf on a support leak above alpha = 1.
 
-    With M this matrix, M M^dag is rho^x sigma^2y rho^x and M^dag M is
-    sigma^y rho^2x sigma^y, in rho's and sigma's eigenbasis respectively,
-    both compressed to the supports.
-    """
-    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
-    return (a[ka] ** x)[:, None] * pair.overlap[ka][:, kb] * (b[kb] ** y)
-
-
-def _q(pair, alpha: float, z: float) -> float:
-    """Q_{alpha,z} on a pair record: the z-th power sum of the eigenvalues of M M^dag.
-
-    M = diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)) (_scaled_overlap), so
-    that M M^dag is A S A, A = rho^(alpha/2z) and S = sigma^((1-alpha)/z),
-    in rho's eigenbasis.
+    On the kept eigenvalues, divided by their largest a_max and b_max
+    (alpha log a_max + (1 - alpha) log b_max is added back), Q is at z = 1
+    sum_ij a_i^alpha |U_ij|^2 b_j^(1-alpha), with no eigensolve; at z =
+    alpha the alpha-th power sum of the eigenvalues of diag(b^y) R
+    diag(b^y), y = (1-alpha)/2alpha, R the record's rho_in_sigma; at any
+    other z the z-th power sum of those of M M^dag = A S A, M =
+    diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), A = rho^(alpha/2z) and
+    S = sigma^((1-alpha)/z) in rho's eigenbasis.
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
-    m = _scaled_overlap(pair, alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z))
-    return _sum_powers(m @ m.conj().T, z)
+    (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
+    an, bn = a[ka] / a[0], b[kb] / b[0]
+    if z == 1.0:
+        q = float(an**alpha @ pair.weights @ bn ** (1.0 - alpha))
+    elif z == alpha:
+        s = bn ** ((1.0 - alpha) / (2.0 * alpha))
+        q = _sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
+    else:
+        x, y = alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z)
+        m = (an**x)[:, None] * pair.overlap[ka][:, kb] * bn**y
+        q = _sum_powers(m @ m.conj().T, z)
+    if not q > 0.0:  # alpha < 1: the supports are orthogonal
+        return -math.inf
+    return math.log(q) + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 
 def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     """D_{alpha,z}, alpha != 1, on arrays: d_alpha_z's value and its gradients (None at +inf).
 
-    The value is the kernels' (_q, _pinch_exp); the gradients are built in
-    matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
+    The value is the kernels' (_log_q, _log_pinch_exp); the gradients are
+    built in matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
     grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S] and grad_sigma Q =
     z DK_S[A Y^(z-1) A], Y^(z-1) cut as in _sum_powers (the identity at
     z = 1, where Q is linear in Y).
     """
     pair = _array_pair(rho, sigma)
-    q = _pinch_exp(pair, alpha) if math.isinf(z) else _q(pair, alpha, z)
-    value = _value_from_q(alpha, pair.tr, q).d_value
+    log_q = _log_pinch_exp(pair, alpha) if math.isinf(z) else _log_q(pair, alpha, z)
+    value = _value_from_log_q(alpha, pair.tr, log_q).d_value
     if math.isinf(value):
         return value, None, None
+    q = _exp_or_inf(log_q)
     if math.isinf(z):
         gr, gs = _pinch_grad(pair, alpha)
     else:
@@ -142,24 +150,22 @@ def q_alpha_z(rho, sigma, params: DivergenceParams) -> float:
     """Trace functional Q_{alpha,z} = Tr (rho^{a/2z} sigma^{(1-a)/z} rho^{a/2z})^z.
 
     Finite z only; +inf when alpha > 1 and the support of rho leaks out
-    of the support of sigma.
+    of the support of sigma, or when Q leaves the float range.
     """
     alpha, z = params.alpha, params.z
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParamsError(f"q_alpha_z needs finite z > 0, got {z}")
-    return _q(_checked_pair(rho, sigma), alpha, z)
+    return _exp_or_inf(_log_q(_checked_pair(rho, sigma), alpha, z))
 
 
-def _value_from_q(alpha: float, tr_rho: float, q: float, notes=()) -> DivergenceValue:
-    log_tr = math.log(tr_rho)
-    if math.isinf(q):
+def _value_from_log_q(alpha: float, tr_rho: float, psi: float, notes=()) -> DivergenceValue:
+    if psi == math.inf:
         return DivergenceValue(math.inf, math.inf, math.inf, tuple(notes))
-    if q == 0.0:
+    if psi == -math.inf:
         # alpha < 1 here: log Q = -inf over a negative denominator
         return DivergenceValue(0.0, math.inf, -math.inf, tuple(notes))
-    psi = math.log(q)
-    d = (psi - log_tr) / (alpha - 1.0)
-    return DivergenceValue(q, d, psi, tuple(notes))
+    d = (psi - math.log(tr_rho)) / (alpha - 1.0)
+    return DivergenceValue(_exp_or_inf(psi), d, psi, tuple(notes))
 
 
 def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> DivergenceValue:
@@ -172,7 +178,7 @@ def _value_from_d(alpha: float, tr_rho: float, d: float, notes=()) -> Divergence
             return DivergenceValue(math.inf, math.inf, math.inf, tuple(notes))
         return DivergenceValue(0.0, math.inf, -math.inf, tuple(notes))
     psi = (alpha - 1.0) * d + log_tr
-    return DivergenceValue(math.exp(psi), d, psi, tuple(notes))
+    return DivergenceValue(_exp_or_inf(psi), d, psi, tuple(notes))
 
 
 def _d_alpha_z(pair, params) -> DivergenceValue:
@@ -183,10 +189,10 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
     if alpha == 1.0:
         return _value_from_d(alpha, tr_rho, _umegaki(pair), notes)
     if math.isinf(z):
-        q = _pinch_exp(pair, alpha)
-        if q == 0.0:
+        log_q = _log_pinch_exp(pair, alpha)
+        if log_q == -math.inf:
             notes.append("degenerate_support")
-        return _value_from_q(alpha, tr_rho, q, notes)
+        return _value_from_log_q(alpha, tr_rho, log_q, notes)
     if z == 0.0:
         from .zlimits import _zero_z_divergence
 
@@ -194,7 +200,7 @@ def _d_alpha_z(pair, params) -> DivergenceValue:
         if rec.used_fallback:
             notes.append("zero_z_nongeneric")
         return _value_from_d(alpha, tr_rho, rec.value, notes)
-    return _value_from_q(alpha, tr_rho, _q(pair, alpha, z), notes)
+    return _value_from_log_q(alpha, tr_rho, _log_q(pair, alpha, z), notes)
 
 
 def d_alpha_z(rho, sigma, params: DivergenceParams) -> DivergenceValue:
@@ -218,8 +224,7 @@ def _umegaki(pair) -> float:
         return math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     a = a[ka]
-    weights = np.abs(pair.overlap[ka][:, kb]) ** 2
-    return float(a @ np.log(a) - a @ (weights @ np.log(b[kb]))) / pair.tr
+    return float(a @ np.log(a) - a @ (pair.weights @ np.log(b[kb]))) / pair.tr
 
 
 def _umegaki_grad(rho: np.ndarray, sigma: np.ndarray):
@@ -242,9 +247,14 @@ def umegaki(rho, sigma) -> float:
 
 
 def _sigma_sandwich(pair) -> np.ndarray:
-    """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues."""
-    m = _scaled_overlap(pair, 0.5, -0.5)
-    x = m.conj().T @ m
+    """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues.
+
+    diag(s) R diag(s) for R the record's rho_in_sigma (rho / a_max) and
+    s = (a_max / b)^1/2: no matrix product once R is built.
+    """
+    (a, _, _), (b, _, kb) = pair.rho_cut, pair.sigma_cut
+    s = np.sqrt(a[0] / b[kb])
+    x = s[:, None] * pair.rho_in_sigma * s
     return 0.5 * (x + x.conj().T)
 
 
@@ -384,8 +394,8 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
     if not alpha > 0.0:
         raise BadAlphaError(f"alpha must be positive, got {alpha}")
     pair = _checked_pair(rho, sigma)
-    qz1 = _q(pair, alpha, z1)
-    qz2 = _q(pair, alpha, z2)
+    qz1 = _exp_or_inf(_log_q(pair, alpha, z1))
+    qz2 = _exp_or_inf(_log_q(pair, alpha, z2))
     ratio = z1 / z2
     rho_norm = float(pair.rho_cut[0][0])
     b, _, kept = pair.sigma_cut

@@ -228,8 +228,9 @@ class _Pair:
     eigensystems (a, V, kept) and (b, W, kept) from _cut_spectrum, and
     overlap the matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma
     = V U diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
-    is a function of a, b and U.  The kernels read the arrays and never
-    write them.
+    is a function of a, b and U.  Two arrays derived from U are built on
+    first use and kept with the record: weights and rho_in_sigma.  The
+    kernels read the arrays and never write them.
     """
 
     rho: np.ndarray
@@ -240,6 +241,18 @@ class _Pair:
     tr: float
     included: bool
     borderline: bool
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """|U_ij|^2 over rho's kept (rows) and sigma's kept (columns) eigenvalues."""
+        return np.abs(self.overlap[self.rho_cut[2]][:, self.sigma_cut[2]]) ** 2
+
+    @cached_property
+    def rho_in_sigma(self) -> np.ndarray:
+        """rho / a_max in sigma's eigenbasis on the kept block: U_k^dag diag(a_k / a_max) U_k."""
+        (a, _, ka), kb = self.rho_cut, self.sigma_cut[2]
+        u = self.overlap[ka][:, kb]
+        return u.conj().T @ ((a[ka] / a[0])[:, None] * u)
 
 
 def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:
@@ -345,39 +358,49 @@ def pinch_exp(rho, sigma, alpha: float) -> float:
 
     P is the meet of the two supports and L denotes the log on the support.
     Returns +inf when alpha > 1 and the support of rho is not contained in
-    that of sigma by the support_defect test.  When the supports are
-    disjoint (P = 0, possible only for alpha < 1 here) the trace is empty
-    and the value is 0.
+    that of sigma by the support_defect test, or when the trace leaves the
+    float range.  When the supports are disjoint (P = 0, possible only for
+    alpha < 1 here) the trace is empty and the value is 0.
     """
-    return _pinch_exp(_checked_pair(rho, sigma), alpha)
+    return _exp_or_inf(_log_pinch_exp(_checked_pair(rho, sigma), alpha))
 
 
-def _pinch_exp(pair: _Pair, alpha: float) -> float:
-    """pinch_exp on a pair record, in rho's eigenbasis.
+def _exp_or_inf(x: float) -> float:
+    """math.exp, +inf where the value leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_pinch_exp(pair: _Pair, alpha: float) -> float:
+    """log pinch_exp on a pair record, in rho's eigenbasis.
 
     There H = alpha L_rho + (1 - alpha) L_sigma is alpha diag(log a) +
     (1 - alpha) U diag(log b) U^dag, the logs taken on the kept
-    eigenvalues, and the value is the sum of exp over the eigenvalues of
-    H compressed to the meet.  The meet is built only when a support is
-    proper: otherwise it is the whole space.
+    eigenvalues of a / a_max and b / b_max (alpha log a_max + (1 - alpha)
+    log b_max is added back), and the value is the log-sum-exp of the
+    eigenvalues of H compressed to the meet: -inf when it is 0.  The meet
+    is built only when a support is proper: otherwise it is the whole space.
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     sigma_cut = (b, pair.overlap, kb)  # sigma's cut eigensystem in rho's eigenbasis
-    h = (1.0 - alpha) * _rebuild(sigma_cut, np.log)
+    h = (1.0 - alpha) * _rebuild(sigma_cut, lambda w: np.log(w / b[0]))
     on = np.flatnonzero(ka)
-    h[on, on] += alpha * np.log(a[on])
+    h[on, on] += alpha * np.log(a[on] / a[0])
     if not (ka.all() and kb.all()):
         basis = _meet(np.diag(ka.astype(float)), _rebuild(sigma_cut, np.ones_like))
         if basis.shape[1] == 0:
-            return 0.0
+            return -math.inf
         h = basis.conj().T @ h @ basis
-    return float(np.sum(np.exp(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
+    lse = float(np.logaddexp.reduce(np.linalg.eigvalsh(0.5 * (h + h.conj().T))))
+    return lse + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 
 def _pinch_grad(pair: _Pair, alpha: float):
-    """Gradients in rho and sigma of _pinch_exp's value, in matrix form.
+    """Gradients in rho and sigma of pinch_exp's value, in matrix form.
 
     alpha DK_log[E] and (1 - alpha) DK_log[E] for E = P exp(P H P) P and
     H = alpha L_rho + (1 - alpha) L_sigma, plus Tr (H E + E H) dP: P moves

@@ -227,7 +227,7 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
     Q_{alpha,z} is the sum of s^(2z) over the singular values s of
     Y = D_b U^dag D_a, U the pair record's overlap matrix and D_a =
     diag(a^(alpha/2z)), D_b = diag(b^((1-alpha)/2z)) over the kept
-    eigenvalues: Y^dag Y is the float kernel's M M^dag (divergences._q).
+    eigenvalues: Y^dag Y is the float kernel's M M^dag (divergences._log_q).
     Y has min(rank rho, rank sigma) singular values, so a rank-deficient
     sigma gives no structural zero to raise to the z-th power.  Y's
     singular values span up to exp(range/2), range = (alpha span_a +
@@ -256,6 +256,7 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
         da = [mp.mpf(a[i]) ** (alpha / (2.0 * z0)) for i in ia]
         db = [mp.mpf(b[j]) ** ((1.0 - alpha) / (2.0 * z0)) for j in ib]
     u_dag = pair.overlap[np.ix_(ia, ib)].conj().T
+    u_dag[np.abs(u_dag) <= MINOR_DEAD] = 0.0  # the elimination's exact zeros
     u_dag = [[mp.mpc(o.real, o.imag) for o in row] for row in u_dag]
     out = []
     for k, z in enumerate(ORACLE_Z_NODES):
@@ -324,13 +325,13 @@ def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
             )
     agree, pairs = _closed_form_agreement(val, pivots, profile.dim, alpha > 1.0)
     used_fallback = not (agree == pairs == len(pivots))
-    a, b, lam = profile.a.tolist(), profile.b.tolist(), [0.0] * profile.dim
-    for i, j in pivots:  # at rho's index, as _limit_eigenvalues places them
-        lam[i] = a[i] ** alpha * b[j] ** (1.0 - alpha)
-    q0 = float(np.sum(lam))
-    if q0 <= 0.0:  # no pivot: the supports are orthogonal (alpha < 1)
+    if not pivots:  # the supports are orthogonal (alpha < 1)
         return ZeroZResult(math.inf, used_fallback, pivots)
-    return ZeroZResult((math.log(q0) - math.log(pair.tr)) / (alpha - 1.0), used_fallback, pivots)
+    # log of the sum of the limit eigenvalues a_i^alpha b_j^(1-alpha), taken in logs
+    i, j = np.array(pivots).T
+    logs = alpha * np.log(profile.a[i]) + (1.0 - alpha) * np.log(profile.b[j])
+    log_q = float(np.logaddexp.reduce(logs))
+    return ZeroZResult((log_q - math.log(pair.tr)) / (alpha - 1.0), used_fallback, pivots)
 
 
 def _valuations(profile: SpectralProfile, alpha: float) -> np.ndarray:

@@ -363,13 +363,87 @@ def matrix_q(rho, sigma, alpha, z):
     return float(np.sum(w[w > INNER_FLOOR_RTOL * max(w[-1], 0.0)] ** z))
 
 
+def svd_q(rho, sigma, alpha, z):
+    """Q_{alpha,z} as the sum of s^2z over the singular values s of M = D_a U D_b (numpy's own cuts)."""
+    (a, v), (b, w) = (np.linalg.eigh(as_operator(m).entries) for m in (rho, sigma))
+    ka, kb = a > 1e-12 * a[-1], b > 1e-12 * b[-1]
+    m = (a[ka] ** (alpha / (2.0 * z)))[:, None] * (v[:, ka].conj().T @ w[:, kb])
+    s = np.linalg.svd(m * b[kb] ** ((1.0 - alpha) / (2.0 * z)), compute_uv=False)
+    return float(np.sum(s ** (2.0 * z)))
+
+
+def overlap_pairs(alpha):
+    """formula_pairs, rank-deficient rho and sigma at d = 3, 4, 8, and one d = 64 pair.
+
+    Above alpha = 1 rho lies inside sigma's support, or Q would be +inf.
+    """
+    yield from formula_pairs()
+    rng = np.random.default_rng(910)
+    for d in (3, 4, 8):
+        sigma = rand_density(rng, d, rank=d - 1)
+        w = sigma.eigenvectors[:, : d - 1]
+        inside = w @ rand_density(rng, d - 1, rank=d - 2).entries @ w.conj().T
+        yield inside, sigma.entries
+        if alpha < 1.0:
+            yield rand_density(rng, d, rank=d - 2).entries, sigma.entries
+    yield rand_density(rng, 64, rank=40).entries, rand_density(rng, 64).entries
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, 3.0])
 def test_overlap_form_q_matches_the_matrix_form(alpha):
-    for rho, sigma in formula_pairs():
-        for z in (0.5, 1.0, alpha):
+    for rho, sigma in overlap_pairs(alpha):
+        for z in (1.0, alpha):
             q = q_alpha_z(rho, sigma, DivergenceParams(alpha, z))
-            ref = matrix_q(rho, sigma, alpha, z)
-            assert abs(q - ref) <= 1e-9 * ref, (alpha, z, q, ref)
+            for ref in (matrix_q(rho, sigma, alpha, z), svd_q(rho, sigma, alpha, z)):
+                assert abs(q - ref) <= 1e-12 * ref, (alpha, z, len(rho), q, ref)
+        # any other z runs the M M^dag kernel, whose eigenvalue cut costs up to ~1e-9
+        q = q_alpha_z(rho, sigma, DivergenceParams(alpha, 0.5))
+        ref = matrix_q(rho, sigma, alpha, 0.5)
+        assert abs(q - ref) <= 1e-9 * ref, (alpha, len(rho), q, ref)
+
+
+def count_eigensolves(monkeypatch, fn):
+    """Calls of np.linalg.eigvalsh and np.linalg.eigh made by fn()."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
+        )
+    fn()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_petz_needs_no_eigensolve_and_sandwiched_one(monkeypatch):
+    """On a warm pair record: none at z = 1, one at z = alpha, one for D_max."""
+    rng = np.random.default_rng(911)
+    for d in (2, 4, 64):
+        rho, sigma = rand_density(rng, d, rank=d - 1), rand_density(rng, d)
+        d_max(rho, sigma)  # builds the record and its cached arrays
+        for alpha in (0.7, 1.5):
+            for z, calls in ((1.0, 0), (alpha, 1)):
+                params = DivergenceParams(alpha, z)
+                got = count_eigensolves(monkeypatch, lambda: d_alpha_z(rho, sigma, params))
+                assert got == calls, (d, alpha, z)
+        assert count_eigensolves(monkeypatch, lambda: d_max(rho, sigma)) == 1
+
+
+#: (rho, sigma) whose trace leaves the float range once raised to alpha or 1 - alpha
+TINY_TRACE_PAIRS = [
+    (np.diag([1e-200, 0.0]), np.diag([0.6, 0.4])),
+    (np.diag([0.5, 0.5]), 1e-300 * np.diag([0.6, 0.4])),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("pair", [0, 1], ids=["rho-1e-200", "sigma-1e-300"])
+def test_tiny_traces_give_the_classical_value_at_every_z(pair, alpha):
+    rho, sigma = TINY_TRACE_PAIRS[pair]
+    want = classical_renyi(np.diag(rho), np.diag(sigma), alpha)
+    for z in (0.0, 0.5, 1.0, 2.0, alpha, math.inf):
+        got = d_alpha_z(rho, sigma, DivergenceParams(alpha, z)).d_value
+        assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
 @pytest.mark.parametrize("params", [(1.5, 1.5), (0.7, 1.0), (2.0, math.inf)])

@@ -408,6 +408,20 @@ def test_oracle_matches_the_limit_formula_on_rank_deficient_sigma():
             assert gap <= 1e-4, f"oracle gap {gap:.3g} at d = {d}"
 
 
+@pytest.mark.parametrize("seed", range(3, 9))
+def test_oracle_zeroes_the_overlaps_the_elimination_calls_dead(seed):
+    # rho commutes with a rank-2 sigma inside its support, so two overlaps
+    # are rounding-level; scaled by (a_0 / a_1)^(alpha/2z) they used to move
+    # the oracle by O(1)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    sigma = HermitianOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    w = sigma.eigenvectors[:, :2]
+    rho = HermitianOperator(w @ np.diag([0.7, 0.3]) @ w.conj().T)
+    exact = zero_z_divergence(rho, sigma, 1.7).value
+    assert zero_z_oracle(rho, sigma, 1.7) == pytest.approx(exact, abs=1e-6)
+
+
 def test_oracle_is_inf_when_rho_leaks_out_of_sigma():
     rng = np.random.default_rng(3)
     rho, sigma = rand_density(rng, 3), rand_density(rng, 3, rank=2)
