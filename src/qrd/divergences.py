@@ -74,13 +74,18 @@ def _power(cut, x: float) -> np.ndarray:
     return _rebuild(cut, lambda w: w ** x)
 
 
-def _sum_powers(matrix: np.ndarray, expo: float) -> float:
-    """Sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix (its lower triangle)."""
+def _log_sum_powers(matrix: np.ndarray, expo: float) -> float:
+    """log of the sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix.
+
+    eigvalsh reads the lower triangle.  The eigenvalues are divided by the
+    largest, so no power under- or overflows; -inf when the matrix is 0.
+    """
     w = np.linalg.eigvalsh(matrix).tolist()
     top = w[-1]
     if not top > 0.0:
-        return 0.0
-    return math.fsum(x**expo for x in w if x > INNER_FLOOR_RTOL * top)
+        return -math.inf
+    terms = ((x / top) ** expo for x in w if x > INNER_FLOOR_RTOL * top)
+    return math.log(math.fsum(terms)) + expo * math.log(top)
 
 
 def _log_q(pair, alpha: float, z: float) -> float:
@@ -93,24 +98,26 @@ def _log_q(pair, alpha: float, z: float) -> float:
     diag(b^y), y = (1-alpha)/2alpha, R the record's rho_in_sigma; at any
     other z the z-th power sum of those of M M^dag = A S A, M =
     diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), A = rho^(alpha/2z) and
-    S = sigma^((1-alpha)/z) in rho's eigenbasis.
+    S = sigma^((1-alpha)/z) in rho's eigenbasis.  -inf when Q = 0 (alpha
+    < 1 and orthogonal supports).
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     an, bn = a[ka] / a[0], b[kb] / b[0]
     if z == 1.0:
-        q = float(an**alpha @ pair.weights @ bn ** (1.0 - alpha))
+        c = an**alpha @ pair.weights
+        on = c > 0.0  # a zero column must not meet a b_j^(1-alpha) that overflows
+        q = float(c[on] @ bn[on] ** (1.0 - alpha))
+        log_q = math.log(q) if q > 0.0 else -math.inf
     elif z == alpha:
         s = bn ** ((1.0 - alpha) / (2.0 * alpha))
-        q = _sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
+        log_q = _log_sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
     else:
         x, y = alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z)
         m = (an**x)[:, None] * pair.overlap[ka][:, kb] * bn**y
-        q = _sum_powers(m @ m.conj().T, z)
-    if not q > 0.0:  # alpha < 1: the supports are orthogonal
-        return -math.inf
-    return math.log(q) + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
+        log_q = _log_sum_powers(m @ m.conj().T, z)
+    return log_q + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 
 def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
@@ -119,7 +126,7 @@ def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     The value is the kernels' (_log_q, _log_pinch_exp); the gradients are
     built in matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
     grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S] and grad_sigma Q =
-    z DK_S[A Y^(z-1) A], Y^(z-1) cut as in _sum_powers (the identity at
+    z DK_S[A Y^(z-1) A], Y^(z-1) cut as in _log_sum_powers (the identity at
     z = 1, where Q is linear in Y).
     """
     pair = _array_pair(rho, sigma)
@@ -346,8 +353,8 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
     H = as_operator(H)
     rh = _power(pair.rho_cut, alpha / (2.0 * z))
     sh = _power(pair.sigma_cut, (alpha - 1.0) / (2.0 * z))
-    t1 = _sum_powers(rh @ H.entries @ rh, z / alpha)
-    t2 = _sum_powers(sh @ H.entries @ sh, z / (alpha - 1.0))
+    t1 = _exp_or_inf(_log_sum_powers(rh @ H.entries @ rh, z / alpha))
+    t2 = _exp_or_inf(_log_sum_powers(sh @ H.entries @ sh, z / (alpha - 1.0)))
     return alpha * t1 + (1.0 - alpha) * t2
 
 
