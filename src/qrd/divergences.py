@@ -104,18 +104,18 @@ def _log_q(pair, alpha: float, z: float) -> float:
     if alpha > 1.0 and not pair.included:
         return math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
-    an, bn = a[ka] / a[0], b[kb] / b[0]
-    if z == 1.0:
-        c = an**alpha @ pair.weights
+    bn = b[kb] / b[0]
+    if z == alpha:
+        s = bn ** ((1.0 - alpha) / (2.0 * alpha))
+        log_q = _log_sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
+    elif z == 1.0:
+        c = (a[ka] / a[0]) ** alpha @ pair.weights
         on = c > 0.0  # a zero column must not meet a b_j^(1-alpha) that overflows
         q = float(c[on] @ bn[on] ** (1.0 - alpha))
         log_q = math.log(q) if q > 0.0 else -math.inf
-    elif z == alpha:
-        s = bn ** ((1.0 - alpha) / (2.0 * alpha))
-        log_q = _log_sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
     else:
         x, y = alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z)
-        m = (an**x)[:, None] * pair.overlap[ka][:, kb] * bn**y
+        m = ((a[ka] / a[0]) ** x)[:, None] * pair.overlap[ka][:, kb] * bn**y
         log_q = _log_sum_powers(m @ m.conj().T, z)
     return log_q + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
