@@ -43,6 +43,9 @@ REL_SLACK = 1e-9
 #: cutoff, because ratio^(1/z) eigenvalues are data rather than noise
 INNER_FLOOR_RTOL = 1e-15
 
+#: largest log of a power of sigma's eigenvalue ratios that _log_q forms as is
+LOG_POWER_MAX = 0.5 * math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class DivergenceParams:
@@ -98,8 +101,9 @@ def _log_q(pair, alpha: float, z: float) -> float:
     diag(b^y), y = (1-alpha)/2alpha, R the record's rho_in_sigma; at any
     other z the z-th power sum of those of M M^dag = A S A, M =
     diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), A = rho^(alpha/2z) and
-    S = sigma^((1-alpha)/z) in rho's eigenbasis.  -inf when Q = 0 (alpha
-    < 1 and orthogonal supports).
+    S = sigma^((1-alpha)/z) in rho's eigenbasis, M divided (in logs) by its
+    largest power on U's support where b's in M M^dag pass LOG_POWER_MAX, z
+    = 1 included.  -inf when Q = 0 (alpha < 1 and orthogonal supports).
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
@@ -108,15 +112,21 @@ def _log_q(pair, alpha: float, z: float) -> float:
     if z == alpha:
         s = bn ** ((1.0 - alpha) / (2.0 * alpha))
         log_q = _log_sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
-    elif z == 1.0:
+    elif z == 1.0 and (1.0 - alpha) * math.log(bn[-1]) <= LOG_POWER_MAX:
         c = (a[ka] / a[0]) ** alpha @ pair.weights
         on = c > 0.0  # a zero column must not meet a b_j^(1-alpha) that overflows
         q = float(c[on] @ bn[on] ** (1.0 - alpha))
         log_q = math.log(q) if q > 0.0 else -math.inf
     else:
         x, y = alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z)
-        m = ((a[ka] / a[0]) ** x)[:, None] * pair.overlap[ka][:, kb] * bn**y
-        log_q = _log_sum_powers(m @ m.conj().T, z)
+        u, shift = pair.overlap[ka][:, kb], 0.0
+        if 2.0 * y * math.log(bn[-1]) > LOG_POWER_MAX:  # M M^dag would overflow
+            e = x * np.log(a[ka] / a[0])[:, None] + y * np.log(bn)
+            shift = float(e[u != 0.0].max())
+            m = u * np.exp(np.minimum(e - shift, 0.0))
+        else:
+            m = ((a[ka] / a[0]) ** x)[:, None] * u * bn**y
+        log_q = _log_sum_powers(m @ m.conj().T, z) + 2.0 * z * shift
     return log_q + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 

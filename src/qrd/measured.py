@@ -9,7 +9,10 @@ attained by the Fuchs-Caves measurement.  Below 1/2 a Riemannian ascent
 over rank-one d^2-outcome POVMs runs (opcore.stiefel_ascent, exact
 gradient) and global optimality is not claimed; seeding it with the
 Neyman-Pearson test and the joint and ratio eigenbases keeps it at or
-above the test-measured value and exact on commuting pairs.  The
+above the test-measured value and exact on commuting pairs.  A qubit
+with invertible sigma runs neither: its projective measurements are
+tests, and the best one, polished by a unitary ascent, is the optimum
+above 1/2.  The
 two-outcome test variant is a one-dimensional search over
 Neyman-Pearson projections {rho - t sigma > 0}, which contain the
 optimal test: a grid of angles t = tan(phi), refined by a secant on the
@@ -506,6 +509,19 @@ def _variational_povms(view: _View, alpha, extra):
     return cands, len(view.seed_bases), converged
 
 
+def _qubit_povms(view: _View, alpha, iters, extra):
+    """Candidates of an invertible-sigma qubit's measurements: (candidates, starts, converged).
+
+    Each projective measurement is a test: _np_test's best, whose angle falls
+    short on an ill-conditioned sigma, polished by one opcore.stiefel_ascent
+    over 2 x 2 unitaries of at most iters steps on _povm_objective, and rho's
+    eigenbasis, the best test of a pure rho below 1/2 with the least dust.
+    """
+    test = _np_test(view, alpha)[0]
+    v, _, converged = stiefel_ascent(_povm_objective(view, alpha), np.hstack(test).conj().T, iters)
+    return [test, _projective(v.conj().T), _projective(view.rho_cut[1]), *extra], 1, converged
+
+
 def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
     """measured_renyi_lower on a pair record: (value, factors, p, q, starts, converged).
 
@@ -517,6 +533,8 @@ def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
         return math.inf, witness, None, None, 0, True
     if alpha == CONVEX_ALPHA_MIN:
         cands, starts, converged = [_fuchs_caves(view)], 0, True
+    elif view.rank == 2 == view.dim:
+        cands, starts, converged = _qubit_povms(view, alpha, iters, extra)
     elif alpha > CONVEX_ALPHA_MIN:
         cands, starts, converged = _variational_povms(view, alpha, extra)
     else:
@@ -544,7 +562,12 @@ def measured_renyi_lower(
     solver tolerance; restarts and iters are not used there, and
     restarts_used counts the ascent's starts, converged reports whether
     one of them stopped before its step cap.  At alpha = 1/2 the Fuchs-Caves
-    measurement gives -log F in closed form (restarts_used 0).  Below
+    measurement gives -log F in closed form (restarts_used 0).  A qubit
+    with invertible sigma takes neither path (see _qubit_povms): its best
+    test, polished by one unitary ascent of at most iters steps, is the
+    global optimum above 1/2 and the best projective measurement below;
+    restarts is not used, restarts_used is 1 and converged reports whether
+    the polish stopped before its step cap.  Otherwise below
     1/2 a Riemannian ascent over rank-one d^2-outcome POVMs runs from
     restarts starts (at least the structured seeds) with at most iters
     steps each (see _stiefel_povms); converged reports whether the best

@@ -446,6 +446,27 @@ def test_tiny_traces_give_the_classical_value_at_every_z(pair, alpha):
         assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
+def test_large_alpha_on_a_wide_sigma_spectrum_stays_finite():
+    """b^(1 - alpha) at z = 1, and M M^dag at z = 1/2, leave the float range from alpha = 30 and 20.
+
+    sigma's eigenvalue ratio is 1e-11.  Each pair commutes, its eigenvalues
+    pairing up in ascending order, so the value is their classical one:
+    rho = I/2, also turned by a unitary, whose overlap is not the
+    identity, and a rho whose small eigenvalue's power underflows where it
+    meets sigma's small one.
+    """
+    turn = np.linalg.qr(np.array([[1.0, 2.0 + 1.0j], [0.5j, -1.0]]))[0]
+    rho, sigma = np.diag([0.5, 0.5]), np.diag([1.0, 1e-11])
+    pairs = [(rho, sigma), (turn @ rho @ turn.conj().T, turn @ sigma @ turn.conj().T)]
+    pairs.append((np.diag([1.0 - 1e-9, 1e-9]), sigma))
+    for r, s in pairs:
+        for alpha in (20.0, 30.0, 40.0):
+            want = classical_renyi(np.linalg.eigvalsh(r), np.linalg.eigvalsh(s), alpha)
+            for z in (0.5, 1.0):
+                got = d_alpha_z(r, s, DivergenceParams(alpha, z)).d_value
+                assert abs(got - want) <= 1e-12 * abs(want), (alpha, z, got, want)
+
+
 @pytest.mark.parametrize("params", [(1.5, 1.5), (0.7, 1.0), (2.0, math.inf)])
 @pytest.mark.parametrize("sigma_rank", [3, 2])
 def test_smoothing_curve_matches_a_smoothed_sigma(rng, params, sigma_rank):

@@ -360,13 +360,74 @@ def test_convex_path_is_continuous_at_alpha_one():
 def test_qubit_measured_value_is_the_test_value(rng, alpha):
     """For d = 2 every projective measurement is a test, so D_M = D_test above 1/2.
 
-    The two searches share no optimizer: the convex ascent on one side,
-    the Neyman-Pearson angle search on the other.
+    measured_renyi_lower starts from the same Neyman-Pearson search on a
+    qubit, so this checks the polish and the other candidates; the check
+    against an independent search is the convex program's, below.
     """
     for _ in range(20):
         rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
         got = measured_renyi_lower(rho, sigma, alpha).value
         assert abs(got - measured_by_test(rho, sigma, alpha).value) <= 1e-9
+
+
+def best_candidate_value(view, cands, alpha):
+    """The best certified value of cands and the trivial measurement, as _lower_bound scores."""
+    scored = [*cands, (np.eye(view.dim),)]
+    return max(measured._certified_value(*measured._weights(view, f), alpha) for f in scored)
+
+
+def ill_conditioned_sigma(rng, small):
+    """A random qubit sigma with eigenvalues small and 1 - small."""
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    return HermitianOperator((u * [small, 1.0 - small]) @ u.conj().T)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 3.0, 10.0])
+def test_qubit_value_is_the_convex_program_value(rng, alpha):
+    """Above 1/2 the qubit path reads the convex program's value, run on the same view.
+
+    The pairs are the test-value check's and ones whose sigma has an
+    eigenvalue of 1e-6 to 1e-10, where the best test's angle lies within
+    1e-8 of pi/2 and the angle search alone falls short of the optimum.
+    """
+    pairs = [(rand_density(rng, 2), rand_density(rng, 2)) for _ in range(20)]
+    pairs += [(rand_density(rng, 2), ill_conditioned_sigma(rng, 10.0**-k)) for k in range(6, 11)]
+    for rho, sigma in pairs:
+        got = measured_renyi_lower(rho, sigma, alpha).value
+        view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+        want = best_candidate_value(view, measured._variational_povms(view, alpha, ())[0], alpha)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (got, want)
+
+
+#: a pure rho and a sigma with eigenvalue 1.8e-7 on which, at alpha = 0.05, rounding
+#: dust on rho's kernel outcome, raised to the power alpha, decides: the best test
+#: and its polish read 1.6e-3 below the d^2-outcome ascent, rho's eigenbasis 1.8e-2 above
+DUST_PAIR = (
+    [[0.6114392446331255, 0.4784852681995604 - 0.09291470750959252j],
+     [0.4784852681995604 + 0.09291470750959252j, 0.38856075536687446]],
+    [[0.23726112281965694, -0.28282507448273103 - 0.3177704847527123j],
+     [-0.28282507448273103 + 0.31777048475271236j, 0.7627388771803431 - 4.946083674954288e-17j]],
+)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.4])
+def test_qubit_value_below_half_is_at_least_the_povm_ascent(rng, alpha):
+    """Below 1/2 the qubit path reads at least the d^2-outcome ascent run on the same view."""
+    pairs = [tuple(np.array(m) for m in DUST_PAIR)]
+    for _ in range(4):
+        sigma, psi = rand_density(rng, 2), rand_pure(rng, 2).entries
+        pairs += [
+            (rand_density(rng, 2), sigma),
+            (rand_pure(rng, 2), sigma),
+            ((1.0 - 1e-6) * psi + 5e-7 * np.eye(2), sigma),
+            (1e-3 * rand_density(rng, 2).entries, 7.0 * sigma.entries),
+        ]
+    for rho, sigma in pairs:
+        got = measured_renyi_lower(rho, sigma, alpha).value
+        view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+        cands = measured._stiefel_povms(view, alpha, 6, 0, 60, ())[0]
+        want = best_candidate_value(view, cands, alpha)
+        assert got >= want - 1e-13 * max(1.0, abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
