@@ -387,8 +387,8 @@ def test_qubit_value_is_the_convex_program_value(rng, alpha):
     """Above 1/2 the qubit path reads the convex program's value, run on the same view.
 
     The pairs are the test-value check's and ones whose sigma has an
-    eigenvalue of 1e-6 to 1e-10, where the best test's angle lies within
-    1e-8 of pi/2 and the angle search alone falls short of the optimum.
+    eigenvalue of 1e-6 to 1e-10, where the best test's angle lies 3e-6 to
+    3e-9 from pi/2 and the angle search alone falls short of the optimum.
     """
     pairs = [(rand_density(rng, 2), rand_density(rng, 2)) for _ in range(20)]
     pairs += [(rand_density(rng, 2), ill_conditioned_sigma(rng, 10.0**-k)) for k in range(6, 11)]
