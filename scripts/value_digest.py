@@ -6,7 +6,9 @@ rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, and
 the near-product pair; the evaluations cover the divergence layer, the
 z -> 0 profile (equality-case gaps, both genericity conditions and the
-extrapolation oracle at two alphas), the measured and test-measured lower bounds at d <= 4 and channel
+extrapolation oracle at two alphas), the maximal divergence's reverse
+tests (the spectral test's weights, and maximal_divergence_upper's value,
+exactness and column count), the measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
 measured, Petz, and the (alpha, z) family at z = inf and at a finite z).
 Every record of every verify suite at 2 trials follows, as its
@@ -44,6 +46,7 @@ from qrd.divergences import (
 )
 from qrd.measured import measured_renyi_lower, test_measured
 from qrd.opcore import HermitianOperator, pinch_exp
+from qrd.reversetests import maximal_divergence_upper, spectral_reverse_test
 from qrd.verify import SUITES, rand_channel, rand_density, rand_pure, run_suite
 from qrd.zlimits import (
     equality_case_check,
@@ -57,6 +60,7 @@ from qrd.zlimits import (
 ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 ORACLE_ALPHAS = (0.6, 1.7)
 MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
+MAXIMAL_ALPHAS = (0.5, 1.5, 2.0, 3.0, 5.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 SEED = 20261018
 
@@ -148,6 +152,20 @@ def zlimit_layer(name, rho, sigma) -> None:
         emit(f"{name} oracle a={alpha}", lambda: zero_z_oracle(rho, sigma, alpha))
 
 
+def reverse_layer(name, rho, sigma) -> None:
+    def weights():
+        rt = spectral_reverse_test(rho, sigma)
+        return digest(rt.p.values), digest(rt.q.values)
+
+    def maximal(alpha):
+        res = maximal_divergence_upper(rho, sigma, alpha)
+        return res.value, res.exact, res.rt.n_columns
+
+    emit(f"{name} spectral_rt", weights)
+    for alpha in MAXIMAL_ALPHAS:
+        emit(f"{name} maximal a={alpha}", lambda: maximal(alpha))
+
+
 def measured_layer(name, rho, sigma) -> None:
     def show(res):
         factors = "" if res.povm.factors is None else digest(np.hstack(res.povm.factors))
@@ -196,6 +214,7 @@ def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
         zlimit_layer(name, rho, sigma)
+        reverse_layer(name, rho, sigma)
         if rho.dim <= 4:
             measured_layer(name, rho, sigma)
     channel_layer()
