@@ -24,7 +24,6 @@ from .opcore import (
     HermitianOperator,
     _array_pair,
     _checked_pair,
-    _cut_spectrum,
     _dk_grad,
     _exp_or_inf,
     _log_pinch_exp,
@@ -38,9 +37,9 @@ from .opcore import (
 #: relative slack for the self-check inequalities (ALT chain, domination)
 REL_SLACK = 1e-9
 
-#: eigenvalues of the inner product matrix below this (relative) are treated
-#: as exact zeros; deliberately at machine level, not the input support
-#: cutoff, because ratio^(1/z) eigenvalues are data rather than noise
+#: eigenvalues or singular values of the inner matrix below this (relative)
+#: are treated as exact zeros; deliberately at machine level, not the input
+#: support cutoff, because ratio^(1/z) eigenvalues are data rather than noise
 INNER_FLOOR_RTOL = 1e-15
 
 #: largest log of a power of sigma's eigenvalue ratios that _log_q forms as is
@@ -77,14 +76,14 @@ def _power(cut, x: float) -> np.ndarray:
     return _rebuild(cut, lambda w: w ** x)
 
 
-def _log_sum_powers(matrix: np.ndarray, expo: float) -> float:
-    """log of the sum of expo-th powers of the nonnegligible eigenvalues of a PSD matrix.
+def _log_sum_powers(values: np.ndarray, expo: float) -> float:
+    """log of the sum of expo-th powers of the nonnegligible eigenvalues or singular values.
 
-    eigvalsh reads the lower triangle.  The eigenvalues are divided by the
-    largest, so no power under- or overflows; -inf when the matrix is 0.
+    The values are divided by the largest, so no power under- or overflows;
+    -inf when they are all 0.
     """
-    w = np.linalg.eigvalsh(matrix).tolist()
-    top = w[-1]
+    w = values.tolist()
+    top = max(w)
     if not top > 0.0:
         return -math.inf
     terms = ((x / top) ** expo for x in w if x > INNER_FLOOR_RTOL * top)
@@ -99,11 +98,13 @@ def _log_q(pair, alpha: float, z: float) -> float:
     sum_ij a_i^alpha |U_ij|^2 b_j^(1-alpha), with no eigensolve; at z =
     alpha the alpha-th power sum of the eigenvalues of diag(b^y) R
     diag(b^y), y = (1-alpha)/2alpha, R the record's rho_in_sigma; at any
-    other z the z-th power sum of those of M M^dag = A S A, M =
-    diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), A = rho^(alpha/2z) and
-    S = sigma^((1-alpha)/z) in rho's eigenbasis, M divided (in logs) by its
-    largest power on U's support where b's in M M^dag pass LOG_POWER_MAX, z
-    = 1 included.  -inf when Q = 0 (alpha < 1 and orthogonal supports).
+    other z the 2z-th power sum of the singular values of M =
+    diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), where M M^dag = A S A for
+    A = rho^(alpha/2z) and S = sigma^((1-alpha)/z) in rho's eigenbasis, M
+    divided (in logs) by its largest power on U's support where b's in M
+    M^dag pass LOG_POWER_MAX, z = 1 included.  The singular values keep the
+    small ones that the eigenvalues of M M^dag would square into rounding.
+    -inf when Q = 0 (alpha < 1 and orthogonal supports).
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
@@ -111,7 +112,7 @@ def _log_q(pair, alpha: float, z: float) -> float:
     bn = b[kb] / b[0]
     if z == alpha:
         s = bn ** ((1.0 - alpha) / (2.0 * alpha))
-        log_q = _log_sum_powers(s[:, None] * pair.rho_in_sigma * s, z)
+        log_q = _log_sum_powers(np.linalg.eigvalsh(s[:, None] * pair.rho_in_sigma * s), z)
     elif z == 1.0 and (1.0 - alpha) * math.log(bn[-1]) <= LOG_POWER_MAX:
         c = (a[ka] / a[0]) ** alpha @ pair.weights
         on = c > 0.0  # a zero column must not meet a b_j^(1-alpha) that overflows
@@ -120,13 +121,14 @@ def _log_q(pair, alpha: float, z: float) -> float:
     else:
         x, y = alpha / (2.0 * z), (1.0 - alpha) / (2.0 * z)
         u, shift = pair.overlap[ka][:, kb], 0.0
-        if 2.0 * y * math.log(bn[-1]) > LOG_POWER_MAX:  # M M^dag would overflow
+        if 2.0 * y * math.log(bn[-1]) > LOG_POWER_MAX:  # M M^dag's scale would overflow
             e = x * np.log(a[ka] / a[0])[:, None] + y * np.log(bn)
             shift = float(e[u != 0.0].max())
             m = u * np.exp(np.minimum(e - shift, 0.0))
         else:
             m = ((a[ka] / a[0]) ** x)[:, None] * u * bn**y
-        log_q = _log_sum_powers(m @ m.conj().T, z) + 2.0 * z * shift
+        s = np.linalg.svd(m, compute_uv=False)
+        log_q = _log_sum_powers(s, 2.0 * z) + 2.0 * z * shift
     return log_q + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 
@@ -136,7 +138,7 @@ def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     The value is the kernels' (_log_q, _log_pinch_exp); the gradients are
     built in matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
     grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S] and grad_sigma Q =
-    z DK_S[A Y^(z-1) A], Y^(z-1) cut as in _log_sum_powers (the identity at
+    z DK_S[A Y^(z-1) A], Y^(z-1) cut at INNER_FLOOR_RTOL (the identity at
     z = 1, where Q is linear in Y).
     """
     pair = _array_pair(rho, sigma)
@@ -263,22 +265,10 @@ def umegaki(rho, sigma) -> float:
     return _umegaki(_checked_pair(rho, sigma))
 
 
-def _sigma_sandwich(pair) -> np.ndarray:
-    """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues.
-
-    diag(s) R diag(s) for R the record's rho_in_sigma (rho / a_max) and
-    s = (a_max / b)^1/2: no matrix product once R is built.
-    """
-    (a, _, _), (b, _, kb) = pair.rho_cut, pair.sigma_cut
-    s = np.sqrt(a[0] / b[kb])
-    x = s[:, None] * pair.rho_in_sigma * s
-    return 0.5 * (x + x.conj().T)
-
-
 def _d_max(pair) -> float:
     if not pair.included:
         return math.inf
-    top = float(np.linalg.eigvalsh(_sigma_sandwich(pair))[-1])
+    top = float(np.linalg.eigvalsh(pair.sandwich)[-1])
     return math.log(top) if top > 0.0 else -math.inf
 
 
@@ -303,13 +293,16 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     pair = _checked_pair(rho, sigma)
     if alpha > 1.0 and not pair.included:
         return math.inf
-    # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag
-    lam, q, on = _cut_spectrum(*np.linalg.eigh(_sigma_sandwich(pair)))
-    b, _, kb = pair.sigma_cut
-    tr = float(np.sum(lam[on] ** alpha * (b[kb] @ np.abs(q[:, on]) ** 2)))
-    if tr <= 0.0:
+    # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag,
+    # summed with lam and b divided by their largest, so no power under- or overflows
+    lam, q, on = pair.ratio_cut
+    if not on.any():
         return math.inf
-    return (math.log(tr) - math.log(pair.tr)) / (alpha - 1.0)
+    b, _, kb = pair.sigma_cut
+    lam, top = lam[on], lam[-1]
+    mass = (b[kb] / b[0]) @ np.abs(q[:, on]) ** 2
+    log_tr = math.log(float((lam / top) ** alpha @ mass)) + alpha * math.log(top) + math.log(b[0])
+    return (log_tr - math.log(pair.tr)) / (alpha - 1.0)
 
 
 def d_alpha_zero(rho, sigma, alpha: float) -> float:
@@ -360,12 +353,12 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
     """
     pair = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
-    H = as_operator(H)
+    h = as_operator(H).entries
     rh = _power(pair.rho_cut, alpha / (2.0 * z))
     sh = _power(pair.sigma_cut, (alpha - 1.0) / (2.0 * z))
-    t1 = _exp_or_inf(_log_sum_powers(rh @ H.entries @ rh, z / alpha))
-    t2 = _exp_or_inf(_log_sum_powers(sh @ H.entries @ sh, z / (alpha - 1.0)))
-    return alpha * t1 + (1.0 - alpha) * t2
+    t1 = _log_sum_powers(np.linalg.eigvalsh(rh @ h @ rh), z / alpha)
+    t2 = _log_sum_powers(np.linalg.eigvalsh(sh @ h @ sh), z / (alpha - 1.0))
+    return alpha * _exp_or_inf(t1) + (1.0 - alpha) * _exp_or_inf(t2)
 
 
 def variational_optimizer_H(rho, sigma, params: DivergenceParams) -> HermitianOperator:

@@ -38,10 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .classical import WeightVector, _renyi, classical_renyi
-from .divergences import _sigma_sandwich
 from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
 from .opcore import (
-    SUPPORT_RTOL,
     HermitianOperator,
     _Pair,
     _array_pair,
@@ -248,9 +246,9 @@ class _View:
     @cached_property
     def ratios(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigensystem of sigma^-1/2 rho sigma^-1/2, sigma's kernel first at 0."""
-        lam, q = np.linalg.eigh(_sigma_sandwich(self.pair))
-        lam[lam <= SUPPORT_RTOL * lam[-1]] = 0.0  # rounding dust of rho's kernel
+        lam, q, kept = self.pair.ratio_cut
         u, n = self.sigma_v, self.rank
+        lam = np.where(kept, lam, 0.0)  # rounding dust of rho's kernel
         return np.concatenate([np.zeros(self.dim - n), lam]), np.hstack([u[:, n:], u[:, :n] @ q])
 
     @cached_property

@@ -228,9 +228,11 @@ class _Pair:
     eigensystems (a, V, kept) and (b, W, kept) from _cut_spectrum, and
     overlap the matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma
     = V U diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
-    is a function of a, b and U.  Two arrays derived from U are built on
-    first use and kept with the record: weights and rho_in_sigma.  The
-    kernels read the arrays and never write them.
+    is a function of a, b and U.  Four arrays derived from U are built on
+    first use and kept with the record: weights, rho_in_sigma, the sandwich
+    sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
+    eigensystem of that sandwich.  The kernels read the arrays and never
+    write them.
     """
 
     rho: np.ndarray
@@ -253,6 +255,23 @@ class _Pair:
         (a, _, ka), kb = self.rho_cut, self.sigma_cut[2]
         u = self.overlap[ka][:, kb]
         return u.conj().T @ ((a[ka] / a[0])[:, None] * u)
+
+    @cached_property
+    def sandwich(self) -> np.ndarray:
+        """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues.
+
+        diag(s) R diag(s) for R = rho_in_sigma (rho / a_max) and s = (a_max / b)^1/2:
+        no matrix product once R is built.
+        """
+        (a, _, _), (b, _, kb) = self.rho_cut, self.sigma_cut
+        s = np.sqrt(a[0] / b[kb])
+        x = s[:, None] * self.rho_in_sigma * s
+        return 0.5 * (x + x.conj().T)
+
+    @cached_property
+    def ratio_cut(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sandwich's ascending cut eigensystem (lam, Q, kept), with eigenvectors W_kept Q."""
+        return _cut_spectrum(*np.linalg.eigh(self.sandwich))
 
 
 def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:

@@ -4,12 +4,16 @@ A reverse test stores columns (unit-trace PSD operators) and a weight
 pair (p, q) with sum_i p_i omega_i = rho and sum_i q_i omega_i = sigma.
 Its classical divergence is an upper bound certificate on the maximal
 divergence of the pair; column reduction via convex-hull folding keeps
-the certificate valid and never increases it.
+the certificate valid and never increases it.  The spectral test and the
+split-eigenbasis test are read off the pair record (opcore._Pair): the
+eigensystem of sigma^-1/2 rho sigma^-1/2 and the two cut spectra.  The
+maximal divergence is the closed form d_hat_alpha with the spectral test
+as its certificate: exact up to alpha = 2, an upper bound above; there is
+no search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +27,15 @@ from .classical import (
 )
 from .divergences import d_hat_alpha
 from .errors import (
-    BadAlphaError,
     BadParamsError,
     DimMismatchError,
     NoConvexWitnessError,
     SupportViolationError,
 )
-from .opcore import HermitianOperator, as_operator, spectral_map, support_leq
+from .opcore import HermitianOperator, _checked_pair, as_operator, support_leq
 
 #: residual below which a column counts as lying in the hull of the rest
 HULL_RESIDUAL_TOL = 1e-9
-
-#: columns whose sigma-mass falls below this never enter a spectral test
-COLUMN_MASS_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -108,37 +108,38 @@ def rt_renyi(rt: ReverseTest, alpha: float) -> float:
     return classical_renyi(rt.p, rt.q, alpha)
 
 
+def _rank_one_columns(vecs: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """The columns u u^dag / |u|^2 of the columns u of vecs."""
+    return tuple(HermitianOperator(np.outer(u, u.conj()) / np.vdot(u, u).real) for u in vecs.T)
+
+
+def _spectral_test(pair) -> ReverseTest:
+    """The spectral reverse test of a pair record whose rho lies in sigma's support.
+
+    For each eigenvector u = W q of sigma^-1/2 rho sigma^-1/2 on sigma's
+    kept block, with eigenvalue lam, the column is sigma^1/2 u u^dag
+    sigma^1/2 / t with t = u^dag sigma u, and its weights are (lam t, t);
+    eigenvalues below the cut count as 0, as in d_hat_alpha.
+    """
+    lam, q, on = pair.ratio_cut
+    b, w, kb = pair.sigma_cut
+    roots = w[:, kb] @ (np.sqrt(b[kb])[:, None] * q)  # the vectors sigma^1/2 u
+    t = np.sum(np.abs(roots) ** 2, axis=0)
+    p = np.where(on, lam, 0.0) * t
+    return ReverseTest(_rank_one_columns(roots), WeightVector(p), WeightVector(t))
+
+
 def spectral_reverse_test(rho, sigma) -> ReverseTest:
     """Reverse test from the eigenbasis of sigma^-1/2 rho sigma^-1/2.
 
-    Columns are sigma^1/2 u u^dag sigma^1/2 renormalized over that
-    basis; its classical Renyi value reproduces d_hat_alpha exactly at
-    every order, which also makes it the canonical warm start for the
-    search above alpha = 2.  Requires the support of rho inside that of
-    sigma.
+    Columns are sigma^1/2 u u^dag sigma^1/2 renormalized over that basis
+    on sigma's support; its classical Renyi value reproduces d_hat_alpha
+    at every order.  Requires the support of rho inside that of sigma.
     """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    rho, sigma = as_operator(rho), as_operator(sigma)
     if not support_leq(rho, sigma):
         raise SupportViolationError("support of rho leaks outside sigma")
-    s_half = spectral_map(sigma, lambda w: w ** 0.5)[0]
-    s_inv = spectral_map(sigma, lambda w: w ** -0.5)[0]
-    x = s_inv @ rho.entries @ s_inv
-    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
-    omegas, p, q = [], [], []
-    mass_floor = COLUMN_MASS_RTOL * sigma.trace
-    for i in range(rho.dim):
-        u = vecs[:, i]
-        t = float(np.real(u.conj() @ sigma.entries @ u))
-        if t <= mass_floor:
-            continue
-        col = s_half @ np.outer(u, u.conj()) @ s_half
-        omegas.append(HermitianOperator(col / t))
-        p.append(max(vals[i], 0.0) * t)
-        q.append(t)
-    return ReverseTest(tuple(omegas), WeightVector(np.array(p)), WeightVector(np.array(q)))
+    return _spectral_test(_checked_pair(rho, sigma))
 
 
 def split_eigen_reverse_test(rho, sigma) -> ReverseTest:
@@ -146,23 +147,15 @@ def split_eigen_reverse_test(rho, sigma) -> ReverseTest:
 
     Always valid, no support condition; its classical supports are
     disjoint, so the certificate is vacuous above alpha = 1 and only
-    meaningful structurally (it feeds reduction, not tight bounds).
+    meaningful structurally (it feeds reduction, not tight bounds).  The
+    columns are rho's kept eigenvectors, then sigma's.
     """
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
-    omegas, p, q = [], [], []
-    for op, into_p in ((rho, True), (sigma, False)):
-        vals, vecs = op.eig
-        for i, lam in enumerate(vals):
-            if lam <= COLUMN_MASS_RTOL * max(vals[0], 1.0):
-                continue
-            u = vecs[:, i]
-            omegas.append(HermitianOperator(np.outer(u, u.conj())))
-            p.append(lam if into_p else 0.0)
-            q.append(0.0 if into_p else lam)
-    return ReverseTest(tuple(omegas), WeightVector(np.array(p)), WeightVector(np.array(q)))
+    pair = _checked_pair(rho, sigma)
+    (a, v, ka), (b, w, kb) = pair.rho_cut, pair.sigma_cut
+    p = np.concatenate([a[ka], np.zeros(np.count_nonzero(kb))])
+    q = np.concatenate([np.zeros(np.count_nonzero(ka)), b[kb]])
+    columns = _rank_one_columns(np.hstack([v[:, ka], w[:, kb]]))
+    return ReverseTest(columns, WeightVector(p), WeightVector(q))
 
 
 def _hull_coordinates(omegas) -> np.ndarray:
@@ -268,97 +261,24 @@ class MaximalDivergenceResult:
     exact: bool
 
 
-def _project_column(m: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace PSD matrix (eigenvalue clip and renormalize)."""
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0.0:
-        w = np.ones_like(w)
-    out = (v * (w / w.sum())) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def _refit_weights(omegas, target) -> tuple[np.ndarray, float]:
-    coords = _hull_coordinates(omegas)[:, :-1]
-    t = np.concatenate([target.entries.real.ravel(), target.entries.imag.ravel()])
-    return _nnls(coords.T, t)
-
-
-def maximal_divergence_upper(
-    rho, sigma, alpha: float, restarts: int = 4, seed: int = 0
-) -> MaximalDivergenceResult:
+def maximal_divergence_upper(rho, sigma, alpha: float) -> MaximalDivergenceResult:
     """Certificate for the maximal Renyi divergence of a pair.
 
-    Up to alpha = 2 the perspective closed form is the exact infimum and
-    the spectral reverse test attains it.  Above 2 only an upper bound
-    is available: local search perturbs columns of a dim^2 + 1 column
-    test and refits both weight vectors by nonnegative least squares,
-    starting from the spectral test so the result never exceeds the
-    closed form.
+    The value is the perspective closed form d_hat_alpha and the
+    certificate the spectral reverse test, whose classical value it is.
+    Up to alpha = 2 the closed form is the exact infimum over reverse
+    tests (exact is True); above 2 it is only an upper bound.  Where rho
+    leaks out of sigma's support (alpha < 1 only, else a
+    SupportViolationError) the split-eigenbasis test stands in.  d_hat_alpha
+    rejects an alpha outside (0, 1) and (1, inf).
     """
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    rho = as_operator(rho)
-    sigma = as_operator(sigma)
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"dim {rho.dim} vs {sigma.dim}")
+    rho, sigma = as_operator(rho), as_operator(sigma)
     included = support_leq(rho, sigma)
     if alpha > 1.0 and not included:
         raise SupportViolationError("support of rho leaks outside sigma")
-    closed_form = d_hat_alpha(rho, sigma, alpha)
-    base = spectral_reverse_test(rho, sigma) if included else split_eigen_reverse_test(rho, sigma)
-    if alpha <= 2.0:
-        return MaximalDivergenceResult(value=closed_form, rt=base, exact=True)
-
-    d = rho.dim
-    n = d * d + 1
-    rng = np.random.default_rng([seed, 0x5254])
-    omegas = list(base.omegas)
-    while len(omegas) < n:
-        # diverse full-rank padding keeps the column cone full-dimensional,
-        # otherwise every column perturbation breaks the refit
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        extra = g @ g.conj().T + 0.5 * d * np.eye(d)
-        omegas.append(HermitianOperator(extra / np.real(np.trace(extra))))
-    omegas = omegas[:n]
-
-    def weights_and_value(cols):
-        p, rp = _refit_weights(cols, rho)
-        q, rq = _refit_weights(cols, sigma)
-        if max(rp, rq) > HULL_RESIDUAL_TOL or not np.any(p > 0.0) or not np.any(q > 0.0):
-            return None
-        return p, q, classical_renyi(WeightVector(p), WeightVector(q), alpha)
-
-    start = weights_and_value(omegas)
-    if start is None or not math.isfinite(start[2]):
-        # refit could not reproduce the pair cleanly; keep the warm start
-        return MaximalDivergenceResult(value=rt_renyi(base, alpha), rt=base, exact=False)
-    best_cols = list(omegas)
-    best_p, best_q, best_val = start
-    for _ in range(restarts):
-        step = 0.2
-        for _ in range(60):
-            j = int(rng.integers(len(best_cols)))
-            delta = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            delta = 0.5 * (delta + delta.conj().T)
-            cand_cols = list(best_cols)
-            cand_cols[j] = HermitianOperator(
-                _project_column(best_cols[j].entries + step * delta)
-            )
-            got = weights_and_value(cand_cols)
-            if got is not None and got[2] < best_val - 1e-12:
-                best_cols = cand_cols
-                best_p, best_q, best_val = got
-                step = min(step * 1.3, 0.5)
-            else:
-                step *= 0.8
-                if step < 1e-4:
-                    break
-    final = ReverseTest(tuple(best_cols), WeightVector(best_p), WeightVector(best_q))
-    value = rt_renyi(final, alpha)
-    if value > closed_form + 1e-6 or not validate_reverse_test(final, rho, sigma):
-        # search drifted; the warm start is always a sound certificate
-        return MaximalDivergenceResult(
-            value=rt_renyi(base, alpha), rt=base, exact=False
-        )
-    return MaximalDivergenceResult(value=value, rt=final, exact=False)
+    value = d_hat_alpha(rho, sigma, alpha)
+    if included:
+        rt = _spectral_test(_checked_pair(rho, sigma))
+    else:
+        rt = split_eigen_reverse_test(rho, sigma)
+    return MaximalDivergenceResult(value=value, rt=rt, exact=alpha <= 2.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qrd.classical import power_spec
+from qrd.classical import classical_renyi, power_spec
 from qrd.divergences import DivergenceParams, d_alpha_z, d_hat_alpha
 from qrd.errors import BadParamsError, DimMismatchError, NoConvexWitnessError
 from qrd.reversetests import (
@@ -96,7 +96,7 @@ def test_maximal_divergence_bracket(rng):
     rho = rand_density(rng, 2, floor=0.05)
     sigma = rand_density(rng, 2, floor=0.05)
     alpha = 3.0
-    res = maximal_divergence_upper(rho, sigma, alpha, restarts=2, seed=5)
+    res = maximal_divergence_upper(rho, sigma, alpha)
     hat = d_hat_alpha(rho, sigma, alpha)
     sand = d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value
     assert res.value <= hat + 1e-9
@@ -107,9 +107,32 @@ def test_maximal_divergence_bracket(rng):
 def test_maximal_divergence_exact_below_two(rng):
     rho = rand_density(rng, 2, floor=0.05)
     sigma = rand_density(rng, 2, floor=0.05)
-    res = maximal_divergence_upper(rho, sigma, 1.5, restarts=1, seed=0)
+    res = maximal_divergence_upper(rho, sigma, 1.5)
     assert res.exact
     assert res.value == pytest.approx(d_hat_alpha(rho, sigma, 1.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [2.01, 3.0, 5.0, 20.0])
+def test_maximal_divergence_above_two_is_the_closed_form(rng, alpha):
+    """An upper bound, d_hat_alpha's value, certified by the spectral test, on pure and rank-deficient rho."""
+    for d in (2, 3, 4):
+        sigma = rand_density(rng, d)
+        for rho in (rand_pure(rng, d), rand_density(rng, d, rank=d - 1)):
+            res = maximal_divergence_upper(rho, sigma, alpha)
+            assert not res.exact
+            assert res.value == d_hat_alpha(rho, sigma, alpha)
+            assert abs(rt_renyi(res.rt, alpha) - res.value) <= 1e-12 * max(1.0, abs(res.value))
+            assert validate_reverse_test(res.rt, rho, sigma)
+
+
+def test_maximal_divergence_of_a_tiny_trace_leak():
+    """rho = 1e-200 diag(.6, .4) leaks out of sigma = diag(1, 0): the split test keeps rho's columns."""
+    rho, sigma = 1e-200 * np.diag([0.6, 0.4]), np.diag([1.0, 0.0])
+    res = maximal_divergence_upper(rho, sigma, 0.5)
+    want = classical_renyi(np.diag(rho), np.diag(sigma), 0.5)
+    assert abs(res.value - want) <= 1e-12 * abs(want), (res.value, want)
+    assert res.exact and validate_reverse_test(res.rt, rho, sigma)
+    np.testing.assert_allclose(realized_pair(res.rt)[0].entries, rho, rtol=1e-12, atol=0.0)
 
 
 def _nnls_problems(rng, m, n):
