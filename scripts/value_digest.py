@@ -3,8 +3,10 @@
 
 The inputs are random pairs at d = 2, 3, 4 and 8 (full rank, sigma
 rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
-supp sigma sits just below and just above the support-test slack, and
-the near-product pair; the evaluations cover the divergence layer, the
+supp sigma sits just below and just above the support-test slack, the
+near-product pair and a qubit pair whose sigma has an eigenvalue of 1e-8
+(drawn from its own generator, so the other pairs keep their draws); the
+evaluations cover the divergence layer, the
 z -> 0 profile (equality-case gaps, both genericity conditions and the
 extrapolation oracle at two alphas), the maximal divergence's reverse
 tests (the spectral test's weights, and maximal_divergence_upper's value,
@@ -113,6 +115,10 @@ def pairs():
     for t in (1e-10, 2e-8, 0.5):
         out.append((f"slack{t:g}", *slack_pair(t)))
     out.append(("nearproduct", *near_product_pair()))
+    rng = np.random.default_rng([SEED, 2])
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    sigma = HermitianOperator((u * [1e-8, 1.0 - 1e-8]) @ u.conj().T)
+    out.append(("illcond2", rand_density(rng, 2), sigma))
     return out
 
 
