@@ -9,15 +9,16 @@ attained by the Fuchs-Caves measurement.  Below 1/2 a Riemannian ascent
 over rank-one d^2-outcome POVMs runs (opcore.stiefel_ascent, exact
 gradient) and global optimality is not claimed; seeding it with the
 Neyman-Pearson test and the joint and ratio eigenbases keeps it at or
-above the test-measured value and exact on commuting pairs.  A qubit
-with invertible sigma runs neither: its projective measurements are
-tests, and the best one, polished by a unitary ascent, is the optimum
-above 1/2.  The
+above the test-measured value and exact on commuting pairs.  The
 two-outcome test variant is a one-dimensional search over
 Neyman-Pearson projections {rho - t sigma > 0}, which contain the
 optimal test: a grid of angles t = tan(phi), refined by a secant on the
 first-order condition of the binary divergence along the projections,
-so its value is the optimum up to the angle search's resolution.
+so its value is the optimum up to the angle search's resolution.  For
+both, a qubit with invertible sigma runs none of these searches: its
+best test lies on a great circle of the Bloch sphere with closed-form
+weights, a grid and a secant on the slope find it to an ulp of its
+angle, and it is the optimum above 1/2, the best projective one below.
 
 The searches read one view of the pair record per call (_measured_pair):
 the supported roots of rho and sigma, taken once, sigma's eigensystem,
@@ -91,7 +92,8 @@ BFT_ITERS = 500
 BFT_MEMORY = 30
 BFT_PRECONDITION_DIM = 4
 BFT_CURVATURE_FLOOR = 1e-6
-#: |alpha - 1| below which the variational objective takes its log1p form
+#: |alpha - 1| below which the variational objective takes its log1p form and
+#: the test search's slope its expm1 form
 LOG_TRACE_SERIES = 1e-3
 
 #: grid angles per interval of test_measured's Neyman-Pearson search
@@ -99,6 +101,10 @@ NP_GRID = 16
 
 #: step (radians) at which the secant refinement of a test's angle stops
 NP_ANGLE_TOL = 1e-9
+
+#: octaves of a qubit's test-curve grid on either side of sqrt(b1/b0), sigma's
+#: eigenvalue ratio, where an ill-conditioned sigma puts the best test's angle
+QUBIT_OCTAVES = 8
 
 
 @dataclass(frozen=True)
@@ -507,19 +513,6 @@ def _variational_povms(view: _View, alpha, extra):
     return cands, len(view.seed_bases), converged
 
 
-def _qubit_povms(view: _View, alpha, iters, extra):
-    """Candidates of an invertible-sigma qubit's measurements: (candidates, starts, converged).
-
-    Each projective measurement is a test: _np_test's best, whose angle falls
-    short on an ill-conditioned sigma, polished by one opcore.stiefel_ascent
-    over 2 x 2 unitaries of at most iters steps on _povm_objective, and rho's
-    eigenbasis, the best test of a pure rho below 1/2 with the least dust.
-    """
-    test = _np_test(view, alpha)[0]
-    v, _, converged = stiefel_ascent(_povm_objective(view, alpha), np.hstack(test).conj().T, iters)
-    return [test, _projective(v.conj().T), _projective(view.rho_cut[1]), *extra], 1, converged
-
-
 def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
     """measured_renyi_lower on a pair record: (value, factors, p, q, starts, converged).
 
@@ -532,7 +525,8 @@ def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
     if alpha == CONVEX_ALPHA_MIN:
         cands, starts, converged = [_fuchs_caves(view)], 0, True
     elif view.rank == 2 == view.dim:
-        cands, starts, converged = _qubit_povms(view, alpha, iters, extra)
+        tests, converged = _qubit_tests(view, alpha)
+        cands, starts = [*tests, *extra], 1
     elif alpha > CONVEX_ALPHA_MIN:
         cands, starts, converged = _variational_povms(view, alpha, extra)
     else:
@@ -561,11 +555,12 @@ def measured_renyi_lower(
     restarts_used counts the ascent's starts, converged reports whether
     one of them stopped before its step cap.  At alpha = 1/2 the Fuchs-Caves
     measurement gives -log F in closed form (restarts_used 0).  A qubit
-    with invertible sigma takes neither path (see _qubit_povms): its best
-    test, polished by one unitary ascent of at most iters steps, is the
-    global optimum above 1/2 and the best projective measurement below;
-    restarts is not used, restarts_used is 1 and converged reports whether
-    the polish stopped before its step cap.  Otherwise below
+    with invertible sigma takes neither path (see _qubit_tests): its best
+    test, found by a closed-form angle search on one great circle of the
+    Bloch sphere, is the global optimum above 1/2 and the best projective
+    measurement below; restarts and iters are not used, restarts_used is
+    1 and converged reports whether the angle refinement met its
+    tolerance.  Otherwise below
     1/2 a Riemannian ascent over rank-one d^2-outcome POVMs runs from
     restarts starts (at least the structured seeds) with at most iters
     steps each (see _stiefel_povms); converged reports whether the best
@@ -603,20 +598,33 @@ def _binary_slopes(p: np.ndarray, q: np.ndarray, alpha: float, phis: np.ndarray)
     """g = sin(phi) dD/dp + cos(phi) dD/dq of two-outcome weights, up to a positive factor.
 
     p, q are as in _binary_values, p[0], q[0] the weights of the top-r
-    test at angle phis[a] (axis 1).  With x_k = p_k / q_k the outcomes'
-    likelihood ratios, D's partial derivatives in the first outcome's
-    weights are alpha/(alpha-1) (x_0^(alpha-1) - x_1^(alpha-1)) / S and
-    -(x_0^alpha - x_1^alpha) / S, S = sum p^alpha q^(1-alpha) > 0 (the
-    log-ratio and ratio differences at alpha = 1).  NaN where the ratios
-    give no sign (an empty outcome on both sides).
+    test at angle phis[a] (axis 1); see _binary_rates.
     """
-    s, c = np.sin(phis)[:, None], np.cos(phis)[:, None]
+    return _binary_rates(p, q, alpha, np.sin(phis)[:, None], np.cos(phis)[:, None])
+
+
+def _binary_rates(p: np.ndarray, q: np.ndarray, alpha: float, dp, dq) -> np.ndarray:
+    """dp dD/dp + dq dD/dq of two-outcome weights, up to a positive factor.
+
+    p, q are as in _binary_values, (dp, dq) a move of the first outcome's
+    weights that the second's mirrors.  With x_k = p_k / q_k the
+    outcomes' likelihood ratios, D's partial derivatives in the first
+    outcome's weights are alpha/(alpha-1) (x_0^(alpha-1) - x_1^(alpha-1)) / S
+    and -(x_0^alpha - x_1^alpha) / S, S = sum p^alpha q^(1-alpha) > 0 (the
+    log-ratio and ratio differences at alpha = 1).  For |alpha - 1| <
+    LOG_TRACE_SERIES the powers x^(alpha-1) are taken as expm1((alpha-1)
+    log x), so that their difference does not cancel.  NaN where the
+    ratios give no sign (an empty outcome on both sides).  Scalar weights
+    give a scalar.
+    """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x0, x1 = p[0] / q[0], p[1] / q[1]
+        x0, x1 = np.divide(p[0], q[0]), np.divide(p[1], q[1])
         if alpha == 1.0:
-            return s * (np.log(x0) - np.log(x1)) - c * (x0 - x1)
-        ratio = alpha / (alpha - 1.0)
-        return s * ratio * (x0 ** (alpha - 1.0) - x1 ** (alpha - 1.0)) - c * (x0**alpha - x1**alpha)
+            return dp * (np.log(x0) - np.log(x1)) - dq * (x0 - x1)
+        ratio, e = alpha / (alpha - 1.0), alpha - 1.0
+        near = abs(e) < LOG_TRACE_SERIES
+        x0_e, x1_e = (np.expm1(e * np.log(x)) if near else x**e for x in (x0, x1))
+        return dp * ratio * (x0_e - x1_e) - dq * (x0**alpha - x1**alpha)
 
 
 def _split(w: np.ndarray) -> np.ndarray:
@@ -719,6 +727,78 @@ def _np_test(view: _View, alpha):
     return (basis[:, :r], basis[:, r:]), n_int
 
 
+def _qubit_tests(view: _View, alpha):
+    """Candidate tests of an invertible-sigma qubit: (tests, converged).
+
+    In sigma's eigenbasis (b0 >= b1 > 0), with R = rho^1/2 / sqrt(Tr rho) and
+    chi = -arg (R^dag R)_01, the tests' weights fill an ellipse, and by the
+    quasi-convexity of test_measured the best lies on its boundary: the tests
+    psi_1 = (cos t, e^(i chi) sin t), psi_2 = (-sin t, e^(i chi) cos t), t in
+    [-pi/4, pi/4).  There p_k = ||R psi_k||^2 and q_1 = b0 cos^2 t + b1 sin^2 t
+    (q_2 likewise) keep relative precision, and dD/dt is a positive multiple
+    of _binary_rates at dp_1/dt = 2 Re <R psi_1, R psi_2>, dq_1/dt = (b1 - b0)
+    sin 2t.  2 NP_GRID steps over the period and sqrt(b1/b0) 2^k, |k| <=
+    QUBIT_OCTAVES, where an ill-conditioned sigma puts the optimum, bracket
+    each local maximum, which an Illinois secant on the slope refines to an
+    ulp (converged: every one within twice a bisection's steps).  The tests
+    are the grid's best and the refined ones; on a rank-deficient rho below
+    1/2 also rho's eigenbasis, from its eigensystem and from an eigh in
+    sigma's eigenbasis, as the Neyman-Pearson search takes it: there ~1e-32
+    rounding dust on rho's kernel outcome, raised to alpha, decides.
+    """
+    v, (b0, b1) = view.sigma_v, view.sigma_w
+    r = view.rho_root @ v / math.sqrt(view.tr)
+    phase = np.exp(-1j * np.angle(np.vdot(r[:, 0], r[:, 1])))  # e^(i chi)
+    (a0, c0), (a1, c1) = r * [1.0, phase]
+
+    def curve(cos, sin):
+        """Weights (p, q) and slopes of the tests at cos t, sin t (arrays or floats)."""
+        ra0, ra1 = cos * a0 + sin * c0, cos * a1 + sin * c1  # R psi_1
+        rb0, rb1 = cos * c0 - sin * a0, cos * c1 - sin * a1  # R psi_2
+        p = (abs(ra0) ** 2 + abs(ra1) ** 2, abs(rb0) ** 2 + abs(rb1) ** 2)
+        q = (b0 * cos * cos + b1 * sin * sin, b0 * sin * sin + b1 * cos * cos)
+        dp = 2.0 * (ra0.conjugate() * rb0 + ra1.conjugate() * rb1).real
+        return p, q, _binary_rates(p, q, alpha, dp, 2.0 * (b1 - b0) * sin * cos)
+
+    def refine(lo, hi, g_lo, g_hi):
+        """Illinois secant on the slope in [lo, hi], g_lo > 0 > g_hi: (angle, converged)."""
+        x, side = math.inf, 0
+        for _ in range(2 * 53):  # a bisection takes 53 halvings from one grid step to an ulp
+            x_new = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            x_new = x_new if lo <= x_new <= hi else 0.5 * (lo + hi)  # NaN: an infinite slope
+            if abs(x_new - x) <= math.ulp(x_new):
+                return x_new, True
+            x, g = x_new, float(curve(math.cos(x_new), math.sin(x_new))[2])
+            if not (g > 0.0 or g < 0.0):  # a root, or a rounding cliff
+                return x, True
+            if g > 0.0:  # Illinois: the end kept twice in a row has its slope halved
+                lo, g_lo, g_hi, side = x, g, 0.5 * g_hi if side < 0 else g_hi, -1
+            else:
+                hi, g_hi, g_lo, side = x, g, 0.5 * g_lo if side > 0 else g_lo, 1
+        return x, False
+
+    half = 0.25 * math.pi
+    near = math.sqrt(b1 / b0) * 2.0 ** np.arange(-QUBIT_OCTAVES, QUBIT_OCTAVES + 1)
+    near = near[near < half]
+    # one step past each end of the period, so that every local maximum has two neighbours
+    even = half / NP_GRID * np.arange(-NP_GRID - 1, NP_GRID + 2)
+    t = np.sort(np.concatenate([even, near, -near]))
+    p, q, slopes = curve(np.cos(t), np.sin(t))
+    vals = _binary_values(np.stack(p), np.stack(q), alpha)
+    angles, converged = [t[np.argmax(vals)]], True
+    for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1:
+        lo, hi = (i, i + 1) if slopes[i] > 0.0 else (i - 1, i)
+        if slopes[lo] > 0.0 > slopes[hi]:
+            x, conv = refine(*map(float, (t[lo], t[hi], slopes[lo], slopes[hi])))
+            angles, converged = angles + [x], converged and conv
+    cos, sin = np.cos(angles), np.sin(angles)
+    tests = [_projective(v @ np.array([[c, -s], [phase * s, phase * c]])) for c, s in zip(cos, sin)]
+    if alpha < CONVEX_ALPHA_MIN and not view.rho_cut[2].all():
+        rho_s = np.linalg.eigh(v.conj().T @ view.rho @ v / view.tr)[1]
+        tests += [_projective(view.rho_cut[1]), _projective(v @ rho_s)]
+    return tests, converged
+
+
 def test_measured(
     rho, sigma, alpha: float, restarts: int = 4, seed: int = 0
 ) -> MeasuredResult:
@@ -743,10 +823,13 @@ def test_measured(
     alpha >= 1 the tests live on sigma's support, where rho^0 <= sigma^0
     holds.
 
-    restarts and seed are not used; restarts_used counts the searched
-    intervals and converged is True.  The value is recomputed exactly
-    from the returned projector pair, each weight a squared norm of the
-    test's eigenvectors (see apply_povm).  The pair is validated as in
+    A qubit with invertible sigma takes measured_renyi_lower's closed-form
+    angle search instead (see _qubit_tests).  restarts and seed are not
+    used; restarts_used counts the searched intervals (1 on such a qubit)
+    and converged is True (on such a qubit, whether the angle refinement
+    met its tolerance).  The value is recomputed exactly from the
+    returned projector pair, each weight a squared norm of the test's
+    eigenvectors (see apply_povm).  The pair is validated as in
     measured_renyi_lower: a zero or non-PSD rho or sigma raises.
     Infinite values are returned only on operator-level support
     violations, with the separating projective measurement attached.
@@ -756,9 +839,14 @@ def test_measured(
     view, witness = _measured_pair(_checked_pair(rho, sigma), alpha)
     if witness is not None:
         return MeasuredResult(math.inf, _povm(witness), 0, True)
-    factors, intervals = _np_test(view, alpha)
+    if view.rank == 2 == view.dim:
+        tests, converged = _qubit_tests(view, alpha)
+        factors = max(tests, key=lambda f: _certified_value(*_weights(view, f), alpha))
+        intervals = 1
+    else:
+        (factors, intervals), converged = _np_test(view, alpha), True
     exact = classical_renyi(*_weights(view, factors), alpha)
-    return MeasuredResult(exact, _povm(factors), intervals, True)
+    return MeasuredResult(exact, _povm(factors), intervals, converged)
 
 
 def regularized_measured_estimate(

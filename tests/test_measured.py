@@ -399,6 +399,24 @@ def test_qubit_value_is_the_convex_program_value(rng, alpha):
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (got, want)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 4.0, 10.0])
+def test_qubit_test_value_on_an_ill_conditioned_sigma_is_the_convex_program_value(rng, alpha):
+    """test_measured resolves the best angle when sigma has an eigenvalue of 1e-6 to 1e-10.
+
+    That angle lies within ~sqrt(b1/b0) of sigma's eigenbasis, where a fixed
+    angle step of 1e-9 is coarse: a search in such steps read up to 2.1e-8
+    below the convex program's value at alpha = 4.
+    """
+    for k in range(6, 11):
+        for _ in range(4):
+            rho, sigma = rand_density(rng, 2), ill_conditioned_sigma(rng, 10.0**-k)
+            got = measured_by_test(rho, sigma, alpha).value
+            view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+            cands = measured._variational_povms(view, alpha, ())[0]
+            want = best_candidate_value(view, cands, alpha)
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k, got, want)
+
+
 #: a pure rho and a sigma with eigenvalue 1.8e-7 on which, at alpha = 0.05, rounding
 #: dust on rho's kernel outcome, raised to the power alpha, decides: the best test
 #: and its polish read 1.6e-3 below the d^2-outcome ascent, rho's eigenbasis 1.8e-2 above
@@ -643,7 +661,11 @@ def test_test_variant_is_at_least_a_dense_angle_scan(rng):
 
 
 def test_test_variant_search_costs_few_batched_eigh_rounds(monkeypatch, rng):
-    """The grid and each secant round take one batched eigh; generic pairs need at most 12."""
+    """The grid and each secant round take one batched eigh; generic pairs need at most 12.
+
+    An invertible-sigma qubit takes none: its tests lie on one closed-form
+    curve (measured._qubit_tests), which both lower bounds search.
+    """
     rounds = []
     eigh = np.linalg.eigh
 
@@ -652,13 +674,21 @@ def test_test_variant_search_costs_few_batched_eigh_rounds(monkeypatch, rng):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    for d in (2, 3, 4):
+    for d in (3, 4):
         for _ in range(10):
             rho, sigma = rand_density(rng, d).entries, rand_density(rng, d).entries
             for alpha in TEST_ALPHAS:
                 rounds.append(0)
                 measured_by_test(rho, sigma, alpha)
     assert min(rounds) >= 1 and max(rounds) <= 12
+    rounds.clear()
+    for _ in range(10):
+        rho, sigma = rand_density(rng, 2).entries, rand_density(rng, 2).entries
+        for alpha in (0.1, 0.3, 1.0, 1.5, 3.0, 10.0):
+            for fn in (measured_by_test, measured_renyi_lower):
+                rounds.append(0)
+                fn(rho, sigma, alpha)
+    assert max(rounds) == 0
 
 
 def test_test_variant_raises_no_runtime_warning(rng):
