@@ -667,7 +667,9 @@ def _np_test(view: _View, alpha):
     # rho / Tr rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
     root = view.rho_root @ iso / math.sqrt(view.tr)
     ratios = np.maximum(view.ratios[0], 0.0) / view.tr
-    edges = np.unique(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
+    # np.unique's result, without the numpy.ma import its first call makes
+    edges = np.sort(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     best_val, best_u, best_rank = DEMOTED, None, 0
 
     def scored(phis):
@@ -749,7 +751,7 @@ def _qubit_tests(view: _View, alpha):
     v, (b0, b1) = view.sigma_v, view.sigma_w
     r = view.rho_root @ v / math.sqrt(view.tr)
     phase = np.exp(-1j * np.angle(np.vdot(r[:, 0], r[:, 1])))  # e^(i chi)
-    (a0, c0), (a1, c1) = r * [1.0, phase]
+    (a0, c0), (a1, c1) = (map(complex, row) for row in r * [1.0, phase])
 
     def curve(cos, sin):
         """Weights (p, q) and slopes of the tests at cos t, sin t (arrays or floats)."""
@@ -785,12 +787,13 @@ def _qubit_tests(view: _View, alpha):
     t = np.sort(np.concatenate([even, near, -near]))
     p, q, slopes = curve(np.cos(t), np.sin(t))
     vals = _binary_values(np.stack(p), np.stack(q), alpha)
-    angles, converged = [t[np.argmax(vals)]], True
+    top, angles, converged = int(np.argmax(vals)), [], True
     for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1:
         lo, hi = (i, i + 1) if slopes[i] > 0.0 else (i - 1, i)
         if slopes[lo] > 0.0 > slopes[hi]:
             x, conv = refine(*map(float, (t[lo], t[hi], slopes[lo], slopes[hi])))
-            angles, converged = angles + [x], converged and conv
+            angles, converged, top = angles + [x], converged and conv, -1 if i == top else top
+    angles += [t[top]] if top >= 0 else []  # the grid's best, unless refined
     cos, sin = np.cos(angles), np.sin(angles)
     tests = [_projective(v @ np.array([[c, -s], [phase * s, phase * c]])) for c, s in zip(cos, sin)]
     if alpha < CONVEX_ALPHA_MIN and not view.rho_cut[2].all():
