@@ -792,8 +792,9 @@ def _qubit_tests(view: _View, alpha):
         lo, hi = (i, i + 1) if slopes[i] > 0.0 else (i - 1, i)
         if slopes[lo] > 0.0 > slopes[hi]:
             x, conv = refine(*map(float, (t[lo], t[hi], slopes[lo], slopes[hi])))
-            angles, converged, top = angles + [x], converged and conv, -1 if i == top else top
-    angles += [t[top]] if top >= 0 else []  # the grid's best, unless refined
+            angles, converged = angles + [x], converged and conv
+            top = -1 if i == top else top  # refined, so the grid's best need not compete
+    angles += [t[top]] if top >= 0 else []
     cos, sin = np.cos(angles), np.sin(angles)
     tests = [_projective(v @ np.array([[c, -s], [phase * s, phase * c]])) for c, s in zip(cos, sin)]
     if alpha < CONVEX_ALPHA_MIN and not view.rho_cut[2].all():
