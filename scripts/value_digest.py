@@ -12,7 +12,8 @@ extrapolation oracle at two alphas), the maximal divergence's reverse
 tests (the spectral test's weights, and maximal_divergence_upper's value,
 exactness and column count), the measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
-measured, Petz, and the (alpha, z) family at z = inf and at a finite z).
+measured, Petz, and the (alpha, z) family at z = inf and at a finite z),
+each with its bracket's upper end and gap (+inf where it has none).
 Every record of every verify suite at 2 trials follows, as its
 (digest, ok, detail).  Errors print as their type and message.  Two
 checkouts compute the same values exactly when
@@ -204,10 +205,10 @@ def channel_layer() -> None:
                 n1, n2, kind_, alpha=alpha_, z=z, restarts=4, seed=3, iters=25
             )
             label = f"channel{k1}{k2} {kind_} a={alpha_}" + ("" if z is None else f" z={z}")
-            print(
-                f"{label}: "
-                f"{(res.value, res.restarts_used, res.converged, digest(res.argmax_state))}"
-            )
+            # a checkout from before the bracket has no upper: +inf, as for unbracketed kinds
+            upper = getattr(res, "upper", math.inf)
+            fields = (res.value, res.restarts_used, res.converged, digest(res.argmax_state))
+            print(f"{label}: {(*fields, upper, upper - res.value)}")
 
 
 def verify_layer() -> None:
