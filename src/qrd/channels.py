@@ -6,7 +6,9 @@ The max-relative entropy collapses to an exact Choi computation; the
 other whitelisted kinds run a seeded Riemannian ascent on the unit
 sphere of inputs (opcore.stiefel_ascent with one column) driven by the
 exact gradient of the output divergence, and report certified lower
-bounds.
+bounds.  Where the output divergence is concave in the input's reduced
+state (Umegaki and sandwiched alpha > 1 between channels), a Frank-Wolfe
+bound closes the bracket from above and stops the search.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .serialize import CHANNEL_KINDS
 
 #: spectral slack for the completely-positive order test
 CP_ORDER_SLACK = 1e-9
+#: relative bracket width at which a concave channel search stops
+GAP_RTOL = 1e-7
 
 
 class Channel:
@@ -231,10 +235,14 @@ def kind_whitelisted(kind: str, alpha: float | None = None, z: float | None = No
 
 @dataclass(frozen=True)
 class ChannelDivergenceResult:
+    """value is a certified lower bound (exact for dmax) and upper an upper
+    bound, +inf where no concavity theorem supplies one."""
+
     value: float
     argmax_state: np.ndarray
     restarts_used: int
     converged: bool
+    upper: float
 
 
 def _state_grad(kind: str, alpha, z, seed: int):
@@ -300,6 +308,50 @@ def _input_objective(n1: Channel, n2: Channel, kind: str, alpha, z, seed: int):
     return value_grad
 
 
+def _concave_in_input(n1: Channel, n2: Channel, kind: str, alpha, z) -> bool:
+    """Whether the output divergence is a concave function of the input's reduced state.
+
+    The sandwiched divergence is, for alpha > 1 between channels
+    (Cooney-Mosonyi-Wilde, arXiv:1408.3373), and so is its alpha -> 1
+    limit, Umegaki's; the theorem is stated for trace-preserving maps.
+    """
+    if kind == "measured" or not (n1.trace_preserving and n2.trace_preserving):
+        return False
+    if kind == "umegaki" or alpha == 1.0:
+        return True
+    z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
+    return z == alpha > 1.0
+
+
+def _frank_wolfe_upper(value_grad, psi: np.ndarray) -> float:
+    """f(rho) + lambda_max(G) - Tr rho G, an upper bound on a concave f's maximum.
+
+    f is the output divergence as a function of the reduced state rho of
+    the unit input psi = vec(X) on the input factor, rho = conj(X^dag X),
+    and G its gradient: for concave f every state rho* has f(rho*) <=
+    f(rho) + Tr (rho* - rho) G, and the largest Tr rho* G is lambda_max(G).
+    A rho with an eigenvalue below GAP_RTOL is first mixed with I/d at
+    weight GAP_RTOL, so that G stays finite.  At X = diag(w)^1/2 V^dag, where
+    X^dag X = V diag(w) V^dag, the sphere gradient is 2 X conj(G): row k
+    of it is 2 w_k^1/2 (V^dag conj(G))_k, so V^dag conj(G) V is read off
+    row by row with each row's own rounding, and lambda_max and Tr rho G
+    are taken in that basis.
+    """
+    d = math.isqrt(len(psi))
+    x = psi.reshape(d, d)
+    w, v = np.linalg.eigh(x.conj().T @ x)
+    w = np.maximum(w, 0.0)
+    if w[0] < GAP_RTOL:
+        w = (1.0 - GAP_RTOL) * w + GAP_RTOL / d
+    root = np.sqrt(w)
+    value, g = value_grad((root[:, None] * v.conj().T).reshape(-1))
+    if g is None:
+        return math.inf
+    h = (g.reshape(d, d) @ v) / (2.0 * root[:, None])
+    h = 0.5 * (h + h.conj().T)
+    return value + float(np.linalg.eigvalsh(h)[-1]) - float(w @ np.diag(h).real)
+
+
 def _seed_states(d: int, restarts: int, rng) -> list[np.ndarray]:
     seeds = []
     omega = np.eye(d).reshape(-1) / math.sqrt(d)
@@ -324,19 +376,32 @@ def channel_divergence(
     seed: int = 0,
     iters: int = 60,
 ) -> ChannelDivergenceResult:
-    """Certified lower bound on a channel divergence, exact for dmax.
+    """Certified lower bound on a channel divergence, a bracket where concave, exact for dmax.
 
     Maximizes the state divergence of (id (x) N_i) outputs over pure
     bipartite inputs by Riemannian gradient ascent on the unit sphere
     (see _input_objective) from the maximally entangled input, the d
-    product inputs |jj> and random inputs up to restarts starts, at most
-    iters steps each; converged reports whether the best start stopped
-    before its step cap.  A start on which either channel's output is
-    zero is skipped; ZeroOperatorError is raised only when every start
-    is.  The value is the ascent's best, which is the library's
-    divergence of that input's outputs (the same kernels on the same
-    arrays).  Non-whitelisted parameter choices are rejected rather than
-    silently under-optimized.
+    product inputs |jj> and random inputs, at most max(restarts, d + 1)
+    starts of at most iters steps each; converged reports whether the
+    best start stopped before its step cap.  A start on which either
+    channel's output is zero is skipped; ZeroOperatorError is raised only
+    when every start is.  The value is the ascent's best, which is the
+    library's divergence of that input's outputs (the same kernels on the
+    same arrays).  Non-whitelisted parameter choices are rejected rather
+    than silently under-optimized.
+
+    The output divergence depends on the input only through its reduced
+    state rho.  Between trace-preserving channels, Umegaki's and the
+    sandwiched divergence's at alpha > 1 (also as daz with z = alpha) are
+    concave in rho (Cooney-Mosonyi-Wilde, arXiv:1408.3373; Umegaki's as
+    the alpha -> 1 limit), so every local maximum is global and the
+    Frank-Wolfe bound of _frank_wolfe_upper at the best input caps the
+    supremum: upper.  After each start that raises the best value the
+    bound is taken again, and the search stops once upper - value <=
+    GAP_RTOL max(1, |value|); restarts is then a cap, and restarts_used
+    counts the starts run.  Every other kind runs every start and reports
+    upper = +inf.  A search that reaches +inf stops there, with upper =
+    +inf and restarts_used counting every start.
     """
     if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise DimMismatchError("channels act between different spaces")
@@ -345,11 +410,13 @@ def channel_divergence(
     if kind == "dmax":
         d = n1.d_in
         omega = np.eye(d).reshape(-1).astype(complex) / math.sqrt(d)
+        value = channel_dmax(n1, n2)
         return ChannelDivergenceResult(
-            value=channel_dmax(n1, n2),
+            value=value,
             argmax_state=omega,
             restarts_used=0,
             converged=True,
+            upper=value,
         )
     if not kind_whitelisted(kind, alpha, z):
         raise KindNotWhitelistedError(
@@ -357,13 +424,15 @@ def channel_divergence(
         )
     d = n1.d_in
     value_grad = _input_objective(n1, n2, kind, alpha, z, seed)
-    best_val = -math.inf
+    bracketed = _concave_in_input(n1, n2, kind, alpha, z)
+    best_val, upper = -math.inf, math.inf
     best_psi = None
     converged = False
     rng = np.random.default_rng([seed, 0x6368])
     seeds = _seed_states(d, restarts, rng)
+    used = len(seeds)
     zero_output = None
-    for psi in seeds:
+    for k, psi in enumerate(seeds, 1):
         try:
             x, val, conv = stiefel_ascent(value_grad, psi.reshape(-1, 1), iters)
         except ZeroOperatorError as exc:
@@ -371,15 +440,21 @@ def channel_divergence(
             continue
         if best_psi is None or val > best_val:
             best_val, best_psi, converged = val, x[:, 0], conv
+            if bracketed and math.isfinite(best_val):
+                upper = min(upper, _frank_wolfe_upper(value_grad, best_psi))
         if math.isinf(best_val) and best_val > 0:
+            break
+        if upper - best_val <= GAP_RTOL * max(1.0, abs(best_val)):
+            used = k
             break
     if best_psi is None:
         raise zero_output
     return ChannelDivergenceResult(
         value=best_val,
         argmax_state=best_psi,
-        restarts_used=len(seeds),
+        restarts_used=used,
         converged=converged,
+        upper=max(upper, best_val),  # rounding can put the bound an ulp below the value
     )
 
 

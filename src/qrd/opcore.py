@@ -151,13 +151,14 @@ def as_operator(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
-def _cut_spectrum(w: np.ndarray, v):
+def _cut_spectrum(w: np.ndarray, v, rtol: float = SUPPORT_RTOL):
     """The support decision on an eigensystem (w, v): (w, v, kept).
 
     Rejects a matrix whose most negative eigenvalue is below
     -PSD_REJECT_RTOL times the largest, clamps smaller negative dust to
-    0, and keeps the eigenvalues above SUPPORT_RTOL times the largest.  w is sorted either way (eigh's ascending order or the
-    operators' descending one), so its extremes are its ends.  Every
+    0, and keeps the eigenvalues above rtol (by default SUPPORT_RTOL)
+    times the largest.  w is sorted either way (eigh's ascending order or
+    the operators' descending one), so its extremes are its ends.  Every
     module decides supports and thresholds through this function.
     """
     top, bottom = (w[0], w[-1]) if w[0] >= w[-1] else (w[-1], w[0])
@@ -167,7 +168,7 @@ def _cut_spectrum(w: np.ndarray, v):
             f"min eigenvalue {bottom:.3e} below -{PSD_REJECT_RTOL:g} * {lam_max:.3e}"
         )
     w = np.maximum(w, 0.0)
-    return w, v, w > SUPPORT_RTOL * lam_max
+    return w, v, w > rtol * lam_max
 
 
 def spectral_map(A, fn) -> tuple[np.ndarray, int]:
@@ -270,8 +271,16 @@ class _Pair:
 
     @cached_property
     def ratio_cut(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sandwich's ascending cut eigensystem (lam, Q, kept), with eigenvectors W_kept Q."""
-        return _cut_spectrum(*np.linalg.eigh(self.sandwich))
+        """The sandwich's ascending cut eigensystem (lam, Q, kept), with eigenvectors W_kept Q.
+
+        The cut sits at the sandwich's rounding level, 16 eps times its
+        largest eigenvalue, not at SUPPORT_RTOL: on an ill-conditioned sigma
+        that largest grows like 1 / b_min, and a relative cut of 1e-12 would
+        drop real eigenvalues far above rounding.  The eigenvalues that eigh
+        leaves on rho's kernel stay below it (at most 3.8 eps times the
+        largest on random rank-deficient pairs up to d = 64).
+        """
+        return _cut_spectrum(*np.linalg.eigh(self.sandwich), rtol=16.0 * float(np.finfo(float).eps))
 
 
 def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from qrd.channels import (
+    GAP_RTOL,
     Channel,
+    _input_objective,
+    _seed_states,
     apply_extended,
     channel_divergence,
     channel_dmax,
@@ -27,7 +30,7 @@ from qrd.errors import (
     ZeroOperatorError,
 )
 from qrd.measured import measured_renyi_lower
-from qrd.opcore import HermitianOperator
+from qrd.opcore import HermitianOperator, stiefel_ascent
 from qrd.verify import rand_channel, rand_density
 
 
@@ -202,7 +205,6 @@ def test_channel_value_is_the_library_value_at_its_argmax(rng, kind, alpha, z):
     assert res.value == pytest.approx(lib, rel=0.0, abs=1e-12)
 
 
-
 def test_channel_divergence_skips_inputs_with_a_zero_output():
     """|11> has a zero output under the first channel; the other starts still count."""
     n1, n2 = Channel([np.diag([1.0, 0.0])]), depolarizing_channel(0.2)
@@ -211,3 +213,109 @@ def test_channel_divergence_skips_inputs_with_a_zero_output():
         assert not math.isnan(res.value)
     with pytest.raises(ZeroOperatorError):
         channel_divergence(Channel([np.zeros((2, 2))]), n2, "petz", alpha=0.7, restarts=3)
+
+
+#: the kinds whose output divergence is concave in the input's reduced state
+BRACKETED = [("umegaki", None), ("sandwiched", 1.1), ("sandwiched", 1.5), ("sandwiched", 2.0),
+             ("sandwiched", 3.0)]
+
+
+def channel_pair(rng, d):
+    """n1 of Kraus rank 1 to 4 against n2 = (1 - t) n1 + t n3, n3 another: finite values."""
+    n1, n3 = (rand_channel(rng, d, d, kraus_n=int(rng.integers(1, 5))) for _ in range(2))
+    t = rng.uniform(0.2, 0.8)
+    kraus = [math.sqrt(1.0 - t) * k for k in n1.kraus] + [math.sqrt(t) * k for k in n3.kraus]
+    return n1, Channel(kraus)
+
+
+def ascent_from_every_start(n1, n2, kind, alpha, restarts, seed):
+    """The best value of the input ascent run from all of channel_divergence's starts."""
+    value_grad = _input_objective(n1, n2, kind, alpha, None, seed)
+    starts = _seed_states(n1.d_in, restarts, np.random.default_rng([seed, 0x6368]))
+    return max(stiefel_ascent(value_grad, psi.reshape(-1, 1), 60)[1] for psi in starts)
+
+
+def pure_input_values(n1, n2, kind, alpha, rng, n):
+    """The output divergence at n random unit inputs."""
+    value_grad = _input_objective(n1, n2, kind, alpha, None, 0)
+    d = n1.d_in
+    vecs = rng.standard_normal((n, d * d)) + 1j * rng.standard_normal((n, d * d))
+    return [value_grad(v / np.linalg.norm(v))[0] for v in vecs]
+
+
+@pytest.mark.parametrize("kind,alpha", BRACKETED)
+def test_bracket_upper_bounds_every_input(kind, alpha):
+    """upper is at least the value of random inputs, of a 32-start search and the reported value.
+
+    20 random channel pairs at d = 2 and 3 (channel_pair).  The
+    1e-12 slack is rounding: two computed values of one supremum.  Where
+    the gap closed early the value is within GAP_RTOL of the full search.
+    """
+    rng = np.random.default_rng(25)
+    for trial in range(20):
+        d = 2 + trial % 2
+        n1, n2 = channel_pair(rng, d)
+        res = channel_divergence(n1, n2, kind, alpha=alpha, seed=trial)
+        tol = 1e-12 * max(1.0, abs(res.value))
+        full = ascent_from_every_start(n1, n2, kind, alpha, 32, trial + 100)
+        probes = pure_input_values(n1, n2, kind, alpha, rng, 200)
+        assert res.upper >= max(res.value, full, *probes) - tol, (trial, res.upper, full)
+        if res.restarts_used < max(32, d + 1):
+            assert res.value >= full - GAP_RTOL * max(1.0, abs(full)), (trial, res.value, full)
+
+
+@pytest.mark.parametrize("kind,alpha", BRACKETED)
+def test_bracketed_kinds_are_concave_at_midpoints(kind, alpha):
+    """f((rho + rho') / 2) >= (f(rho) + f(rho')) / 2 for the reduced input states of random inputs."""
+    rng = np.random.default_rng(26)
+    for trial in range(40):
+        d = 2 + trial % 2
+        n1, n2 = channel_pair(rng, d)
+        value_grad = _input_objective(n1, n2, kind, alpha, None, 0)
+
+        def f(rho):
+            w, v = np.linalg.eigh(rho)
+            return value_grad((np.sqrt(np.maximum(w, 0.0))[:, None] * v.conj().T).reshape(-1))[0]
+
+        a, b = rand_density(rng, d).entries, rand_density(rng, d).entries
+        ends = 0.5 * (f(a) + f(b))
+        assert f(0.5 * (a + b)) >= ends - 1e-12 * max(1.0, abs(ends)), trial
+
+
+def test_closed_gap_stops_the_search_for_bracketed_kinds_only():
+    """Identity vs depolarizing: one start where the bracket closes, every start elsewhere."""
+    n1, n2 = identity_channel(2), depolarizing_channel(0.2)
+    bracketed = [(k, a, None) for k, a in BRACKETED] + [("daz", 1.5, 1.5), ("petz", 1.0, None)]
+    for kind, alpha, z in bracketed:
+        res = channel_divergence(n1, n2, kind, alpha=alpha, z=z, restarts=6, seed=0)
+        assert res.restarts_used == 1, (kind, alpha)
+        assert res.upper - res.value <= GAP_RTOL * max(1.0, abs(res.value)), (kind, alpha)
+    for kind, alpha, z in [("petz", 1.5, None), ("petz", 0.7, None), ("daz", 1.5, 1.2),
+                           ("daz", 0.7, math.inf), ("sandwiched", 0.7, None)]:
+        for restarts in (2, 6):
+            res = channel_divergence(n1, n2, kind, alpha=alpha, z=z, restarts=restarts, seed=0)
+            assert res.restarts_used == max(restarts, 3) and res.upper == math.inf, (kind, alpha)
+    # the theorem is for trace-preserving maps: a lossy first map gets no bracket
+    lossy = Channel([0.9 * np.eye(2)])
+    res = channel_divergence(lossy, n2, "umegaki", restarts=6, seed=0)
+    assert res.restarts_used == 6 and res.upper == math.inf
+
+
+def test_sandwiched_channel_divergence_falls_to_umegaki_on_amplitude_damping():
+    """The paper's inf over alpha > 1 of D~_alpha is D, on a non-covariant pair.
+
+    Amplitude damping (gamma = 0.3) against depolarizing(0.2): every
+    sandwiched bracket lies above Umegaki's, and the sandwiched upper end
+    comes within 0.25 (alpha - 1) of Umegaki's lower end (slopes 0.149 to
+    0.194 on this grid).
+    """
+    gamma = 0.3
+    damping = Channel([np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+                       np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])])
+    dep = depolarizing_channel(0.2)
+    d = channel_divergence(damping, dep, "umegaki", seed=0)
+    assert 0.192260773 <= d.value <= d.upper <= 0.192260774, (d.value, d.upper)
+    for alpha in (1.01, 1.05, 1.1, 1.2, 1.5, 2.0):
+        res = channel_divergence(damping, dep, "sandwiched", alpha=alpha, seed=0)
+        assert res.value >= d.upper, alpha
+        assert res.upper - d.value <= 0.25 * (alpha - 1.0), alpha

@@ -491,3 +491,41 @@ def test_smoothing_curve_matches_a_smoothed_sigma(rng, params, sigma_rank):
     for e, value in zip(eps, curve):
         ref = d_alpha_z(rho, sigma.entries + e * np.eye(3), params).d_value
         assert abs(value - ref) <= 1e-8 * abs(ref), (e, value, ref)
+
+
+def mp_d_hat_alpha(rho, sigma, alpha):
+    """d_hat_alpha at 50 digits on the float entries: mp.eighe of sigma, then of sigma^-1/2 rho sigma^-1/2."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r, s = (mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in m]) for m in (rho, sigma))
+        r, s = (r + r.H) / 2, (s + s.H) / 2
+        b, w = mp.eighe(s)
+        inv_root = w * mp.diag([x ** -0.5 for x in b]) * w.H
+        ratio = inv_root * r * inv_root
+        lam, q = mp.eighe((ratio + ratio.H) / 2)
+        power = q * mp.diag([x**alpha for x in lam]) * q.H
+        trace = sum((s * power)[i, i] for i in range(s.rows)).real
+        tr_rho = sum(r[i, i] for i in range(r.rows)).real
+        return float((mp.log(trace) - mp.log(tr_rho)) / (alpha - 1.0))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5])
+def test_d_hat_alpha_keeps_small_ratio_eigenvalues_on_an_ill_conditioned_sigma(alpha):
+    """A ratio eigenvalue of 1.7e-3 under a largest of 3.9e9 is far above rounding, so it counts.
+
+    sigma = u diag(logspace(0, -10, 5)) u^dag / trace.  A cut at
+    SUPPORT_RTOL times the largest eigenvalue of sigma^-1/2 rho sigma^-1/2
+    dropped it (its sigma-mass is 0.994): d_hat_alpha read 6.3346 at
+    alpha = 0.3 and 10.446 at 0.7.  The float eigensystem of sigma resolves
+    its 1e-10 eigenvalue to ~2e-6 relative, which bounds the agreement
+    with the 50-digit reference on the same entries (1.3e-7 at alpha = 0.3).
+    """
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    sigma = (u * np.logspace(0, -10, 5)) @ u.conj().T
+    sigma /= np.trace(sigma).real
+    rho = rand_density(rng, 5).entries
+    want = mp_d_hat_alpha(rho, sigma, alpha)
+    got = d_hat_alpha(rho, sigma, alpha)
+    assert abs(got - want) <= 1e-6 * abs(want), (got, want)

@@ -360,9 +360,10 @@ def test_convex_path_is_continuous_at_alpha_one():
 def test_qubit_measured_value_is_the_test_value(rng, alpha):
     """For d = 2 every projective measurement is a test, so D_M = D_test above 1/2.
 
-    measured_renyi_lower starts from the same Neyman-Pearson search on a
-    qubit, so this checks the polish and the other candidates; the check
-    against an independent search is the convex program's, below.
+    On a qubit with invertible sigma both take their candidates from the
+    same great-circle angle search (_qubit_tests), so this checks that the
+    two entry points certify the same value; the check against an
+    independent search is the convex program's, below.
     """
     for _ in range(20):
         rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
@@ -418,8 +419,8 @@ def test_qubit_test_value_on_an_ill_conditioned_sigma_is_the_convex_program_valu
 
 
 #: a pure rho and a sigma with eigenvalue 1.8e-7 on which, at alpha = 0.05, rounding
-#: dust on rho's kernel outcome, raised to the power alpha, decides: the best test
-#: and its polish read 1.6e-3 below the d^2-outcome ascent, rho's eigenbasis 1.8e-2 above
+#: dust on rho's kernel outcome, raised to the power alpha, decides: the best
+#: great-circle test reads 6.5e-3 above the d^2-outcome ascent, rho's eigenbasis 1.8e-2 above
 DUST_PAIR = (
     [[0.6114392446331255, 0.4784852681995604 - 0.09291470750959252j],
      [0.4784852681995604 + 0.09291470750959252j, 0.38856075536687446]],
