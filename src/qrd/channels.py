@@ -401,7 +401,7 @@ def channel_divergence(
     GAP_RTOL max(1, |value|); restarts is then a cap, and restarts_used
     counts the starts run.  Every other kind runs every start and reports
     upper = +inf.  A search that reaches +inf stops there, with upper =
-    +inf and restarts_used counting every start.
+    +inf and restarts_used counting the starts run.
     """
     if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise DimMismatchError("channels act between different spaces")
@@ -420,7 +420,7 @@ def channel_divergence(
         )
     if not kind_whitelisted(kind, alpha, z):
         raise KindNotWhitelistedError(
-            f"kind {kind!r} with alpha={alpha}, z={z} is outside the monotone range"
+            f"kind {kind!r} lacks the monotonicity whitelist at alpha={alpha}, z={z}"
         )
     d = n1.d_in
     value_grad = _input_objective(n1, n2, kind, alpha, z, seed)
@@ -442,9 +442,7 @@ def channel_divergence(
             best_val, best_psi, converged = val, x[:, 0], conv
             if bracketed and math.isfinite(best_val):
                 upper = min(upper, _frank_wolfe_upper(value_grad, best_psi))
-        if math.isinf(best_val) and best_val > 0:
-            break
-        if upper - best_val <= GAP_RTOL * max(1.0, abs(best_val)):
+        if best_val == math.inf or upper - best_val <= GAP_RTOL * max(1.0, abs(best_val)):
             used = k
             break
     if best_psi is None:

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,14 +38,6 @@ from .serialize import (
 EVAL_KINDS = ("daz", "dmax", "umegaki", "dhat", "dzero", "dinf", "measured", "test")
 Z_MODES = ("fixed", "alpha", "alpha-half", "alpha-minus-1-over-kappa")
 
-#: each command's flag choices, which a config file's values must meet too
-CONFIG_CHOICES = {
-    "eval": {"kind": EVAL_KINDS},
-    "sweep": {"z_mode": Z_MODES},
-    "channel": {"kind": CHANNEL_KINDS},
-    "verify": {"suite": SUITES + ("all",)},
-}
-
 #: optimizer slack allowed before a channel curve counts as breaking the
 #: max-relative-entropy domination bound
 CHANNEL_DOMINATION_SLACK = 1e-6
@@ -59,60 +50,45 @@ exit codes:
   0 success, 1 verification failure, 2 malformed input file,
   3 parameter domain violation, 4 divergence kind not whitelisted.
 --config FILE holds a JSON object whose entries override the flags.
+  Its keys are the command's flag names with '_' for '-' (alpha_grid);
+  a key naming only another command's flag is ignored.
 """
 
 
-#: JSON value types that fit a config field of each annotated type
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Config wins over flags; each key is checked against its command's own flag.
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flag overrides for one invocation; unset fields leave flags alone."""
-
-    suite: str | None = None
-    kind: str | None = None
-    alpha: float | None = None
-    alpha_grid: str | None = None
-    z: float | None = None
-    z_mode: str | None = None
-    kappa: float | None = None
-    family: str | None = None
-    rho: str | None = None
-    sigma: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    restarts: int | None = None
-    out: str | None = None
-
-    @classmethod
-    def from_file(cls, path: str, choices: dict | None = None) -> "ExperimentConfig":
-        """The config in path; choices maps a key to the values its flag allows."""
-        raw = load_config(path)
-        wanted = {f.name: f.type.split(" | ")[0] for f in fields(cls)}
-        unknown = set(raw) - set(wanted)
-        if unknown:
+    A key is a flag's dest (alpha_grid for --alpha-grid).  Its value must
+    have the flag's type, where an integer fits a float flag and a boolean
+    no flag, and be one of the flag's choices; null leaves the flag alone.
+    A key naming only another command's flag is ignored.
+    """
+    [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+        for name, sub in commands.items()
+    }
+    path, raw = args.config, load_config(args.config)
+    known = set().union(*flags.values())
+    unknown = set(raw) - known
+    if unknown:
+        raise MalformedInputError(
+            f"{path}: unknown config keys {sorted(unknown)}; know {sorted(known)}"
+        )
+    for key, value in raw.items():
+        action = flags[args.command].get(key)
+        if action is None or value is None:
+            continue
+        want = action.type or str
+        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
             raise MalformedInputError(
-                f"{path}: unknown config keys {sorted(unknown)}; know {sorted(wanted)}"
+                f"{path}: config key {key!r} needs a {want.__name__}, got {value!r}"
             )
-        for key, value in raw.items():
-            fits = isinstance(value, _JSON_TYPES[wanted[key]]) and not isinstance(value, bool)
-            if value is not None and not fits:
-                raise MalformedInputError(
-                    f"{path}: config key {key!r} needs a {wanted[key]}, got {value!r}"
-                )
-            if value is not None and value not in (choices or {}).get(key, (value,)):
-                raise MalformedInputError(
-                    f"{path}: config key {key!r} must be one of {list(choices[key])}, got {value!r}"
-                )
-        return cls(**raw)
-
-    def apply(self, args: argparse.Namespace) -> None:
-        """Config wins over flags wherever it sets a value."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and hasattr(args, f.name):
-                setattr(args, f.name, value)
+        if action.choices is not None and value not in action.choices:
+            raise MalformedInputError(
+                f"{path}: config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+            )
+        setattr(args, key, value)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -250,7 +226,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    from .channels import channel_divergence, channel_dmax, kind_whitelisted
+    from .channels import channel_divergence, channel_dmax
 
     n1 = load_channel(args.n1)
     n2 = load_channel(args.n2)
@@ -268,11 +244,6 @@ def cmd_channel(args) -> int:
         if args.seed is None:
             raise BadParamsError("--seed is required for optimizer-backed kinds")
     for alpha in alphas:
-        if not kind_whitelisted(args.kind, alpha, args.z):
-            raise KindNotWhitelistedError(
-                f"kind {args.kind!r} lacks the monotonicity whitelist at "
-                f"alpha={alpha}, z={args.z}"
-            )
         res = channel_divergence(
             n1,
             n2,
@@ -411,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            ExperimentConfig.from_file(args.config, CONFIG_CHOICES[args.command]).apply(args)
+        if args.config:
+            _apply_config(parser, args)
         return args.func(args)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,25 +49,21 @@ from .opcore import (
     _eigh_descending,
     _rebuild,
     ASCENT_MEMORY,
+    MAX_DIM,
     as_operator,
     box_geometry,
     spectral_map,
     stiefel_ascent,
 )
 
-#: an infinite divergence is only trusted when some outcome carries at
-#: least this much mass on one side and exactly none on the other
-INF_CERT_TOL = 1e-8
-
-#: stand-in for infinities that fail certification; finite so that
-#: candidate selection and the test search rank rounding cliffs last
+#: stand-in for an infinite score in a search, which is a rounding cliff
+#: (_measured_pair returns every genuine infinity first); finite so that
+#: candidate selection and the test search rank it last
 DEMOTED = -1e18
 
 #: irrational mixing weight for the joint-eigenbasis seed; avoids the
 #: rho + sigma = multiple-of-identity trap that an equal-weight sum hits
 EIGENBASIS_MIX = 0.6180339887498949
-
-MAX_TENSOR_DIM = 64
 
 #: lowest order at which the variational formula is a convex program;
 #: below it the POVM ascent runs, at it the Fuchs-Caves closed form
@@ -185,19 +181,15 @@ def apply_povm(povm: POVM, rho) -> WeightVector:
 
 
 def _certified_value(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Classical divergence of weights p, q with floating-point infinities demoted.
+    """Classical divergence of weights p, q with an infinity demoted.
 
-    Rounding can zero out an outcome weight on one side while dust
-    survives on the other, which reads as a support violation and an
-    infinite value.  Only infinities carried by macroscopic mass (an
-    outcome with weight above INF_CERT_TOL facing an exact zero) are
-    kept; the rest become DEMOTED so search moves away from the cliff.
+    Every genuine infinity is returned with its witness before any search
+    runs (_measured_pair), so an infinite score is a rounding cliff: an
+    outcome weight rounded to zero on one side while dust survives on the
+    other.  It becomes DEMOTED so search moves away from the cliff.
     """
     val = float(_renyi(p, q, alpha))
-    if not math.isinf(val):
-        return val
-    certified = bool(np.any((q == 0.0) & (p >= INF_CERT_TOL)))
-    return math.inf if certified else DEMOTED
+    return DEMOTED if math.isinf(val) else val
 
 
 def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
@@ -865,8 +857,8 @@ def regularized_measured_estimate(
     rho, sigma = as_operator(rho), as_operator(sigma)
     if not 1 <= max_n <= 3:
         raise DimTooLargeError(f"max_n must be in 1..3, got {max_n}")
-    if rho.dim ** max_n > MAX_TENSOR_DIM:
-        raise DimTooLargeError(f"dim^max_n = {rho.dim ** max_n} exceeds {MAX_TENSOR_DIM}")
+    if rho.dim ** max_n > MAX_DIM:
+        raise DimTooLargeError(f"dim^max_n = {rho.dim ** max_n} exceeds {MAX_DIM}")
     out, single, prev = [], None, None
     rho_n = sigma_n = np.eye(1, dtype=complex)
     for n in range(1, max_n + 1):

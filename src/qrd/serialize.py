@@ -159,10 +159,6 @@ def channel_from_json(obj, where: str = "channel") -> Channel:
             raise MalformedInputError(f"{where}: {exc}") from exc
     if "choi" in obj:
         choi = matrix_from_json(obj["choi"], f"{where}['choi']")
-        if choi.dim != d_in * d_out:
-            raise MalformedInputError(
-                f"{where}['choi']: dimension {choi.dim} != d_in*d_out = {d_in * d_out}"
-            )
         try:
             return Channel.from_choi(choi, d_in, d_out)
         except QrdError as exc:

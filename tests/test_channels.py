@@ -25,6 +25,7 @@ from qrd.divergences import DivergenceParams, d_alpha_z
 from qrd.errors import (
     BadAlphaError,
     BadParamsError,
+    DimMismatchError,
     KindNotWhitelistedError,
     MalformedInputError,
     ZeroOperatorError,
@@ -134,6 +135,17 @@ def test_channel_divergence_refuses_off_whitelist():
     n2 = depolarizing_channel(0.2)
     with pytest.raises(KindNotWhitelistedError):
         channel_divergence(n1, n2, "sandwiched", alpha=0.4, seed=0)
+
+
+def test_channel_divergence_dmax_is_exact_and_checks_its_inputs(rng):
+    n1, n2 = rand_channel(rng, 2, 2, kraus_n=2), rand_channel(rng, 2, 2, kraus_n=4)
+    res = channel_divergence(n1, n2, "dmax")
+    assert res.value == res.upper == channel_dmax(n1, n2)
+    assert (res.restarts_used, res.converged) == (0, True)
+    with pytest.raises(DimMismatchError):
+        channel_divergence(n1, rand_channel(rng, 3, 3), "dmax")
+    with pytest.raises(KindNotWhitelistedError):
+        channel_divergence(n1, n2, "bogus", alpha=1.5)
 
 
 def test_channel_self_divergence_zero(rng):
@@ -299,6 +311,13 @@ def test_closed_gap_stops_the_search_for_bracketed_kinds_only():
     lossy = Channel([0.9 * np.eye(2)])
     res = channel_divergence(lossy, n2, "umegaki", restarts=6, seed=0)
     assert res.restarts_used == 6 and res.upper == math.inf
+
+
+def test_search_reaching_infinity_counts_only_the_starts_run():
+    """Identity against the reset channel: the first start's outputs already leak out of support."""
+    reset = Channel([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    res = channel_divergence(identity_channel(2), reset, "sandwiched", alpha=1.5, restarts=6, seed=0)
+    assert (res.value, res.upper, res.restarts_used) == (math.inf, math.inf, 1)
 
 
 def test_sandwiched_channel_divergence_falls_to_umegaki_on_amplitude_damping():

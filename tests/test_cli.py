@@ -1,12 +1,15 @@
 """Command line surface: outputs, exit codes, config overrides."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qrd.lab import ExperimentConfig, main
+import qrd.lab
+from qrd.channels import depolarizing_channel, identity_channel
+from qrd.lab import main
 from qrd.serialize import dump_channel, dump_matrix
 from qrd.verify import rand_channel, rand_density, run_suite
 
@@ -316,8 +319,72 @@ def test_seeded_outputs_are_byte_identical(capsys, state_files):
     assert first == second
 
 
-def test_experiment_config_dataclass_round_trip(tmp_path):
+def test_config_accepts_every_flag_of_every_command(capsys, tmp_path, monkeypatch):
+    """A config may set each flag that a command declares, and the command sees its values."""
+    seen = {}
+
+    def record(args):
+        seen.update(vars(args))
+        return 0
+
+    for name in ("cmd_eval", "cmd_sweep", "cmd_channel", "cmd_verify"):
+        monkeypatch.setattr(qrd.lab, name, record)
+    [commands] = [
+        a.choices for a in qrd.lab.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    cases = []
+    for command, parser in commands.items():
+        flags = [a for a in parser._actions if a.dest not in ("help", "config")]
+        config = {
+            a.dest: next(iter(a.choices)) if a.choices else {float: 0.5, int: 3, None: "x.json"}[a.type]
+            for a in flags
+        }
+        argv = [command]
+        for a in flags:
+            if a.required:
+                argv += [a.option_strings[0], str(config[a.dest])]
+        cases.append((argv, config))
+    cases.append((["verify", "--suite", "families"], {"trials": 5, "seed": 3, "suite": "alt"}))
+    for argv, config in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        seen.clear()
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, err) == (0, ""), argv
+        assert {key: seen[key] for key in config} == config, argv
+
+
+@pytest.fixture
+def channel_files(tmp_path):
+    n1, n2 = tmp_path / "id.json", tmp_path / "dep.json"
+    dump_channel(identity_channel(2), n1)
+    dump_channel(depolarizing_channel(0.2), n2)
+    return n1, n2
+
+
+def test_config_sets_channel_files(capsys, tmp_path, channel_files):
+    n1, n2 = channel_files
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trials": 5, "seed": 3, "suite": "alt"}))
-    loaded = ExperimentConfig.from_file(str(cfg))
-    assert (loaded.trials, loaded.seed, loaded.suite) == (5, 3, "alt")
+    cfg.write_text(json.dumps({"n2": str(n2)}))
+    _, direct, _ = run_cli(capsys, "channel", "--n1", str(n1), "--n2", str(n2), "--kind", "dmax")
+    code, out, _ = run_cli(
+        capsys, "channel", "--n1", str(n1), "--n2", "missing.json", "--kind", "dmax",
+        "--config", str(cfg),
+    )
+    assert (code, out) == (0, direct)
+
+
+def test_channel_curve_over_an_alpha_grid(capsys, channel_files):
+    n1, n2 = channel_files
+    argv = (
+        "channel", "--n1", str(n1), "--n2", str(n2), "--kind", "sandwiched",
+        "--alpha-grid", "1.5,2", "--seed", "1", "--restarts", "4",
+    )
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(first)
+    assert [r["alpha"] for r in payload["records"]] == [1.5, 2.0]
+    assert all("converged" in r for r in payload["records"])
+    assert payload["domination_ok"] is True
+    assert run_cli(capsys, *argv)[1] == first

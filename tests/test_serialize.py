@@ -96,6 +96,12 @@ def test_channel_choi_form(rng):
     )
 
 
+def test_channel_choi_of_the_wrong_dimension_is_malformed(rng):
+    obj = {"d_in": 2, "d_out": 2, "choi": matrix_to_json(rand_channel(rng, 2, 3).choi)}
+    with pytest.raises(MalformedInputError, match="Choi dim 6"):
+        channel_from_json(obj, "here")
+
+
 def test_channel_json_shape_errors(rng):
     ch = rand_channel(rng, 2, 2)
     obj = channel_to_json(ch)
