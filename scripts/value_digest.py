@@ -6,10 +6,10 @@ rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, the
 near-product pair and a qubit pair whose sigma has an eigenvalue of 1e-8
 (drawn from its own generator, so the other pairs keep their draws); the
-evaluations cover the divergence layer, the
-z -> 0 profile (equality-case gaps, both genericity conditions and the
-extrapolation oracle at two alphas), the maximal divergence's reverse
-tests (the spectral test's weights, and maximal_divergence_upper's value,
+evaluations cover the divergence layer, the z -> 0 profile (the
+eigenvalue blocks of both spectra, equality-case gaps, both genericity
+conditions and the extrapolation oracle at two alphas), the maximal
+divergence's reverse tests (the spectral test's weights, and maximal_divergence_upper's value,
 exactness and column count), the measured and test-measured lower bounds at d <= 4 and channel
 divergences on three random channel pairs (sandwiched, Umegaki or
 measured, Petz, and the (alpha, z) family at z = inf and at a finite z),
@@ -150,7 +150,14 @@ def divergence_layer(name, rho, sigma) -> None:
     )
 
 
+def blocks(rho, sigma):
+    """The equal-eigenvalue blocks of rho's and sigma's spectra, as bounds."""
+    profile = spectral_profile(rho, sigma)
+    return profile.i_bounds, profile.j_bounds
+
+
 def zlimit_layer(name, rho, sigma) -> None:
+    emit(f"{name} blocks", lambda: blocks(rho, sigma))
     for direction in ("below", "above"):
         emit(f"{name} equality {direction}", lambda: equality_case_check(rho, sigma, direction))
     emit(f"{name} gen_b", lambda: genericity_condition_b(spectral_profile(rho, sigma)))
