@@ -46,9 +46,9 @@ _EXPORTS = {
     "serialize": ("SUITES", "dump_channel", "dump_matrix", "load_channel", "load_state"),
     "verify": ("ResultRecord", "run_suite"),
     "zlimits": (
-        "SpectralProfile", "equality_case_check", "genericity_condition_b",
-        "genericity_condition_b_prime", "reducing_subspace_check", "spectral_profile",
-        "z_alpha_eigenvalues", "zero_z_divergence", "zero_z_oracle",
+        "equality_case_check", "genericity_condition_b", "genericity_condition_b_prime",
+        "reducing_subspace_check", "spectral_profile", "z_alpha_eigenvalues",
+        "zero_z_divergence", "zero_z_oracle",
     ),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"errors", "lab"}

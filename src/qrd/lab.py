@@ -61,7 +61,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     A key is a flag's dest (alpha_grid for --alpha-grid).  Its value must
     have the flag's type, where an integer fits a float flag and a boolean
     no flag, and be one of the flag's choices; null leaves the flag alone.
-    A key naming only another command's flag is ignored.
+    A repeatable flag (--suite) also takes a nonempty list, each item
+    checked so.  A key naming only another command's flag is ignored.
     """
     [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {
@@ -80,14 +81,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if action is None or value is None:
             continue
         want = action.type or str
-        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
-            raise MalformedInputError(
-                f"{path}: config key {key!r} needs a {want.__name__}, got {value!r}"
-            )
-        if action.choices is not None and value not in action.choices:
-            raise MalformedInputError(
-                f"{path}: config key {key!r} must be one of {list(action.choices)}, got {value!r}"
-            )
+        many = isinstance(action, argparse._AppendAction) and isinstance(value, list)
+        for v in value if many and value else [value]:
+            if isinstance(v, bool) or not isinstance(v, (int, float) if want is float else want):
+                raise MalformedInputError(
+                    f"{path}: config key {key!r} needs a {want.__name__}, got {v!r}"
+                )
+            if action.choices is not None and v not in action.choices:
+                raise MalformedInputError(
+                    f"{path}: config key {key!r} must be one of {list(action.choices)}, got {v!r}"
+                )
         setattr(args, key, value)
 
 
@@ -279,7 +282,7 @@ def cmd_channel(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    # the flag gives a list, a config file one name
+    # the flag gives a list, a config file one name or a list
     asked = [args.suite] if isinstance(args.suite, str) else args.suite
     names = SUITES if "all" in asked else tuple(dict.fromkeys(asked))
     if args.seed is None:

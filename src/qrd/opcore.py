@@ -1,17 +1,18 @@
 """Hermitian operator algebra at desk scale.
 
 The one support decision of the package (which eigenvalues count as
-zero, and whether rho leaks out of supp sigma) and the pair record built
-on it, supported real powers, logs on the support and support
-projections (all one spectral map), projection meet, PSD order checks,
-the pinched exponential of the large-z divergence limit and its gradient,
-divided differences of spectral functions (Daleckii-Krein gradients),
-and the one optimizer of the package: gradient ascent on the complex
-Stiefel manifold (the channel-input and POVM searches) or in a box (the
-measured divergence's variational formula).  Everything runs on exact
-eigendecompositions of d x d Hermitian matrices with a relative cutoff
-standing in for exact spectral projections.  All logs are natural, so
-values are in nats.
+zero, and whether rho leaks out of supp sigma), the block decision
+(which eigenvalues count as equal) and the pair record built on them,
+which every divergence of a pair reads; supported real powers, logs on
+the support and support projections (all one spectral map), projection
+meet, PSD order checks, the pinched exponential of the large-z
+divergence limit and its gradient, divided differences of spectral
+functions (Daleckii-Krein gradients), and the one optimizer of the
+package: gradient ascent on the complex Stiefel manifold (the
+channel-input and POVM searches) or in a box (the measured divergence's
+variational formula).  Everything runs on exact eigendecompositions of
+d x d Hermitian matrices with a relative cutoff standing in for exact
+spectral projections.  All logs are natural, so values are in nats.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     BadParamsError,
     DimMismatchError,
     DimTooLargeError,
+    GenericityUndeterminedError,
     MalformedInputError,
     NotPSDError,
     ZeroOperatorError,
@@ -41,6 +43,11 @@ PSD_REJECT_RTOL = 1e-8
 
 #: eigenvalues at most SUPPORT_RTOL * max eig count as exact zeros
 SUPPORT_RTOL = 1e-12
+
+#: adjacent-eigenvalue gaps between these relative thresholds make the
+#: block clustering ambiguous
+CLUSTER_TOL = 1e-10
+CLUSTER_AMBIGUOUS = 1e-8
 
 #: slack used by support-inclusion tests (rho^0 <= sigma^0 and friends)
 SUPPORT_TEST_SLACK = 1e-8
@@ -171,6 +178,23 @@ def _cut_spectrum(w: np.ndarray, v, rtol: float = SUPPORT_RTOL):
     return w, v, w > rtol * lam_max
 
 
+def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
+    """Blocks of a sorted, nonnegative (cut) spectrum: bounds (0, k1, ..., d), block one [0, k1)."""
+    values = values.tolist()
+    scale = max(values[0], values[-1], 1e-300)
+    bounds = [0]
+    for k in range(1, len(values)):
+        gap = abs(values[k - 1] - values[k])
+        if CLUSTER_TOL * scale < gap < CLUSTER_AMBIGUOUS * scale:
+            raise GenericityUndeterminedError(
+                f"near-degenerate spectrum: gap {gap:.3e} at position {k}"
+            )
+        if gap >= CLUSTER_AMBIGUOUS * scale:
+            bounds.append(k)
+    bounds.append(len(values))
+    return tuple(bounds)
+
+
 def spectral_map(A, fn) -> tuple[np.ndarray, int]:
     """fn on the eigenvalues above the cutoff, zero on the rest.
 
@@ -232,8 +256,9 @@ class _Pair:
     is a function of a, b and U.  Four arrays derived from U are built on
     first use and kept with the record: weights, rho_in_sigma, the sandwich
     sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
-    eigensystem of that sandwich.  The kernels read the arrays and never
-    write them.
+    eigensystem of that sandwich; so are i_bounds and j_bounds, the blocks
+    of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
+    limit reads.  The kernels read the arrays and never write them.
     """
 
     rho: np.ndarray
@@ -281,6 +306,16 @@ class _Pair:
         largest on random rank-deficient pairs up to d = 64).
         """
         return _cut_spectrum(*np.linalg.eigh(self.sandwich), rtol=16.0 * float(np.finfo(float).eps))
+
+    @cached_property
+    def i_bounds(self) -> tuple[int, ...]:
+        """Block boundaries of rho's cut spectrum a; raises on a near-degenerate one."""
+        return _cluster_bounds(self.rho_cut[0])
+
+    @cached_property
+    def j_bounds(self) -> tuple[int, ...]:
+        """Block boundaries of sigma's cut spectrum b; raises on a near-degenerate one."""
+        return _cluster_bounds(self.sigma_cut[0])
 
 
 def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:

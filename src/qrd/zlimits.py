@@ -4,9 +4,11 @@ The z -> 0 limit of Q_{alpha,z} has eigenvalues lambda_1 >= lambda_2 >= ...
 with log(lambda_1 ... lambda_k) the largest alpha sum_I log a_i +
 (1 - alpha) sum_J log b_j over |I| = |J| = k with det U[I, J] != 0, U the
 eigenvector overlap (Audenaert-Hiai, "Reciprocal Lie-Trotter formula").
-zero_z_divergence evaluates it for every pair in O(d^3): Gaussian
-elimination of U pivoting on the entry of largest valuation
-(_limit_pivots), with the library's minor band deciding exact zeros.
+Everything here reads the pair record (opcore._Pair): cut spectra,
+overlap U and blocks of equal eigenvalues.  zero_z_divergence evaluates
+it for every pair in O(d^3): Gaussian elimination of U pivoting on the
+entry of largest valuation (_limit_pivots), with the library's minor
+band deciding exact zeros.
 When the determinant genericity conditions (b) and (b') hold the limit
 is the closed form a_i^alpha b_i^(1-alpha) (alpha < 1) or
 a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1); the same elimination, with
@@ -35,6 +37,7 @@ from .errors import (
 from .opcore import (
     Projection,
     _checked_pair,
+    _Pair,
     _rebuild,
     as_operator,
     commutator_spectral_norm,
@@ -46,11 +49,6 @@ MINOR_OK = 1e-10
 #: below this the best minor counts as an exact zero (definite failure)
 MINOR_DEAD = 1e-12
 
-#: adjacent-eigenvalue gaps between these relative thresholds make the
-#: block clustering ambiguous
-CLUSTER_TOL = 1e-10
-CLUSTER_AMBIGUOUS = 1e-8
-
 #: geometric z-grid for the extrapolation oracle; each node halves the last
 ORACLE_Z_NODES = (1e-2, 5e-3, 2.5e-3)
 
@@ -58,66 +56,16 @@ ORACLE_Z_NODES = (1e-2, 5e-3, 2.5e-3)
 ORACLE_GUARD_DIGITS = 50
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Eigen-data of a pair with eigenvalues clustered into equal blocks.
-
-    a, v and b, w are the cut eigensystems of rho and sigma (eigenvalues
-    descending, negative dust clamped to 0) and on_a, on_b their kept
-    masks, from the package's one support decision (opcore._cut_spectrum);
-    overlap is v^dag w, computed once (the pair record's, where there is
-    one).  Boundaries are cumulative counts: bounds (0, k1, ..., d) mean
-    the first block covers indices [0, k1) and so on.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    on_a: np.ndarray
-    on_b: np.ndarray
-    overlap: np.ndarray
-    i_bounds: tuple[int, ...]
-    j_bounds: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.a)
-
-
-def _cluster_bounds(values: np.ndarray) -> tuple[int, ...]:
-    """Block boundaries of a sorted, nonnegative (cut) spectrum."""
-    values = values.tolist()
-    scale = max(values[0], values[-1], 1e-300)
-    bounds = [0]
-    for k in range(1, len(values)):
-        gap = abs(values[k - 1] - values[k])
-        if CLUSTER_TOL * scale < gap < CLUSTER_AMBIGUOUS * scale:
-            raise GenericityUndeterminedError(
-                f"near-degenerate spectrum: gap {gap:.3e} at position {k}"
-            )
-        if gap >= CLUSTER_AMBIGUOUS * scale:
-            bounds.append(k)
-    bounds.append(len(values))
-    return tuple(bounds)
-
-
-def _profile(rho_cut, sigma_cut, overlap) -> SpectralProfile:
-    """The profile of two cut eigensystems (w, v, kept) and their overlap, e.g. a pair record's."""
-    (a, v, on_a), (b, w, on_b) = rho_cut, sigma_cut
-    return SpectralProfile(
-        a, b, v, w, on_a, on_b, overlap, _cluster_bounds(a), _cluster_bounds(b)
-    )
-
-
-def spectral_profile(rho, sigma) -> SpectralProfile:
-    """The clustered eigen-data of a pair, from its pair record.
+def spectral_profile(rho, sigma) -> _Pair:
+    """The pair record (opcore._checked_pair), its blocks i_bounds and j_bounds decided.
 
     Raises DimMismatchError on operators of different dimensions,
-    NotPSDError on a non-PSD operator and ZeroOperatorError on a zero one.
+    NotPSDError on a non-PSD operator, ZeroOperatorError on a zero one
+    and GenericityUndeterminedError on a near-degenerate spectrum.
     """
     pair = _checked_pair(rho, sigma)
-    return _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
+    pair.i_bounds, pair.j_bounds  # decided here, so a near-degenerate spectrum raises here
+    return pair
 
 
 @dataclass(frozen=True)
@@ -135,7 +83,7 @@ class GenericityResult:
     witnesses: tuple[MinorWitness, ...]
 
 
-def _genericity(profile: SpectralProfile, required, anti: bool) -> GenericityResult:
+def _genericity(pair: _Pair, required, anti: bool) -> GenericityResult:
     """Condition (b), or (b') when anti, from one valuation-pivoted elimination of U.
 
     Row i's valuation is minus its rho block index and column j's sqrt(2)
@@ -152,10 +100,10 @@ def _genericity(profile: SpectralProfile, required, anti: bool) -> GenericityRes
     witness is the minor on the first k pivots, |det| the product of
     their magnitudes; past the agreement it is the pairing's own minor.
     """
-    d, ov = profile.dim, profile.overlap
+    d, ov = len(pair.overlap), pair.overlap
     index = np.arange(d)
-    rho_block = np.array(profile.i_bounds[1:]).searchsorted(index, "right")
-    sigma_block = np.array(profile.j_bounds[1:]).searchsorted(index, "right")
+    rho_block = np.array(pair.i_bounds[1:]).searchsorted(index, "right")
+    sigma_block = np.array(pair.j_bounds[1:]).searchsorted(index, "right")
     val = (math.sqrt(2.0) if anti else -math.sqrt(2.0)) * sigma_block - rho_block[:, None]
     pivots, minors = _limit_pivots(ov.copy(), val)
     n, _ = _closed_form_agreement(val, pivots, d, anti)
@@ -172,19 +120,27 @@ def _genericity(profile: SpectralProfile, required, anti: bool) -> GenericityRes
     return GenericityResult(n == d and not band, n == d and band, tuple(witnesses))
 
 
-def genericity_condition_b(profile: SpectralProfile) -> GenericityResult:
+def genericity_condition_b(pair: _Pair) -> GenericityResult:
     """Prefix-minor genericity used by the alpha < 1 spectral formula."""
-    required = set(profile.i_bounds[1:-1]) | set(profile.j_bounds[1:-1])
-    return _genericity(profile, required, anti=False)
+    required = set(pair.i_bounds[1:-1]) | set(pair.j_bounds[1:-1])
+    return _genericity(pair, required, anti=False)
 
 
-def genericity_condition_b_prime(profile: SpectralProfile) -> GenericityResult:
+def genericity_condition_b_prime(pair: _Pair) -> GenericityResult:
     """Suffix-minor variant used by the alpha > 1 branch (sigma invertible)."""
-    d = profile.dim
-    if not profile.on_b[-1]:
+    if not pair.sigma_cut[2][-1]:
         raise SingularSigmaError("suffix genericity needs invertible sigma")
-    required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
-    return _genericity(profile, required, anti=True)
+    required = set(pair.i_bounds[1:-1]) | {len(pair.overlap) - j for j in pair.j_bounds[1:-1]}
+    return _genericity(pair, required, anti=True)
+
+
+def _require_genericity(pair: _Pair, anti: bool, case: str) -> None:
+    """Raise unless condition (b), or (b') when anti, holds for the pair's case."""
+    gen = (genericity_condition_b_prime if anti else genericity_condition_b)(pair)
+    if gen.undetermined:
+        raise GenericityUndeterminedError("cannot certify the limit closed form")
+    if not gen.holds:
+        raise GenericityFailsError(f"genericity fails for {case}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -192,26 +148,20 @@ def _check_alpha(alpha: float) -> None:
         raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
 
 
-def z_alpha_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
+def z_alpha_eigenvalues(pair: _Pair, alpha: float) -> np.ndarray:
     """Limit eigenvalues a_i^alpha b_i^(1-alpha) (or anti-paired for alpha > 1).
 
     Requires the matching genericity condition; raises when it fails or
     cannot be decided.
     """
     _check_alpha(alpha)
-    gen = (genericity_condition_b if alpha < 1.0 else genericity_condition_b_prime)(profile)
-    if not gen.holds:
-        if gen.undetermined:
-            raise GenericityUndeterminedError(
-                "overlap minors too close to zero to certify the spectral formula"
-            )
-        raise GenericityFailsError("genericity condition fails for this pair")
-    return _limit_eigenvalues(profile, alpha)
+    _require_genericity(pair, alpha > 1.0, f"alpha={alpha}")
+    return _limit_eigenvalues(pair, alpha)
 
 
-def _limit_eigenvalues(profile: SpectralProfile, alpha: float) -> np.ndarray:
-    """z_alpha_eigenvalues for a profile whose genericity is already known to hold."""
-    a, on_a, b, on_b = profile.a, profile.on_a, profile.b, profile.on_b
+def _limit_eigenvalues(pair: _Pair, alpha: float) -> np.ndarray:
+    """z_alpha_eigenvalues for a pair whose genericity is already known to hold."""
+    (a, _, on_a), (b, _, on_b) = pair.rho_cut, pair.sigma_cut
     if alpha > 1.0:
         b, on_b = b[::-1], on_b[::-1]
     out = np.zeros_like(a)
@@ -293,10 +243,10 @@ def zero_z_oracle(rho, sigma, alpha: float) -> float:
 class ZeroZResult:
     """D_{alpha,0} with the (i, j) pivot of each limit eigenvalue a_i^alpha b_j^(1-alpha).
 
-    Indices are positions in the profile's descending spectra.
-    used_fallback: the limit spectrum differs from the closed-form pairing
-    (_limit_eigenvalues), which would be wrong for the pair; the name is
-    kept from when such pairs fell back to zero_z_oracle.
+    Indices are positions in the pair record's descending spectra.
+    used_fallback: the pivots are not _limit_eigenvalues' closed-form
+    pairing (a_i with b_i, or b_(d+1-i) above alpha = 1), which would be
+    wrong for the pair; d_alpha_z notes it at z = 0 as zero_z_nongeneric.
     """
 
     value: float
@@ -310,43 +260,43 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     return _zero_z_divergence(_checked_pair(rho, sigma), alpha)
 
 
-def _zero_z_divergence(pair, alpha: float) -> ZeroZResult:
-    """zero_z_divergence on a pair record, its profile built from the record."""
+def _zero_z_divergence(pair: _Pair, alpha: float) -> ZeroZResult:
+    """zero_z_divergence on a pair record."""
     if alpha > 1.0 and not pair.included:
         return ZeroZResult(math.inf, False, ())
-    profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
-    val = _valuations(profile, alpha)
+    val = _valuations(pair, alpha)
     na, nb = val.shape
-    pivots, minors = _limit_pivots(profile.overlap[:na, :nb].copy(), val)
+    pivots, minors = _limit_pivots(pair.overlap[:na, :nb].copy(), val)
     for k, minor in enumerate(minors):
         if minor <= MINOR_OK:
             raise GenericityUndeterminedError(
                 f"overlap minor {minor:.3e} in the dead band at pivot {k + 1}"
             )
-    agree, pairs = _closed_form_agreement(val, pivots, profile.dim, alpha > 1.0)
+    agree, pairs = _closed_form_agreement(val, pivots, len(pair.overlap), alpha > 1.0)
     used_fallback = not (agree == pairs == len(pivots))
     if not pivots:  # the supports are orthogonal (alpha < 1)
         return ZeroZResult(math.inf, used_fallback, pivots)
     # log of the sum of the limit eigenvalues a_i^alpha b_j^(1-alpha), taken in logs
     i, j = np.array(pivots).T
-    logs = alpha * np.log(profile.a[i]) + (1.0 - alpha) * np.log(profile.b[j])
+    logs = alpha * np.log(pair.rho_cut[0][i]) + (1.0 - alpha) * np.log(pair.sigma_cut[0][j])
     log_q = float(np.logaddexp.reduce(logs))
     return ZeroZResult((log_q - math.log(pair.tr)) / (alpha - 1.0), used_fallback, pivots)
 
 
-def _valuations(profile: SpectralProfile, alpha: float) -> np.ndarray:
+def _valuations(pair: _Pair, alpha: float) -> np.ndarray:
     """alpha log a_i + (1 - alpha) log b_j over the kept eigenvalues, a prefix of each spectrum.
 
     Each eigenvalue reads as its cluster's first, so degenerate
     eigenvalues give exactly equal valuations.
     """
-    def logs(values, bounds, kept):
+    def logs(cut, bounds):
+        values, _, kept = cut
         values = values.tolist()
         first = [values[lo] for lo, hi in zip(bounds, bounds[1:]) for _ in range(lo, hi)]
         return np.log(first[:np.count_nonzero(kept)])
 
-    ra = logs(profile.a, profile.i_bounds, profile.on_a)
-    cb = logs(profile.b, profile.j_bounds, profile.on_b)
+    ra = logs(pair.rho_cut, pair.i_bounds)
+    cb = logs(pair.sigma_cut, pair.j_bounds)
     return alpha * ra[:, None] + (1.0 - alpha) * cb
 
 
@@ -424,39 +374,26 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     rho, sigma = as_operator(rho), as_operator(sigma)
-    pair = _checked_pair(rho, sigma)
-    profile = _profile(pair.rho_cut, pair.sigma_cut, pair.overlap)
-    if not profile.on_b[-1]:
+    pair = spectral_profile(rho, sigma)
+    (a, v, _), (b, _, on_b) = pair.rho_cut, pair.sigma_cut
+    if not on_b[-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")
-    gen = (
-        genericity_condition_b(profile)
-        if direction == "below"
-        else genericity_condition_b_prime(profile)
-    )
-    if not gen.holds:
-        if gen.undetermined:
-            raise GenericityUndeterminedError("cannot certify the limit closed form")
-        raise GenericityFailsError(f"genericity fails for direction={direction}")
-    a = profile.a
-    b = profile.b if direction == "below" else profile.b[::-1]
-    tr_rho = float(np.sum(a))
-    paired = float(np.sum(a * np.log(b)))
+    below = direction == "below"
+    _require_genericity(pair, not below, f"direction={direction}")
+    paired = float(np.sum(a * np.log(b if below else b[::-1])))
     tr_rho_log_sigma = float(np.real(np.trace(pair.rho @ _rebuild(pair.sigma_cut, np.log))))
-    if direction == "below":
-        gap = (paired - tr_rho_log_sigma) / tr_rho
-    else:
-        gap = (tr_rho_log_sigma - paired) / tr_rho
+    gap = (paired - tr_rho_log_sigma if below else tr_rho_log_sigma - paired) / float(np.sum(a))
     scale = max(rho.spectral_norm * sigma.spectral_norm, 1e-300)
     aligned = False
     if commutator_spectral_norm(rho, sigma) <= 1e-10 * scale:
         # a commuting pair's joint eigenvalues: sigma compressed to each rho block
         pairs = []
-        for k, kk in zip(profile.i_bounds, profile.i_bounds[1:]):
-            block = profile.v[:, k:kk]
+        for k, kk in zip(pair.i_bounds, pair.i_bounds[1:]):
+            block = v[:, k:kk]
             comp = block.conj().T @ pair.sigma @ block
             bvals = np.linalg.eigvalsh(0.5 * (comp + comp.conj().T))
             pairs += [(float(a[k]), float(bv)) for bv in bvals]
-        sign = 1.0 if direction == "below" else -1.0
+        sign = 1.0 if below else -1.0
         aligned = all(
             sign * (p1[0] - p2[0]) * (p1[1] - p2[1]) >= -1e-8 * scale
             for p1, p2 in itertools.combinations(pairs, 2)

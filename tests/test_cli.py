@@ -388,3 +388,81 @@ def test_channel_curve_over_an_alpha_grid(capsys, channel_files):
     assert all("converged" in r for r in payload["records"])
     assert payload["domination_ok"] is True
     assert run_cli(capsys, *argv)[1] == first
+
+
+def test_config_suite_list_runs_every_suite_named(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": ["alt", "families"]}))
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "alt", "--trials", "1", "--seed", "1", "--config", str(cfg),
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("alt: ") and lines[1].startswith("families: ")
+    assert lines[-1].startswith("all ")
+
+
+@pytest.mark.parametrize(
+    "config,bad",
+    [
+        ({"suite": ["alt", "bogus"]}, "'bogus'"),
+        ({"suite": ["alt", 3]}, "3"),
+        ({"suite": []}, "[]"),
+        ({"trials": [1, 2]}, "[1, 2]"),  # --trials is not repeatable
+    ],
+)
+def test_config_rejects_a_bad_list(capsys, tmp_path, config, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "alt", "--trials", "1", "--seed", "1", "--config", str(cfg),
+    )
+    assert (code, out) == (2, "")
+    [key] = config
+    assert f"config key {key!r}" in err and bad in err
+
+
+def test_sweep_z_mode_alpha_half(capsys, state_files):
+    from qrd.divergences import DivergenceParams, d_alpha_z
+    from qrd.serialize import load_state
+
+    rho, sigma = state_files
+    code, out, _ = run_cli(
+        capsys, "sweep", "--alpha-grid", "1.5,3", "--z-mode", "alpha-half",
+        "--rho", rho, "--sigma", sigma,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(float(a), float(z)) for a, z, _ in rows] == [(1.5, 0.75), (3.0, 1.5)]
+    pair = load_state(rho), load_state(sigma)
+    for a, z, value in rows:
+        want = d_alpha_z(*pair, DivergenceParams(float(a), float(z))).d_value
+        assert float(value) == want
+
+
+def test_sweep_fixed_mode_needs_z(capsys, state_files):
+    rho, sigma = state_files
+    code, out, err = run_cli(
+        capsys, "sweep", "--alpha-grid", "1.5", "--rho", rho, "--sigma", sigma,
+    )
+    assert (code, out) == (3, "")
+    assert "--z is required for z-mode fixed" in err
+
+
+def test_channel_curve_above_dmax_exits_one(capsys, monkeypatch, channel_files):
+    import qrd.channels
+
+    def above_dmax(n1, n2, kind, **_):
+        dm = qrd.channels.channel_dmax(n1, n2)
+        return qrd.channels.ChannelDivergenceResult(dm + 1.0, np.zeros(4), 1, True, math.inf)
+
+    monkeypatch.setattr(qrd.channels, "channel_divergence", above_dmax)
+    n1, n2 = channel_files
+    code, out, err = run_cli(
+        capsys, "channel", "--n1", str(n1), "--n2", str(n2), "--kind", "sandwiched",
+        "--alpha-grid", "1.5", "--seed", "1",
+    )
+    assert code == 1
+    assert json.loads(out)["domination_ok"] is False
+    assert "domination bound broken at alpha in [1.5]" in err
+    assert "max-relative entropy" in err

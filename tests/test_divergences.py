@@ -35,6 +35,7 @@ from qrd.errors import (
     DimMismatchError,
     MalformedInputError,
     NotPSDError,
+    SupportViolationError,
     ZeroOperatorError,
 )
 from qrd.measured import measured_renyi_lower
@@ -172,6 +173,25 @@ def test_disjoint_supports_infinite_even_below_one():
     res = d_alpha_z(rho, sigma, DivergenceParams(0.5, 1.0))
     assert res.d_value == math.inf
     assert res.q_value == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_orthogonal_supports_below_one_are_infinite_at_every_z(alpha):
+    rho = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
+    sigma = HermitianOperator(np.diag([0.0, 0.6, 0.4]))
+    for z in (0.5, 1.0, alpha, math.inf, 0.0):
+        res = d_alpha_z(rho, sigma, DivergenceParams(alpha, z))
+        assert (res.d_value, res.q_value) == (math.inf, 0.0), z
+        assert ("degenerate_support" in res.notes) == (z == math.inf), z
+    assert d_hat_alpha(rho, sigma, alpha) == math.inf
+    assert zero_z_divergence(rho, sigma, alpha).value == math.inf
+    assert pinch_exp(rho, sigma, alpha) == 0.0
+
+
+def test_variational_objective_rejects_a_leaking_rho():
+    rho, sigma = np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(SupportViolationError):
+        variational_objective(rho, sigma, DivergenceParams(1.5, 1.0), np.eye(3))
 
 
 def test_unnormalized_scaling_shifts_by_log(qutrit_pair):

@@ -114,6 +114,21 @@ def test_structural_infinity_certified(rng):
     assert res.converged
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_orthogonal_supports_below_one_are_certified_infinite(alpha):
+    rho = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
+    sigma = HermitianOperator(np.diag([0.0, 0.6, 0.4]))
+    for res in (
+        measured_renyi_lower(rho, sigma, alpha, restarts=1, seed=0),
+        measured_by_test(rho, sigma, alpha),
+    ):
+        assert res.value == math.inf
+        # the witness separates the supports: rho lands on the first outcome only
+        p, q = apply_povm(res.povm, rho).values, apply_povm(res.povm, sigma).values
+        assert p[1] == 0.0 and q[0] == 0.0
+        assert p[0] == pytest.approx(1.0, abs=1e-15) and q[1] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_value_is_a_lower_bound_for_sandwiched(rng):
     rho = rand_density(rng, 2, floor=0.05)
     sigma = rand_density(rng, 2, floor=0.05)

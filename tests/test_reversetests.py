@@ -5,7 +5,12 @@ import pytest
 
 from qrd.classical import classical_renyi, power_spec
 from qrd.divergences import DivergenceParams, d_alpha_z, d_hat_alpha
-from qrd.errors import BadParamsError, DimMismatchError, NoConvexWitnessError
+from qrd.errors import (
+    BadParamsError,
+    DimMismatchError,
+    NoConvexWitnessError,
+    SupportViolationError,
+)
 from qrd.reversetests import (
     HULL_RESIDUAL_TOL,
     ReverseTest,
@@ -123,6 +128,19 @@ def test_maximal_divergence_above_two_is_the_closed_form(rng, alpha):
             assert res.value == d_hat_alpha(rho, sigma, alpha)
             assert abs(rt_renyi(res.rt, alpha) - res.value) <= 1e-12 * max(1.0, abs(res.value))
             assert validate_reverse_test(res.rt, rho, sigma)
+
+
+def test_a_leaking_rho_has_no_spectral_test_and_no_maximal_divergence_above_one():
+    rho, sigma = np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(SupportViolationError):
+        spectral_reverse_test(rho, sigma)
+    for alpha in (1.5, 2.0, 3.0):
+        with pytest.raises(SupportViolationError):
+            maximal_divergence_upper(rho, sigma, alpha)
+    # below 1 the split test certifies log 2: half of rho's mass meets sigma
+    res = maximal_divergence_upper(rho, sigma, 0.5)
+    assert res.value == pytest.approx(np.log(2.0), abs=1e-12)
+    assert res.exact and validate_reverse_test(res.rt, rho, sigma)
 
 
 def test_maximal_divergence_of_a_tiny_trace_leak():

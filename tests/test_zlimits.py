@@ -7,11 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from qrd import zlimits
+from qrd import opcore, zlimits
 from qrd.divergences import DivergenceParams, d_alpha_z
 from qrd.errors import (
     BadAlphaError,
     DimMismatchError,
+    GenericityFailsError,
     GenericityUndeterminedError,
     NotPSDError,
     SingularSigmaError,
@@ -37,8 +38,8 @@ def test_profile_orders_spectra(rng):
     rho = rand_density(rng, 3)
     sigma = rand_density(rng, 3)
     prof = spectral_profile(rho, sigma)
-    assert all(x >= y for x, y in zip(prof.a, prof.a[1:]))
-    assert all(x >= y for x, y in zip(prof.b, prof.b[1:]))
+    assert all(x >= y for x, y in zip(prof.rho_cut[0], prof.rho_cut[0][1:]))
+    assert all(x >= y for x, y in zip(prof.sigma_cut[0], prof.sigma_cut[0][1:]))
 
 
 def test_limit_eigenvalues_commuting_aligned():
@@ -170,7 +171,7 @@ def _ref_genericity(profile, prime: bool, batch=None) -> GenericityResult:
     With batch=None each minor is one np.linalg.det call; otherwise the
     minors of each size go through np.linalg.det in stacks of `batch`.
     """
-    d = profile.dim
+    d = len(profile.rho)
     if prime:
         required = set(profile.i_bounds[1:-1]) | {d - j for j in profile.j_bounds[1:-1]}
     else:
@@ -262,9 +263,9 @@ def _random_pair(rng, kind, d):
 
 def _assert_matches_reference(prof):
     """Both conditions give the per-minor search's verdict, each witness a minor of its family."""
-    d = prof.dim
+    d = len(prof.rho)
     conditions = [(False, genericity_condition_b)]
-    if prof.on_b[-1]:
+    if prof.sigma_cut[2][-1]:
         conditions.append((True, genericity_condition_b_prime))
     else:
         with pytest.raises(SingularSigmaError):
@@ -286,7 +287,7 @@ def _assert_matches_reference(prof):
 def test_batched_search_matches_per_minor_reference(case, batch):
     _, rho, sigma = case
     prof = spectral_profile(rho, sigma)
-    for prime in (False, True) if prof.on_b[-1] else (False,):
+    for prime in (False, True) if prof.sigma_cut[2][-1] else (False,):
         got, want = _ref_genericity(prof, prime, batch), _ref_genericity(prof, prime)
         assert got == want
         assert repr(got) == repr(want)
@@ -338,6 +339,70 @@ def test_spectral_profile_rejects_a_zero_operator(rng):
 def test_profile_overlap_is_the_pair_records(rng):
     rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
     assert np.array_equal(spectral_profile(rho, sigma).overlap, _checked_pair(rho, sigma).overlap)
+
+
+def test_profile_is_the_pair_record(rng):
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    assert spectral_profile(rho, sigma) is _checked_pair(rho, sigma)
+
+
+def test_spectral_profile_raises_on_a_near_degenerate_spectrum(rng):
+    rho = HermitianOperator(np.diag([0.5, 0.5 - 1e-9, 0.0]))  # a gap inside the ambiguous band
+    with pytest.raises(GenericityUndeterminedError, match="near-degenerate"):
+        spectral_profile(rho, rand_density(rng, 3))
+
+
+def test_blocks_are_decided_once_per_spectrum(rng, monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return cluster_bounds(values)
+
+    cluster_bounds = opcore._cluster_bounds
+    monkeypatch.setattr(opcore, "_cluster_bounds", counting)
+    rho, sigma = rand_density(rng, 4), rand_density(rng, 4)
+    first = [zero_z_divergence(rho, sigma, alpha) for alpha in (0.3, 0.6, 1.7, 2.5)]
+    again = [zero_z_divergence(rho, sigma, alpha) for alpha in (0.3, 0.6, 1.7, 2.5)]
+    assert first == again
+    assert len(calls) == 2
+
+
+def _anti_aligned_rotated(theta):
+    """rho = diag(.5, .3, .2) against sigma = diag(.1, .2, .7) turned by theta in the (0, 2) plane.
+
+    The overlap's (0, 0) entry, rho's top against sigma's top, is sin(theta).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    sigma = (u * [0.1, 0.2, 0.7]) @ u.T
+    return HermitianOperator(np.diag([0.5, 0.3, 0.2])), HermitianOperator(sigma)
+
+
+def test_both_callers_raise_when_the_required_condition_fails():
+    # aligned spectra: (b) holds, the anti-paired (b') has a zero suffix minor
+    rho = HermitianOperator(np.diag([0.5, 0.3, 0.2]))
+    sigma = HermitianOperator(np.diag([0.7, 0.2, 0.1]))
+    prof = spectral_profile(rho, sigma)
+    assert genericity_condition_b(prof).holds
+    gen = genericity_condition_b_prime(prof)
+    assert not gen.holds and not gen.undetermined
+    with pytest.raises(GenericityFailsError, match="alpha=1.7"):
+        z_alpha_eigenvalues(prof, 1.7)
+    with pytest.raises(GenericityFailsError, match="direction=above"):
+        equality_case_check(rho, sigma, "above")
+
+
+def test_both_callers_raise_when_the_required_condition_is_undetermined():
+    rho, sigma = _anti_aligned_rotated(1e-11)
+    prof = spectral_profile(rho, sigma)
+    gen = genericity_condition_b(prof)
+    assert gen.undetermined and not gen.holds
+    assert genericity_condition_b_prime(prof).holds
+    with pytest.raises(GenericityUndeterminedError):
+        z_alpha_eigenvalues(prof, 0.6)
+    with pytest.raises(GenericityUndeterminedError):
+        equality_case_check(rho, sigma, "below")
 
 
 # ------------------------------------------------------ extrapolation oracle
