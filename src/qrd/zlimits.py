@@ -4,11 +4,11 @@ The z -> 0 limit of Q_{alpha,z} has eigenvalues lambda_1 >= lambda_2 >= ...
 with log(lambda_1 ... lambda_k) the largest alpha sum_I log a_i +
 (1 - alpha) sum_J log b_j over |I| = |J| = k with det U[I, J] != 0, U the
 eigenvector overlap (Audenaert-Hiai, "Reciprocal Lie-Trotter formula").
-Everything here reads the pair record (opcore._Pair): cut spectra,
-overlap U and blocks of equal eigenvalues.  zero_z_divergence evaluates
-it for every pair in O(d^3): Gaussian elimination of U pivoting on the
-entry of largest valuation (_limit_pivots), with the library's minor
-band deciding exact zeros.
+Every pair function here reads the pair record (opcore._Pair): cut
+spectra, overlap U and blocks of equal eigenvalues.  zero_z_divergence
+evaluates the limit for every pair in O(d^3): Gaussian elimination of U
+pivoting on the entry of largest valuation (_limit_pivots), with the
+library's minor band deciding exact zeros.
 When the determinant genericity conditions (b) and (b') hold the limit
 is the closed form a_i^alpha b_i^(1-alpha) (alpha < 1) or
 a_i^alpha b_(d+1-i)^(1-alpha) (alpha > 1); the same elimination, with
