@@ -10,12 +10,13 @@ the run computes measured_renyi_lower and test_measured on a fixed,
 seeded set of invertible-sigma qubit pairs: rho full-rank, pure,
 near-pure ((1 - 1e-6) psi psi^dag + 5e-7 I) or of trace 1e-3, against a
 random sigma or one with an eigenvalue from 1e-6 to 1e-10, at each
-alpha of ALPHAS.  Each value is recorded with the value of rho's
-eigenbasis measurement on the same pair (the certificate of the
-library's _weights).  The script prints, per function, class and alpha,
-the worst fall and the worst rise of the change against the parent
-relative to max(1, |D|), how many of the change's values lie below
-rho's eigenbasis value, and each side's wall time.
+alpha of ALPHAS.  Each value is recorded with its call's wall time and
+the value of rho's eigenbasis measurement on the same pair, its weights
+taken as apply_povm takes them.  The script prints, per function, class
+and alpha, the worst fall and the worst rise of the change against the
+parent relative to max(1, |D|) and how many of the change's values lie
+below rho's eigenbasis value; then each function's median time per call
+on each side, and each side's wall time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,7 +71,9 @@ def pairs():
 
 
 def compute_rows() -> dict:
-    """Every value of the fixed set with the running tree's qrd, and the wall time."""
+    """Every value of the fixed set with the running tree's qrd, its time, and the wall time."""
+    import numpy as np
+
     from qrd import measured, opcore
 
     rows, start = [], time.perf_counter()
@@ -77,11 +81,15 @@ def compute_rows() -> dict:
         for alpha in ALPHAS:
             view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
             basis = measured._projective(view.rho_cut[1])
-            rho_basis = measured._certified_value(*measured._weights(view, basis), alpha)
+            p, q = (np.array([np.sum(np.abs(root @ f) ** 2) for f in basis])
+                    for root in (view.rho_root, view.sigma_root))
+            rho_basis = float(measured._binary_values(p, q, alpha))
             for fn in (measured.measured_renyi_lower, measured.test_measured):
+                t0 = time.perf_counter()
+                value = fn(rho, sigma, alpha).value
                 rows.append({
-                    "fn": fn.__name__, "cls": cls, "i": i, "alpha": alpha,
-                    "value": fn(rho, sigma, alpha).value, "rho_basis": rho_basis,
+                    "fn": fn.__name__, "cls": cls, "i": i, "alpha": alpha, "value": value,
+                    "rho_basis": rho_basis, "us": 1e6 * (time.perf_counter() - t0),
                 })
     return {"rows": rows, "wall_s": time.perf_counter() - start}
 
@@ -115,12 +123,25 @@ def summary(parent: list[dict], change: list[dict]) -> list[dict]:
     return list(groups.values())
 
 
-def format_summary(rows: list[dict], wall: dict[str, float]) -> str:
+def call_medians(sides: dict[str, list[dict]]) -> dict[str, dict[str, float]]:
+    """Per function, each side's median time per call (us), from the rows' us fields."""
+    return {
+        fn: {side: statistics.median(r["us"] for r in rows if r["fn"] == fn)
+             for side, rows in sides.items()}
+        for fn in dict.fromkeys(r["fn"] for rows in sides.values() for r in rows)
+    }
+
+
+def format_summary(rows: list[dict], wall: dict[str, float],
+                   per_call: dict[str, dict[str, float]]) -> str:
     lines = [f"{'fn':<21} {'class':<16} {'alpha':>6} {'worst fall':>11} {'worst rise':>11} "
              f"{'below rho basis':>16}"]
     for g in rows:
         lines.append(f"{g['fn']:<21} {g['cls']:<16} {g['alpha']:>6g} {g['fall']:>11.2e} "
                      f"{g['rise']:>11.2e} {g['below']:>12}/{g['n']}")
+    for fn, sides in per_call.items():
+        lines.append(f"median per call, {fn}: "
+                     + ", ".join(f"{side} {us:.0f} us" for side, us in sides.items()))
     lines.append("wall time: " + ", ".join(f"{side} {s:.2f} s" for side, s in wall.items()))
     return "\n".join(lines)
 
@@ -147,7 +168,8 @@ def main(argv=None) -> int:
         export(args.parent, Path(tmp))
         results = {"parent": run_tree(Path(tmp)), "change": run_tree(Path.cwd())}
     rows = summary(results["parent"]["rows"], results["change"]["rows"])
-    print(format_summary(rows, {side: r["wall_s"] for side, r in results.items()}))
+    per_call = call_medians({side: r["rows"] for side, r in results.items()})
+    print(format_summary(rows, {side: r["wall_s"] for side, r in results.items()}, per_call))
     return 0
 
 

@@ -22,12 +22,12 @@ import numpy as np
 from .classical import WeightVector, _renyi
 from .divergences import _renyi_grad, _umegaki_grad, d_max
 from .errors import (
-    BadAlphaError,
     BadParamsError,
     DimMismatchError,
     KindNotWhitelistedError,
     MalformedInputError,
     ZeroOperatorError,
+    check_alpha,
 )
 from .opcore import HermitianOperator, _array_pair, as_operator, stiefel_ascent
 from .serialize import CHANNEL_KINDS
@@ -212,14 +212,13 @@ def kind_whitelisted(kind: str, alpha: float | None = None, z: float | None = No
 
     The two-parameter family is admitted only in its data-processing
     region: z between max(alpha/2, alpha-1) and alpha above 1, z at
-    least max(alpha, 1-alpha) below 1.
+    least max(alpha, 1-alpha) below 1.  A bad alpha raises BadAlphaError.
     """
     if kind in ("umegaki", "dmax", "measured"):
         return True
-    if kind not in ("daz", "sandwiched", "petz"):
+    if kind not in ("daz", "sandwiched", "petz") or alpha is None:
         return False
-    if alpha is None or not alpha > 0.0:
-        return False
+    check_alpha(alpha)
     if kind == "sandwiched":
         z = alpha
     elif kind == "petz":
@@ -479,8 +478,7 @@ def classical_channel_divergence_grid(
         raise DimMismatchError("the oracle needs two binary-input channels")
     if min(t1.min(), t2.min()) < 0.0 or min(t1.sum(axis=0).min(), t2.sum(axis=0).min()) <= 0.0:
         raise BadParamsError("the oracle needs nonnegative transition matrices, no column zero")
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     r = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     inputs = np.stack([r, 1.0 - r])
     # column k of each holds classical_joint_weights(t, inputs[:, k])

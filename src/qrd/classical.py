@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    BadAlphaError,
     BadParamsError,
     DimMismatchError,
     ZeroOperatorError,
+    check_alpha,
 )
 
 #: entries of a weight vector below this (after clamping dust) are invalid
@@ -75,8 +75,7 @@ class ConvexFunctionSpec:
 
 def power_sign(alpha: float) -> float:
     """Sign making t -> s * t^alpha convex: -1 on (0,1), +1 above 1."""
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"signed power family needs alpha in (0,1) or (1,inf), got {alpha}")
+    check_alpha(alpha, one=False)
     return -1.0 if alpha < 1.0 else 1.0
 
 
@@ -174,8 +173,7 @@ def classical_q(p, q, alpha: float) -> float:
     w.r.t. q; for alpha < 1 entries where either vector vanishes drop out.
     Taken as sum p exp((alpha-1) D_alpha) from the divergence kernel.
     """
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"classical_q needs alpha in (0,1) or (1,inf), got {alpha}")
+    check_alpha(alpha, one=False)
     pv, qv = _checked(p, q)
     with np.errstate(over="ignore"):
         # overflow to +inf is a legitimate outcome at large alpha
@@ -190,8 +188,7 @@ def classical_renyi(p, q, alpha: float) -> float:
     Kullback-Leibler divergence.  Evaluated in ratio form (_renyi), so
     it stays exact as alpha -> 1 and on tiny totals of p or q.
     """
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     return float(_renyi(*_checked(p, q), alpha))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import WeightVector
-from .errors import BadAlphaError, BadParamsError, SupportViolationError
+from .errors import BadAlphaError, BadParamsError, SupportViolationError, check_alpha
 from .opcore import (
     SUPPORT_RTOL,
     HermitianOperator,
@@ -54,8 +54,7 @@ class DivergenceParams:
     z: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise BadAlphaError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.z < 0.0 or math.isnan(self.z):
             raise BadParamsError(f"z must be in [0, inf], got {self.z}")
         if self.alpha == 1.0 and self.z == 0.0:
@@ -288,8 +287,7 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     Equals the maximal Renyi divergence for alpha in (0,1) union (1,2];
     for alpha > 2 it is only an upper bound on it.
     """
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
     if alpha > 1.0 and not pair.included:
         return math.inf
@@ -401,8 +399,7 @@ def alt_chain(rho, sigma, alpha: float, z1: float, z2: float) -> AltChainResult:
     """
     if not (0.0 < z1 <= z2 and math.isfinite(z2)):
         raise BadParamsError(f"need 0 < z1 <= z2 finite, got ({z1}, {z2})")
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     pair = _checked_pair(rho, sigma)
     qz1 = _exp_or_inf(_log_q(pair, alpha, z1))
     qz2 = _exp_or_inf(_log_q(pair, alpha, z2))

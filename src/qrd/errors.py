@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of the order alpha.
 
 Each class marks one failure category; the CLI maps categories to exit codes
 (malformed input 2, parameter domain 3, channel whitelist 4).
 """
+
+import math
 
 
 class QrdError(Exception):
@@ -59,3 +61,10 @@ class KindNotWhitelistedError(QrdError):
 
 class MalformedInputError(QrdError):
     """Input file or matrix payload cannot be parsed into a valid object."""
+
+
+def check_alpha(alpha: float, one: bool = True) -> None:
+    """Raise BadAlphaError unless alpha is positive and finite and, where one is False, not 1."""
+    if not 0.0 < alpha < math.inf or (alpha == 1.0 and not one):
+        span = "positive and finite" if one else "in (0,1) or (1,inf)"
+        raise BadAlphaError(f"alpha must be {span}, got {alpha}")

@@ -95,7 +95,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: comma list '1.1,1.5,2' or linspace 'start:stop:count'."""
+    """Grid syntax: comma list '1.1,1.5,2' or linspace 'start:stop:count', every value finite."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -107,13 +107,18 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise BadParamsError(f"grid {text!r} is not start:stop:count: {exc}") from exc
         if count < 1:
             raise BadParamsError("grid needs at least one point")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise BadParamsError(f"grid {text!r} is not a comma list of numbers: {exc}") from exc
-    if not values:
-        raise BadParamsError("empty grid")
+        if not (math.isfinite(start) and math.isfinite(stop)):  # before numpy warns on them
+            raise BadParamsError(f"grid {text!r} has a non-finite end")
+        values = tuple(float(x) for x in np.linspace(start, stop, count))
+    else:
+        try:
+            values = tuple(float(x) for x in text.split(",") if x.strip())
+        except ValueError as exc:
+            raise BadParamsError(f"grid {text!r} is not a comma list of numbers: {exc}") from exc
+        if not values:
+            raise BadParamsError("empty grid")
+    if not all(map(math.isfinite, values)):
+        raise BadParamsError(f"grid {text!r} has a non-finite value")
     return values
 
 

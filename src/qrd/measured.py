@@ -32,14 +32,15 @@ returned POVM on rho (for alpha >= 1, on rho compressed to sigma's support).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .classical import WeightVector, _renyi, classical_renyi
-from .errors import BadAlphaError, DimMismatchError, DimTooLargeError
+from .classical import WeightVector, _renyi
+from .errors import DimMismatchError, DimTooLargeError, check_alpha
 from .opcore import (
     HermitianOperator,
     _Pair,
@@ -105,11 +106,11 @@ QUBIT_OCTAVES = 8
 
 @dataclass(frozen=True)
 class POVM:
-    """Finite POVM; elements sum to the identity.
+    """Finite POVM; elements sum to the identity within 1e-9 in every entry.
 
-    factors, when given, are matrices F_k with M_k = F_k F_k^dag; the
-    elements are then PSD by construction and apply_povm takes each
-    weight as a squared norm.
+    factors, when given, are matrices F_k, one per element, with F_k F_k^dag
+    within 1e-9 of M_k in every entry; the elements are then PSD and
+    apply_povm takes each weight as the squared norm of a factor.
     """
 
     elements: tuple[HermitianOperator, ...]
@@ -118,16 +119,24 @@ class POVM:
     def __post_init__(self):
         if not self.elements:
             raise DimMismatchError("POVM needs at least one element")
+        if self.factors is not None and len(self.factors) != len(self.elements):
+            raise DimMismatchError(f"{len(self.factors)} factors for {len(self.elements)} elements")
         d = self.elements[0].dim
         total = np.zeros((d, d), dtype=complex)
-        for el in self.elements:
+        for k, el in enumerate(self.elements):
             if el.dim != d:
                 raise DimMismatchError("POVM elements on different dimensions")
             if self.factors is None and float(el.eigenvalues[-1]) < -1e-10:
                 raise ValueError(f"POVM element has eigenvalue {el.eigenvalues[-1]:.3e}")
+            if self.factors is not None:
+                f = self.factors[k]
+                gap = float(np.abs(f @ f.conj().T - el.entries).max())
+                if not gap <= 1e-9:
+                    raise ValueError(f"POVM factor {k} is off its element by {gap:.3e}")
             total += el.entries
-        if not np.allclose(total, np.eye(d), rtol=0.0, atol=1e-9):
-            gap = float(np.max(np.abs(total - np.eye(d))))
+        total.flat[:: d + 1] -= 1.0  # total - I, whose largest entry np.allclose would test
+        gap = float(np.abs(total).max())
+        if not gap <= 1e-9:
             raise ValueError(f"POVM completeness violated by {gap:.3e}")
 
     @property
@@ -178,18 +187,6 @@ def apply_povm(povm: POVM, rho) -> WeightVector:
     if np.any(vals < -1e-12):
         raise ValueError(f"measurement produced weight {vals.min():.3e}")
     return WeightVector(np.clip(vals, 0.0, None))
-
-
-def _certified_value(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Classical divergence of weights p, q with an infinity demoted.
-
-    Every genuine infinity is returned with its witness before any search
-    runs (_measured_pair), so an infinite score is a rounding cliff: an
-    outcome weight rounded to zero on one side while dust survives on the
-    other.  It becomes DEMOTED so search moves away from the cliff.
-    """
-    val = float(_renyi(p, q, alpha))
-    return DEMOTED if math.isinf(val) else val
 
 
 def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
@@ -269,31 +266,48 @@ def _measured_pair(pair, alpha: float):
     sigma-weights that the cutoff set to zero, and an outcome catching it
     would certify a value far above the sandwiched divergence.  Roots are
     taken from the cut eigensystems, as apply_povm takes them.  A
-    non-positive alpha raises BadAlphaError.
+    non-positive or non-finite alpha raises BadAlphaError.
     """
-    if not alpha > 0.0:
-        raise BadAlphaError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     (_, v, kept), (w, u, on) = pair.rho_cut, pair.sigma_cut
-    n, rho, rho_cut = int(np.count_nonzero(on)), pair.rho, pair.rho_cut
-    if alpha < 1.0 and float(np.linalg.norm(pair.overlap[kept][:, on], 2)) <= 1e-8:
-        return None, (v[:, kept], v[:, ~kept])
+    n, rho, rho_cut, tr = int(np.count_nonzero(on)), pair.rho, pair.rho_cut, pair.tr
+    if alpha < 1.0:
+        block = pair.overlap[kept][:, on]
+        # ||block||_2 >= its largest entry, which mostly decides without an SVD
+        if np.abs(block).max() <= 1e-8 and float(np.linalg.norm(block, 2)) <= 1e-8:
+            return None, (v[:, kept], v[:, ~kept])
     if alpha >= 1.0 and not pair.included:
         return None, (u[:, n:], u[:, :n])
     if alpha >= 1.0 and n < len(w):
         m = u[:, :n] @ (u[:, :n].conj().T @ rho @ u[:, :n]) @ u[:, :n].conj().T
         rho = 0.5 * (m + m.conj().T)
-        rho_cut = _cut_spectrum(*_eigh_descending(rho))
+        rho_cut, tr = _cut_spectrum(*_eigh_descending(rho)), float(np.real(np.trace(rho)))
     return _View(
         pair, rho, rho_cut, _rebuild(rho_cut, np.sqrt), _rebuild(pair.sigma_cut, np.sqrt),
-        w, u, n, float(np.real(np.trace(rho))), len(w),
+        w, u, n, tr, len(w),
     ), None
 
 
-def _weights(view: _View, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome weights (p, q) of the measurement F_k F_k^dag, as apply_povm takes them."""
-    p = np.array([np.sum(np.abs(view.rho_root @ f) ** 2) for f in factors])
-    q = np.array([np.sum(np.abs(view.sigma_root @ f) ** 2) for f in factors])
-    return p, q
+def _scored(view: _View, cands, alpha: float):
+    """The first best of candidate factor tuples: (value, factors, p, q).
+
+    Ranked by the classical value of the weights p_k = ||rho^1/2 F_k||^2,
+    q_k = ||sigma^1/2 F_k||^2, an infinity as DEMOTED.  The weights come from
+    one batched product of the roots with the factors of each column count,
+    bit for bit as apply_povm takes them from the returned POVM.
+    """
+    flat = [f for factors in cands for f in factors]
+    roots = np.array([view.rho_root, view.sigma_root])[:, None]
+    norms = np.empty((2, len(flat)))
+    for k in {f.shape[1] for f in flat}:
+        at = [i for i, f in enumerate(flat) if f.shape[1] == k]
+        sq = np.abs(roots @ np.array([flat[i] for i in at])) ** 2
+        norms[:, at] = sq.reshape(2, len(at), view.dim * k).sum(axis=2)
+    ends = itertools.accumulate(map(len, cands))
+    weights = [norms[:, end - len(factors) : end] for factors, end in zip(cands, ends)]
+    values = [float(_renyi(p, q, alpha)) for p, q in weights]
+    best = max(range(len(values)), key=lambda i: DEMOTED if math.isinf(values[i]) else values[i])
+    return (values[best], cands[best], *weights[best])
 
 
 def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
@@ -525,10 +539,7 @@ def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
         cands, starts, converged = _stiefel_povms(view, alpha, restarts, seed, iters, extra)
     # last, the trivial measurement: its value log(tr rho / tr sigma) is always
     # clean, so it wins when every other candidate ended on a rounding cliff
-    scored = [(f, *_weights(view, f)) for f in [*cands, (np.eye(view.dim),)]]
-    values = [_certified_value(p, q, alpha) for _, p, q in scored]
-    best = int(np.argmax(values))  # the first best, as the candidates are ranked
-    return (values[best], *scored[best], starts, converged)
+    return (*_scored(view, [*cands, (np.eye(view.dim),)], alpha), starts, converged)
 
 
 def measured_renyi_lower(
@@ -634,7 +645,7 @@ def _np_test(view: _View, alpha):
     rank support vectors for alpha >= 1; sigma's kernel vectors outside
     those n join the complement.  rho is normalized to unit trace, which
     shifts every value by log Tr rho, and sigma's eigenvalues are cut as
-    _weights cuts them.  Along phi the top-r projector P has Tr A dP = 0,
+    for the view's root.  Along phi the top-r projector P has Tr A dP = 0,
     so its weights move as cos(phi) dp = sin(phi) dq with dq <= 0, and
     dD/dphi is a non-positive multiple of g = sin(phi) dD/dp + cos(phi)
     dD/dq (_binary_slopes): a maximum is a root where g turns from
@@ -653,7 +664,7 @@ def _np_test(view: _View, alpha):
         return (np.eye(d), np.eye(d)[:, :0]), 0
     iso = v[:, :n]
     rho_s = iso.conj().T @ view.rho @ iso / view.tr
-    # sigma, cut as _weights cuts it, is diag(sig_w) in these coordinates
+    # sigma, cut as for the view's root, is diag(sig_w) in these coordinates
     sig_w = np.where(view.pair.sigma_cut[2][:n], view.sigma_w[:n], 0.0)
     sig_s = np.diag(sig_w)
     # rho / Tr rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
@@ -823,10 +834,11 @@ def test_measured(
     angle search instead (see _qubit_tests).  restarts and seed are not
     used; restarts_used counts the searched intervals (1 on such a qubit)
     and converged is True (on such a qubit, whether the angle refinement
-    met its tolerance).  The value is recomputed exactly from the
-    returned projector pair, each weight a squared norm of the test's
-    eigenvectors (see apply_povm).  The pair is validated as in
-    measured_renyi_lower: a zero or non-PSD rho or sigma raises.
+    met its tolerance).  The value is the classical divergence of the
+    winner's weights as _scored ranked them, bit for bit the weights
+    apply_povm takes from the returned projector pair.  The pair is
+    validated as in measured_renyi_lower: a zero or non-PSD rho or sigma
+    raises.
     Infinite values are returned only on operator-level support
     violations, with the separating projective measurement attached.
     For alpha >= 1 the certificate is for rho compressed to sigma's
@@ -836,13 +848,12 @@ def test_measured(
     if witness is not None:
         return MeasuredResult(math.inf, _povm(witness), 0, True)
     if view.rank == 2 == view.dim:
-        tests, converged = _qubit_tests(view, alpha)
-        factors = max(tests, key=lambda f: _certified_value(*_weights(view, f), alpha))
-        intervals = 1
+        (tests, converged), intervals = _qubit_tests(view, alpha), 1
     else:
-        (factors, intervals), converged = _np_test(view, alpha), True
-    exact = classical_renyi(*_weights(view, factors), alpha)
-    return MeasuredResult(exact, _povm(factors), intervals, converged)
+        (test, intervals), converged = _np_test(view, alpha), True
+        tests = [test]
+    value, factors, *_ = _scored(view, tests, alpha)
+    return MeasuredResult(value, _povm(factors), intervals, converged)
 
 
 def regularized_measured_estimate(

@@ -33,6 +33,7 @@ from .errors import (
     MalformedInputError,
     NotPSDError,
     ZeroOperatorError,
+    check_alpha,
 )
 
 #: absolute tolerance for the hermiticity check on construction
@@ -101,11 +102,12 @@ class HermitianOperator:
             )
         if not np.isfinite(m).all():
             raise MalformedInputError("matrix has non-finite entries")
-        gap = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        mh = m.conj().T
+        gap = float(np.abs(m - mh).max(initial=0.0))
         if gap > HERMITICITY_ATOL:
             raise MalformedInputError(f"matrix is not Hermitian (deviation {gap:.3e})")
         # symmetrize away the sub-tolerance residue so eigh sees an exact input
-        self.entries = 0.5 * (m + m.conj().T)
+        self.entries = 0.5 * (m + mh)
         self.dim = int(m.shape[0])
 
     @cached_property
@@ -425,6 +427,7 @@ def pinch_exp(rho, sigma, alpha: float) -> float:
     float range.  When the supports are disjoint (P = 0, possible only for
     alpha < 1 here) the trace is empty and the value is 0.
     """
+    check_alpha(alpha)
     return _exp_or_inf(_log_pinch_exp(_checked_pair(rho, sigma), alpha))
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadAlphaError,
     GenericityFailsError,
     GenericityUndeterminedError,
     SingularSigmaError,
+    check_alpha,
 )
 from .opcore import (
     Projection,
@@ -143,18 +143,13 @@ def _require_genericity(pair: _Pair, anti: bool, case: str) -> None:
         raise GenericityFailsError(f"genericity fails for {case}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0 or alpha == 1.0:
-        raise BadAlphaError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-
-
 def z_alpha_eigenvalues(pair: _Pair, alpha: float) -> np.ndarray:
     """Limit eigenvalues a_i^alpha b_i^(1-alpha) (or anti-paired for alpha > 1).
 
     Requires the matching genericity condition; raises when it fails or
     cannot be decided.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha, one=False)
     _require_genericity(pair, alpha > 1.0, f"alpha={alpha}")
     return _limit_eigenvalues(pair, alpha)
 
@@ -227,7 +222,7 @@ def zero_z_oracle(rho, sigma, alpha: float) -> float:
 
     +inf above alpha = 1 when rho leaks out of sigma's support, as at every z.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
     if alpha > 1.0 and not pair.included:
         return math.inf
@@ -256,7 +251,7 @@ class ZeroZResult:
 
 def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
     """D_{alpha,0} from the limit eigenvalues of the valuation-pivoted elimination (_limit_pivots)."""
-    _check_alpha(alpha)
+    check_alpha(alpha, one=False)
     return _zero_z_divergence(_checked_pair(rho, sigma), alpha)
 
 

@@ -12,7 +12,7 @@ from qrd import measured, opcore
 from qrd.channels import _state_grad, apply_extended, depolarizing_channel, identity_channel
 from qrd.classical import classical_renyi
 from qrd.divergences import DivergenceParams, d_alpha_z, d_max
-from qrd.errors import ZeroOperatorError
+from qrd.errors import DimMismatchError, ZeroOperatorError
 from qrd.families import gen_pure
 from qrd.measured import (
     POVM,
@@ -73,6 +73,25 @@ def test_povm_completeness_enforced():
     POVM((half, half))
     with pytest.raises(ValueError):
         POVM((half,))
+    # the tolerance is 1e-9 in every entry of sum_k M_k - I
+    e00 = np.diag([1.0, 0.0])
+    POVM((half, HermitianOperator(0.5 * np.eye(2) + 5e-10 * e00)))
+    with pytest.raises(ValueError, match="completeness"):
+        POVM((half, HermitianOperator(0.5 * np.eye(2) + 2e-9 * e00)))
+
+
+def test_povm_factors_must_be_the_elements_factors():
+    """Factors certify the weights apply_povm reports, so each must square to its element."""
+    e0, e1 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    elements = (HermitianOperator(e0 @ e0.T), HermitianOperator(e1 @ e1.T))
+    rho = HermitianOperator(np.diag([0.7, 0.3]))
+    np.testing.assert_allclose(apply_povm(POVM(elements, (e0, e1)), rho).values, [0.7, 0.3])
+    with pytest.raises(DimMismatchError):
+        POVM(elements, (e0,))
+    for factors in ((e1, e0), (2.0 * e0, e1), (e0, e1 + 2e-9)):
+        with pytest.raises(ValueError, match="factor"):
+            POVM(elements, factors)
+    POVM(elements, (e0, e1 + 2e-10))
 
 
 def test_povm_rejects_negative_element():
@@ -129,6 +148,45 @@ def test_orthogonal_supports_below_one_are_certified_infinite(alpha):
         assert p[0] == pytest.approx(1.0, abs=1e-15) and q[1] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("overlaps, finite", [((5e-9,), False), ((2e-8,), True), ((8e-9, 8e-9), True)])
+def test_orthogonality_band_below_one(overlaps, finite):
+    """Supports count as disjoint when the overlap block has 2-norm at most 1e-8.
+
+    rho = |0><0| and sigma's eigenvectors meet |0> by the given overlaps.
+    The block's largest entry bounds its 2-norm from below, so 2e-8 decides
+    alone; two entries of 8e-9 leave the test to the 2-norm, 8e-9 sqrt 2.
+    """
+    phi = np.zeros((3, len(overlaps)))
+    for j, c in enumerate(overlaps):
+        phi[0, j], phi[j + 1, j] = c, math.sqrt(1.0 - c * c)
+    rho, sigma = np.diag([1.0, 0.0, 0.0]), phi @ np.diag([0.6, 0.4][: len(overlaps)]) @ phi.T
+    for res in (measured_renyi_lower(rho, sigma, 0.5), measured_by_test(rho, sigma, 0.5)):
+        assert math.isfinite(res.value) == finite, res.value
+
+
+def test_scored_weights_are_the_per_factor_squared_norms(rng):
+    """The scorer's batched weights are bit for bit ||root F||^2 of each factor on its own."""
+    for d in (2, 3, 4):
+        for alpha in (0.4, 0.5, 1.5):
+            rho, sigma = rand_density(rng, d), rand_density(rng, d, rank=d - 1 if d > 2 else d)
+            view, witness = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+            if witness is not None:
+                continue
+            cands = (
+                measured._variational_povms(view, alpha, ())[0]
+                if alpha > 0.5
+                else measured._stiefel_povms(view, alpha, 2, 0, 5, ())[0]
+            )
+            cands = [*cands, measured._np_test(view, alpha)[0], (np.eye(d),)]
+            # each candidate alone, and the winner of all of them scored in one batch
+            for factors, p, q in [measured._scored(view, [c], alpha)[1:] for c in cands] + [
+                measured._scored(view, cands, alpha)[1:]
+            ]:
+                for root, got in ((view.rho_root, p), (view.sigma_root, q)):
+                    want = [np.sum(np.abs(root @ f) ** 2) for f in factors]
+                    assert got.tolist() == want, (d, alpha)
+
+
 def test_value_is_a_lower_bound_for_sandwiched(rng):
     rho = rand_density(rng, 2, floor=0.05)
     sigma = rand_density(rng, 2, floor=0.05)
@@ -179,15 +237,16 @@ def test_qubit_value_matches_projective_oracle(rng, alpha):
 
 @pytest.mark.parametrize("alpha", [0.7, 2.0])
 def test_convex_result_is_certified_by_rank_one_projectors(rng, alpha):
-    rho = rand_density(rng, 3)
-    sigma = rand_density(rng, 3)
-    res = measured_renyi_lower(rho, sigma, alpha, seed=0)
-    assert len(res.povm.elements) == 3
-    for el in res.povm.elements:
-        np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
-        assert el.trace == pytest.approx(1.0, abs=1e-12)
-    exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
-    assert exact == res.value
+    for d in (3, 2):  # the qubit takes the great-circle search
+        rho = rand_density(rng, d)
+        sigma = rand_density(rng, d)
+        res = measured_renyi_lower(rho, sigma, alpha, seed=0)
+        assert len(res.povm.elements) == d
+        for el in res.povm.elements:
+            np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
+            assert el.trace == pytest.approx(1.0, abs=1e-12)
+        exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
+        assert exact == res.value, d
 
 
 @pytest.mark.parametrize("alpha", CONVEX_ALPHAS)
@@ -253,14 +312,15 @@ def test_test_variant_beats_random_projections(rng, alpha):
 
 @pytest.mark.parametrize("alpha", TEST_ALPHAS)
 def test_test_variant_is_certified_by_a_projector_pair(rng, alpha):
-    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
-    res = measured_by_test(rho, sigma, alpha, restarts=3, seed=5)
-    assert len(res.povm.elements) == 2
-    for el in res.povm.elements:
-        np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
-    exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
-    assert exact == res.value
-    assert res.converged
+    for d in (3, 2):  # the qubit takes the great-circle search
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        res = measured_by_test(rho, sigma, alpha, restarts=3, seed=5)
+        assert len(res.povm.elements) == 2
+        for el in res.povm.elements:
+            np.testing.assert_allclose(el.entries @ el.entries, el.entries, atol=1e-12)
+        exact = classical_renyi(apply_povm(res.povm, rho), apply_povm(res.povm, sigma), alpha)
+        assert exact == res.value, d
+        assert res.converged, d
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
@@ -388,8 +448,7 @@ def test_qubit_measured_value_is_the_test_value(rng, alpha):
 
 def best_candidate_value(view, cands, alpha):
     """The best certified value of cands and the trivial measurement, as _lower_bound scores."""
-    scored = [*cands, (np.eye(view.dim),)]
-    return max(measured._certified_value(*measured._weights(view, f), alpha) for f in scored)
+    return measured._scored(view, [*cands, (np.eye(view.dim),)], alpha)[0]
 
 
 def ill_conditioned_sigma(rng, small):

@@ -12,8 +12,9 @@ sys.path.insert(0, str(SCRIPT.parent))  # it imports bench_ab's export
 spec.loader.exec_module(measured_ab)
 
 
-def row(fn, cls, i, alpha, value, rho_basis=-math.inf):
-    return {"fn": fn, "cls": cls, "i": i, "alpha": alpha, "value": value, "rho_basis": rho_basis}
+def row(fn, cls, i, alpha, value, rho_basis=-math.inf, us=100.0):
+    return {"fn": fn, "cls": cls, "i": i, "alpha": alpha, "value": value, "rho_basis": rho_basis,
+            "us": us}
 
 
 def test_relative_move_is_scaled_by_the_larger_of_one_and_the_parent_value():
@@ -47,6 +48,25 @@ def test_summary_reports_worst_fall_rise_and_values_below_rho_basis():
     assert abs(dust["fall"] - 0.025) < 1e-15 and abs(dust["rise"] - 0.25) < 1e-15
     assert dust["below"] == 1 and dust["n"] == 3
     assert flat["fall"] == flat["rise"] == 0.0 and flat["below"] == 0
-    table = measured_ab.format_summary(groups, {"parent": 2.0, "change": 0.5})
+    table = measured_ab.format_summary(groups, {"parent": 2.0, "change": 0.5}, {})
     assert table.count("\n") == 3 and "1/3" in table
     assert table.endswith("wall time: parent 2.00 s, change 0.50 s")
+
+
+def test_call_medians_are_per_function_and_side():
+    parent = [row("measured_renyi_lower", "pure/ill", i, 0.05, 1.0, us=us)
+              for i, us in enumerate([300.0, 500.0, 400.0])]
+    parent.append(row("test_measured", "pure/ill", 0, 0.05, 1.0, us=250.0))
+    change = [row("measured_renyi_lower", "pure/ill", i, 0.05, 1.0, us=us)
+              for i, us in enumerate([200.0, 260.0])]
+    change.append(row("test_measured", "pure/ill", 0, 0.05, 1.0, us=180.0))
+    per_call = measured_ab.call_medians({"parent": parent, "change": change})
+    assert per_call == {
+        "measured_renyi_lower": {"parent": 400.0, "change": 230.0},
+        "test_measured": {"parent": 250.0, "change": 180.0},
+    }
+    table = measured_ab.format_summary([], {"parent": 2.0, "change": 0.5}, per_call)
+    assert table.splitlines()[1:3] == [
+        "median per call, measured_renyi_lower: parent 400 us, change 230 us",
+        "median per call, test_measured: parent 250 us, change 180 us",
+    ]
