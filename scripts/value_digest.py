@@ -4,8 +4,10 @@
 The inputs are random pairs at d = 2, 3, 4 and 8 (full rank, sigma
 rank-deficient, rho rank-deficient, pure rho), a pair whose leak out of
 supp sigma sits just below and just above the support-test slack, the
-near-product pair and a qubit pair whose sigma has an eigenvalue of 1e-8
-(drawn from its own generator, so the other pairs keep their draws); the
+near-product pair, a qubit pair whose sigma has an eigenvalue of 1e-8 and
+a qutrit pair of orthogonal supports under a random unitary (each drawn
+from its own generator, so the other pairs keep their draws), and a
+qutrit pair whose supports overlap by 5e-9, pure rho = |0><0|; the
 evaluations cover the divergence layer, the z -> 0 profile (the
 eigenvalue blocks of both spectra, equality-case gaps, both genericity
 conditions and the extrapolation oracle at two alphas), the maximal
@@ -120,6 +122,13 @@ def pairs():
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     sigma = HermitianOperator((u * [1e-8, 1.0 - 1e-8]) @ u.conj().T)
     out.append(("illcond2", rand_density(rng, 2), sigma))
+    rng = np.random.default_rng([SEED, 3])
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    rho = HermitianOperator((u[:, :2] * [0.7, 0.3]) @ u[:, :2].conj().T)
+    out.append(("orth3", rho, HermitianOperator(u[:, 2:] @ u[:, 2:].conj().T)))
+    phi = np.array([[5e-9], [math.sqrt(1.0 - 2.5e-17)], [0.0]])
+    sigma = HermitianOperator(0.6 * (phi @ phi.T))
+    out.append(("band3", HermitianOperator(np.diag([1.0, 0.0, 0.0])), sigma))
     return out
 
 
