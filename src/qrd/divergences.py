@@ -103,10 +103,12 @@ def _log_q(pair, alpha: float, z: float) -> float:
     divided (in logs) by its largest power on U's support where b's in M
     M^dag pass LOG_POWER_MAX, z = 1 included.  The singular values keep the
     small ones that the eigenvalues of M M^dag would square into rounding.
-    -inf when Q = 0 (alpha < 1 and orthogonal supports).
+    -inf below alpha = 1 on the record's disjoint supports, where Q = 0.
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
+    if alpha < 1.0 and pair.disjoint:
+        return -math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     bn = b[kb] / b[0]
     if z == alpha:
@@ -289,13 +291,11 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """
     check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
-    if alpha > 1.0 and not pair.included:
+    if (pair.disjoint if alpha < 1.0 else not pair.included):
         return math.inf
     # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag,
     # summed with lam and b divided by their largest, so no power under- or overflows
     lam, q, on = pair.ratio_cut
-    if not on.any():
-        return math.inf
     b, _, kb = pair.sigma_cut
     lam, top = lam[on], lam[-1]
     mass = (b[kb] / b[0]) @ np.abs(q[:, on]) ** 2

@@ -213,6 +213,8 @@ def _sweep_z(mode: str, alpha: float, z_fixed: float | None, kappa: float) -> fl
         return alpha
     if mode == "alpha-half":
         return alpha / 2.0
+    if kappa == 0.0:
+        raise BadParamsError("--kappa must be nonzero for z-mode alpha-minus-1-over-kappa")
     return (alpha - 1.0) / kappa
 
 
@@ -395,6 +397,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _apply_config(parser, args)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise BadParamsError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,7 +260,7 @@ class _Pair:
     sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
     eigensystem of that sandwich; so are i_bounds and j_bounds, the blocks
     of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
-    limit reads.  The kernels read the arrays and never write them.
+    limit reads, and disjoint, included's alpha < 1 twin.  Kernels never write them.
     """
 
     rho: np.ndarray
@@ -276,6 +276,11 @@ class _Pair:
     def weights(self) -> np.ndarray:
         """|U_ij|^2 over rho's kept (rows) and sigma's kept (columns) eigenvalues."""
         return np.abs(self.overlap[self.rho_cut[2]][:, self.sigma_cut[2]]) ** 2
+
+    @cached_property
+    def disjoint(self) -> bool:
+        """Orthogonal supports (+inf below alpha = 1): no kept |U_ij| exceeds SUPPORT_RTOL."""
+        return not self.weights.max() > SUPPORT_RTOL**2
 
     @cached_property
     def rho_in_sigma(self) -> np.ndarray:

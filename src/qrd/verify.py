@@ -691,6 +691,8 @@ def run_suite(name: str, trials: int, seed: int) -> list[ResultRecord]:
         raise BadParamsError(f"unknown suite {name!r}; choose from {SUITES}")
     if trials < 1:
         raise BadParamsError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise BadParamsError(f"seed must be non-negative, got {seed}")
     # suite <name> is the generator _<name>_trial, plus _<name>_fixed if it has fixed cases
     trial, fixed = globals()[f"_{name}_trial"], globals().get(f"_{name}_fixed")
     records = _records(name, "fixed", fixed()) if fixed else []

@@ -220,15 +220,13 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
 def zero_z_oracle(rho, sigma, alpha: float) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over the halving grid ORACLE_Z_NODES.
 
-    +inf above alpha = 1 when rho leaks out of sigma's support, as at every z.
+    +inf where every z is: on a support leak above alpha = 1, on disjoint supports below.
     """
     check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
-    if alpha > 1.0 and not pair.included:
+    if (pair.disjoint if alpha < 1.0 else not pair.included):
         return math.inf
     d0, d1, d2 = _oracle_nodes(pair, alpha)
-    if math.isinf(d2):  # Y = 0 at every node: the supports are orthogonal (alpha < 1)
-        return math.inf
     r01 = 2.0 * d1 - d0
     r12 = 2.0 * d2 - d1
     return (4.0 * r12 - r01) / 3.0

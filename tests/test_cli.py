@@ -113,6 +113,16 @@ def test_sweep_csv_with_out_of_domain_cells(capsys, state_files):
     assert not lines[4].endswith(",")
 
 
+def test_sweep_with_kappa_zero_exits_three(capsys, state_files):
+    rho, sigma = state_files
+    code, out, err = run_cli(
+        capsys, "sweep", "--alpha-grid", "1.5", "--z-mode", "alpha-minus-1-over-kappa",
+        "--kappa", "0", "--rho", rho, "--sigma", sigma,
+    )
+    assert (code, out) == (3, "")
+    assert "--kappa" in err
+
+
 def test_sweep_rejects_bad_grid(capsys, state_files):
     rho, sigma = state_files
     code, _, _ = run_cli(
@@ -176,6 +186,31 @@ def test_channel_seed_required(capsys, tmp_path):
     )
     assert code == 3
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("channel", "--kind", "petz", "--seed", "-1"), None),
+        (("verify", "--suite", "alt", "--trials", "1", "--seed", "-1"), None),
+        (("eval", "--kind", "measured", "--alpha", "0.3", "--seed", "-2"), None),
+        (("verify", "--suite", "alt", "--trials", "1", "--seed", "1"), {"seed": -1}),
+    ],
+)
+def test_negative_seed_exits_three(capsys, tmp_path, state_files, argv, config):
+    """A negative seed, from a flag or a config file, is a parameter domain violation."""
+    rho, sigma = state_files
+    n1, n2 = tmp_path / "id.json", tmp_path / "dep.json"
+    dump_channel(identity_channel(2), n1)
+    dump_channel(depolarizing_channel(0.2), n2)
+    extra = {"channel": ("--n1", str(n1), "--n2", str(n2)), "eval": ("--rho", rho, "--sigma", sigma)}
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        extra["verify"] = ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv, *extra.get(argv[0], ()))
+    assert (code, out) == (3, "")
+    assert "seed must be non-negative" in err
 
 
 def test_channel_whitelist_exit_four(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Core divergence family: special cases, orderings, support behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,60 @@ def test_orthogonal_supports_below_one_are_infinite_at_every_z(alpha):
     assert d_hat_alpha(rho, sigma, alpha) == math.inf
     assert zero_z_divergence(rho, sigma, alpha).value == math.inf
     assert pinch_exp(rho, sigma, alpha) == 0.0
+
+
+def rotated_orthogonal_pairs():
+    """Ten pairs per d = 2, 3, 4 of complementary ranks on the columns of a random unitary.
+
+    The supports are exactly orthogonal, but the unitary leaves overlap
+    dust of rounding size between the computed eigenvectors.
+    """
+    rng = np.random.default_rng(2029)
+    for d in (2, 3, 4):
+        for k in range(10):
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            r = 1 + k % (d - 1)
+            a, b = rng.uniform(0.1, 1.0, r), rng.uniform(0.1, 1.0, d - r)
+            yield (u[:, :r] * a) @ u[:, :r].conj().T, (u[:, r:] * b) @ u[:, r:].conj().T
+
+
+def band_pair(c):
+    """rho = |0><0| and a rank-one sigma whose eigenvector meets |0> by c."""
+    phi = np.array([[c], [math.sqrt(1.0 - c * c)], [0.0]])
+    return np.diag([1.0, 0.0, 0.0]), 0.6 * (phi @ phi.T)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_one_orthogonal_supports_rule_below_one(alpha):
+    """Every kind is +inf on rounded orthogonal supports and finite on an overlap above the dust.
+
+    Measured and test values on overlaps of 5e-9 and 1e-10 lie at or
+    below Petz, at or below sandwiched from alpha = 1/2 on, and equal it
+    (-log F of the pure rho) at alpha = 1/2.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, sigma in rotated_orthogonal_pairs():
+            for z in (0.5, 1.0, alpha, 2.0, math.inf, 0.0):
+                assert d_alpha_z(rho, sigma, DivergenceParams(alpha, z)).d_value == math.inf, z
+            assert d_hat_alpha(rho, sigma, alpha) == math.inf
+            assert zero_z_divergence(rho, sigma, alpha).value == math.inf
+            assert zero_z_oracle(rho, sigma, alpha) == math.inf
+            assert measured_renyi_lower(rho, sigma, alpha, seed=1).value == math.inf
+            assert measured_by_test(rho, sigma, alpha).value == math.inf
+        for c in (5e-9, 1e-10):
+            rho, sigma = band_pair(c)
+            petz = d_alpha_z(rho, sigma, DivergenceParams(alpha, 1.0)).d_value
+            sandwiched = d_alpha_z(rho, sigma, DivergenceParams(alpha, alpha)).d_value
+            for value in (
+                measured_renyi_lower(rho, sigma, alpha, seed=1).value,
+                measured_by_test(rho, sigma, alpha).value,
+            ):
+                assert math.isfinite(value) and value <= petz, (c, value)
+                if alpha >= 0.5:
+                    assert value <= sandwiched * (1.0 + 1e-9), (c, value, sandwiched)
+                if alpha == 0.5:
+                    assert value == pytest.approx(sandwiched, rel=1e-12), (c, value)
 
 
 def test_variational_objective_rejects_a_leaking_rho():

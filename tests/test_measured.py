@@ -148,20 +148,26 @@ def test_orthogonal_supports_below_one_are_certified_infinite(alpha):
         assert p[0] == pytest.approx(1.0, abs=1e-15) and q[1] == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("overlaps, finite", [((5e-9,), False), ((2e-8,), True), ((8e-9, 8e-9), True)])
-def test_orthogonality_band_below_one(overlaps, finite):
-    """Supports count as disjoint when the overlap block has 2-norm at most 1e-8.
+@pytest.mark.parametrize(
+    "overlaps, finite_only", [((5e-9,), False), ((2e-8,), True), ((8e-9, 8e-9), True)]
+)
+def test_orthogonality_band_below_one(overlaps, finite_only):
+    """Supports count as disjoint only when no kept overlap exceeds the 1e-12 dust.
 
-    rho = |0><0| and sigma's eigenvectors meet |0> by the given overlaps.
-    The block's largest entry bounds its 2-norm from below, so 2e-8 decides
-    alone; two entries of 8e-9 leave the test to the 2-norm, 8e-9 sqrt 2.
+    rho = |0><0| and sigma's eigenvectors meet |0> by the given overlaps,
+    all above the dust, so both bounds are finite; on a single overlap
+    both equal the sandwiched value at alpha = 1/2, -log F of the pure rho,
+    which the measurement {|0><0|, I - |0><0|} certifies.
     """
     phi = np.zeros((3, len(overlaps)))
     for j, c in enumerate(overlaps):
         phi[0, j], phi[j + 1, j] = c, math.sqrt(1.0 - c * c)
     rho, sigma = np.diag([1.0, 0.0, 0.0]), phi @ np.diag([0.6, 0.4][: len(overlaps)]) @ phi.T
+    sandwiched = d_alpha_z(rho, sigma, DivergenceParams(0.5, 0.5)).d_value
     for res in (measured_renyi_lower(rho, sigma, 0.5), measured_by_test(rho, sigma, 0.5)):
-        assert math.isfinite(res.value) == finite, res.value
+        assert math.isfinite(res.value), res.value
+        if not finite_only:
+            assert res.value == pytest.approx(sandwiched, rel=1e-12), (res.value, sandwiched)
 
 
 def test_scored_weights_are_the_per_factor_squared_norms(rng):

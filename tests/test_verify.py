@@ -16,6 +16,11 @@ def test_unknown_suite_rejected():
         run_suite("alt", 0, 0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(BadParamsError, match="seed"):
+        run_suite("alt", 1, -1)
+
+
 def test_all_suites_pass_a_smoke_trial():
     for name in SUITES:
         records = run_suite(name, 1, 4242)
