@@ -24,6 +24,7 @@ from .opcore import (
     HermitianOperator,
     _array_pair,
     _checked_pair,
+    _cut_spectrum,
     _dk_grad,
     _exp_or_inf,
     _log_pinch_exp,
@@ -36,11 +37,6 @@ from .opcore import (
 
 #: relative slack for the self-check inequalities (ALT chain, domination)
 REL_SLACK = 1e-9
-
-#: eigenvalues or singular values of the inner matrix below this (relative)
-#: are treated as exact zeros; deliberately at machine level, not the input
-#: support cutoff, because ratio^(1/z) eigenvalues are data rather than noise
-INNER_FLOOR_RTOL = 1e-15
 
 #: largest log of a power of sigma's eigenvalue ratios that _log_q forms as is
 LOG_POWER_MAX = 0.5 * math.log(np.finfo(float).max)
@@ -76,17 +72,16 @@ def _power(cut, x: float) -> np.ndarray:
 
 
 def _log_sum_powers(values: np.ndarray, expo: float) -> float:
-    """log of the sum of expo-th powers of the nonnegligible eigenvalues or singular values.
+    """log of the sum of expo-th powers of nonnegative eigenvalues or singular values.
 
     The values are divided by the largest, so no power under- or overflows;
-    -inf when they are all 0.
+    -inf when they are all 0 or none is given.
     """
     w = values.tolist()
-    top = max(w)
+    top = max(w, default=0.0)
     if not top > 0.0:
         return -math.inf
-    terms = ((x / top) ** expo for x in w if x > INNER_FLOOR_RTOL * top)
-    return math.log(math.fsum(terms)) + expo * math.log(top)
+    return math.log(math.fsum((x / top) ** expo for x in w)) + expo * math.log(top)
 
 
 def _log_q(pair, alpha: float, z: float) -> float:
@@ -95,25 +90,28 @@ def _log_q(pair, alpha: float, z: float) -> float:
     On the kept eigenvalues, divided by their largest a_max and b_max
     (alpha log a_max + (1 - alpha) log b_max is added back), Q is at z = 1
     sum_ij a_i^alpha |U_ij|^2 b_j^(1-alpha), with no eigensolve; at z =
-    alpha the alpha-th power sum of the eigenvalues of diag(b^y) R
+    alpha >= 1/2 the alpha-th power sum of the eigenvalues of diag(b^y) R
     diag(b^y), y = (1-alpha)/2alpha, R the record's rho_in_sigma; at any
     other z the 2z-th power sum of the singular values of M =
     diag(a^(alpha/2z)) U diag(b^((1-alpha)/2z)), where M M^dag = A S A for
     A = rho^(alpha/2z) and S = sigma^((1-alpha)/z) in rho's eigenbasis, M
     divided (in logs) by its largest power on U's support where b's in M
     M^dag pass LOG_POWER_MAX, z = 1 included.  The singular values keep the
-    small ones that the eigenvalues of M M^dag would square into rounding.
-    -inf below alpha = 1 on the record's disjoint supports, where Q = 0.
+    small ones that the eigenvalues of M M^dag would square into rounding,
+    and s^2z lifts to O(1) at small z.  Each inner matrix has the record's
+    rank: its rank largest values are summed, with no cut of their own,
+    and log Q is -inf where the rank is 0 (orthogonal supports, Q = 0).
     """
     if alpha > 1.0 and not pair.included:
         return math.inf
-    if alpha < 1.0 and pair.disjoint:
+    if not pair.rank:
         return -math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     bn = b[kb] / b[0]
-    if z == alpha:
+    if z == alpha >= 0.5:
         s = bn ** ((1.0 - alpha) / (2.0 * alpha))
-        log_q = _log_sum_powers(np.linalg.eigvalsh(s[:, None] * pair.rho_in_sigma * s), z)
+        w = np.linalg.eigvalsh(s[:, None] * pair.rho_in_sigma * s)
+        log_q = _log_sum_powers(w[-pair.rank:], z)
     elif z == 1.0 and (1.0 - alpha) * math.log(bn[-1]) <= LOG_POWER_MAX:
         c = (a[ka] / a[0]) ** alpha @ pair.weights
         on = c > 0.0  # a zero column must not meet a b_j^(1-alpha) that overflows
@@ -129,7 +127,7 @@ def _log_q(pair, alpha: float, z: float) -> float:
         else:
             m = ((a[ka] / a[0]) ** x)[:, None] * u * bn**y
         s = np.linalg.svd(m, compute_uv=False)
-        log_q = _log_sum_powers(s, 2.0 * z) + 2.0 * z * shift
+        log_q = _log_sum_powers(s[:pair.rank], 2.0 * z) + 2.0 * z * shift
     return log_q + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
 
 
@@ -139,8 +137,9 @@ def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     The value is the kernels' (_log_q, _log_pinch_exp); the gradients are
     built in matrix form.  At finite z, dQ = z Tr Y^(z-1) dY for Y = A S A gives
     grad_rho Q = z DK_A[S A Y^(z-1) + Y^(z-1) A S] and grad_sigma Q =
-    z DK_S[A Y^(z-1) A], Y^(z-1) cut at INNER_FLOOR_RTOL (the identity at
-    z = 1, where Q is linear in Y).
+    z DK_S[A Y^(z-1) A], Y^(z-1) taken on the positive ones of Y's rank
+    largest eigenvalues, rank the record's (the identity at z = 1, where Q
+    is linear in Y).
     """
     pair = _array_pair(rho, sigma)
     log_q = _log_pinch_exp(pair, alpha) if math.isinf(z) else _log_q(pair, alpha, z)
@@ -157,7 +156,7 @@ def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
         ymat = np.eye(len(y))
         if z != 1.0:
             yw, yv = np.linalg.eigh(0.5 * (y + y.conj().T))
-            on = yw > INNER_FLOOR_RTOL * max(float(yw[-1]), 0.0)
+            on = (np.arange(len(yw)) >= len(yw) - pair.rank) & (yw > 0.0)
             ymat = _rebuild((yw, yv, on), lambda w: w ** (z - 1.0))
         cr, cs = smat @ amat @ ymat + ymat @ amat @ smat, amat @ ymat @ amat
         gr = z * _dk_grad(pair.rho_cut, lambda w: w**pa, lambda w: pa * w ** (pa - 1), cr)
@@ -291,7 +290,7 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """
     check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
-    if (pair.disjoint if alpha < 1.0 else not pair.included):
+    if (not pair.rank if alpha < 1.0 else not pair.included):
         return math.inf
     # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag,
     # summed with lam and b divided by their largest, so no power under- or overflows
@@ -354,8 +353,10 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
     h = as_operator(H).entries
     rh = _power(pair.rho_cut, alpha / (2.0 * z))
     sh = _power(pair.sigma_cut, (alpha - 1.0) / (2.0 * z))
-    t1 = _log_sum_powers(np.linalg.eigvalsh(rh @ h @ rh), z / alpha)
-    t2 = _log_sum_powers(np.linalg.eigvalsh(sh @ h @ sh), z / (alpha - 1.0))
+    w1, _, on1 = _cut_spectrum(np.linalg.eigvalsh(rh @ h @ rh), None)
+    w2, _, on2 = _cut_spectrum(np.linalg.eigvalsh(sh @ h @ sh), None)
+    t1 = _log_sum_powers(w1[on1], z / alpha)
+    t2 = _log_sum_powers(w2[on2], z / (alpha - 1.0))
     return alpha * _exp_or_inf(t1) + (1.0 - alpha) * _exp_or_inf(t2)
 
 

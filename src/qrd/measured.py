@@ -260,8 +260,8 @@ def _measured_pair(pair, alpha: float):
     measurement (its factors) as witness and no view: rho failing the
     divergence family's support test (alpha >= 1), so that a value stays
     finite wherever the sandwiched divergence it bounds is, and the
-    record's disjoint supports (alpha < 1).  For alpha >= 1 a rho that passed is
-    compressed to sigma's support, as the divergence family's kernels do:
+    record's orthogonal supports (rank 0, alpha < 1).  For alpha >= 1 a
+    rho that passed is compressed to sigma's support, as the kernels do:
     its leak of at most SUPPORT_TEST_SLACK would otherwise face
     sigma-weights that the cutoff set to zero, and an outcome catching it
     would certify a value far above the sandwiched divergence.  Roots are
@@ -271,7 +271,7 @@ def _measured_pair(pair, alpha: float):
     check_alpha(alpha)
     (_, v, kept), (w, u, on) = pair.rho_cut, pair.sigma_cut
     n, rho, rho_cut, tr = int(np.count_nonzero(on)), pair.rho, pair.rho_cut, pair.tr
-    if alpha < 1.0 and pair.disjoint:
+    if alpha < 1.0 and not pair.rank:
         return None, (v[:, kept], v[:, ~kept])
     if alpha >= 1.0 and not pair.included:
         return None, (u[:, n:], u[:, :n])

@@ -260,7 +260,7 @@ class _Pair:
     sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
     eigensystem of that sandwich; so are i_bounds and j_bounds, the blocks
     of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
-    limit reads, and disjoint, included's alpha < 1 twin.  Kernels never write them.
+    limit reads, and rank, 0 on orthogonal supports.  Kernels never write them.
     """
 
     rho: np.ndarray
@@ -278,9 +278,12 @@ class _Pair:
         return np.abs(self.overlap[self.rho_cut[2]][:, self.sigma_cut[2]]) ** 2
 
     @cached_property
-    def disjoint(self) -> bool:
-        """Orthogonal supports (+inf below alpha = 1): no kept |U_ij| exceeds SUPPORT_RTOL."""
-        return not self.weights.max() > SUPPORT_RTOL**2
+    def rank(self) -> int:
+        """Rank of U_kept, so of every finite-z kernel's inner matrix: 0 on orthogonal supports."""
+        ka, kb = self.rho_cut[2], self.sigma_cut[2]
+        if ka.all() or kb.all():  # U_kept's rows or columns are orthonormal
+            return int(min(np.count_nonzero(ka), np.count_nonzero(kb)))
+        return int(np.sum(np.linalg.svd(self.overlap[ka][:, kb], compute_uv=False) > SUPPORT_RTOL))
 
     @cached_property
     def rho_in_sigma(self) -> np.ndarray:

@@ -220,11 +220,11 @@ def _oracle_nodes(pair, alpha: float) -> list[float]:
 def zero_z_oracle(rho, sigma, alpha: float) -> float:
     """Richardson extrapolation of D_{alpha,z} to z = 0 over the halving grid ORACLE_Z_NODES.
 
-    +inf where every z is: on a support leak above alpha = 1, on disjoint supports below.
+    +inf where every z is: on a support leak above alpha = 1, on orthogonal supports below.
     """
     check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
-    if (pair.disjoint if alpha < 1.0 else not pair.included):
+    if (not pair.rank if alpha < 1.0 else not pair.included):
         return math.inf
     d0, d1, d2 = _oracle_nodes(pair, alpha)
     r01 = 2.0 * d1 - d0
@@ -255,7 +255,7 @@ def zero_z_divergence(rho, sigma, alpha: float) -> ZeroZResult:
 
 def _zero_z_divergence(pair: _Pair, alpha: float) -> ZeroZResult:
     """zero_z_divergence on a pair record."""
-    if alpha > 1.0 and not pair.included:
+    if (not pair.rank if alpha < 1.0 else not pair.included):
         return ZeroZResult(math.inf, False, ())
     val = _valuations(pair, alpha)
     na, nb = val.shape
@@ -267,7 +267,7 @@ def _zero_z_divergence(pair: _Pair, alpha: float) -> ZeroZResult:
             )
     agree, pairs = _closed_form_agreement(val, pivots, len(pair.overlap), alpha > 1.0)
     used_fallback = not (agree == pairs == len(pivots))
-    if not pivots:  # the supports are orthogonal (alpha < 1)
+    if not pivots:  # rank >= 1, but no overlap above the elimination's MINOR_DEAD
         return ZeroZResult(math.inf, used_fallback, pivots)
     # log of the sum of the limit eigenvalues a_i^alpha b_j^(1-alpha), taken in logs
     i, j = np.array(pivots).T

@@ -15,7 +15,6 @@ from qrd.channels import (
 )
 from qrd.classical import classical_q, classical_renyi
 from qrd.divergences import (
-    INNER_FLOOR_RTOL,
     DivergenceParams,
     alt_chain,
     d_alpha_z,
@@ -49,7 +48,7 @@ from qrd.opcore import (
     supported_power,
 )
 from qrd.verify import rand_density, rand_pure
-from qrd.zlimits import equality_case_check, zero_z_divergence, zero_z_oracle
+from qrd.zlimits import ZeroZResult, equality_case_check, zero_z_divergence, zero_z_oracle
 
 
 def diag_pair():
@@ -202,6 +201,23 @@ def rotated_orthogonal_pairs():
             r = 1 + k % (d - 1)
             a, b = rng.uniform(0.1, 1.0, r), rng.uniform(0.1, 1.0, d - r)
             yield (u[:, :r] * a) @ u[:, :r].conj().T, (u[:, r:] * b) @ u[:, r:].conj().T
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_orthogonal_supports_at_z_zero_are_a_support_infinity(alpha):
+    """At z = 0 orthogonal supports read +inf from the record's rank 0, not as the nongeneric fallback."""
+    for rho, sigma in rotated_orthogonal_pairs():
+        assert zero_z_divergence(rho, sigma, alpha) == ZeroZResult(math.inf, False, ())
+        assert d_alpha_z(rho, sigma, DivergenceParams(alpha, 0.0)).notes == ()
+
+
+def test_q_at_alpha_one_is_zero_on_orthogonal_supports():
+    """Q_{1,z} = Tr (rho^(1/2z) sigma^0 rho^(1/2z))^z is exactly 0 where the record's rank is 0."""
+    for rho, sigma in rotated_orthogonal_pairs():
+        for z in (0.5, 1.0, 2.0):
+            assert q_alpha_z(rho, sigma, DivergenceParams(1.0, z)) == 0.0, z
+        res = alt_chain(rho, sigma, 1.0, 0.5, 1.0)
+        assert (res.q_z1, res.q_z2, res.upper) == (0.0, 0.0, 0.0)
 
 
 def band_pair(c):
@@ -424,10 +440,29 @@ def test_one_value_per_renyi_formula(alpha):
             assert _renyi_grad(rho, sigma, alpha, z)[0] == lib, (alpha, z)
 
 
+def test_renyi_gradient_is_finite_where_a_kept_eigenvalue_of_y_rounds_to_zero():
+    """The gradient leaves out a kept eigenvalue of Y that eigh returns at or below 0.
+
+    Y = A S A has the record's rank, but its smallest kept eigenvalue,
+    ~1e-22 here, can come out of eigh at or below 0, where Y^(z-1) is not
+    finite.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        u, w = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0] for _ in "uw")
+        rho, sigma = (u * [1.0, 3e-12, 0.0]) @ u.conj().T, (w * [1.0, 1e-6, 3e-12]) @ w.conj().T
+        value, g_rho, g_sigma = _renyi_grad(rho, sigma, 0.7, 0.5)
+        assert math.isfinite(value) and np.isfinite(g_rho).all() and np.isfinite(g_sigma).all()
+
+
 def test_one_value_for_umegaki():
     for rho, sigma in formula_pairs():
         assert _umegaki_grad(rho, sigma)[0] == umegaki(rho, sigma)
 
+
+
+#: matrix_q's cut on the eigenvalues of A S A, relative to the largest
+INNER_FLOOR_RTOL = 1e-15
 
 
 def matrix_q(rho, sigma, alpha, z):
@@ -604,3 +639,72 @@ def test_d_hat_alpha_keeps_small_ratio_eigenvalues_on_an_ill_conditioned_sigma(a
     want = mp_d_hat_alpha(rho, sigma, alpha)
     got = d_hat_alpha(rho, sigma, alpha)
     assert abs(got - want) <= 1e-6 * abs(want), (got, want)
+
+
+#: digits of the (alpha, z) reference, and the relative size below which its eigenvalues are exact zeros
+MP_DPS = 160
+MP_STRUCTURAL_ZERO = 1e-150
+
+
+def mp_d_alpha_z(rho, sigma, alpha, z):
+    """D_{alpha,z} from Tr (A S A)^z, A = rho^(alpha/2z) and S = sigma^((1-alpha)/z), at MP_DPS digits.
+
+    mp.eighe of the float entries, so the reference is the value of the
+    pair as given; only structural zeros, eigenvalues below
+    MP_STRUCTURAL_ZERO times the largest, are dropped, from rho, sigma
+    and A S A alike.
+    """
+    import mpmath as mp
+
+    with mp.workdps(MP_DPS):
+        floor = mp.mpf(MP_STRUCTURAL_ZERO)
+
+        def power(m, p):
+            w, v = mp.eighe(m)
+            top = max(w)
+            return v * mp.diag([x**p if x > floor * top else 0 for x in w]) * v.H
+
+        r, s = (mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in m]) for m in (rho, sigma))
+        r, s = (r + r.H) / 2, (s + s.H) / 2
+        alpha, z = mp.mpf(alpha), mp.mpf(z)
+        a = power(r, alpha / (2 * z))
+        y = a * power(s, (1 - alpha) / z) * a
+        w = mp.eighe((y + y.H) / 2)[0]
+        q = mp.fsum(x**z for x in w if x > floor * max(w))
+        tr = mp.re(sum(r[i, i] for i in range(r.rows)))
+        return float((mp.log(q) - mp.log(tr)) / (alpha - 1))
+
+
+def mp_reference_pairs():
+    """Four pairs per d = 2, 3, 4, 8 with random sigma, rho of full rank or with an exact kernel.
+
+    The last rho has eigenvalues logspaced from 1 to 1e-4 under a random unitary.
+    """
+    rng = np.random.default_rng(33)
+    for d in (2, 3, 4, 8):
+        for k in range(4):
+            rho, sigma = rand_density(rng, d).entries, rand_density(rng, d).entries
+            if k == 2:
+                rho = np.zeros((d, d), dtype=complex)
+                rho[: d - 1, : d - 1] = rand_density(rng, d - 1).entries
+            elif k == 3:
+                u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                rho = (u * np.logspace(0, -4, d)) @ u.conj().T
+                rho /= np.trace(rho).real
+            yield d, rho, sigma
+
+
+@pytest.mark.parametrize("alpha, z", [(0.05, 0.05), (0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.7, 0.1)])
+def test_small_z_values_match_a_high_precision_reference(alpha, z):
+    """Sandwiched below alpha = 1/2, and a general (alpha, z), within 1e-12 relative at d <= 4.
+
+    s^2z lifts an inner value s of the pair to O(1) at small z, so no
+    relative cut on the inner matrix may drop one: a cut at 1e-15 read up
+    to 15 relative off at alpha = 0.05, and 4.9e-3 at (0.7, 0.1).  d = 8
+    is held to 1e-8, as singular values are resolved only to about eps
+    times the largest.
+    """
+    for d, rho, sigma in mp_reference_pairs():
+        want = mp_d_alpha_z(rho, sigma, alpha, z)
+        got = d_alpha_z(rho, sigma, DivergenceParams(alpha, z)).d_value
+        assert abs(got - want) <= (1e-12 if d <= 4 else 1e-8) * abs(want), (d, got, want)

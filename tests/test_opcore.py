@@ -173,6 +173,20 @@ def test_support_cutoff_is_relative_to_the_largest_eigenvalue():
     assert d_alpha_z(on_kept, sigma, params).d_value == pytest.approx(-np.log(4.0 * 2e-12))
 
 
+def test_pair_rank_is_the_rank_of_the_kept_overlap(rng):
+    """min of the support ranks when a support is full, else U_kept's rank above SUPPORT_RTOL."""
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    cases = [
+        (rand_density(rng, 4, rank=2), rand_density(rng, 4), 2),
+        (rand_density(rng, 4), rand_density(rng, 4, rank=3), 3),
+        (rand_density(rng, 4, rank=2), rand_density(rng, 4, rank=3), 2),
+        ((u[:, :2] * 0.5) @ u[:, :2].conj().T, (u[:, 1:] / 3.0) @ u[:, 1:].conj().T, 1),
+        ((u[:, :2] * 0.5) @ u[:, :2].conj().T, (u[:, 2:] * 0.5) @ u[:, 2:].conj().T, 0),
+    ]
+    for rho, sigma, rank in cases:
+        assert _checked_pair(rho, sigma).rank == rank
+
+
 def test_pair_record_is_cached_per_operator_pair(rng):
     rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
     pair = _checked_pair(rho, sigma)
