@@ -449,7 +449,7 @@ def test_renyi_gradient_is_finite_where_a_kept_eigenvalue_of_y_rounds_to_zero():
     """
     rng = np.random.default_rng(0)
     for _ in range(40):
-        u, w = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0] for _ in "uw")
+        u, w = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0] for _ in range(2))
         rho, sigma = (u * [1.0, 3e-12, 0.0]) @ u.conj().T, (w * [1.0, 1e-6, 3e-12]) @ w.conj().T
         value, g_rho, g_sigma = _renyi_grad(rho, sigma, 0.7, 0.5)
         assert math.isfinite(value) and np.isfinite(g_rho).all() and np.isfinite(g_sigma).all()
@@ -701,8 +701,8 @@ def test_small_z_values_match_a_high_precision_reference(alpha, z):
     s^2z lifts an inner value s of the pair to O(1) at small z, so no
     relative cut on the inner matrix may drop one: a cut at 1e-15 read up
     to 15 relative off at alpha = 0.05, and 4.9e-3 at (0.7, 0.1).  d = 8
-    is held to 1e-8, as singular values are resolved only to about eps
-    times the largest.
+    keeps a wide 1e-8 bound for its larger spectra (these pairs read
+    1.1e-14 there).
     """
     for d, rho, sigma in mp_reference_pairs():
         want = mp_d_alpha_z(rho, sigma, alpha, z)
