@@ -72,7 +72,7 @@ def _power(cut, x: float) -> np.ndarray:
 
 
 def _log_sum_powers(values: np.ndarray, expo: float) -> float:
-    """log of the sum of expo-th powers of nonnegative eigenvalues or singular values.
+    """log of the sum of expo-th powers of eigenvalues or singular values; negative ones count as 0.
 
     The values are divided by the largest, so no power under- or overflows;
     -inf when they are all 0 or none is given.
@@ -81,7 +81,7 @@ def _log_sum_powers(values: np.ndarray, expo: float) -> float:
     top = max(w, default=0.0)
     if not top > 0.0:
         return -math.inf
-    return math.log(math.fsum((x / top) ** expo for x in w)) + expo * math.log(top)
+    return math.log(math.fsum((x / top) ** expo for x in w if x > 0.0)) + expo * math.log(top)
 
 
 def _log_q(pair, alpha: float, z: float) -> float:
@@ -343,20 +343,20 @@ def _variational_guard(rho, sigma, params: DivergenceParams):
 
 
 def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
-    """Lower-bound objective whose sup over PSD H equals Q_{alpha,z}.
+    """Lower-bound objective whose sup over PSD H equals Q_{alpha,z}; NotPSDError if H is not PSD.
 
-    alpha Tr(rho^{a/2z} H rho^{a/2z})^{z/a}
-    + (1 - alpha) Tr(sigma^{(a-1)/2z} H sigma^{(a-1)/2z})^{z/(a-1)}.
+    alpha Tr(rho^{a/2z} H rho^{a/2z})^{z/a} + (1 - alpha) Tr(sigma^{(a-1)/2z} H
+    sigma^{(a-1)/2z})^{z/(a-1)}, each on its rank rho or rank sigma largest eigenvalues, uncut.
     """
     pair = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z
     h = as_operator(H).entries
+    _cut_spectrum(np.linalg.eigvalsh(h), None)  # on H: at small z its compressions round below 0
+    n1, n2 = np.count_nonzero(pair.rho_cut[2]), np.count_nonzero(pair.sigma_cut[2])
     rh = _power(pair.rho_cut, alpha / (2.0 * z))
     sh = _power(pair.sigma_cut, (alpha - 1.0) / (2.0 * z))
-    w1, _, on1 = _cut_spectrum(np.linalg.eigvalsh(rh @ h @ rh), None)
-    w2, _, on2 = _cut_spectrum(np.linalg.eigvalsh(sh @ h @ sh), None)
-    t1 = _log_sum_powers(w1[on1], z / alpha)
-    t2 = _log_sum_powers(w2[on2], z / (alpha - 1.0))
+    t1 = _log_sum_powers(np.linalg.eigvalsh(rh @ h @ rh)[-n1:], z / alpha)
+    t2 = _log_sum_powers(np.linalg.eigvalsh(sh @ h @ sh)[-n2:], z / (alpha - 1.0))
     return alpha * _exp_or_inf(t1) + (1.0 - alpha) * _exp_or_inf(t2)
 
 

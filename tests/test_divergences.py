@@ -16,6 +16,7 @@ from qrd.channels import (
 from qrd.classical import classical_q, classical_renyi
 from qrd.divergences import (
     DivergenceParams,
+    _log_sum_powers,
     alt_chain,
     d_alpha_z,
     d_alpha_zero,
@@ -265,6 +266,46 @@ def test_variational_objective_rejects_a_leaking_rho():
         variational_objective(rho, sigma, DivergenceParams(1.5, 1.0), np.eye(3))
 
 
+def test_variational_objective_rejects_an_h_that_is_not_psd():
+    rho, sigma = np.diag([0.6, 0.4]), np.diag([0.5, 0.5])
+    with pytest.raises(NotPSDError):
+        variational_objective(rho, sigma, DivergenceParams(1.5, 1.0), np.diag([1.0, -0.1]))
+
+
+def test_variational_objective_accepts_its_own_maximizer_at_small_z():
+    """The PSD check reads H, not its products with rho^(a/2z) and sigma^((a-1)/2z).
+
+    At (2, 0.1) those products hold sigma^5 twice and H* sigma^-5 twice,
+    so their rounding can reach 1e-5 of the largest eigenvalue; a check
+    on them raised NotPSDError on a PSD H* for most of these pairs.
+    """
+    rng = np.random.default_rng(5)
+    params = DivergenceParams(2.0, 0.1)
+    for d in (2, 3, 4, 2, 3, 4):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        h_star = variational_optimizer_H(rho, sigma, params)
+        assert math.isfinite(variational_objective(rho, sigma, params, h_star))
+
+
+@pytest.mark.parametrize("alpha, z", [(2.0, 0.1), (1.5, 0.2), (1.3, 0.5)])
+def test_variational_objective_at_its_maximizer_is_q_at_small_z(alpha, z):
+    """The sup over H is attained at H*, also where z/alpha lifts a small eigenvalue to O(1).
+
+    On rho = diag(0.691, 0.309), sigma = I/2 at (2, 0.1) the compression
+    rho^(a/2z) H* rho^(a/2z) has eigenvalues 1e-14 apart; a cut at 1e-12
+    read 0.764 for Q = 1.146.  The pairs are diagonal, so every eigenvalue
+    is exact, and the rank-deficient rho's kernel gives exact zeros.
+    """
+    for rho, sigma in (
+        (np.diag([0.691, 0.309]), np.eye(2) / 2),
+        (np.diag([0.8, 0.2, 0.0]), np.diag([0.5, 0.3, 0.2])),
+    ):
+        params = DivergenceParams(alpha, z)
+        h_star = variational_optimizer_H(rho, sigma, params)
+        q = q_alpha_z(rho, sigma, params)
+        assert variational_objective(rho, sigma, params, h_star) == pytest.approx(q, rel=1e-12)
+
+
 def test_unnormalized_scaling_shifts_by_log(qutrit_pair):
     rho, sigma = qutrit_pair
     lam, eta = 1.7, 0.6
@@ -453,6 +494,30 @@ def test_renyi_gradient_is_finite_where_a_kept_eigenvalue_of_y_rounds_to_zero():
         rho, sigma = (u * [1.0, 3e-12, 0.0]) @ u.conj().T, (w * [1.0, 1e-6, 3e-12]) @ w.conj().T
         value, g_rho, g_sigma = _renyi_grad(rho, sigma, 0.7, 0.5)
         assert math.isfinite(value) and np.isfinite(g_rho).all() and np.isfinite(g_sigma).all()
+
+
+def test_log_sum_powers_reads_a_negative_value_as_zero():
+    """An eigensolver may return a kept eigenvalue of a PSD matrix at or below 0; it counts as 0."""
+    assert _log_sum_powers(np.array([-1e-20, 0.25, 1.0]), 0.5) == math.log(1.5)
+    assert _log_sum_powers(np.array([-1e-20, 0.0]), 0.5) == -math.inf
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 1.5])
+def test_sandwiched_on_aligned_pairs_with_near_cutoff_kept_eigenvalues(alpha):
+    """rho and sigma of rank 2 share their eigenvectors, the second kept one near the cutoff.
+
+    At z = alpha >= 1/2 the inner matrix's second eigenvalue is then
+    a_2 b_2^((1-alpha)/alpha) relative, ~1e-23 at alpha = 1/2, far below
+    rounding; Q stays the commuting pair's sum a_i^alpha b_i^(1-alpha).
+    """
+    rng = np.random.default_rng(7)
+    a, b = np.array([0.7, 2e-12, 0.0, 0.0]), np.array([0.6, 3e-12, 0.0, 0.0])
+    want = math.fsum(a[:2] ** alpha * b[:2] ** (1.0 - alpha))
+    for _ in range(20):
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        rho, sigma = (u * a) @ u.conj().T, (u * b) @ u.conj().T
+        got = q_alpha_z(rho, sigma, DivergenceParams(alpha, alpha))
+        assert got == pytest.approx(want, rel=1e-10), (alpha, got, want)
 
 
 def test_one_value_for_umegaki():
