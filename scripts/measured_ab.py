@@ -72,17 +72,13 @@ def pairs():
 
 def compute_rows() -> dict:
     """Every value of the fixed set with the running tree's qrd, its time, and the wall time."""
-    import numpy as np
-
     from qrd import measured, opcore
 
     rows, start = [], time.perf_counter()
     for cls, i, rho, sigma in pairs():
+        basis = measured._povm(measured._projective(opcore._checked_pair(rho, sigma).rho_cut[1]))
+        p, q = (measured.apply_povm(basis, m).values for m in (rho, sigma))
         for alpha in ALPHAS:
-            view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
-            basis = measured._projective(view.rho_cut[1])
-            p, q = (np.array([np.sum(np.abs(root @ f) ** 2) for f in basis])
-                    for root in (view.rho_root, view.sigma_root))
             rho_basis = float(measured._binary_values(p, q, alpha))
             for fn in (measured.measured_renyi_lower, measured.test_measured):
                 t0 = time.perf_counter()

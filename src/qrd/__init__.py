@@ -35,13 +35,13 @@ _EXPORTS = {
     ),
     "measured": ("POVM", "MeasuredResult", "measured_renyi_lower", "test_measured"),
     "opcore": (
-        "HermitianOperator", "Projection", "logn", "pinch_exp", "projection_meet",
-        "psd_leq", "support_projection", "supported_power", "trace_power",
+        "HermitianOperator", "Projection", "logn", "pinch_exp", "psd_leq",
+        "support_projection", "supported_power",
     ),
     "reversetests": (
         "MaximalDivergenceResult", "ReverseTest", "caratheodory_fixpoint",
         "caratheodory_reduce", "maximal_divergence_upper", "realized_pair",
-        "rt_f_divergence", "rt_renyi", "spectral_reverse_test", "validate_reverse_test",
+        "rt_f_divergence", "spectral_reverse_test", "validate_reverse_test",
     ),
     "serialize": ("SUITES", "dump_channel", "dump_matrix", "load_channel", "load_state"),
     "verify": ("ResultRecord", "run_suite"),

@@ -207,6 +207,11 @@ def channel_dmax_bisection(n1: Channel, n2: Channel, iters: int = 60) -> float:
     return math.inf
 
 
+def _kind_z(kind: str, alpha, z):
+    """The z of a kind's (alpha, z) divergence: alpha for sandwiched, 1 for Petz, else z."""
+    return {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
+
+
 def kind_whitelisted(kind: str, alpha: float | None = None, z: float | None = None) -> bool:
     """Monotonicity whitelist for channel optimization.
 
@@ -219,10 +224,7 @@ def kind_whitelisted(kind: str, alpha: float | None = None, z: float | None = No
     if kind not in ("daz", "sandwiched", "petz") or alpha is None:
         return False
     check_alpha(alpha)
-    if kind == "sandwiched":
-        z = alpha
-    elif kind == "petz":
-        z = 1.0
+    z = _kind_z(kind, alpha, z)
     if z is None:
         return False
     if alpha == 1.0:
@@ -272,7 +274,7 @@ def _state_grad(kind: str, alpha, z, seed: int):
         return measured
     if kind == "umegaki" or alpha == 1.0:
         return _umegaki_grad
-    z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
+    z = _kind_z(kind, alpha, z)
     return lambda rho, sigma: _renyi_grad(rho, sigma, alpha, z)
 
 
@@ -318,8 +320,7 @@ def _concave_in_input(n1: Channel, n2: Channel, kind: str, alpha, z) -> bool:
         return False
     if kind == "umegaki" or alpha == 1.0:
         return True
-    z = {"sandwiched": alpha, "petz": 1.0}.get(kind, z)
-    return z == alpha > 1.0
+    return _kind_z(kind, alpha, z) == alpha > 1.0
 
 
 def _frank_wolfe_upper(value_grad, psi: np.ndarray) -> float:

@@ -347,6 +347,11 @@ def variational_objective(rho, sigma, params: DivergenceParams, H) -> float:
 
     alpha Tr(rho^{a/2z} H rho^{a/2z})^{z/a} + (1 - alpha) Tr(sigma^{(a-1)/2z} H
     sigma^{(a-1)/2z})^{z/(a-1)}, each on its rank rho or rank sigma largest eigenvalues, uncut.
+
+    Known limit: at small z on non-commuting pairs it can be far off Q at its
+    own maximizer (up to 7.5 relative at (alpha, z) = (2, 0.1), d <= 4), as H*
+    spans about cond(sigma)^((alpha-1)/z) and its compressions lose their small
+    eigenvalues.
     """
     pair = _variational_guard(rho, sigma, params)
     alpha, z = params.alpha, params.z

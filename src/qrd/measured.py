@@ -20,14 +20,14 @@ best test lies on a great circle of the Bloch sphere with closed-form
 weights, a grid and a secant on the slope find it to an ulp of its
 angle, and it is the optimum above 1/2, the best projective one below.
 
-The searches read one view of the pair record per call (_measured_pair):
-the supported roots of rho and sigma, taken once, sigma's eigensystem,
-Tr rho and the eigensystem of sigma^-1/2 rho sigma^-1/2.  Candidates are
-tuples of factors F_k (M_k = F_k F_k^dag); only the winner becomes a POVM.
-All output is a certified lower bound: any POVM certifies its own
-classical divergence, and each weight ||rho^1/2 F_k||^2 is computed from
-the roots taken once, bit for bit as apply_povm computes it from the
-returned POVM on rho (for alpha >= 1, on rho compressed to sigma's support).
+The searches read the pair record itself (_measured_pair): its roots, the
+supported roots of rho and sigma cached on it, sigma's eigensystem, Tr rho
+and the eigensystem of sigma^-1/2 rho sigma^-1/2.  Candidates are tuples
+of factors F_k (M_k = F_k F_k^dag); only the winner becomes a POVM.  All
+output is a certified lower bound: any POVM certifies its own classical
+divergence, and each weight ||rho^1/2 F_k||^2 is computed from the
+record's roots, bit for bit as apply_povm computes it from the returned
+POVM on rho (for alpha >= 1, on rho compressed to sigma's support).
 """
 
 from __future__ import annotations
@@ -35,22 +35,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .classical import WeightVector, _renyi
-from .errors import DimMismatchError, DimTooLargeError, check_alpha
+from .errors import DimMismatchError, check_alpha
 from .opcore import (
     HermitianOperator,
     _Pair,
-    _array_pair,
     _checked_pair,
     _cut_spectrum,
     _eigh_descending,
+    _pair,
     _rebuild,
     ASCENT_MEMORY,
-    MAX_DIM,
     as_operator,
     box_geometry,
     spectral_map,
@@ -216,90 +214,67 @@ def _classical_value_grad(p: np.ndarray, q: np.ndarray, alpha: float):
     return val, dp, dq
 
 
-@dataclass(frozen=True)
-class _View:
-    """One call's arrays of a validated pair record (see _measured_pair).
+def _sigma_rank(pair: _Pair) -> int:
+    """Rank of sigma's support, whose eigenvectors come first; not pair.rank, the overlap's."""
+    return int(np.count_nonzero(pair.sigma_cut[2]))
 
-    rho is the record's rho (compressed where _measured_pair says so),
-    rho_cut its cut eigensystem and tr its trace, the roots the supported
-    square roots of rho and sigma; sigma_w, sigma_v are sigma's clamped
-    descending eigensystem, its first rank vectors spanning its support.
-    What only some searches read is built on first use.
+
+def _seed_bases(pair: _Pair) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenbases of rho + EIGENBASIS_MIX sigma and of sigma^-1/2 rho sigma^-1/2.
+
+    The second is the ratio operator's ascending eigenbasis on sigma's
+    support, after sigma's kernel.
     """
-
-    pair: _Pair
-    rho: np.ndarray
-    rho_cut: tuple[np.ndarray, np.ndarray, np.ndarray]
-    rho_root: np.ndarray
-    sigma_root: np.ndarray
-    sigma_w: np.ndarray
-    sigma_v: np.ndarray
-    rank: int
-    tr: float
-    dim: int
-
-    @cached_property
-    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigensystem of sigma^-1/2 rho sigma^-1/2, sigma's kernel first at 0."""
-        lam, q, kept = self.pair.ratio_cut
-        u, n = self.sigma_v, self.rank
-        lam = np.where(kept, lam, 0.0)  # rounding dust of rho's kernel
-        return np.concatenate([np.zeros(self.dim - n), lam]), np.hstack([u[:, n:], u[:, :n] @ q])
-
-    @cached_property
-    def seed_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenbases of rho + EIGENBASIS_MIX sigma and of the ratio operator."""
-        return np.linalg.eigh(self.rho + EIGENBASIS_MIX * self.pair.sigma)[1], self.ratios[1]
+    u, n = pair.sigma_cut[1], _sigma_rank(pair)
+    ratio = np.hstack([u[:, n:], u[:, :n] @ pair.ratio_cut[1]])
+    return np.linalg.eigh(pair.rho + EIGENBASIS_MIX * pair.sigma)[1], ratio
 
 
-def _measured_pair(pair, alpha: float):
-    """The view of a pair record and the witness of an infinite value: (view, witness).
+def _measured_pair(pair: _Pair, alpha: float):
+    """The record the searches read and the witness of an infinite value: (record, witness).
 
     The searches never certify an infinity, so the two genuine infinite
     regimes are recognized here, each with a separating support-projector
-    measurement (its factors) as witness and no view: rho failing the
+    measurement (its factors) as witness and no record: rho failing the
     divergence family's support test (alpha >= 1), so that a value stays
     finite wherever the sandwiched divergence it bounds is, and the
     record's orthogonal supports (rank 0, alpha < 1).  For alpha >= 1 a
     rho that passed is compressed to sigma's support, as the kernels do:
     its leak of at most SUPPORT_TEST_SLACK would otherwise face
     sigma-weights that the cutoff set to zero, and an outcome catching it
-    would certify a value far above the sandwiched divergence.  Roots are
-    taken from the cut eigensystems, as apply_povm takes them.  A
+    would certify a value far above the sandwiched divergence.  The
+    record is then that of (P rho P, sigma), built from sigma's cut
+    eigensystem, so every sigma-side array equals the caller's.  A
     non-positive or non-finite alpha raises BadAlphaError.
     """
     check_alpha(alpha)
-    (_, v, kept), (w, u, on) = pair.rho_cut, pair.sigma_cut
-    n, rho, rho_cut, tr = int(np.count_nonzero(on)), pair.rho, pair.rho_cut, pair.tr
+    (_, v, kept), (w, u, _), n = pair.rho_cut, pair.sigma_cut, _sigma_rank(pair)
     if alpha < 1.0 and not pair.rank:
         return None, (v[:, kept], v[:, ~kept])
     if alpha >= 1.0 and not pair.included:
         return None, (u[:, n:], u[:, :n])
     if alpha >= 1.0 and n < len(w):
-        m = u[:, :n] @ (u[:, :n].conj().T @ rho @ u[:, :n]) @ u[:, :n].conj().T
+        m = u[:, :n] @ (u[:, :n].conj().T @ pair.rho @ u[:, :n]) @ u[:, :n].conj().T
         rho = 0.5 * (m + m.conj().T)
-        rho_cut, tr = _cut_spectrum(*_eigh_descending(rho)), float(np.real(np.trace(rho)))
-    return _View(
-        pair, rho, rho_cut, _rebuild(rho_cut, np.sqrt), _rebuild(pair.sigma_cut, np.sqrt),
-        w, u, n, tr, len(w),
-    ), None
+        pair = _pair(rho, _eigh_descending(rho), pair.sigma, (w, u))
+    return pair, None
 
 
-def _scored(view: _View, cands, alpha: float):
+def _scored(pair: _Pair, cands, alpha: float):
     """The first best of candidate factor tuples: (value, factors, p, q).
 
     Ranked by the classical value of the weights p_k = ||rho^1/2 F_k||^2,
     q_k = ||sigma^1/2 F_k||^2, an infinity as DEMOTED.  The weights come from
-    one batched product of the roots with the factors of each column count,
-    bit for bit as apply_povm takes them from the returned POVM.
+    one batched product of the record's roots with the factors of each
+    column count, bit for bit as apply_povm takes them from the returned POVM.
     """
     flat = [f for factors in cands for f in factors]
-    roots = np.array([view.rho_root, view.sigma_root])[:, None]
+    roots = np.array(pair.roots)[:, None]
     norms = np.empty((2, len(flat)))
     for k in {f.shape[1] for f in flat}:
         at = [i for i, f in enumerate(flat) if f.shape[1] == k]
         sq = np.abs(roots @ np.array([flat[i] for i in at])) ** 2
-        norms[:, at] = sq.reshape(2, len(at), view.dim * k).sum(axis=2)
+        norms[:, at] = sq.reshape(2, len(at), len(pair.rho) * k).sum(axis=2)
     ends = itertools.accumulate(map(len, cands))
     weights = [norms[:, end - len(factors) : end] for factors, end in zip(cands, ends)]
     values = [float(_renyi(p, q, alpha)) for p, q in weights]
@@ -319,7 +294,7 @@ def _projective(basis: np.ndarray, rest: np.ndarray | None = None) -> tuple[np.n
     return tuple(factors)
 
 
-def _povm_objective(view: _View, alpha: float):
+def _povm_objective(pair: _Pair, alpha: float):
     """value_grad(V) of the rank-one POVM whose row k is v_k^dag, on rho / Tr rho.
 
     With M_k = v_k v_k^dag the weights are p_k = ||rho^1/2 v_k||^2 and
@@ -328,8 +303,8 @@ def _povm_objective(view: _View, alpha: float):
     shifts the value by log Tr rho, moving no maximizer, and keeps the
     gradient, which scales as 1 / Tr rho, finite on a tiny trace.
     """
-    rho_e, rho_root = view.rho / view.tr, view.rho_root / math.sqrt(view.tr)
-    sig_e, sig_root = view.pair.sigma, view.sigma_root
+    rho_e, rho_root = pair.rho / pair.tr, pair.roots[0] / math.sqrt(pair.tr)
+    sig_e, sig_root = pair.sigma, pair.roots[1]
 
     def value_grad(v):
         p = np.sum(np.abs(v @ rho_root) ** 2, axis=1)
@@ -342,20 +317,20 @@ def _povm_objective(view: _View, alpha: float):
     return value_grad
 
 
-def _stiefel_povms(view: _View, alpha, restarts, seed, iters, extra):
+def _stiefel_povms(pair: _Pair, alpha, restarts, seed, iters):
     """Candidate measurements of the rank-one POVM ascent: (candidates, starts, converged).
 
     A rank-one POVM with n = d^2 outcomes is an isometry V in C^(n x d),
     ascended by opcore.stiefel_ascent on _povm_objective.  The seeds are
-    the Neyman-Pearson test of _np_test, the joint and ratio eigenbases
-    and the extra seed measurements, each split into its rank-one pieces,
-    padded to n rows and mixed with SEED_SPREAD random rows; random
-    isometries follow up to restarts starts.  The candidates are the
-    seed measurements themselves and the best ascent's end point.
+    the Neyman-Pearson test of _np_test and the joint and ratio
+    eigenbases, each split into its rank-one pieces, padded to n rows and
+    mixed with SEED_SPREAD random rows; random isometries follow up to
+    restarts starts.  The candidates are the seed measurements themselves
+    and the best ascent's end point.
     """
-    d, n = view.dim, view.dim**2
-    value_grad = _povm_objective(view, alpha)
-    cands = [_np_test(view, alpha)[0], *map(_projective, view.seed_bases), *extra]
+    d, n = len(pair.rho), len(pair.rho) ** 2
+    value_grad = _povm_objective(pair, alpha)
+    cands = [_np_test(pair, alpha)[0], *map(_projective, _seed_bases(pair))]
     rng = np.random.default_rng([seed, 0x6D65])
 
     def scatter(rows):
@@ -378,7 +353,7 @@ def _stiefel_povms(view: _View, alpha, restarts, seed, iters, extra):
     return cands, len(starts), converged
 
 
-def _fuchs_caves(view: _View) -> tuple[np.ndarray, ...]:
+def _fuchs_caves(pair: _Pair) -> tuple[np.ndarray, ...]:
     """Projective measurement attaining D_M = -log F at alpha = 1/2.
 
     On sigma's support, with M = sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2
@@ -387,15 +362,15 @@ def _fuchs_caves(view: _View) -> tuple[np.ndarray, ...]:
     the quantum one (Fuchs and Caves 1995).  sigma's kernel is one more
     outcome: sigma gives it no weight, so it adds nothing to the fidelity.
     """
-    n, v = view.rank, view.sigma_v
+    (w, v, _), n = pair.sigma_cut, _sigma_rank(pair)
     iso = v[:, :n]
-    s = np.sqrt(view.sigma_w[:n])
-    a = s[:, None] * (iso.conj().T @ view.rho @ iso) * s[None, :]
+    s = np.sqrt(w[:n])
+    a = s[:, None] * (iso.conj().T @ pair.rho @ iso) * s[None, :]
     # the supported root: a root of rounding dust would tilt M's eigenvectors
     m = _rebuild(_cut_spectrum(*_eigh_descending(0.5 * (a + a.conj().T))), np.sqrt)
     m = m / np.outer(s, s)
     basis = iso @ np.linalg.eigh(0.5 * (m + m.conj().T))[1]
-    return _projective(basis) + ((v[:, n:],) if n < view.dim else ())
+    return _projective(basis) + ((v[:, n:],) if n < len(w) else ())
 
 
 def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float, curvature: bool = False):
@@ -442,7 +417,7 @@ def _log_trace_exp(a_t: np.ndarray, h: np.ndarray, s: float, curvature: bool = F
     return value, grad, (div + div.T) * (1.0 + 1j) - sq
 
 
-def _variational_povms(view: _View, alpha, extra):
+def _variational_povms(pair: _Pair, alpha):
     """Candidate measurements of the variational formula: (candidates, starts, converged).
 
     Berta, Fawzi and Tomamichel: Q_M is the supremum (alpha > 1) or
@@ -467,16 +442,16 @@ def _variational_povms(view: _View, alpha, extra):
     (see _log_trace_exp), floored at BFT_CURVATURE_FLOOR of its largest
     entry; otherwise (at alpha <= 1 D(K) is concave) the plain ascent
     runs with BFT_MEMORY steps of memory.  The candidates are the seed
-    measurements, the extra ones and each final K's eigenbasis; converged
-    reports whether an ascent stopped before its step cap.
+    measurements and each final K's eigenbasis; converged reports whether
+    an ascent stopped before its step cap.
     """
-    v = view.sigma_v
-    n = view.rank if alpha >= 1.0 else view.dim
+    w, v, _ = pair.sigma_cut
+    n = _sigma_rank(pair) if alpha >= 1.0 else len(w)
     iso = v[:, :n]
     # square roots: sigma is diag(w) in these coordinates, rho is rho_root rho_root^dag
-    sig_root = np.sqrt(view.sigma_w[:n])
-    a, b, _ = view.rho_cut
-    rho_root = iso.conj().T @ (b * np.sqrt(a / view.tr))
+    sig_root = np.sqrt(w[:n])
+    a, b, _ = pair.rho_cut
+    rho_root = iso.conj().T @ (b * np.sqrt(a / pair.tr))
     tiny, pre = np.finfo(float).tiny, alpha > 1.0 and n >= BFT_PRECONDITION_DIM
 
     def value_grad(k):
@@ -502,41 +477,41 @@ def _variational_povms(view: _View, alpha, extra):
 
         return value, grad, precondition
 
-    cands = [*map(_projective, view.seed_bases), *extra]
+    bases = _seed_bases(pair)
+    cands = list(map(_projective, bases))
     box, converged = box_geometry(LOG_RATIO_BOX, ASCENT_MEMORY if pre else BFT_MEMORY), False
-    for basis in view.seed_bases:
-        p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.rho, basis)) / view.tr
-        q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), view.pair.sigma, basis))
+    for basis in bases:
+        p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), pair.rho, basis)) / pair.tr
+        q = np.real(np.einsum("ji,jk,ki->i", basis.conj(), pair.sigma, basis))
         ratio = np.log(np.maximum(p, tiny)) - np.log(np.maximum(q, tiny))
         seed = iso.conj().T @ basis
         k0 = (seed * np.clip(ratio, -LOG_RATIO_BOX, LOG_RATIO_BOX)) @ seed.conj().T
         k, _, conv = stiefel_ascent(value_grad, 0.5 * (k0 + k0.conj().T), BFT_ITERS, box)
         converged = converged or conv
         cands.append(_projective(iso @ np.linalg.eigh(k)[1], v[:, n:]))
-    return cands, len(view.seed_bases), converged
+    return cands, len(bases), converged
 
 
-def _lower_bound(pair, alpha, restarts, seed, iters, extra=()):
+def _lower_bound(pair, alpha, restarts, seed, iters):
     """measured_renyi_lower on a pair record: (value, factors, p, q, starts, converged).
 
     factors is the best candidate measurement and p, q its weights (None
-    with an infinite value's witness); extra holds factor tuples.
+    with an infinite value's witness).
     """
-    view, witness = _measured_pair(pair, alpha)
+    pair, witness = _measured_pair(pair, alpha)
     if witness is not None:
         return math.inf, witness, None, None, 0, True
     if alpha == CONVEX_ALPHA_MIN:
-        cands, starts, converged = [_fuchs_caves(view)], 0, True
-    elif view.rank == 2 == view.dim:
-        tests, converged = _qubit_tests(view, alpha)
-        cands, starts = [*tests, *extra], 1
+        cands, starts, converged = [_fuchs_caves(pair)], 0, True
+    elif _sigma_rank(pair) == 2 == len(pair.rho):
+        (cands, converged), starts = _qubit_tests(pair, alpha), 1
     elif alpha > CONVEX_ALPHA_MIN:
-        cands, starts, converged = _variational_povms(view, alpha, extra)
+        cands, starts, converged = _variational_povms(pair, alpha)
     else:
-        cands, starts, converged = _stiefel_povms(view, alpha, restarts, seed, iters, extra)
+        cands, starts, converged = _stiefel_povms(pair, alpha, restarts, seed, iters)
     # last, the trivial measurement: its value log(tr rho / tr sigma) is always
     # clean, so it wins when every other candidate ended on a rounding cliff
-    return (*_scored(view, [*cands, (np.eye(view.dim),)], alpha), starts, converged)
+    return (*_scored(pair, [*cands, (np.eye(len(pair.rho)),)], alpha), starts, converged)
 
 
 def measured_renyi_lower(
@@ -594,15 +569,6 @@ def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, DEMOTED)
 
 
-def _binary_slopes(p: np.ndarray, q: np.ndarray, alpha: float, phis: np.ndarray) -> np.ndarray:
-    """g = sin(phi) dD/dp + cos(phi) dD/dq of two-outcome weights, up to a positive factor.
-
-    p, q are as in _binary_values, p[0], q[0] the weights of the top-r
-    test at angle phis[a] (axis 1); see _binary_rates.
-    """
-    return _binary_rates(p, q, alpha, np.sin(phis)[:, None], np.cos(phis)[:, None])
-
-
 def _binary_rates(p: np.ndarray, q: np.ndarray, alpha: float, dp, dq) -> np.ndarray:
     """dp dD/dp + dq dD/dq of two-outcome weights, up to a positive factor.
 
@@ -634,7 +600,7 @@ def _split(w: np.ndarray) -> np.ndarray:
     return np.stack([top, rest])
 
 
-def _np_test(view: _View, alpha):
+def _np_test(pair: _Pair, alpha):
     """Best test of test_measured's angle search: (factors (T, I - T), intervals).
 
     The tests are spans of the top r < n eigenvectors of A(phi) =
@@ -642,10 +608,10 @@ def _np_test(view: _View, alpha):
     rank support vectors for alpha >= 1; sigma's kernel vectors outside
     those n join the complement.  rho is normalized to unit trace, which
     shifts every value by log Tr rho, and sigma's eigenvalues are cut as
-    for the view's root.  Along phi the top-r projector P has Tr A dP = 0,
+    for the record's root.  Along phi the top-r projector P has Tr A dP = 0,
     so its weights move as cos(phi) dp = sin(phi) dq with dq <= 0, and
     dD/dphi is a non-positive multiple of g = sin(phi) dD/dp + cos(phi)
-    dD/dq (_binary_slopes): a maximum is a root where g turns from
+    dD/dq (_binary_rates): a maximum is a root where g turns from
     negative to positive.  From the best grid angle of each interval and
     rank the neighbour on the side where D rises brackets one, and an
     Illinois secant on g, all intervals per batch, runs until its next
@@ -655,18 +621,20 @@ def _np_test(view: _View, alpha):
     scored test competes: T = I when every test sits on a rounding cliff
     or none exists (n < 2).
     """
-    v, d = view.sigma_v, view.dim
-    n = view.rank if alpha >= 1.0 else d
+    (w, v, on), d = pair.sigma_cut, len(pair.rho)
+    n = _sigma_rank(pair) if alpha >= 1.0 else d
     if n < 2:
         return (np.eye(d), np.eye(d)[:, :0]), 0
     iso = v[:, :n]
-    rho_s = iso.conj().T @ view.rho @ iso / view.tr
-    # sigma, cut as for the view's root, is diag(sig_w) in these coordinates
-    sig_w = np.where(view.pair.sigma_cut[2][:n], view.sigma_w[:n], 0.0)
+    rho_s = iso.conj().T @ pair.rho @ iso / pair.tr
+    # sigma, cut as for the record's root, is diag(sig_w) in these coordinates
+    sig_w = np.where(on[:n], w[:n], 0.0)
     sig_s = np.diag(sig_w)
     # rho / Tr rho = root root^dag: the weight of a vector u is ||root^dag iso u||^2
-    root = view.rho_root @ iso / math.sqrt(view.tr)
-    ratios = np.maximum(view.ratios[0], 0.0) / view.tr
+    root = pair.roots[0] @ iso / math.sqrt(pair.tr)
+    # the ratio operator's eigenvalues, rounding dust of rho's kernel at 0
+    lam, _, kept = pair.ratio_cut
+    ratios = np.where(kept, lam, 0.0) / pair.tr
     # np.unique's result, without the numpy.ma import its first call makes
     edges = np.sort(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
@@ -685,7 +653,7 @@ def _np_test(view: _View, alpha):
         a, k = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[a, k] > best_val:
             best_val, best_u, best_rank = vals[a, k], u[a], k + 1
-        return vals, _binary_slopes(p, q, alpha, phis)
+        return vals, _binary_rates(p, q, alpha, np.sin(phis)[:, None], np.cos(phis)[:, None])
 
     n_int = len(edges) - 1
     angles = np.append(np.linspace(edges[:-1], edges[1:], NP_GRID, endpoint=False).T, edges[-1])
@@ -729,7 +697,7 @@ def _np_test(view: _View, alpha):
     return (basis[:, :r], basis[:, r:]), n_int
 
 
-def _qubit_tests(view: _View, alpha):
+def _qubit_tests(pair: _Pair, alpha):
     """Candidate tests of an invertible-sigma qubit: (tests, converged).
 
     In sigma's eigenbasis (b0 >= b1 > 0), with R = rho^1/2 / sqrt(Tr rho) and
@@ -748,8 +716,8 @@ def _qubit_tests(view: _View, alpha):
     sigma's eigenbasis, as the Neyman-Pearson search takes it: there ~1e-32
     rounding dust on rho's kernel outcome, raised to alpha, decides.
     """
-    v, (b0, b1) = view.sigma_v, view.sigma_w
-    r = view.rho_root @ v / math.sqrt(view.tr)
+    (b0, b1), v, _ = pair.sigma_cut
+    r = pair.roots[0] @ v / math.sqrt(pair.tr)
     phase = np.exp(-1j * np.angle(np.vdot(r[:, 0], r[:, 1])))  # e^(i chi)
     (a0, c0), (a1, c1) = (map(complex, row) for row in r * [1.0, phase])
 
@@ -797,9 +765,9 @@ def _qubit_tests(view: _View, alpha):
     angles += [t[top]] if top >= 0 else []
     cos, sin = np.cos(angles), np.sin(angles)
     tests = [_projective(v @ np.array([[c, -s], [phase * s, phase * c]])) for c, s in zip(cos, sin)]
-    if alpha < CONVEX_ALPHA_MIN and not view.rho_cut[2].all():
-        rho_s = np.linalg.eigh(v.conj().T @ view.rho @ v / view.tr)[1]
-        tests += [_projective(view.rho_cut[1]), _projective(v @ rho_s)]
+    if alpha < CONVEX_ALPHA_MIN and not pair.rho_cut[2].all():
+        rho_s = np.linalg.eigh(v.conj().T @ pair.rho @ v / pair.tr)[1]
+        tests += [_projective(pair.rho_cut[1]), _projective(v @ rho_s)]
     return tests, converged
 
 
@@ -841,44 +809,14 @@ def test_measured(
     For alpha >= 1 the certificate is for rho compressed to sigma's
     support (see MeasuredResult).
     """
-    view, witness = _measured_pair(_checked_pair(rho, sigma), alpha)
+    pair, witness = _measured_pair(_checked_pair(rho, sigma), alpha)
     if witness is not None:
         return MeasuredResult(math.inf, _povm(witness), 0, True)
-    if view.rank == 2 == view.dim:
-        (tests, converged), intervals = _qubit_tests(view, alpha), 1
+    if _sigma_rank(pair) == 2 == len(pair.rho):
+        (tests, converged), intervals = _qubit_tests(pair, alpha), 1
     else:
-        (test, intervals), converged = _np_test(view, alpha), True
+        (test, intervals), converged = _np_test(pair, alpha), True
         tests = [test]
-    value, factors, *_ = _scored(view, tests, alpha)
+    value, factors, *_ = _scored(pair, tests, alpha)
     return MeasuredResult(value, _povm(factors), intervals, converged)
 
-
-def regularized_measured_estimate(
-    rho, sigma, alpha: float, max_n: int = 2, restarts: int = 3, seed: int = 0
-) -> list[tuple[int, float]]:
-    """Per-copy measured lower bounds on explicit tensor powers, n <= 3.
-
-    Returns (n, value/n) pairs, each value measured_renyi_lower's on the
-    n-th powers; below alpha = 1/2 the ascent iterations shrink with n to
-    keep the largest power affordable.
-    """
-    rho, sigma = as_operator(rho), as_operator(sigma)
-    if not 1 <= max_n <= 3:
-        raise DimTooLargeError(f"max_n must be in 1..3, got {max_n}")
-    if rho.dim ** max_n > MAX_DIM:
-        raise DimTooLargeError(f"dim^max_n = {rho.dim ** max_n} exceeds {MAX_DIM}")
-    out, single, prev = [], None, None
-    rho_n = sigma_n = np.eye(1, dtype=complex)
-    for n in range(1, max_n + 1):
-        rho_n, sigma_n = np.kron(rho_n, rho.entries), np.kron(sigma_n, sigma.entries)
-        # products of the best lower-power measurements reproduce n times
-        # the single-copy value at the seed, so the per-copy sequence never
-        # regresses
-        extra = () if prev is None else (tuple(np.kron(a, b) for a in prev for b in single),)
-        value, factors, *_ = _lower_bound(
-            _array_pair(rho_n, sigma_n), alpha, restarts, seed + n, {1: 60, 2: 20, 3: 5}[n], extra
-        )
-        if math.isfinite(value):
-            single, prev = single or factors, factors
-        out.append((n, value / n))
-    return out

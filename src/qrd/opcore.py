@@ -26,7 +26,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (
-    BadParamsError,
     DimMismatchError,
     DimTooLargeError,
     GenericityUndeterminedError,
@@ -260,7 +259,9 @@ class _Pair:
     sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
     eigensystem of that sandwich; so are i_bounds and j_bounds, the blocks
     of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
-    limit reads, and rank, 0 on orthogonal supports.  Kernels never write them.
+    limit reads, rank, 0 on orthogonal supports, and roots, the supported
+    square roots of rho and sigma that the measured searches read.
+    Kernels never write them.
     """
 
     rho: np.ndarray
@@ -316,6 +317,11 @@ class _Pair:
         largest on random rank-deficient pairs up to d = 64).
         """
         return _cut_spectrum(*np.linalg.eigh(self.sandwich), rtol=16.0 * float(np.finfo(float).eps))
+
+    @cached_property
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The supported square roots of rho and sigma, from the cut eigensystems."""
+        return _rebuild(self.rho_cut, np.sqrt), _rebuild(self.sigma_cut, np.sqrt)
 
     @cached_property
     def i_bounds(self) -> tuple[int, ...]:
@@ -382,19 +388,6 @@ def _meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(p) intersect range(q), p and q projections."""
     w, v = np.linalg.eigh(p + q)
     return v[:, np.abs(w - 2.0) <= MEET_EIGENVALUE_TOL]
-
-
-def projection_meet(P: Projection, Q: Projection) -> Projection:
-    """Projection onto range(P) intersect range(Q).
-
-    Computed as the eigenspace of P+Q with eigenvalue within
-    MEET_EIGENVALUE_TOL of 2.
-    """
-    if P.dim != Q.dim:
-        raise DimMismatchError(f"dim {P.dim} vs {Q.dim}")
-    basis = _meet(P.entries, Q.entries)
-    m = basis @ basis.conj().T
-    return Projection(0.5 * (m + m.conj().T), basis.shape[1])
 
 
 def psd_leq(A, B, slack: float | None = None) -> bool:
@@ -644,14 +637,6 @@ def stiefel_ascent(value_grad, x0: np.ndarray, iters: int, geometry: Geometry = 
             del memory[:-geometry.memory]
         x, f, xi, pre = cand, f_new, xi_new, pre_new
     return x, f, False
-
-
-def trace_power(A, z: float) -> float:
-    """Sum of z-th powers of the above-cutoff eigenvalues."""
-    if not z > 0.0:
-        raise BadParamsError(f"trace_power needs z > 0, got {z}")
-    w, _, kept = _cut_spectrum(*as_operator(A).eig)
-    return float(np.sum(w[kept] ** float(z)))
 
 
 def commutator_spectral_norm(A, B) -> float:

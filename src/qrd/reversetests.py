@@ -23,7 +23,6 @@ from .classical import (
     WeightVector,
     as_weights,
     classical_fdiv,
-    classical_renyi,
 )
 from .divergences import d_hat_alpha
 from .errors import (
@@ -102,10 +101,6 @@ def validate_reverse_test(rt: ReverseTest, rho, sigma, atol: float = 1e-9) -> bo
 
 def rt_f_divergence(rt: ReverseTest, f: ConvexFunctionSpec) -> float:
     return classical_fdiv(f, rt.p, rt.q)
-
-
-def rt_renyi(rt: ReverseTest, alpha: float) -> float:
-    return classical_renyi(rt.p, rt.q, alpha)
 
 
 def _rank_one_columns(vecs: np.ndarray) -> tuple[HermitianOperator, ...]:

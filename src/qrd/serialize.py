@@ -196,17 +196,6 @@ def value_to_json(x: float) -> float | str:
     return float(x)
 
 
-def value_from_json(obj) -> float:
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
-    try:
-        return float(obj)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"not a value: {obj!r}") from exc
-
-
 def csv_cell(x: float | None) -> str:
     """Empty cell for +/-inf and for out-of-domain (None) entries."""
     if x is None or math.isinf(x):

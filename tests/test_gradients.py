@@ -84,8 +84,8 @@ def test_channel_gradient_where_an_output_loses_rank(rng, kind, alpha):
 @pytest.mark.parametrize("d", [2, 3])
 def test_povm_objective_gradient(rng, d, alpha):
     for rho in (rand_density(rng, d), rand_pure(rng, d)):
-        view, _ = _measured_pair(_checked_pair(rho, rand_density(rng, d)), alpha)
-        value_grad = _povm_objective(view, alpha)
+        pair, _ = _measured_pair(_checked_pair(rho, rand_density(rng, d)), alpha)
+        value_grad = _povm_objective(pair, alpha)
         v = _polar(rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d)))
         assert_gradient_matches(value_grad, v, rng, h=1e-6, rtol=1e-6)
 

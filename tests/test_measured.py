@@ -18,7 +18,6 @@ from qrd.measured import (
     POVM,
     apply_povm,
     measured_renyi_lower,
-    regularized_measured_estimate,
     test_measured as measured_by_test,
 )
 from qrd.opcore import HermitianOperator
@@ -175,20 +174,20 @@ def test_scored_weights_are_the_per_factor_squared_norms(rng):
     for d in (2, 3, 4):
         for alpha in (0.4, 0.5, 1.5):
             rho, sigma = rand_density(rng, d), rand_density(rng, d, rank=d - 1 if d > 2 else d)
-            view, witness = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+            pair, witness = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
             if witness is not None:
                 continue
             cands = (
-                measured._variational_povms(view, alpha, ())[0]
+                measured._variational_povms(pair, alpha)[0]
                 if alpha > 0.5
-                else measured._stiefel_povms(view, alpha, 2, 0, 5, ())[0]
+                else measured._stiefel_povms(pair, alpha, 2, 0, 5)[0]
             )
-            cands = [*cands, measured._np_test(view, alpha)[0], (np.eye(d),)]
+            cands = [*cands, measured._np_test(pair, alpha)[0], (np.eye(d),)]
             # each candidate alone, and the winner of all of them scored in one batch
-            for factors, p, q in [measured._scored(view, [c], alpha)[1:] for c in cands] + [
-                measured._scored(view, cands, alpha)[1:]
+            for factors, p, q in [measured._scored(pair, [c], alpha)[1:] for c in cands] + [
+                measured._scored(pair, cands, alpha)[1:]
             ]:
-                for root, got in ((view.rho_root, p), (view.sigma_root, q)):
+                for root, got in zip(pair.roots, (p, q)):
                     want = [np.sum(np.abs(root @ f) ** 2) for f in factors]
                     assert got.tolist() == want, (d, alpha)
 
@@ -216,19 +215,6 @@ def test_large_alpha_test_tracks_dmax_commuting():
     rho, sigma = HermitianOperator(np.diag(p)), HermitianOperator(np.diag(q))
     tv = measured_by_test(rho, sigma, 64.0, restarts=2, seed=0).value
     assert abs(tv - d_max(rho, sigma)) <= 5e-2
-
-
-def test_regularized_estimate_monotone_in_tensor_power(rng):
-    rho = rand_density(rng, 2, floor=0.1)
-    sigma = rand_density(rng, 2, floor=0.1)
-    # measured value per copy never drops when more copies are allowed
-    curve = regularized_measured_estimate(rho, sigma, 1.5, max_n=2, restarts=2, seed=3)
-    assert len(curve) == 2
-    (n1, v1), (n2, v2) = curve
-    assert (n1, n2) == (1, 2)
-    assert v2 >= v1 - 1e-6
-    sand = d_alpha_z(rho, sigma, DivergenceParams(1.5, 1.5)).d_value
-    assert v2 <= sand + 1e-9
 
 
 @pytest.mark.parametrize("alpha", CONVEX_ALPHAS)
@@ -452,9 +438,9 @@ def test_qubit_measured_value_is_the_test_value(rng, alpha):
         assert abs(got - measured_by_test(rho, sigma, alpha).value) <= 1e-9
 
 
-def best_candidate_value(view, cands, alpha):
+def best_candidate_value(pair, cands, alpha):
     """The best certified value of cands and the trivial measurement, as _lower_bound scores."""
-    return measured._scored(view, [*cands, (np.eye(view.dim),)], alpha)[0]
+    return measured._scored(pair, [*cands, (np.eye(len(pair.rho)),)], alpha)[0]
 
 
 def ill_conditioned_sigma(rng, small):
@@ -465,7 +451,7 @@ def ill_conditioned_sigma(rng, small):
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5, 3.0, 10.0])
 def test_qubit_value_is_the_convex_program_value(rng, alpha):
-    """Above 1/2 the qubit path reads the convex program's value, run on the same view.
+    """Above 1/2 the qubit path reads the convex program's value, run on the same record.
 
     The pairs are the test-value check's and ones whose sigma has an
     eigenvalue of 1e-6 to 1e-10, where the best test's angle lies 3e-6 to
@@ -475,8 +461,8 @@ def test_qubit_value_is_the_convex_program_value(rng, alpha):
     pairs += [(rand_density(rng, 2), ill_conditioned_sigma(rng, 10.0**-k)) for k in range(6, 11)]
     for rho, sigma in pairs:
         got = measured_renyi_lower(rho, sigma, alpha).value
-        view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
-        want = best_candidate_value(view, measured._variational_povms(view, alpha, ())[0], alpha)
+        pair, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+        want = best_candidate_value(pair, measured._variational_povms(pair, alpha)[0], alpha)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (got, want)
 
 
@@ -492,9 +478,9 @@ def test_qubit_test_value_on_an_ill_conditioned_sigma_is_the_convex_program_valu
         for _ in range(4):
             rho, sigma = rand_density(rng, 2), ill_conditioned_sigma(rng, 10.0**-k)
             got = measured_by_test(rho, sigma, alpha).value
-            view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
-            cands = measured._variational_povms(view, alpha, ())[0]
-            want = best_candidate_value(view, cands, alpha)
+            pair, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+            cands = measured._variational_povms(pair, alpha)[0]
+            want = best_candidate_value(pair, cands, alpha)
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k, got, want)
 
 
@@ -511,7 +497,7 @@ DUST_PAIR = (
 
 @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.4])
 def test_qubit_value_below_half_is_at_least_the_povm_ascent(rng, alpha):
-    """Below 1/2 the qubit path reads at least the d^2-outcome ascent run on the same view."""
+    """Below 1/2 the qubit path reads at least the d^2-outcome ascent run on the same record."""
     pairs = [tuple(np.array(m) for m in DUST_PAIR)]
     for _ in range(4):
         sigma, psi = rand_density(rng, 2), rand_pure(rng, 2).entries
@@ -523,9 +509,9 @@ def test_qubit_value_below_half_is_at_least_the_povm_ascent(rng, alpha):
         ]
     for rho, sigma in pairs:
         got = measured_renyi_lower(rho, sigma, alpha).value
-        view, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
-        cands = measured._stiefel_povms(view, alpha, 6, 0, 60, ())[0]
-        want = best_candidate_value(view, cands, alpha)
+        pair, _ = measured._measured_pair(opcore._checked_pair(rho, sigma), alpha)
+        cands = measured._stiefel_povms(pair, alpha, 6, 0, 60)[0]
+        want = best_candidate_value(pair, cands, alpha)
         assert got >= want - 1e-13 * max(1.0, abs(want)), (got, want)
 
 
@@ -661,8 +647,8 @@ def test_top_projection_weights_move_along_the_boundary_direction(rng):
     Tr A dP = 0 for a spectral projector P of A(phi) = cos(phi) rho -
     sin(phi) sigma, and the test search's slope rests on it: dD/dphi is
     dq/dphi / cos(phi) times sin(phi) dD/dp + cos(phi) dD/dq, which
-    measured._binary_slopes gives times S = sum p^alpha q^(1-alpha)
-    (times 1 at alpha = 1).
+    measured._binary_rates at (dp, dq) = (sin(phi), cos(phi)) gives times
+    S = sum p^alpha q^(1-alpha) (times 1 at alpha = 1).
     """
     h = 1e-6
     for d in (2, 3, 4):
@@ -682,10 +668,10 @@ def test_top_projection_weights_move_along_the_boundary_direction(rng):
                         f.append(measured._binary_values(
                             np.stack([ps, 1.0 - ps]), np.stack([qs, 1.0 - qs]), alpha))
                     df = (f[1] - f[0]) / (2 * h)
-                    g = measured._binary_slopes(
-                        np.stack([p, 1.0 - p])[:, None], np.stack([q, 1.0 - q])[:, None],
-                        alpha, np.array([phi]),
-                    )[0]
+                    g = measured._binary_rates(
+                        np.stack([p, 1.0 - p]), np.stack([q, 1.0 - q]),
+                        alpha, math.sin(phi), math.cos(phi),
+                    )
                     terms = np.stack([p, 1.0 - p]) ** alpha * np.stack([q, 1.0 - q]) ** (1 - alpha)
                     scale = 1.0 if alpha == 1.0 else np.sum(terms, axis=0)
                     np.testing.assert_allclose(

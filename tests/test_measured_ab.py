@@ -70,3 +70,13 @@ def test_call_medians_are_per_function_and_side():
         "median per call, measured_renyi_lower: parent 400 us, change 230 us",
         "median per call, test_measured: parent 250 us, change 180 us",
     ]
+
+
+def test_compute_rows_runs_both_functions_on_every_class_and_alpha(monkeypatch):
+    """One pair per class: 8 pairs, each alpha, both functions; none below rho's eigenbasis."""
+    monkeypatch.setattr(measured_ab, "PAIRS", 1)
+    rows = measured_ab.compute_rows()["rows"]
+    assert len(rows) == 8 * len(measured_ab.ALPHAS) * 2
+    groups = measured_ab.summary(rows, rows)
+    assert len(groups) == 8 * len(measured_ab.ALPHAS) * 2
+    assert all(g["fall"] == g["rise"] == 0.0 and g["below"] == 0 for g in groups)
