@@ -8,7 +8,8 @@ near-product pair, a qubit pair whose sigma has an eigenvalue of 1e-8 and
 a qutrit pair of orthogonal supports under a random unitary (each drawn
 from its own generator, so the other pairs keep their draws), and a
 qutrit pair whose supports overlap by 5e-9, pure rho = |0><0|; the
-evaluations cover the divergence layer, the z -> 0 profile (the
+evaluations cover the divergence layer, the variational objective at
+its own maximizer beside Q (pairs whose rho lies in supp sigma), the z -> 0 profile (the
 eigenvalue blocks of both spectra, equality-case gaps, both genericity
 conditions and the extrapolation oracle at two alphas), the maximal
 divergence's reverse tests (the spectral test's weights, and maximal_divergence_upper's value,
@@ -48,6 +49,8 @@ from qrd.divergences import (
     nussbaum_szkola,
     q_alpha_z,
     umegaki,
+    variational_objective,
+    variational_optimizer_H,
 )
 from qrd.measured import measured_renyi_lower, test_measured
 from qrd.opcore import HermitianOperator, pinch_exp
@@ -67,6 +70,7 @@ ORACLE_ALPHAS = (0.6, 1.7)
 MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
 MAXIMAL_ALPHAS = (0.5, 1.5, 2.0, 3.0, 5.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
+VARIATIONAL_PARAMS = ((1.5, 1.5), (1.5, 1.0), (1.5, 0.2), (1.2, 0.05))
 SEED = 20261018
 
 
@@ -159,6 +163,20 @@ def divergence_layer(name, rho, sigma) -> None:
     )
 
 
+def variational_layer(name, rho, sigma) -> None:
+    """The objective at its maximizer H* beside Q, on pairs whose rho lies in supp sigma."""
+    if math.isinf(d_max(rho, sigma)):
+        return
+    for alpha, z in VARIATIONAL_PARAMS:
+        params = DivergenceParams(alpha, z)
+
+        def at_maximizer():
+            h_star = variational_optimizer_H(rho, sigma, params)
+            return variational_objective(rho, sigma, params, h_star), q_alpha_z(rho, sigma, params)
+
+        emit(f"{name} variational a={alpha} z={z}", at_maximizer)
+
+
 def blocks(rho, sigma):
     """The equal-eigenvalue blocks of rho's and sigma's spectra, as bounds."""
     profile = spectral_profile(rho, sigma)
@@ -236,6 +254,7 @@ def verify_layer() -> None:
 def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
+        variational_layer(name, rho, sigma)
         zlimit_layer(name, rho, sigma)
         reverse_layer(name, rho, sigma)
         if rho.dim <= 4:
