@@ -254,10 +254,10 @@ class _Pair:
     eigensystems (a, V, kept) and (b, W, kept) from _cut_spectrum, and
     overlap the matrix U = V^dag W, so that rho = V diag(a) V^dag and sigma
     = V U diag(b) U^dag V^dag: in rho's eigenbasis every function of the pair
-    is a function of a, b and U.  Four arrays derived from U are built on
-    first use and kept with the record: weights, rho_in_sigma, the sandwich
-    sigma^-1/2 rho sigma^-1/2 on sigma's kept block, and ratio_cut, the cut
-    eigensystem of that sandwich; so are i_bounds and j_bounds, the blocks
+    is a function of a, b and U.  Three arrays derived from U are built on
+    first use and kept with the record: weights, rho_in_sigma, and
+    ratio_cut, the cut eigensystem of the ratio operator sigma^-1/2 rho
+    sigma^-1/2 on sigma's kept block; so are i_bounds and j_bounds, the blocks
     of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
     limit reads, rank, 0 on orthogonal supports, and roots, the supported
     square roots of rho and sigma that the measured searches read.
@@ -294,29 +294,23 @@ class _Pair:
         return u.conj().T @ ((a[ka] / a[0])[:, None] * u)
 
     @cached_property
-    def sandwich(self) -> np.ndarray:
-        """sigma^-1/2 rho sigma^-1/2 in sigma's eigenbasis, on the kept eigenvalues.
+    def ratio_cut(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ratio operator's ascending cut eigensystem (lam, Q, kept), with eigenvectors W_kept Q.
 
-        diag(s) R diag(s) for R = rho_in_sigma (rho / a_max) and s = (a_max / b)^1/2:
-        no matrix product once R is built.
+        In sigma's eigenbasis, on the kept eigenvalues, sigma^-1/2 rho
+        sigma^-1/2 is diag(s) R diag(s) for R = rho_in_sigma (rho / a_max)
+        and s = (a_max / b)^1/2: no matrix product once R is built.  The cut
+        sits at its rounding level, 16 eps times its largest eigenvalue, not
+        at SUPPORT_RTOL: on an ill-conditioned sigma that largest grows like
+        1 / b_min, and a relative cut of 1e-12 would drop real eigenvalues
+        far above rounding.  The eigenvalues that eigh leaves on rho's
+        kernel stay below it (at most 3.8 eps times the largest on random
+        rank-deficient pairs up to d = 64).
         """
         (a, _, _), (b, _, kb) = self.rho_cut, self.sigma_cut
         s = np.sqrt(a[0] / b[kb])
         x = s[:, None] * self.rho_in_sigma * s
-        return 0.5 * (x + x.conj().T)
-
-    @cached_property
-    def ratio_cut(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sandwich's ascending cut eigensystem (lam, Q, kept), with eigenvectors W_kept Q.
-
-        The cut sits at the sandwich's rounding level, 16 eps times its
-        largest eigenvalue, not at SUPPORT_RTOL: on an ill-conditioned sigma
-        that largest grows like 1 / b_min, and a relative cut of 1e-12 would
-        drop real eigenvalues far above rounding.  The eigenvalues that eigh
-        leaves on rho's kernel stay below it (at most 3.8 eps times the
-        largest on random rank-deficient pairs up to d = 64).
-        """
-        return _cut_spectrum(*np.linalg.eigh(self.sandwich), rtol=16.0 * float(np.finfo(float).eps))
+        return _cut_spectrum(*np.linalg.eigh(0.5 * (x + x.conj().T)), rtol=16.0 * float(np.finfo(float).eps))
 
     @cached_property
     def roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -480,13 +474,14 @@ def _pinch_grad(pair: _Pair, alpha: float):
     m = pm @ h @ pm
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
-    g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, e)
-    g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, e)
+    vr, vs = pair.rho_cut[1], pair.sigma_cut[1]
+    g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, vr.conj().T @ e @ vr)
+    g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, vs.conj().T @ e @ vs)
     c = h @ e + e @ h
     if rank == np.count_nonzero(pair.rho_cut[2]):
-        g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, c)
+        g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, vr.conj().T @ c @ vr)
     elif rank == np.count_nonzero(pair.sigma_cut[2]):
-        g_sigma = g_sigma + _dk_grad(pair.sigma_cut, np.ones_like, np.zeros_like, c)
+        g_sigma = g_sigma + _dk_grad(pair.sigma_cut, np.ones_like, np.zeros_like, vs.conj().T @ c @ vs)
     return g_rho, g_sigma
 
 
@@ -508,12 +503,12 @@ def divided_differences(w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndar
 
 
 def _dk_grad(cut, fn, dfn, c: np.ndarray) -> np.ndarray:
-    """Gradient of A -> Tr c fn(A) at A's cut eigensystem, fn taken on the kept part."""
+    """Gradient of A -> Tr C fn(A) at A's cut eigensystem (w, V, kept), fn on the kept part; c = V^dag C V."""
     w, v, kept = cut
     f, df = np.zeros_like(w), np.zeros_like(w)
     f[kept], df[kept] = fn(w[kept]), dfn(w[kept])
     gamma = divided_differences(np.where(kept, w, 0.0), f, df)
-    return v @ (gamma * (v.conj().T @ c @ v)) @ v.conj().T
+    return v @ (gamma * c) @ v.conj().T
 
 
 def _tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:

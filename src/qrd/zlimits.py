@@ -38,7 +38,6 @@ from .opcore import (
     Projection,
     _checked_pair,
     _Pair,
-    _rebuild,
     as_operator,
     commutator_spectral_norm,
 )
@@ -368,13 +367,13 @@ def equality_case_check(rho, sigma, direction: str) -> EqualityCaseResult:
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     rho, sigma = as_operator(rho), as_operator(sigma)
     pair = spectral_profile(rho, sigma)
-    (a, v, _), (b, _, on_b) = pair.rho_cut, pair.sigma_cut
+    (a, v, on_a), (b, _, on_b) = pair.rho_cut, pair.sigma_cut
     if not on_b[-1]:
         raise SingularSigmaError("equality-case analysis needs invertible sigma")
     below = direction == "below"
     _require_genericity(pair, not below, f"direction={direction}")
     paired = float(np.sum(a * np.log(b if below else b[::-1])))
-    tr_rho_log_sigma = float(np.real(np.trace(pair.rho @ _rebuild(pair.sigma_cut, np.log))))
+    tr_rho_log_sigma = float(a[on_a] @ (pair.weights @ np.log(b)))  # as in Umegaki
     gap = (paired - tr_rho_log_sigma if below else tr_rho_log_sigma - paired) / float(np.sum(a))
     scale = max(rho.spectral_norm * sigma.spectral_norm, 1e-300)
     aligned = False
