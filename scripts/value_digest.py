@@ -8,7 +8,9 @@ near-product pair, a qubit pair whose sigma has an eigenvalue of 1e-8 and
 a qutrit pair of orthogonal supports under a random unitary (each drawn
 from its own generator, so the other pairs keep their draws), and a
 qutrit pair whose supports overlap by 5e-9, pure rho = |0><0|; the
-evaluations cover the divergence layer, the variational objective at
+evaluations cover the divergence layer, D-hat and Petz (z = 1) at alpha =
+1 -+ 1e-4, 1e-8 and 1e-12, where log Q / (alpha - 1) cancels, the
+variational objective at
 its own maximizer beside Q (pairs whose rho lies in supp sigma), the z -> 0 profile (the
 eigenvalue blocks of both spectra, equality-case gaps, both genericity
 conditions and the extrapolation oracle at two alphas), the maximal
@@ -71,6 +73,7 @@ MEASURED_ALPHAS = (0.3, 0.5, 0.7, 1.0, 1.5, 3.0)
 MAXIMAL_ALPHAS = (0.5, 1.5, 2.0, 3.0, 5.0)
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 VARIATIONAL_PARAMS = ((1.5, 1.5), (1.5, 1.0), (1.5, 0.2), (1.2, 0.05))
+NEAR_ONE_STEPS = (1e-4, 1e-8, 1e-12)
 SEED = 20261018
 
 
@@ -161,6 +164,15 @@ def divergence_layer(name, rho, sigma) -> None:
         f"{name} smooth",
         lambda: epsilon_smoothing_curve(rho, sigma, DivergenceParams(1.5, 1.5), EPS_GRID),
     )
+
+
+def near_one_layer(name, rho, sigma) -> None:
+    """D-hat and Petz's D at alpha = 1 - h and 1 + h."""
+    for h in NEAR_ONE_STEPS:
+        for sign, alpha in (("-", 1.0 - h), ("+", 1.0 + h)):
+            emit(f"{name} near1 dhat a=1{sign}{h:g}", lambda: d_hat_alpha(rho, sigma, alpha))
+            petz = DivergenceParams(alpha, 1.0)
+            emit(f"{name} near1 petz a=1{sign}{h:g}", lambda: d_alpha_z(rho, sigma, petz).d_value)
 
 
 def variational_layer(name, rho, sigma) -> None:
@@ -254,6 +266,7 @@ def verify_layer() -> None:
 def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
+        near_one_layer(name, rho, sigma)
         variational_layer(name, rho, sigma)
         zlimit_layer(name, rho, sigma)
         reverse_layer(name, rho, sigma)
