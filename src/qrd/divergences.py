@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import WeightVector
+from .classical import WeightVector, _renyi
 from .errors import BadAlphaError, BadParamsError, SupportViolationError, check_alpha
 from .opcore import (
     SUPPORT_RTOL,
@@ -143,10 +143,10 @@ def _renyi_grad(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float):
     value = _value_from_log_q(alpha, pair.tr, log_q).d_value
     if math.isinf(value):
         return value, None, None
-    q = _exp_or_inf(log_q)
     if math.isinf(z):
-        gr, gs = _pinch_grad(pair, alpha)
+        (gr, gs), q = _pinch_grad(pair, alpha), 1.0  # already the gradients of log Q
     else:
+        q = _exp_or_inf(log_q)
         (a, _, ka), (b, _, kb), u = pair.rho_cut, pair.sigma_cut, pair.overlap
         pa, ps = alpha / (2.0 * z), (1.0 - alpha) / z
         av = np.where(ka, a, 0.0) ** pa  # A's eigenvalues
@@ -284,20 +284,17 @@ def d_hat_alpha(rho, sigma, alpha: float) -> float:
     """Perspective-based divergence log Tr sigma^1/2 (sigma^-1/2 rho sigma^-1/2)^alpha sigma^1/2.
 
     Equals the maximal Renyi divergence for alpha in (0,1) union (1,2];
-    for alpha > 2 it is only an upper bound on it.
+    for alpha > 2 it is only an upper bound on it.  It is _renyi of the
+    record's spectral_test weights (lam t, t), as Tr sigma X^alpha = sum_k
+    lam_k^alpha t_k, normalized by their sum: Tr rho where rho fails the
+    support test (alpha < 1), and rho's mass on sigma's support where not.
     """
     check_alpha(alpha, one=False)
     pair = _checked_pair(rho, sigma)
     if (not pair.rank if alpha < 1.0 else not pair.included):
         return math.inf
-    # Tr sigma X^alpha = sum_k lam_k^alpha sum_j b_j |Q_jk|^2 for X = Q diag(lam) Q^dag,
-    # summed with lam and b divided by their largest, so no power under- or overflows
-    lam, q, on = pair.ratio_cut
-    b, _, kb = pair.sigma_cut
-    lam, top = lam[on], lam[-1]
-    mass = (b[kb] / b[0]) @ np.abs(q[:, on]) ** 2
-    log_tr = math.log(float((lam / top) ** alpha @ mass)) + alpha * math.log(top) + math.log(b[0])
-    return (log_tr - math.log(pair.tr)) / (alpha - 1.0)
+    _, p, t = pair.spectral_test
+    return float(_renyi(p, t, alpha))
 
 
 def d_alpha_zero(rho, sigma, alpha: float) -> float:

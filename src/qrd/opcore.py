@@ -257,11 +257,11 @@ class _Pair:
     is a function of a, b and U.  Three arrays derived from U are built on
     first use and kept with the record: weights, rho_in_sigma, and
     ratio_cut, the cut eigensystem of the ratio operator sigma^-1/2 rho
-    sigma^-1/2 on sigma's kept block; so are i_bounds and j_bounds, the blocks
-    of equal eigenvalues of a and b (_cluster_bounds) that the z -> 0
-    limit reads, rank, 0 on orthogonal supports, and roots, the supported
-    square roots of rho and sigma that the measured searches read.
-    Kernels never write them.
+    sigma^-1/2 on sigma's kept block; so are spectral_test, its reverse
+    test, i_bounds and j_bounds, the blocks of equal eigenvalues of a and b
+    (_cluster_bounds) that the z -> 0 limit reads, rank, 0 on orthogonal
+    supports, and roots, the supported square roots of rho and sigma that
+    the measured searches read.  Kernels never write them.
     """
 
     rho: np.ndarray
@@ -311,6 +311,22 @@ class _Pair:
         s = np.sqrt(a[0] / b[kb])
         x = s[:, None] * self.rho_in_sigma * s
         return _cut_spectrum(*np.linalg.eigh(0.5 * (x + x.conj().T)), rtol=16.0 * float(np.finfo(float).eps))
+
+    @cached_property
+    def spectral_test(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The spectral reverse test: vectors sigma^1/2 u_k, u_k = W_kept Q e_k, and weights (lam_k t_k, t_k).
+
+        t_k = |sigma^1/2 u_k|^2 = sum_j b_j |Q_jk|^2 and lam is 0 off ratio_cut's kept set; where rho
+        fails the support test an outcome (rho's mass off sigma's support, 0) follows the weights.
+        """
+        lam, q, on = self.ratio_cut
+        b, w, kb = self.sigma_cut
+        roots = w[:, kb] @ (np.sqrt(b[kb])[:, None] * q)
+        t = np.sum(np.abs(roots) ** 2, axis=0)
+        p = np.where(on, lam, 0.0) * t
+        if not self.included:
+            p, t = np.append(p, support_defect(self.rho, self.tr, w[:, ~kb]) * self.tr), np.append(t, 0.0)
+        return roots, p, t
 
     @cached_property
     def roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -434,54 +450,56 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _log_pinch_exp(pair: _Pair, alpha: float) -> float:
-    """log pinch_exp on a pair record, in rho's eigenbasis.
+def _pinch_sum(pair: _Pair, alpha: float):
+    """The log-sum H in rho's eigenbasis, the meet's basis (None if both supports are whole) and the shift.
 
-    There H = alpha L_rho + (1 - alpha) L_sigma is alpha diag(log a) +
-    (1 - alpha) U diag(log b) U^dag, the logs taken on the kept
-    eigenvalues of a / a_max and b / b_max (alpha log a_max + (1 - alpha)
-    log b_max is added back), and the value is the log-sum-exp of the
-    eigenvalues of H compressed to the meet: -inf when it is 0.  The meet
-    is built only when a support is proper: otherwise it is the whole space.
+    H = alpha diag(log a) + (1 - alpha) U diag(log b) U^dag on the kept eigenvalues of a / a_max and
+    b / b_max; the shift is (alpha log a_max, (1 - alpha) log b_max), which H leaves out.
     """
-    if alpha > 1.0 and not pair.included:
-        return math.inf
     (a, _, ka), (b, _, kb) = pair.rho_cut, pair.sigma_cut
     sigma_cut = (b, pair.overlap, kb)  # sigma's cut eigensystem in rho's eigenbasis
     h = (1.0 - alpha) * _rebuild(sigma_cut, lambda w: np.log(w / b[0]))
     on = np.flatnonzero(ka)
     h[on, on] += alpha * np.log(a[on] / a[0])
-    if not (ka.all() and kb.all()):
-        basis = _meet(np.diag(ka.astype(float)), _rebuild(sigma_cut, np.ones_like))
+    basis = None if ka.all() and kb.all() else _meet(np.diag(1.0 * ka), _rebuild(sigma_cut, np.ones_like))
+    return h, basis, (alpha * math.log(a[0]), (1.0 - alpha) * math.log(b[0]))
+
+
+def _log_pinch_exp(pair: _Pair, alpha: float) -> float:
+    """log pinch_exp on a pair record: log-sum-exp of _pinch_sum's H on the meet, plus the shift."""
+    if alpha > 1.0 and not pair.included:
+        return math.inf
+    h, basis, (shift_a, shift_b) = _pinch_sum(pair, alpha)
+    if basis is not None:
         if basis.shape[1] == 0:
             return -math.inf
         h = basis.conj().T @ h @ basis
     lse = float(np.logaddexp.reduce(np.linalg.eigvalsh(0.5 * (h + h.conj().T))))
-    return lse + alpha * math.log(a[0]) + (1.0 - alpha) * math.log(b[0])
+    return lse + shift_a + shift_b
 
 
 def _pinch_grad(pair: _Pair, alpha: float):
-    """Gradients in rho and sigma of pinch_exp's value, in matrix form.
+    """Gradients in rho and sigma of log pinch_exp, in matrix form, from _pinch_sum.
 
-    alpha DK_log[E] and (1 - alpha) DK_log[E] for E = P exp(P H P) P and
-    H = alpha L_rho + (1 - alpha) L_sigma, plus Tr (H E + E H) dP: P moves
-    with the smaller support when one holds the other, as 1(A) does.
+    alpha DK_log[E] and (1 - alpha) DK_log[E] for E = P exp(P H P) P / Tr (...), normalized in the
+    exponent, plus Tr (H E + E H) dP for the whole log-sum, _pinch_sum's H plus its shift: P moves
+    with the smaller support when one holds the other, as 1(A) does.  In rho's eigenbasis E is
+    rho's Daleckii-Krein C, and sigma's is U^dag E U.
     """
-    basis = _meet(_rebuild(pair.rho_cut, np.ones_like), _rebuild(pair.sigma_cut, np.ones_like))
-    rank = basis.shape[1]
-    pm = basis @ basis.conj().T
-    h = alpha * _rebuild(pair.rho_cut, np.log) + (1.0 - alpha) * _rebuild(pair.sigma_cut, np.log)
-    m = pm @ h @ pm
+    h, basis, shift = _pinch_sum(pair, alpha)
+    m = h if basis is None else basis.conj().T @ h @ basis
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    e = pm @ (v * np.exp(w)) @ v.conj().T @ pm
-    vr, vs = pair.rho_cut[1], pair.sigma_cut[1]
-    g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, vr.conj().T @ e @ vr)
-    g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, vs.conj().T @ e @ vs)
-    c = h @ e + e @ h
-    if rank == np.count_nonzero(pair.rho_cut[2]):
-        g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, vr.conj().T @ c @ vr)
-    elif rank == np.count_nonzero(pair.sigma_cut[2]):
-        g_sigma = g_sigma + _dk_grad(pair.sigma_cut, np.ones_like, np.zeros_like, vs.conj().T @ c @ vs)
+    v = v if basis is None else basis @ v
+    x = np.exp(w - w[-1])
+    e, u = (v * (x / x.sum())) @ v.conj().T, pair.overlap
+    g_rho = alpha * _dk_grad(pair.rho_cut, np.log, np.reciprocal, e)
+    g_sigma = (1.0 - alpha) * _dk_grad(pair.sigma_cut, np.log, np.reciprocal, u.conj().T @ e @ u)
+    if basis is not None:
+        c = h @ e + e @ h + 2.0 * sum(shift) * e
+        if basis.shape[1] == np.count_nonzero(pair.rho_cut[2]):
+            g_rho = g_rho + _dk_grad(pair.rho_cut, np.ones_like, np.zeros_like, c)
+        elif basis.shape[1] == np.count_nonzero(pair.sigma_cut[2]):
+            g_sigma = g_sigma + _dk_grad(pair.sigma_cut, np.ones_like, np.zeros_like, u.conj().T @ c @ u)
     return g_rho, g_sigma
 
 

@@ -108,33 +108,19 @@ def _rank_one_columns(vecs: np.ndarray) -> tuple[HermitianOperator, ...]:
     return tuple(HermitianOperator(np.outer(u, u.conj()) / np.vdot(u, u).real) for u in vecs.T)
 
 
-def _spectral_test(pair) -> ReverseTest:
-    """The spectral reverse test of a pair record whose rho lies in sigma's support.
-
-    For each eigenvector u = W q of sigma^-1/2 rho sigma^-1/2 on sigma's
-    kept block, with eigenvalue lam, the column is sigma^1/2 u u^dag
-    sigma^1/2 / t with t = u^dag sigma u, and its weights are (lam t, t);
-    eigenvalues below the cut count as 0, as in d_hat_alpha.
-    """
-    lam, q, on = pair.ratio_cut
-    b, w, kb = pair.sigma_cut
-    roots = w[:, kb] @ (np.sqrt(b[kb])[:, None] * q)  # the vectors sigma^1/2 u
-    t = np.sum(np.abs(roots) ** 2, axis=0)
-    p = np.where(on, lam, 0.0) * t
-    return ReverseTest(_rank_one_columns(roots), WeightVector(p), WeightVector(t))
-
-
 def spectral_reverse_test(rho, sigma) -> ReverseTest:
-    """Reverse test from the eigenbasis of sigma^-1/2 rho sigma^-1/2.
+    """Reverse test from the eigenbasis of sigma^-1/2 rho sigma^-1/2; requires supp rho in supp sigma.
 
-    Columns are sigma^1/2 u u^dag sigma^1/2 renormalized over that basis
-    on sigma's support; its classical Renyi value reproduces d_hat_alpha
-    at every order.  Requires the support of rho inside that of sigma.
+    For each eigenvector u on sigma's support, with eigenvalue lam, the
+    column is sigma^1/2 u u^dag sigma^1/2 / t with t = u^dag sigma u, and
+    its weights are (lam t, t): the pair record's spectral_test, whose
+    classical Renyi value d_hat_alpha is, bit for bit, at every order.
     """
     rho, sigma = as_operator(rho), as_operator(sigma)
     if not support_leq(rho, sigma):
         raise SupportViolationError("support of rho leaks outside sigma")
-    return _spectral_test(_checked_pair(rho, sigma))
+    roots, p, t = _checked_pair(rho, sigma).spectral_test
+    return ReverseTest(_rank_one_columns(roots), WeightVector(p), WeightVector(t))
 
 
 def split_eigen_reverse_test(rho, sigma) -> ReverseTest:
@@ -268,12 +254,10 @@ def maximal_divergence_upper(rho, sigma, alpha: float) -> MaximalDivergenceResul
     rejects an alpha outside (0, 1) and (1, inf).
     """
     rho, sigma = as_operator(rho), as_operator(sigma)
-    included = support_leq(rho, sigma)
-    if alpha > 1.0 and not included:
-        raise SupportViolationError("support of rho leaks outside sigma")
-    value = d_hat_alpha(rho, sigma, alpha)
-    if included:
-        rt = _spectral_test(_checked_pair(rho, sigma))
-    else:
+    try:
+        rt = spectral_reverse_test(rho, sigma)
+    except SupportViolationError:
+        if alpha > 1.0:
+            raise
         rt = split_eigen_reverse_test(rho, sigma)
-    return MaximalDivergenceResult(value=value, rt=rt, exact=alpha <= 2.0)
+    return MaximalDivergenceResult(value=d_hat_alpha(rho, sigma, alpha), rt=rt, exact=alpha <= 2.0)

@@ -64,18 +64,26 @@ def test_channel_input_gradient(rng, kind, alpha, z):
         assert_gradient_matches(value_grad, random_input(rng, 2), rng, h, rtol)
 
 
-@pytest.mark.parametrize("kind,alpha", [("petz", 0.999), ("umegaki", None)])
-def test_channel_gradient_where_an_output_loses_rank(rng, kind, alpha):
+@pytest.mark.parametrize(
+    "kind,alpha,z",
+    [
+        pytest.param("petz", 0.999, None, id="petz-0.999"),
+        pytest.param("umegaki", None, None, id="umegaki-None"),
+        pytest.param("daz", 0.7, math.inf, id="daz-0.7-inf"),
+    ],
+)
+def test_channel_gradient_where_an_output_loses_rank(rng, kind, alpha, z):
     """Identity-channel outputs are pure: rho loses rank for every input.
 
     The divergence is not differentiable across rank changes, but every
     input keeps rho rank one, so along the sphere the value is smooth and
     the cutoff-convention gradient (zero on rho's kernel) is exact.
     Petz at alpha = 0.999 divides by alpha - 1, so its difference quotient
-    carries 1e3 times the rounding of the value.
+    carries 1e3 times the rounding of the value.  At z = inf the meet of
+    the supports is rho's, and it moves with rho.
     """
     n1, n2 = identity_channel(2), depolarizing_channel(0.2)
-    value_grad = _input_objective(n1, n2, kind, alpha, None, seed=0)
+    value_grad = _input_objective(n1, n2, kind, alpha, z, seed=0)
     for _ in range(3):
         assert_gradient_matches(value_grad, random_input(rng, 2), rng, h=1e-4, rtol=1e-5)
 

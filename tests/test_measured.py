@@ -623,6 +623,15 @@ def test_tiny_trace_value_is_the_log_trace_ratio(fn, rho, sigma, alpha, want):
     assert got.value == pytest.approx(want, rel=1e-12) and got.converged
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
+def test_rank_one_sigma_with_rho_on_its_support_is_the_log_trace_ratio(alpha):
+    """A rank-1 sigma leaves the test no split of its support: T = I, and D = log(Tr rho / Tr sigma)."""
+    v = np.array([1.0, 1.0j, -0.5]) / 1.5
+    rho, sigma = 0.2 * np.outer(v, v.conj()), 0.7 * np.outer(v, v.conj())
+    for fn in (measured_renyi_lower, measured_by_test):
+        assert fn(rho, sigma, alpha).value == pytest.approx(math.log(0.2 / 0.7), rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_test_variant_is_continuous_at_alpha_one(rng, d):
     """|D(1 +- 1e-12) - D(1)| <= 1e-9: the value carries no 1e-16 / |alpha - 1| cancellation."""

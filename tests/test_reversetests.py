@@ -130,6 +130,17 @@ def test_maximal_divergence_above_two_is_the_closed_form(rng, alpha):
             assert validate_reverse_test(res.rt, rho, sigma)
 
 
+def test_maximal_value_is_its_certificates_classical_value(rng):
+    """Where the spectral test certifies it, the maximal value is the test's classical value, bit for bit."""
+    for k in range(40):
+        d = 2 + k % 3
+        rho, sigma = rand_density(rng, d, rank=d - k % 2), rand_density(rng, d)
+        for alpha in (0.3, 0.7, 1.5, 2.0, 3.0):
+            res = maximal_divergence_upper(rho, sigma, alpha)
+            assert res.rt.n_columns == d
+            assert res.value == classical_renyi(res.rt.p, res.rt.q, alpha), (k, alpha)
+
+
 def test_a_leaking_rho_has_no_spectral_test_and_no_maximal_divergence_above_one():
     rho, sigma = np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0])
     with pytest.raises(SupportViolationError):
