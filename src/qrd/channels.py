@@ -73,7 +73,7 @@ class Channel:
     def kraus_gram(self) -> np.ndarray:
         return sum(k.conj().T @ k for k in self.kraus)
 
-    @property
+    @cached_property
     def trace_preserving(self) -> bool:
         gap = np.linalg.norm(self.kraus_gram - np.eye(self.d_in), 2)
         return bool(gap <= 1e-9)

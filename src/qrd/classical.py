@@ -148,7 +148,7 @@ def _renyi(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
         e_m1 = (w * np.expm1(x)).sum(axis=0)
         val = np.log1p(e_m1) / (alpha - 1.0)
         redo = (e_m1 < -0.99) | (e_m1 == np.inf)
-        if redo.any():
+        if np.count_nonzero(redo):
             x = np.where(on, x, -np.inf)
             top = x.max(axis=0)
             # an infinite top (a leak above 1, all ratios infinite below 1) shifts by 0

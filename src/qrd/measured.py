@@ -101,6 +101,10 @@ NP_ANGLE_TOL = 1e-9
 #: eigenvalue ratio, where an ill-conditioned sigma puts the best test's angle
 QUBIT_OCTAVES = 8
 
+#: fixed parts of the qubit grid: its even steps (one past each end of the period) and octaves 2^k
+_QUBIT_EVEN_STEPS = 0.25 * math.pi / NP_GRID * np.arange(-NP_GRID - 1, NP_GRID + 2)
+_QUBIT_OCTAVE_STEPS = 2.0 ** np.arange(-QUBIT_OCTAVES, QUBIT_OCTAVES + 1)
+
 
 @dataclass(frozen=True)
 class POVM:
@@ -269,7 +273,7 @@ def _scored(pair: _Pair, cands, alpha: float):
     column count, bit for bit as apply_povm takes them from the returned POVM.
     """
     flat = [f for factors in cands for f in factors]
-    roots = np.array(pair.roots)[:, None]
+    roots = pair.roots[:, None]
     norms = np.empty((2, len(flat)))
     for k in {f.shape[1] for f in flat}:
         at = [i for i, f in enumerate(flat) if f.shape[1] == k]
@@ -593,6 +597,18 @@ def _binary_rates(p: np.ndarray, q: np.ndarray, alpha: float, dp, dq) -> np.ndar
         return dp * ratio * (x0_e - x1_e) - dq * (x0**alpha - x1**alpha)
 
 
+def _binary_slope(p, q, alpha: float, dp: float, dq: float) -> float:
+    """_binary_rates of scalar weights in Python floats, bit for bit: numpy's scalar path runs at and near
+    alpha = 1 (its log and expm1 are not libm's) and where Python raises on a zero or an overflow."""
+    if abs(alpha - 1.0) >= LOG_TRACE_SERIES:
+        try:
+            x0, x1, e = p[0] / q[0], p[1] / q[1], alpha - 1.0
+            return dp * (alpha / e) * (x0**e - x1**e) - dq * (x0**alpha - x1**alpha)
+        except (ZeroDivisionError, OverflowError):
+            pass
+    return float(_binary_rates(p, q, alpha, dp, dq))
+
+
 def _split(w: np.ndarray) -> np.ndarray:
     """(top, rest) sums of weights w[a, i] at every split point 1 ... n-1."""
     top = np.cumsum(w, axis=1)[:, :-1]
@@ -716,19 +732,20 @@ def _qubit_tests(pair: _Pair, alpha):
     sigma's eigenbasis, as the Neyman-Pearson search takes it: there ~1e-32
     rounding dust on rho's kernel outcome, raised to alpha, decides.
     """
-    (b0, b1), v, _ = pair.sigma_cut
+    (b0, b1), v = map(float, pair.sigma_cut[0]), pair.sigma_cut[1]
     r = pair.roots[0] @ v / math.sqrt(pair.tr)
     phase = np.exp(-1j * np.angle(np.vdot(r[:, 0], r[:, 1])))  # e^(i chi)
-    (a0, c0), (a1, c1) = (map(complex, row) for row in r * [1.0, phase])
+    (a0, c0), (a1, c1) = (r * [1.0, phase]).tolist()
 
-    def curve(cos, sin):
-        """Weights (p, q) and slopes of the tests at cos t, sin t (arrays or floats)."""
+    def slope(x):
+        """The slope at angle x: weights p, q and their move (dp_1/dt, dq_1/dt) in Python scalars."""
+        cos, sin = math.cos(x), math.sin(x)
         ra0, ra1 = cos * a0 + sin * c0, cos * a1 + sin * c1  # R psi_1
         rb0, rb1 = cos * c0 - sin * a0, cos * c1 - sin * a1  # R psi_2
         p = (abs(ra0) ** 2 + abs(ra1) ** 2, abs(rb0) ** 2 + abs(rb1) ** 2)
         q = (b0 * cos * cos + b1 * sin * sin, b0 * sin * sin + b1 * cos * cos)
         dp = 2.0 * (ra0.conjugate() * rb0 + ra1.conjugate() * rb1).real
-        return p, q, _binary_rates(p, q, alpha, dp, 2.0 * (b1 - b0) * sin * cos)
+        return _binary_slope(p, q, alpha, dp, 2.0 * (b1 - b0) * sin * cos)
 
     def refine(lo, hi, g_lo, g_hi):
         """Illinois secant on the slope in [lo, hi], g_lo > 0 > g_hi: (angle, converged)."""
@@ -738,7 +755,7 @@ def _qubit_tests(pair: _Pair, alpha):
             x_new = x_new if lo <= x_new <= hi else 0.5 * (lo + hi)  # NaN: an infinite slope
             if abs(x_new - x) <= math.ulp(x_new):
                 return x_new, True
-            x, g = x_new, float(curve(math.cos(x_new), math.sin(x_new))[2])
+            x, g = x_new, slope(x_new)
             if not (g > 0.0 or g < 0.0):  # a root, or a rounding cliff
                 return x, True
             if g > 0.0:  # Illinois: the end kept twice in a row has its slope halved
@@ -747,19 +764,24 @@ def _qubit_tests(pair: _Pair, alpha):
                 hi, g_hi, g_lo, side = x, g, 0.5 * g_lo if side > 0 else g_lo, 1
         return x, False
 
-    half = 0.25 * math.pi
-    near = math.sqrt(b1 / b0) * 2.0 ** np.arange(-QUBIT_OCTAVES, QUBIT_OCTAVES + 1)
-    near = near[near < half]
-    # one step past each end of the period, so that every local maximum has two neighbours
-    even = half / NP_GRID * np.arange(-NP_GRID - 1, NP_GRID + 2)
-    t = np.sort(np.concatenate([even, near, -near]))
-    p, q, slopes = curve(np.cos(t), np.sin(t))
-    vals = _binary_values(np.stack(p), np.stack(q), alpha)
+    near = math.sqrt(b1 / b0) * _QUBIT_OCTAVE_STEPS
+    near = near[near < 0.25 * math.pi]
+    t = np.sort(np.concatenate([_QUBIT_EVEN_STEPS, near, -near]))
+    cos, sin = np.cos(t), np.sin(t)
+    # slope's quantities on the whole grid, with R psi_1 and R psi_2 stacked
+    by_cos, by_sin = np.array([a0, a1, c0, c1, c0, c1, -a0, -a1]).reshape(2, 4, 1)
+    r_psi = cos * by_cos + sin * by_sin
+    sq, cs = np.abs(r_psi) ** 2, np.array([cos, sin])
+    p, q = sq[::2] + sq[1::2], b0 * cs * cs + b1 * cs[::-1] * cs[::-1]
+    dp = r_psi[:2].conjugate() * r_psi[2:]
+    slopes = _binary_rates(p, q, alpha, 2.0 * (dp[0] + dp[1]).real, 2.0 * (b1 - b0) * sin * cos).tolist()
+    vals = _binary_values(p, q, alpha)
     top, angles, converged = int(np.argmax(vals)), [], True
-    for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1:
+    t = t.tolist()
+    for i in (np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1).tolist():
         lo, hi = (i, i + 1) if slopes[i] > 0.0 else (i - 1, i)
         if slopes[lo] > 0.0 > slopes[hi]:
-            x, conv = refine(*map(float, (t[lo], t[hi], slopes[lo], slopes[hi])))
+            x, conv = refine(t[lo], t[hi], slopes[lo], slopes[hi])
             angles, converged = angles + [x], converged and conv
             top = -1 if i == top else top  # refined, so the grid's best need not compete
     angles += [t[top]] if top >= 0 else []

@@ -101,7 +101,7 @@ class HermitianOperator:
             )
         if not np.isfinite(m).all():
             raise MalformedInputError("matrix has non-finite entries")
-        mh = m.conj().T
+        mh = np.ascontiguousarray(m.conj().T)  # contiguous, so that neither sum below mixes layouts
         gap = float(np.abs(m - mh).max(initial=0.0))
         if gap > HERMITICITY_ATOL:
             raise MalformedInputError(f"matrix is not Hermitian (deviation {gap:.3e})")
@@ -209,12 +209,12 @@ def spectral_map(A, fn) -> tuple[np.ndarray, int]:
 
 
 def _rebuild(cut, fn) -> np.ndarray:
-    """fn on the kept eigenvalues of a cut eigensystem (w, v, kept), zero on the rest."""
+    """fn on the kept eigenvalues of a cut eigensystem (w, v, kept), zero on the rest; stacked ones stack."""
     w, v, kept = cut
     vals = np.zeros_like(w)
     vals[kept] = fn(w[kept])
-    m = (v * vals) @ v.conj().T
-    return 0.5 * (m + m.conj().T)
+    m = (v * vals[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (m + np.ascontiguousarray(m.conj().swapaxes(-1, -2)))
 
 
 def supported_power(A, x: float) -> HermitianOperator:
@@ -329,9 +329,9 @@ class _Pair:
         return roots, p, t
 
     @cached_property
-    def roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The supported square roots of rho and sigma, from the cut eigensystems."""
-        return _rebuild(self.rho_cut, np.sqrt), _rebuild(self.sigma_cut, np.sqrt)
+    def roots(self) -> np.ndarray:
+        """The supported square roots of rho and sigma, stacked, from the cut eigensystems."""
+        return _rebuild([np.array(cuts) for cuts in zip(self.rho_cut, self.sigma_cut)], np.sqrt)
 
     @cached_property
     def i_bounds(self) -> tuple[int, ...]:
@@ -349,18 +349,19 @@ def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:
 
     included is the support_defect test of rho^0 <= sigma^0 on sigma's cut-off
     eigenvectors; borderline marks a defect between the cutoff and the slack.
+    Both eigensystems are descending, so a cut keeps a prefix (all of it: no defect).
     """
     if len(rho_eig[0]) != len(sigma_eig[0]):
         raise DimMismatchError(f"dim {len(rho_eig[0])} vs {len(sigma_eig[0])}")
     rho_cut = _cut_spectrum(*rho_eig)
-    if not np.any(rho_cut[2]):
+    if not rho_cut[2][0]:
         raise ZeroOperatorError("rho is (numerically) zero")
     sigma_cut = _cut_spectrum(*sigma_eig)
     _, w, kept = sigma_cut
-    if not np.any(kept):
+    if not kept[0]:
         raise ZeroOperatorError("sigma is (numerically) zero")
-    tr = float(np.real(np.trace(rho)))
-    defect = support_defect(rho, tr, w[:, ~kept])
+    tr = float(rho.trace().real)
+    defect = 0.0 if kept[-1] else support_defect(rho, tr, w[:, ~kept])
     included = defect <= SUPPORT_TEST_SLACK
     borderline = included and defect > BORDERLINE_BAND[0]
     overlap = rho_cut[1].conj().T @ w
@@ -371,12 +372,14 @@ def _checked_pair(rho, sigma) -> _Pair:
     """Validate a pair once: its record, from the operators' cached eigensystems.
 
     Every public pair entry point calls this exactly once and hands the
-    record to its kernels.  The record is cached on the rho operator,
-    keyed weakly by the sigma operator, so repeated calls on the same two
-    operators (an alpha or z sweep) validate and build it once and do not
-    keep sigma alive.  A raising pair is not cached.
+    record to its kernels.  Between two operators it is cached on rho,
+    keyed weakly by sigma, so repeated calls (an alpha or z sweep) build it
+    once and do not keep sigma alive.  An array's operator dies with the
+    call, so a pair with one is not cached, nor is a raising pair.
     """
-    rho, sigma = as_operator(rho), as_operator(sigma)
+    if not (isinstance(rho, HermitianOperator) and isinstance(sigma, HermitianOperator)):
+        rho, sigma = as_operator(rho), as_operator(sigma)
+        return _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
     pair = rho._pairs.get(sigma)
     if pair is None:
         pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)

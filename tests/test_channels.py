@@ -48,6 +48,25 @@ def test_trace_preservation_flag(rng):
     assert not broken.trace_preserving
 
 
+def test_trace_preservation_flag_is_computed_once(monkeypatch, rng):
+    """The flag is cached like choi and kraus_gram: a second read takes no 2-norm."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for ch in (rand_channel(rng, 2, 2, kraus_n=3), depolarizing_channel(0.2)):
+        for c, want in ((ch, True), (Channel(tuple(0.9 * k for k in ch.kraus)), False)):
+            calls.clear()
+            assert c.trace_preserving is want
+            assert len(calls) == 1
+            assert c.trace_preserving is want
+            assert len(calls) == 1
+
+
 def test_choi_round_trip(rng):
     ch = rand_channel(rng, 2, 3, kraus_n=2)
     back = Channel.from_choi(ch.choi, 2, 3)

@@ -778,9 +778,51 @@ def test_test_variant_raises_no_runtime_warning(rng):
         near_product_pair(),
         gen_pure(1.0, 0.3),
     ]
+    # a qubit whose sigma has eigenvalue ratio 1e-9: at alpha = 10 the secant's powers reach ~1e90
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    pairs.append((rand_density(rng, 2), HermitianOperator((u * [1.0, 1e-9]) @ u.conj().T)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for rho, sigma in pairs:
             for alpha in (0.1, *TEST_ALPHAS, 10.0):
                 measured_by_test(rho, sigma, alpha)
     assert [str(w.message) for w in caught if w.filename == measured.__file__] == []
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_binary_slope_is_binary_rates_bit_for_bit(rng):
+    """The secant's slope in Python floats is numpy's scalar slope to the last bit.
+
+    The weights span twelve decades and include an empty outcome (p = 0,
+    whose power below alpha = 1 Python refuses), an outcome sigma misses
+    (q = 0) and ratios whose powers overflow at alpha = 10; there, and at and
+    near alpha = 1, _binary_slope takes numpy's path.
+    """
+    weights = [tuple(10.0 ** rng.uniform(-12.0, 0.0, 4)) for _ in range(300)]
+    weights += [(0.0, 0.7, 0.4, 0.6), (0.3, 0.7, 0.0, 0.6), (0.0, 1.0, 0.0, 1.0), (1.0, 0.5, 1e-40, 0.5)]
+    for p0, p1, q0, q1 in weights:
+        dp, dq = rng.standard_normal(2)
+        for alpha in (0.3, 0.7, 1.0, 1.0 - 5e-4, 1.0 + 5e-4, 1.5, 2.0, 5.0, 10.0):
+            args = (p0, p1), (q0, q1), alpha, float(dp), float(dq)
+            want, got = float(measured._binary_rates(*args)), measured._binary_slope(*args)
+            assert bits(got) == bits(want) or math.isnan(got) and math.isnan(want), (args, got, want)
+
+
+def test_qubit_search_keeps_every_bit_of_the_numpy_slope(monkeypatch, rng):
+    """Both qubit bounds return the values, flags and factors of the search on numpy's scalar slope."""
+    pairs = [(rand_density(rng, 2).entries, rand_density(rng, 2).entries) for _ in range(30)]
+
+    def results():
+        return [
+            (bits(res.value), res.converged, [f.tobytes() for f in res.povm.factors])
+            for rho, sigma in pairs
+            for alpha in (0.3, 0.7, 1.5, 2.0, 5.0)
+            for res in (measured_renyi_lower(rho, sigma, alpha), measured_by_test(rho, sigma, alpha))
+        ]
+
+    fast = results()
+    monkeypatch.setattr(measured, "_binary_slope", lambda *args: float(measured._binary_rates(*args)))
+    assert results() == fast

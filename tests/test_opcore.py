@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qrd.errors import DimTooLargeError, MalformedInputError, NotPSDError
 from qrd.divergences import DivergenceParams, _d_alpha_z, d_alpha_z, d_max, umegaki
+from qrd import opcore
 from qrd.opcore import (
     HermitianOperator,
     Projection,
@@ -197,3 +198,29 @@ def test_pair_record_is_cached_per_operator_pair(rng):
     gc.collect()
     assert alive() is None
     assert len(rho._pairs) == 0
+
+
+def test_pair_record_with_an_array_input_is_not_cached(monkeypatch, rng):
+    """An array's operator dies with the call, so no record is kept for it, nor on the other operator."""
+    made = []
+
+    def coerced(x):
+        made.append(as_operator(x))
+        return made[-1]
+
+    monkeypatch.setattr(opcore, "as_operator", coerced)
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    for r, s in ((rho.entries, sigma.entries), (rho, sigma.entries), (rho.entries, sigma)):
+        made.clear()
+        pair = _checked_pair(r, s)
+        assert len(made) == 2 and all("_pairs" not in op.__dict__ for op in made)
+        assert d_alpha_z(r, s, DivergenceParams(1.5, 1.5)) == _d_alpha_z(pair, DivergenceParams(1.5, 1.5))
+    assert "_pairs" not in rho.__dict__ and "_pairs" not in sigma.__dict__
+
+
+def test_full_rank_sigma_includes_rho_without_a_defect(rng):
+    """sigma's cut keeps every eigenvalue: the support defect is the empty sum, exactly 0."""
+    for d in (2, 3, 4):
+        pair = _checked_pair(rand_density(rng, d).entries, rand_density(rng, d).entries)
+        assert pair.sigma_cut[2].all()
+        assert pair.included is True and pair.borderline is False
