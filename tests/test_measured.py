@@ -778,7 +778,7 @@ def test_test_variant_raises_no_runtime_warning(rng):
         near_product_pair(),
         gen_pure(1.0, 0.3),
     ]
-    # a qubit whose sigma has eigenvalue ratio 1e-9: at alpha = 10 the secant's powers reach ~1e90
+    # a qubit whose sigma has eigenvalue ratio 1e-9: at alpha = 10 a likelihood ratio's power can reach ~1e90
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     pairs.append((rand_density(rng, 2), HermitianOperator((u * [1.0, 1e-9]) @ u.conj().T)))
     with warnings.catch_warnings(record=True) as caught:
