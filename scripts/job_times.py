@@ -13,8 +13,8 @@ output check outside it, and prints one row per job: its index, name,
 mean latency in microseconds and share of a pass.  The rows marked
 ``p50`` are the jobs whose means set the median of the per-job means,
 which is how the harness's latency_p50_ms reads them: one job for an
-odd count, the two middle ones for an even count.  The timings are wall
-clock on this host, not the harness's reference-speed units.
+odd count, the two middle ones for an even count.  The timings are
+wall-clock seconds, not the harness's reference-speed units.
 """
 
 from __future__ import annotations
