@@ -42,6 +42,14 @@ def order(k: int) -> tuple[str, str]:
     return SIDES if k % 2 else SIDES[::-1]
 
 
+def quartiles(values: list[float]) -> dict:
+    """median, q1 and q3 of values: statistics.quantiles' inclusive ones, or the one value."""
+    if len(values) == 1:
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def won(parent: float, change: float, better: str) -> bool:
     return change > parent if better == "higher" else change < parent
 
@@ -60,12 +68,7 @@ def summary(runs: list[dict[str, dict[str, float]]], metrics: list[dict]) -> lis
             continue
         row = {"name": name, "unit": m["unit"], "better": m["better"], "pairs": len(pairs)}
         for side, values in zip(SIDES, zip(*pairs)):
-            values = list(values)
-            if len(values) > 1:
-                q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            else:
-                q1 = med = q3 = values[0]
-            row[side] = {"median": med, "q1": q1, "q3": q3}
+            row[side] = quartiles(list(values))
         base = row["parent"]["median"]
         row["change_pct"] = 100.0 * (row["change"]["median"] - base) / base if base else None
         row["wins"] = sum(won(p, c, m["better"]) for p, c in pairs)
@@ -98,13 +101,18 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    cmd = [*command, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def harness(tree: Path, bench: dict, workload: str, seed: int, trace: int) -> tuple[str, str]:
+    """(report line, result line) of one run of BENCHMARK.json's command in tree.
+
+    bench is BENCHMARK.json's content; the run lasts its run_seconds.
+    """
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     if cmd[0] in ("python", "python3"):
         cmd[0] = sys.executable
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return result_metrics(out.stdout)
+    *_, report, result = out.stdout.strip().splitlines()
+    return report, result
 
 
 def main(argv=None) -> int:
@@ -125,8 +133,8 @@ def main(argv=None) -> int:
         for k in range(1, args.pairs + 1):
             pair = {}
             for side in order(k):
-                pair[side] = run(trees[side], bench["command"], args.workload, k,
-                                 bench["run_seconds"])
+                _, result = harness(trees[side], bench, args.workload, k, 0)
+                pair[side] = result_metrics(result)
                 values = " ".join(f"{n}={v:.6g}" for n, v in sorted(pair[side].items()))
                 print(f"pair {k} seed {k} {side}: {values}", flush=True)
             runs.append(pair)

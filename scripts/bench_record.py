@@ -3,10 +3,10 @@
 
     python3 scripts/bench_record.py --out BENCH_<n>.json
 
-Run from the repository root.  For each workload the harness
-perfbench/run.py runs unchanged for 20 s, once per seed 1-10 at
---trace 0 and once at --trace 1 (seed 1); then the Tier-1 suite runs with
-``pytest --durations=5``.  The file holds the environment of the
+Run from the repository root.  For each workload of BENCHMARK.json its
+harness command runs unchanged for its run_seconds, once per seed 1-10
+at --trace 0 and once at --trace 1 (seed 1); then the Tier-1 suite runs
+with ``pytest --durations=5``.  The file holds the environment of the
 harness's report line (machine, library versions, BLAS threads,
 commit), the median and quartiles over the seeds of every end-to-end
 metric with the per-run values, the per-layer metrics of the traced
@@ -20,49 +20,35 @@ import argparse
 import json
 import os
 import re
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
-WORKLOADS = ("spectral", "optimize", "zlimit", "cli")
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_ab import harness, quartiles  # noqa: E402
+
 SEEDS = list(range(1, 11))
-#: --seconds of each harness run
-SECONDS = 20.0
 #: a --durations line: "2.10s call     tests/test_x.py::test_y"
 DURATION = re.compile(r"^(\d+\.\d+)s\s+(\w+)\s+(\S+)$")
 SUMMARY = re.compile(r"(\d+) passed")
 
 
-def harness(root: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
-    """(report, result) of one perfbench/run.py invocation."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    *_, report, result = out.stdout.strip().splitlines()
-    return json.loads(report)["report"], json.loads(result)
-
-
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
-
-
-def workload_record(root: Path, workload: str) -> tuple[dict, dict]:
+def workload_record(root: Path, bench: dict, workload: str) -> tuple[dict, dict]:
     """(record, env): end-to-end metrics over the seeds, per-layer metrics of one traced run."""
     runs, failed, env = {}, [], None
     for seed in SEEDS:
-        report, result = harness(root, workload, seed, 0)
-        env = env or report["env"]
+        report, result = map(json.loads, harness(root, bench, workload, seed, 0))
+        env = env or report["report"]["env"]
         failed.append(result["failed"])
         for name, metric in result["metrics"].items():
             runs.setdefault(name, (metric["unit"], []))[1].append(metric["value"])
-    _, traced = harness(root, workload, SEEDS[0], 1)
+    traced = json.loads(harness(root, bench, workload, SEEDS[0], 1)[1])
     record = {
         "seeds": SEEDS,
         "failed_ops": failed,
-        "end_to_end": {name: {"unit": unit, **summary(vals)} for name, (unit, vals) in runs.items()},
+        "end_to_end": {name: {"unit": unit, **quartiles(vals), "runs": vals}
+                       for name, (unit, vals) in runs.items()},
         "per_layer": traced["metrics"],
     }
     return record, env
@@ -92,14 +78,16 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
     root = Path.cwd()
-    if not (root / "perfbench" / "run.py").is_file():
+    if not (root / "BENCHMARK.json").is_file():
         print("error: run from the repository root", file=sys.stderr)
         return 2
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads, env = {}, None
-    for name in WORKLOADS:
-        workloads[name], env = workload_record(root, name)
-        print(f"{name}: done", file=sys.stderr)
-    record = {"env": env, "seconds": SECONDS, "workloads": workloads, "tier1": tier1(root)}
+    for w in bench["workloads"]:
+        workloads[w["name"]], env = workload_record(root, bench, w["name"])
+        print(f"{w['name']}: done", file=sys.stderr)
+    record = {"env": env, "seconds": bench["run_seconds"], "workloads": workloads,
+              "tier1": tier1(root)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -3,23 +3,24 @@
 
     python3 scripts/job_times.py --workload optimize --seed 1 [--passes 5] [--src DIR]
 
-Run from the repository root.  The job list is built by
-perfbench/workloads.py, which is imported and not changed, with qrd
-imported from DIR (default ./src), so ``--src`` times another tree's
-library on the same jobs.  BLAS is pinned to one thread as in the
-harness.  After the warm-up the script runs the whole job list
-``--passes`` times, each call timed by perf_counter around the job, the
-output check outside it, and prints one row per job: its index, name,
-mean latency in microseconds and share of a pass.  The rows marked
-``p50`` are the jobs whose means set the median of the per-job means,
-which is how the harness's latency_p50_ms reads them: one job for an
-odd count, the two middle ones for an even count.  The timings are
-wall-clock seconds, not the harness's reference-speed units.
+Run from the repository root; the workload is one of BENCHMARK.json's.
+The job list is built by perfbench/workloads.py, which is imported and
+not changed, with qrd imported from DIR (default ./src), so ``--src``
+times another tree's library on the same jobs.  BLAS is pinned to one
+thread as in the harness.  After the warm-up the script runs the whole
+job list ``--passes`` times, each call timed by perf_counter around the
+job, the output check outside it, and prints one row per job: its
+index, name, mean latency in microseconds and share of a pass.  The
+rows marked ``p50`` are the jobs whose means set the median of the
+per-job means, which is how the harness's latency_p50_ms reads them: one
+job for an odd count, the two middle ones for an even count.  The
+timings are wall-clock seconds, not the harness's reference-speed units.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
 import tempfile
@@ -66,7 +67,8 @@ def format_table(names: list[str], means: list[float]) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=("spectral", "optimize", "zlimit", "cli"))
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--passes", type=int, default=5)
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the qrd package")

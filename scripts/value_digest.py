@@ -20,7 +20,12 @@ divergences on three random channel pairs (sandwiched, Umegaki or
 measured, Petz, and the (alpha, z) family at z = inf and at a finite z),
 each with its bracket's upper end and gap (+inf where it has none).
 Every record of every verify suite at 2 trials follows, as its
-(digest, ok, detail).  Errors print as their type and message.  Two
+(digest, ok, detail).  The qubit measured layer comes last: both lower
+bounds, on arrays at default arguments, over a seeded set of 240 qubit
+pairs (rho full, pure, near-pure or of trace 1e-3 against a random sigma
+or one with an eigenvalue from 1e-6 to 1e-10) at ten alphas from 0.05 to
+10, then per function, class and alpha the count of values below rho's
+eigenbasis measurement.  Errors print as their type and message.  Two
 checkouts compute the same values exactly when
 
     PYTHONPATH=src python3 scripts/value_digest.py > new.txt
@@ -34,6 +39,7 @@ import math
 
 import numpy as np
 
+from qrd import measured, opcore
 from qrd.channels import (
     apply_extended,
     channel_divergence,
@@ -54,7 +60,7 @@ from qrd.divergences import (
     variational_objective,
     variational_optimizer_H,
 )
-from qrd.measured import measured_renyi_lower, test_measured
+from qrd.measured import apply_povm, measured_renyi_lower, test_measured
 from qrd.opcore import HermitianOperator, pinch_exp
 from qrd.reversetests import maximal_divergence_upper, spectral_reverse_test
 from qrd.verify import SUITES, rand_channel, rand_density, rand_pure, run_suite
@@ -75,6 +81,10 @@ EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 VARIATIONAL_PARAMS = ((1.5, 1.5), (1.5, 1.0), (1.5, 0.2), (1.2, 0.05))
 NEAR_ONE_STEPS = (1e-4, 1e-8, 1e-12)
 SEED = 20261018
+QUBIT_ALPHAS = (0.05, 0.2, 0.4, 0.6, 0.9, 1.0, 1.5, 2.0, 4.0, 10.0)
+#: pairs per (rho kind, sigma kind) class of the qubit set, and their generator's seed
+QUBIT_PAIRS = 30
+QUBIT_SEED = 20261019
 
 
 def digest(a) -> str:
@@ -219,11 +229,13 @@ def reverse_layer(name, rho, sigma) -> None:
         emit(f"{name} maximal a={alpha}", lambda: maximal(alpha))
 
 
-def measured_layer(name, rho, sigma) -> None:
-    def show(res):
-        factors = "" if res.povm.factors is None else digest(np.hstack(res.povm.factors))
-        return (res.value, res.restarts_used, res.converged, factors)
+def show(res):
+    """A measured result as (value, restarts_used, converged, hash of the POVM factors)."""
+    factors = "" if res.povm.factors is None else digest(np.hstack(res.povm.factors))
+    return (res.value, res.restarts_used, res.converged, factors)
 
+
+def measured_layer(name, rho, sigma) -> None:
     for alpha in MEASURED_ALPHAS:
         emit(
             f"{name} measured a={alpha}",
@@ -263,6 +275,56 @@ def verify_layer() -> None:
             print(f"verify {suite} {rec.case}: {(rec.digest, rec.ok, rec.detail)}")
 
 
+def qubit_pairs():
+    """(class, index, rho, sigma) of every pair of the qubit set, as arrays.
+
+    Per index, one sigma is random and one has the eigenvalue
+    10^-(6 + index % 5); against each, rho is full rank, pure, near-pure
+    ((1 - 1e-6) psi psi^dag + 5e-7 I) or of trace 1e-3.
+    """
+    rng = np.random.default_rng(QUBIT_SEED)
+    out = []
+    for i in range(QUBIT_PAIRS):
+        for s_kind in ("random", "ill"):
+            if s_kind == "random":
+                sigma = rand_density(rng, 2).entries
+            else:
+                u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+                small = 10.0 ** -(6 + i % 5)
+                sigma = (u * [small, 1.0 - small]) @ u.conj().T
+            psi = rand_pure(rng, 2).entries
+            rhos = {
+                "full": rand_density(rng, 2).entries,
+                "pure": psi,
+                "nearpure": (1.0 - 1e-6) * psi + 5e-7 * np.eye(2),
+                "trace": 1e-3 * rand_density(rng, 2).entries,
+            }
+            out += [(f"{r_kind}/{s_kind}", i, rho, sigma) for r_kind, rho in rhos.items()]
+    return out
+
+
+def qubit_measured_layer() -> None:
+    """Both lower bounds on the qubit set, then how many lie below rho's eigenbasis value.
+
+    That value is the classical divergence of the weights rho's eigenbasis
+    measurement gives, taken as apply_povm takes them; a bound below it by
+    more than 1e-12 max(1, |D|) is counted, per function, class and alpha.
+    """
+    below = {}
+    for cls, i, rho, sigma in qubit_pairs():
+        basis = measured._povm(measured._projective(opcore._checked_pair(rho, sigma).rho_cut[1]))
+        p, q = (apply_povm(basis, m).values for m in (rho, sigma))
+        for alpha in QUBIT_ALPHAS:
+            floor = float(measured._binary_values(p, q, alpha))
+            for name, fn in (("measured", measured_renyi_lower), ("test", test_measured)):
+                res = fn(rho, sigma, alpha)
+                print(f"qubit {cls} {i} {name} a={alpha}: {show(res)}")
+                key = (name, cls, alpha)
+                below[key] = below.get(key, 0) + (res.value < floor - 1e-12 * max(1.0, abs(floor)))
+    for (name, cls, alpha), count in below.items():
+        print(f"qubit {cls} {name} a={alpha} below rho basis: {count}")
+
+
 def main() -> None:
     for name, rho, sigma in pairs():
         divergence_layer(name, rho, sigma)
@@ -274,6 +336,7 @@ def main() -> None:
             measured_layer(name, rho, sigma)
     channel_layer()
     verify_layer()
+    qubit_measured_layer()
 
 
 if __name__ == "__main__":

@@ -192,9 +192,13 @@ def channel_dmax(n1: Channel, n2: Channel) -> float:
 
 
 def channel_dmax_bisection(n1: Channel, n2: Channel, iters: int = 60) -> float:
-    """Cross-check for channel_dmax: bisect the CP order threshold."""
+    """Cross-check for channel_dmax: bisect the CP order threshold.
+
+    The bracket of log lam is [0, 60], or [-60, 0] where lam = 1 already
+    dominates, as for a trace-decreasing n1.
+    """
     if cp_order_check(n1, n2, 1e26):
-        lo, hi = 0.0, 60.0
+        lo, hi = (-60.0, 0.0) if cp_order_check(n1, n2, 1.0) else (0.0, 60.0)
         if not cp_order_check(n1, n2, math.exp(hi)):
             return math.inf
         for _ in range(iters):

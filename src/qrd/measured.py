@@ -55,11 +55,6 @@ from .opcore import (
     stiefel_ascent,
 )
 
-#: stand-in for an infinite score in a search, which is a rounding cliff
-#: (_measured_pair returns every genuine infinity first); finite so that
-#: candidate selection and the test search rank it last
-DEMOTED = -1e18
-
 #: irrational mixing weight for the joint-eigenbasis seed; avoids the
 #: rho + sigma = multiple-of-identity trap that an equal-weight sum hits
 EIGENBASIS_MIX = 0.6180339887498949
@@ -268,7 +263,8 @@ def _scored(pair: _Pair, cands, alpha: float):
     """The first best of candidate factor tuples: (value, factors, p, q).
 
     Ranked by the classical value of the weights p_k = ||rho^1/2 F_k||^2,
-    q_k = ||sigma^1/2 F_k||^2, an infinity as DEMOTED.  The weights come from
+    q_k = ||sigma^1/2 F_k||^2, an infinity as -inf: a rounding cliff, since
+    _measured_pair returns every genuine infinity first.  The weights come from
     one batched product of the record's roots with the factors of each
     column count, bit for bit as apply_povm takes them from the returned POVM.
     """
@@ -282,7 +278,7 @@ def _scored(pair: _Pair, cands, alpha: float):
     ends = itertools.accumulate(map(len, cands))
     weights = [norms[:, end - len(factors) : end] for factors, end in zip(cands, ends)]
     values = [float(_renyi(p, q, alpha)) for p, q in weights]
-    best = max(range(len(values)), key=lambda i: DEMOTED if math.isinf(values[i]) else values[i])
+    best = max(range(len(values)), key=lambda i: -math.inf if math.isinf(values[i]) else values[i])
     return (values[best], cands[best], *weights[best])
 
 
@@ -565,12 +561,12 @@ def measured_renyi_lower(
 def _binary_values(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
     """Renyi divergences of two-outcome weights p, q (outcomes on axis 0), elementwise.
 
-    Infinite values rank last as DEMOTED: in _np_test every outcome has
+    Infinite values rank last as -inf: in _np_test every outcome has
     sigma-weight for alpha >= 1, and only disjoint supports, caught
     earlier, give +inf below 1, so an infinity is a rounding cliff.
     """
     vals = _renyi(p, q, alpha)
-    return np.where(np.isfinite(vals), vals, DEMOTED)
+    return np.where(np.isfinite(vals), vals, -np.inf)
 
 
 def _binary_rates(p: np.ndarray, q: np.ndarray, alpha: float, dp, dq) -> np.ndarray:
@@ -654,7 +650,7 @@ def _np_test(pair: _Pair, alpha):
     # np.unique's result, without the numpy.ma import its first call makes
     edges = np.sort(np.concatenate([[0.0, 0.5 * math.pi], np.arctan(ratios)]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
-    best_val, best_u, best_rank = DEMOTED, None, 0
+    best_val, best_u, best_rank = -math.inf, None, 0
 
     def scored(phis):
         """Values and slopes g of every top-r test at each angle; keeps the best seen."""

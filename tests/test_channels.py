@@ -122,11 +122,14 @@ def test_cp_order_threshold():
 
 
 def test_channel_dmax_matches_bisection(rng):
-    n1 = rand_channel(rng, 2, 2, kraus_n=2)
-    n2 = rand_channel(rng, 2, 2, kraus_n=4)
-    exact = channel_dmax(n1, n2)
-    approx = channel_dmax_bisection(n1, n2)
-    assert exact == pytest.approx(approx, abs=1e-6)
+    # a random pair, and the identity channel halved against it: D_max = log 1/2 < 0
+    for n1, n2 in (
+        (rand_channel(rng, 2, 2, kraus_n=2), rand_channel(rng, 2, 2, kraus_n=4)),
+        (Channel([math.sqrt(0.5) * np.eye(2)]), identity_channel(2)),
+    ):
+        exact = channel_dmax(n1, n2)
+        approx = channel_dmax_bisection(n1, n2)
+        assert exact == pytest.approx(approx, abs=1e-6)
 
 
 @pytest.mark.parametrize(

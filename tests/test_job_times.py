@@ -1,13 +1,17 @@
-"""The p50 selection of scripts/job_times.py, on canned job means."""
+"""The p50 selection of scripts/job_times.py, on canned job means, and the
+settings it and scripts/bench_record.py take from BENCHMARK.json."""
 
-import importlib.util
+import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "job_times.py"
-spec = importlib.util.spec_from_file_location("job_times", SCRIPT)
-job_times = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(job_times)
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import bench_record  # noqa: E402
+import job_times  # noqa: E402
 
 
 def test_p50_jobs_are_the_ones_that_set_the_median():
@@ -25,3 +29,33 @@ def test_table_marks_the_p50_jobs_and_shares():
     marked = [line.split()[1] for line in table[1:-1] if line.endswith("p50")]
     assert marked == ["c", "d"]
     assert table[1].split()[3] == "40.0%"
+
+
+def test_harness_scripts_follow_benchmark_json(tmp_path, monkeypatch):
+    """Another workload set and run length in BENCHMARK.json reach every harness call."""
+    bench = {"command": ["python3", "bench/main.py"], "run_seconds": 3,
+             "workloads": [{"name": "alpha"}, {"name": "beta"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        result = {"failed": 0, "metrics": {"ops_per_s": {"unit": "1/ref-s", "value": 1.0}}}
+        stdout = json.dumps({"report": {"env": {}}}) + "\n" + json.dumps(result)
+        return subprocess.CompletedProcess(cmd, 0, "1 passed" if "pytest" in cmd else stdout, "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--out", "record.json"]) == 0
+    opts = [dict(zip(cmd[2::2], cmd[3::2])) for cmd in calls if cmd[1] == "bench/main.py"]
+    assert [o["--workload"] for o in opts] == ["alpha"] * 11 + ["beta"] * 11
+    assert {o["--seconds"] for o in opts} == {"3"}
+    record = json.loads((tmp_path / "record.json").read_text(encoding="utf-8"))
+    assert list(record["workloads"]) == ["alpha", "beta"] and record["seconds"] == 3
+
+    monkeypatch.setattr(job_times, "ROOT", tmp_path)
+    # past the choices, the script stops at the missing qrd package under --src
+    for name in ("alpha", "beta"):
+        assert job_times.main(["--workload", name, "--seed", "1", "--src", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit):
+        job_times.main(["--workload", "optimize", "--seed", "1", "--src", str(tmp_path)])
