@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process mean latency of each job of one benchmark workload.
 
-    python3 scripts/job_times.py --workload optimize --seed 1 [--passes 5] [--src DIR]
+    python3 scripts/job_times.py --workload W --seed S [--passes 5] [--src DIR]
 
 Run from the repository root; the workload is one of BENCHMARK.json's.
 The job list is built by perfbench/workloads.py, which is imported and
