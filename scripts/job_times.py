@@ -10,7 +10,11 @@ times another tree's library on the same jobs.  BLAS is pinned to one
 thread as in the harness.  After the warm-up the script runs the whole
 job list ``--passes`` times, each call timed by perf_counter around the
 job, the output check outside it, and prints one row per job: its
-index, name, mean latency in microseconds and share of a pass.  The
+index, name, mean latency in microseconds and share of a pass.  As in
+perfbench/run.py, the host-speed reference computation
+(hostspeed.reference_s) runs, untimed, before every job, so each job
+meets the caches the harness leaves it and its mean replicates the
+harness's cost of the job, not its warm cost in a tight loop.  The
 rows marked ``p50`` are the jobs whose means set the median of the
 per-job means, which is how the harness's latency_p50_ms reads them: one
 job for an odd count, the two middle ones for an even count.  The
@@ -38,11 +42,12 @@ def p50_jobs(means: list[float]) -> list[int]:
     return ranked[mid : mid + 1] if len(ranked) % 2 else ranked[mid - 1 : mid + 1]
 
 
-def job_means(jobs, passes: int, tracer) -> list[float]:
-    """Mean seconds per call of each job over whole passes of the list."""
+def job_means(jobs, passes: int, tracer, reference) -> list[float]:
+    """Mean seconds per call of each job over whole passes of the list, reference() run before each."""
     totals = [0.0] * len(jobs)
     for _ in range(passes):
         for k, job in enumerate(jobs):
+            reference()
             t0 = perf_counter()
             try:
                 result = job.call(tracer)
@@ -82,6 +87,7 @@ def main(argv=None) -> int:
 
     pin_threads()
     import workloads
+    from hostspeed import reference_s
     from tracing import Tracer
 
     tracer = Tracer(False)
@@ -90,7 +96,7 @@ def main(argv=None) -> int:
         try:
             for job in w.warmup:
                 job.call(tracer)
-            means = job_means(w.jobs, args.passes, tracer)
+            means = job_means(w.jobs, args.passes, tracer, reference_s)
         finally:
             w.cleanup()
     print(format_table([job.name for job in w.jobs], means))

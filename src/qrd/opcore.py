@@ -150,8 +150,9 @@ class Projection(HermitianOperator):
 
 
 def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh with the eigenvalues descending; a stack of matrices gives a stack of eigensystems."""
     w, v = np.linalg.eigh(m)
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
 def as_operator(x) -> HermitianOperator:
@@ -282,7 +283,7 @@ class _Pair:
     def rank(self) -> int:
         """Rank of U_kept, so of every finite-z kernel's inner matrix: 0 on orthogonal supports."""
         ka, kb = self.rho_cut[2], self.sigma_cut[2]
-        if ka.all() or kb.all():  # U_kept's rows or columns are orthonormal
+        if ka[-1] or kb[-1]:  # a cut keeps a prefix: U_kept's rows or columns are orthonormal
             return int(min(np.count_nonzero(ka), np.count_nonzero(kb)))
         return int(np.sum(np.linalg.svd(self.overlap[ka][:, kb], compute_uv=False) > SUPPORT_RTOL))
 
@@ -368,33 +369,48 @@ def _pair(rho, rho_eig, sigma, sigma_eig) -> _Pair:
     return _Pair(rho, sigma, rho_cut, sigma_cut, overlap, tr, included, borderline)
 
 
+def _stack_pair(m: np.ndarray) -> _Pair:
+    """The pair record of a (2, d, d) stack of rho and sigma: symmetrized as by HermitianOperator, one eigh."""
+    m = 0.5 * (m + m.conj().swapaxes(1, 2))
+    w, v = _eigh_descending(m)
+    return _pair(m[0], (w[0], v[0]), m[1], (w[1], v[1]))
+
+
 def _checked_pair(rho, sigma) -> _Pair:
     """Validate a pair once: its record, from the operators' cached eigensystems.
 
     Every public pair entry point calls this exactly once and hands the
     record to its kernels.  Between two operators it is cached on rho,
     keyed weakly by sigma, so repeated calls (an alpha or z sweep) build it
-    once and do not keep sigma alive.  An array's operator dies with the
-    call, so a pair with one is not cached, nor is a raising pair.
+    once and do not keep sigma alive.  Two arrays that pass the operator
+    checks on their stack build it uncached by _stack_pair; other pairs go
+    through HermitianOperator, which raises rho's failure first.
     """
-    if not (isinstance(rho, HermitianOperator) and isinstance(sigma, HermitianOperator)):
-        rho, sigma = as_operator(rho), as_operator(sigma)
-        return _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
-    pair = rho._pairs.get(sigma)
-    if pair is None:
-        pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
-    return pair
+    if isinstance(rho, HermitianOperator) and isinstance(sigma, HermitianOperator):
+        pair = rho._pairs.get(sigma)
+        if pair is None:
+            pair = rho._pairs[sigma] = _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
+        return pair
+    if not (isinstance(rho, HermitianOperator) or isinstance(sigma, HermitianOperator)):
+        try:
+            m = np.array((rho, sigma), dtype=complex)
+        except (TypeError, ValueError):  # not numeric, or ragged: the per-matrix path says which
+            m = np.zeros(0)
+        # square, of one size in 1..MAX_DIM, and Hermitian: a non-finite entry's deviation is NaN or inf
+        if (m.ndim == 3 and m.shape[1] == m.shape[2] and 0 < m.shape[1] <= MAX_DIM
+                and np.abs(m - m.conj().swapaxes(1, 2)).max() <= HERMITICITY_ATOL):
+            return _stack_pair(m)
+    rho, sigma = as_operator(rho), as_operator(sigma)
+    return _pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
 
 
 def _array_pair(rho: np.ndarray, sigma: np.ndarray) -> _Pair:
-    """The pair record of two PSD arrays, without the operator checks.
+    """The pair record of two PSD arrays of one shape, without the operator checks.
 
-    They are symmetrized and decomposed as by HermitianOperator, so that the
-    kernels give the public functions' values on them bit for bit.
+    _checked_pair builds two arrays' record the same way, so the kernels
+    give the public functions' values on them bit for bit.
     """
-    rho, sigma = (np.asarray(m, dtype=complex) for m in (rho, sigma))
-    rho, sigma = 0.5 * (rho + rho.conj().T), 0.5 * (sigma + sigma.conj().T)
-    return _pair(rho, _eigh_descending(rho), sigma, _eigh_descending(sigma))
+    return _stack_pair(np.array((rho, sigma), dtype=complex))
 
 
 def _meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -283,9 +283,11 @@ def _valuations(pair: _Pair, alpha: float) -> np.ndarray:
     """
     def logs(cut, bounds):
         values, _, kept = cut
-        values = values.tolist()
-        first = [values[lo] for lo, hi in zip(bounds, bounds[1:]) for _ in range(lo, hi)]
-        return np.log(first[:np.count_nonzero(kept)])
+        out = np.log(values[:np.count_nonzero(kept)])
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:  # a degenerate block reads its first eigenvalue's log throughout
+                out[lo + 1:hi] = out[lo:lo + 1]
+        return out
 
     ra = logs(pair.rho_cut, pair.i_bounds)
     cb = logs(pair.sigma_cut, pair.j_bounds)
@@ -330,21 +332,23 @@ def _limit_pivots(c: np.ndarray, val: np.ndarray) -> tuple[tuple[tuple[int, int]
     neg = -val.ravel()
     order = np.argsort(neg, kind="stable")
     keys = neg[order]  # ascending: equal valuations are one run
+    ends = keys.searchsorted(keys, "right").tolist()  # where each entry's run ends
     det, pivots, minors = 1.0, [], []
     for k in range(steps):
         mag, live = np.abs(c.take(order)), MINOR_DEAD / det
         first = int((mag > live).argmax())
         if not mag[first] > live:
             break
-        end = int(keys.searchsorted(keys[first], "right"))
-        at = first + int(mag[first:end].argmax())
+        at = first + int(mag[first:ends[first]].argmax())
         det = det * float(mag[at])
         p, q = divmod(int(order[at]), cols)
         pivots.append((p, q))
         minors.append(det)
         if k + 1 < steps:
-            c -= (c[:, q] / c[p, q])[:, None] * c[p]
-            c[p], c[:, q] = 0.0, 0.0
+            f = c[:, q] / c[p, q]
+            f[p] = 1.0  # the update then clears row p exactly; column q, cleared first, stays clear
+            c[:, q] = 0.0
+            c -= f[:, None] * c[p]
     return tuple(pivots), minors
 
 

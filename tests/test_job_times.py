@@ -59,3 +59,26 @@ def test_harness_scripts_follow_benchmark_json(tmp_path, monkeypatch):
         assert job_times.main(["--workload", name, "--seed", "1", "--src", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         job_times.main(["--workload", "optimize", "--seed", "1", "--src", str(tmp_path)])
+
+
+def test_the_host_speed_reference_runs_before_every_timed_job():
+    """As in the harness's pass loop: reference, job, reference, job, ... and only the jobs are timed."""
+    events = []
+
+    class Job:
+        expect = ()
+
+        def __init__(self, name):
+            self.name = name
+
+        def call(self, tracer):
+            events.append(self.name)
+            return self.name
+
+        def check(self, result):
+            return None
+
+    jobs = [Job("a"), Job("b"), Job("c")]
+    means = job_times.job_means(jobs, 2, None, lambda: events.append("reference"))
+    assert events == ["reference", "a", "reference", "b", "reference", "c"] * 2
+    assert len(means) == 3 and all(m >= 0.0 for m in means)

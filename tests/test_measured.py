@@ -538,9 +538,9 @@ def test_tiny_trace_below_half_stays_finite(alpha):
 def test_searches_read_the_pair_record_once(monkeypatch, rng, alpha):
     """On array inputs: one pair record, no spectral_map, and only the winner becomes a POVM.
 
-    The only HermitianOperators built are the coercions of rho and sigma
-    and the returned POVM's elements; the channel measured kind's state
-    objective builds none.  The second pair has rho inside sigma's
+    The only HermitianOperators built are the returned POVM's elements:
+    rho and sigma are checked on one stack, not coerced, and the channel
+    measured kind's state objective builds none.  The second pair has rho inside sigma's
     support, which alpha = 1.5 compresses rho to.
     """
     basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -571,7 +571,7 @@ def test_searches_read_the_pair_record_once(monkeypatch, rng, alpha):
             calls.update(dict.fromkeys(calls, 0))
             res = fn(rho.copy(), sigma.copy(), alpha)
             assert calls == {
-                "spectral_map": 0, "_checked_pair": 1, "operators": 2 + len(res.povm.elements),
+                "spectral_map": 0, "_checked_pair": 1, "operators": len(res.povm.elements),
             }, fn.__name__
         calls.update(dict.fromkeys(calls, 0))
         value, g_rho, _ = _state_grad("measured", alpha, None, 0)(rho, sigma)
@@ -740,21 +740,30 @@ def test_test_variant_search_costs_few_batched_eigh_rounds(monkeypatch, rng):
     """The grid and each secant round take one batched eigh; generic pairs need at most 12.
 
     An invertible-sigma qubit takes none: its tests lie on one closed-form
-    curve (measured._qubit_tests), which both lower bounds search.
+    curve (measured._qubit_tests), which both lower bounds search.  The
+    rounds are the batched eigh calls made after the pair record is built,
+    whose stacked boundary decomposes rho and sigma in one call.
     """
-    rounds = []
-    eigh = np.linalg.eigh
+    rounds, built = [], []
+    eigh, checked_pair = np.linalg.eigh, opcore._checked_pair
 
     def counted(a, *args, **kwargs):
-        rounds[-1] += np.ndim(a) == 3
+        rounds[-1] += bool(built) and np.ndim(a) == 3
         return eigh(a, *args, **kwargs)
 
+    def record(rho, sigma):
+        pair = checked_pair(rho, sigma)
+        built.append(pair)
+        return pair
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(measured, "_checked_pair", record)
     for d in (3, 4):
         for _ in range(10):
             rho, sigma = rand_density(rng, d).entries, rand_density(rng, d).entries
             for alpha in TEST_ALPHAS:
                 rounds.append(0)
+                built.clear()
                 measured_by_test(rho, sigma, alpha)
     assert min(rounds) >= 1 and max(rounds) <= 12
     rounds.clear()
@@ -763,6 +772,7 @@ def test_test_variant_search_costs_few_batched_eigh_rounds(monkeypatch, rng):
         for alpha in (0.1, 0.3, 1.0, 1.5, 3.0, 10.0):
             for fn in (measured_by_test, measured_renyi_lower):
                 rounds.append(0)
+                built.clear()
                 fn(rho, sigma, alpha)
     assert max(rounds) == 0
 

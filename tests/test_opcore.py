@@ -201,7 +201,7 @@ def test_pair_record_is_cached_per_operator_pair(rng):
 
 
 def test_pair_record_with_an_array_input_is_not_cached(monkeypatch, rng):
-    """An array's operator dies with the call, so no record is kept for it, nor on the other operator."""
+    """No record is kept for an array input, nor on the other operator."""
     made = []
 
     def coerced(x):
@@ -210,10 +210,11 @@ def test_pair_record_with_an_array_input_is_not_cached(monkeypatch, rng):
 
     monkeypatch.setattr(opcore, "as_operator", coerced)
     rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
-    for r, s in ((rho.entries, sigma.entries), (rho, sigma.entries), (rho.entries, sigma)):
+    # two arrays are checked on one stack and make no operator; a mixed pair coerces both
+    for r, s, coerced_count in ((rho.entries, sigma.entries, 0), (rho, sigma.entries, 2), (rho.entries, sigma, 2)):
         made.clear()
         pair = _checked_pair(r, s)
-        assert len(made) == 2 and all("_pairs" not in op.__dict__ for op in made)
+        assert len(made) == coerced_count and all("_pairs" not in op.__dict__ for op in made)
         assert d_alpha_z(r, s, DivergenceParams(1.5, 1.5)) == _d_alpha_z(pair, DivergenceParams(1.5, 1.5))
     assert "_pairs" not in rho.__dict__ and "_pairs" not in sigma.__dict__
 
@@ -224,3 +225,81 @@ def test_full_rank_sigma_includes_rho_without_a_defect(rng):
         pair = _checked_pair(rand_density(rng, d).entries, rand_density(rng, d).entries)
         assert pair.sigma_cut[2].all()
         assert pair.included is True and pair.borderline is False
+
+
+def _per_matrix_pair(rho, sigma):
+    """The record built one operator at a time: HermitianOperator's checks and eigh, then _pair."""
+    rho, sigma = HermitianOperator(rho), HermitianOperator(sigma)
+    return opcore._pair(rho.entries, rho.eig, sigma.entries, sigma.eig)
+
+
+def _record_fields(pair):
+    return {
+        "rho": pair.rho, "sigma": pair.sigma, "overlap": pair.overlap,
+        **{f"rho_cut[{k}]": x for k, x in enumerate(pair.rho_cut)},
+        **{f"sigma_cut[{k}]": x for k, x in enumerate(pair.sigma_cut)},
+        "tr": pair.tr, "included": pair.included, "borderline": pair.borderline, "rank": pair.rank,
+    }
+
+
+def _assert_same_bits(got, want):
+    got = _record_fields(got)
+    for name, x in _record_fields(want).items():
+        y = got[name]
+        if isinstance(x, np.ndarray):
+            assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes()), name
+        else:
+            assert type(y) is type(x) and y == x, name
+
+
+def test_stacked_boundary_builds_the_per_operator_record_bit_for_bit():
+    """Two arrays, through _checked_pair or _array_pair, give the per-operator record exactly."""
+    rng = np.random.default_rng(39)
+    pairs = []
+    for d in (1, 2, 3, 4, 8, 16, 64):
+        pairs += [(rand_density(rng, d), rand_density(rng, d)), (rand_density(rng, d), np.eye(d) / d)]
+        if d > 1:
+            pairs += [
+                (rand_density(rng, d, rank=d - 1), rand_density(rng, d)),
+                (rand_density(rng, d), rand_density(rng, d, rank=max(1, d // 2))),
+                (rand_pure(rng, d), rand_density(rng, d, rank=d - 1)),
+            ]
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    near = (u * [0.4, 0.3 + 3e-10, 0.3, 1e-13]) @ u.conj().T  # a gap in the ambiguous band
+    pairs.append((near, rand_density(rng, 4)))
+    pairs.append((rand_density(rng, 4), near))
+    for rho, sigma in pairs:
+        rho, sigma = (np.asarray(getattr(m, "entries", m), dtype=complex) for m in (rho, sigma))
+        want = _per_matrix_pair(rho, sigma)
+        _assert_same_bits(_checked_pair(rho, sigma), want)
+        _assert_same_bits(_array_pair(rho, sigma), want)
+
+
+def test_stacked_boundary_raises_as_the_per_matrix_path():
+    """Each malformed array pair raises the per-matrix path's exception, rho's failure first."""
+    good, skew = np.eye(2) / 2, np.array([[0.5, 0.1], [0.0, 0.5]])
+    nan = np.array([[0.5, math.nan], [math.nan, 0.5]])
+    not_psd = np.diag([1.0, -0.5])
+    cases = {
+        "rho bad": (skew, good),
+        "sigma bad": (good, skew),
+        "both bad": (skew, nan),
+        "shape mismatch": (good, np.eye(3) / 3),
+        "non-finite entry": (nan, good),
+        "d > 64": (np.eye(65) / 65, np.eye(65) / 65),
+        "not square": (np.ones((2, 3)), np.ones((2, 3))),
+        "rho not PSD": (not_psd, good),
+        "sigma not PSD": (good, not_psd),
+        "rho zero, sigma not PSD": (np.zeros((2, 2)), not_psd),
+        "sigma zero": (good, np.zeros((2, 2))),
+        "rho bad, sigma not numeric": (skew, [["a", "b"], ["c", "d"]]),
+        "empty": (np.zeros((0, 0)), np.zeros((0, 0))),
+    }
+    for name, (rho, sigma) in cases.items():
+        with pytest.raises(Exception) as want:
+            _per_matrix_pair(rho, sigma)
+        with pytest.raises(Exception) as got:
+            _checked_pair(rho, sigma)
+        assert (type(got.value), str(got.value)) == (want.type, str(want.value)), name
+    with pytest.raises(MalformedInputError, match="not Hermitian"):
+        _checked_pair(skew, nan)

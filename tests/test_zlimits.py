@@ -670,3 +670,87 @@ def test_a_tie_goes_to_the_largest_entry(theta):
         res = zero_z_divergence(rho, sigma, alpha)
         exact = math.log(2.0) + math.log(np.sum(a**alpha)) / (alpha - 1.0)
         assert res.value == pytest.approx(exact, abs=1e-12) and not res.used_fallback
+
+
+def _pin_family():
+    """Seeded arrays for every route of zero_z_divergence, by label.
+
+    Generic pairs, anti-aligned commuting pairs (whose alpha < 1 pivots
+    leave the closed form), sigma = I/d up to d = 16, rank-deficient rho,
+    and rank-deficient sigma with rho leaking out of its support or
+    compressed into it.
+    """
+    rng = np.random.default_rng(39)
+    pairs = {}
+    for d in (2, 3, 4):
+        pairs[f"generic d={d}"] = rand_density(rng, d), rand_density(rng, d)
+    for d in (2, 3):
+        a = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
+        pairs[f"anti-aligned d={d}"] = np.diag(a / a.sum()), np.diag(a[::-1] / a.sum())
+    for d in (2, 4, 8, 16):
+        pairs[f"sigma=I/d d={d}"] = rand_density(rng, d), np.eye(d) / d
+    for d in (3, 4):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d, rank=d - 1)
+        support = opcore.spectral_map(sigma, np.ones_like)[0]
+        inside = support @ rho.entries @ support
+        pairs[f"rank-deficient rho d={d}"] = rand_density(rng, d, rank=d - 1), rand_density(rng, d)
+        pairs[f"rank-deficient sigma d={d}"] = rho, sigma
+        pairs[f"rho inside singular sigma d={d}"] = inside / np.trace(inside).real, sigma
+    arrays = {}
+    for label, pair in pairs.items():
+        arrays[label] = tuple(np.asarray(getattr(m, "entries", m), dtype=complex) for m in pair)
+    return arrays
+
+
+def _pivot_text(pivots) -> str:
+    return " ".join(f"{p},{q}" for p, q in pivots)
+
+
+#: (value, used_fallback, pivots as "p,q") of every pair at alpha = 0.6 and 1.7
+ZERO_Z_PINS = {
+    ('generic d=2', 0.6): (0.0001544482467345093, False, '0,0 1,1'),
+    ('generic d=2', 1.7): (1.0900101583812125, False, '0,1 1,0'),
+    ('generic d=3', 0.6): (0.028347319958727298, False, '0,0 1,1 2,2'),
+    ('generic d=3', 1.7): (2.4899835834050745, False, '0,2 1,1 2,0'),
+    ('generic d=4', 0.6): (0.05019202927069585, False, '0,0 1,1 2,2 3,3'),
+    ('generic d=4', 1.7): (5.574618818567485, False, '0,3 1,2 2,1 3,0'),
+    ('anti-aligned d=2', 0.6): (0.21247939543486, True, '0,1 1,0'),
+    ('anti-aligned d=2', 1.7): (0.5209930654623491, False, '0,1 1,0'),
+    ('anti-aligned d=3', 0.6): (0.19117182190061782, True, '1,1 0,2 2,0'),
+    ('anti-aligned d=3', 1.7): (0.4930927822615207, False, '0,2 1,1 2,0'),
+    ('sigma=I/d d=2', 0.6): (0.24160944367836085, False, '0,0 1,1'),
+    ('sigma=I/d d=2', 1.7): (0.45162715614366344, False, '0,0 1,1'),
+    ('sigma=I/d d=4', 0.6): (0.23851599807640866, False, '0,0 1,1 2,3 3,2'),
+    ('sigma=I/d d=4', 1.7): (0.493209077854238, False, '0,0 1,1 2,3 3,2'),
+    ('sigma=I/d d=8', 0.6): (0.3679282938783705, False, '0,0 1,2 2,1 3,4 4,6 5,7 6,5 7,3'),
+    ('sigma=I/d d=8', 1.7): (0.6535368480347573, False, '0,0 1,2 2,1 3,4 4,6 5,7 6,5 7,3'),
+    ('sigma=I/d d=16', 0.6): (0.3903332496148196, False, '0,14 1,12 2,13 3,0 4,5 5,1 6,2 7,15 8,8 9,7 10,10 11,6 12,11 13,4 14,9 15,3'),
+    ('sigma=I/d d=16', 1.7): (0.6569054244020581, False, '0,14 1,12 2,13 3,0 4,5 5,1 6,2 7,15 8,8 9,7 10,10 11,6 12,11 13,4 14,9 15,3'),
+    ('rank-deficient rho d=3', 0.6): (0.014432240074489372, False, '0,0 1,1'),
+    ('rank-deficient rho d=3', 1.7): (4.425264267973412, False, '0,2 1,1'),
+    ('rank-deficient sigma d=3', 0.6): (0.18665347428352144, False, '0,0 1,1'),
+    ('rank-deficient sigma d=3', 1.7): (math.inf, False, ''),
+    ('rho inside singular sigma d=3', 0.6): (0.10584536441618872, False, '0,0 1,1'),
+    ('rho inside singular sigma d=3', 1.7): (1.67534697067877, True, '0,1 1,0'),
+    ('rank-deficient rho d=4', 0.6): (0.0009789108233474939, False, '0,0 1,1 2,2'),
+    ('rank-deficient rho d=4', 1.7): (6.050422054403072, False, '0,3 1,2 2,1'),
+    ('rank-deficient sigma d=4', 0.6): (0.04864133759158583, False, '0,0 1,1 2,2'),
+    ('rank-deficient sigma d=4', 1.7): (math.inf, False, ''),
+    ('rho inside singular sigma d=4', 0.6): (0.002306701324369404, False, '0,0 1,1 2,2'),
+    ('rho inside singular sigma d=4', 1.7): (2.12931374042775, True, '0,2 1,1 2,0'),
+}
+
+
+def test_zero_z_pivots_flags_and_values_are_pinned():
+    """The elimination's pivots, the fallback flag and the value on a seeded family, on arrays."""
+    family = _pin_family()
+    got = {
+        (label, alpha): zero_z_divergence(rho, sigma, alpha)
+        for label, (rho, sigma) in family.items()
+        for alpha in (0.6, 1.7)
+    }
+    assert set(got) == set(ZERO_Z_PINS)
+    for key, res in got.items():
+        value, used_fallback, pivots = ZERO_Z_PINS[key]
+        assert (_pivot_text(res.pivots), res.used_fallback) == (pivots, used_fallback), key
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0.0), key
