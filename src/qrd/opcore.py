@@ -93,8 +93,8 @@ class HermitianOperator:
 
     def __init__(self, entries) -> None:
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise MalformedInputError(f"expected a square matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise MalformedInputError(f"expected a non-empty square matrix, got shape {m.shape}")
         if m.shape[0] > MAX_DIM:
             raise DimTooLargeError(
                 f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}"
@@ -102,7 +102,7 @@ class HermitianOperator:
         if not np.isfinite(m).all():
             raise MalformedInputError("matrix has non-finite entries")
         mh = np.ascontiguousarray(m.conj().T)  # contiguous, so that neither sum below mixes layouts
-        gap = float(np.abs(m - mh).max(initial=0.0))
+        gap = float(np.abs(m - mh).max())
         if gap > HERMITICITY_ATOL:
             raise MalformedInputError(f"matrix is not Hermitian (deviation {gap:.3e})")
         # symmetrize away the sub-tolerance residue so eigh sees an exact input
@@ -132,7 +132,7 @@ class HermitianOperator:
     @property
     def spectral_norm(self) -> float:
         w = self.eigenvalues
-        return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+        return float(max(abs(w[0]), abs(w[-1])))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianOperator(dim={self.dim}, trace={self.trace:.6g})"

@@ -1,11 +1,14 @@
-"""The p50 selection of scripts/job_times.py, on canned job means, and the
-settings it and scripts/bench_record.py take from BENCHMARK.json."""
+"""scripts/job_times.py on canned harness rows: its table, p50 marks, failure
+exit and one-CPU pin, and the settings it and scripts/bench_record.py take
+from BENCHMARK.json."""
 
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,24 +64,57 @@ def test_harness_scripts_follow_benchmark_json(tmp_path, monkeypatch):
         job_times.main(["--workload", "optimize", "--seed", "1", "--src", str(tmp_path)])
 
 
-def test_the_host_speed_reference_runs_before_every_timed_job():
-    """As in the harness's pass loop: reference, job, reference, job, ... and only the jobs are timed."""
-    events = []
+#: two passes of four jobs: corrected means 2, 4, 5, 6 us; wall means 9, 1, 2, 3 us
+CORRECTED = [[1e-6, 6e-6, 3e-6, 8e-6], [3e-6, 2e-6, 7e-6, 4e-6]]
+WALLS = [[9e-6, 1e-6, 2e-6, 3e-6]] * 2
 
-    class Job:
-        expect = ()
 
-        def __init__(self, name):
-            self.name = name
+def canned_harness(monkeypatch, failures=()):
+    """Replace the harness's set-up and pass loop by canned rows; returns the calls made."""
+    calls = []
+    jobs = [SimpleNamespace(name=name) for name in ("a", "b", "c", "d")]
+    work = SimpleNamespace(jobs=jobs, cleanup=lambda: calls.append("cleanup"))
 
-        def call(self, tracer):
-            events.append(self.name)
-            return self.name
+    def run_jobs(got, passes, tracer):
+        calls.append(("run_jobs", passes))
+        assert got is jobs
+        return WALLS, CORRECTED, [0.1] * passes, [(op, jobs[op % 4], msg) for op, msg in failures]
 
-        def check(self, result):
-            return None
+    harness = job_times.run
+    monkeypatch.setattr(harness, "pin_threads", lambda: calls.append("pin_threads"))
+    monkeypatch.setattr(harness, "reference_s", lambda: calls.append("reference_s"))
+    monkeypatch.setattr(harness, "setup", lambda *a: calls.append(("setup",) + a) or (work, 0.5, 0.25))
+    monkeypatch.setattr(harness, "run_jobs", run_jobs)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(("affinity", pid, cpus)))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return calls
 
-    jobs = [Job("a"), Job("b"), Job("c")]
-    means = job_times.job_means(jobs, 2, None, lambda: events.append("reference"))
-    assert events == ["reference", "a", "reference", "b", "reference", "c"] * 2
-    assert len(means) == 3 and all(m >= 0.0 for m in means)
+
+def test_rows_are_the_harness_corrected_means_in_us(monkeypatch, capsys):
+    canned_harness(monkeypatch)
+    assert job_times.main(["--workload", "optimize", "--seed", "3", "--passes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:5]]
+    means = [statistics.fmean(column) for column in zip(*CORRECTED)]
+    assert [float(row[2]) for row in rows] == pytest.approx([1e6 * m for m in means])
+    assert [row[1] for row in rows if row[-1] == "p50"] == ["b", "c"]  # 4 and 5 us, not the wall's c, d
+    assert lines[5] == "pass 0.017 ref-ms; median of the job means 4.5 ref-us"
+    assert lines[6] == "wall pass 0.015 ms; host slowdown 0.882; set-up 0.250 s (0.500 s wall)"
+
+
+def test_harness_steps_run_in_order_on_one_cpu(monkeypatch):
+    calls = canned_harness(monkeypatch)
+    assert job_times.main(["--workload", "zlimit", "--seed", "3", "--passes", "2"]) == 0
+    pin, (affinity, pid, cpus), reference = calls[:3]
+    assert (pin, affinity, pid, reference) == ("pin_threads", "affinity", 0, "reference_s")
+    assert len(cpus) == 1 and cpus <= os.sched_getaffinity(0)
+    root = Path(job_times.__file__).resolve().parents[1]
+    assert calls[3:] == [("setup", "zlimit", 3, root), ("run_jobs", 2), "cleanup"]
+
+
+def test_a_failed_check_names_the_job_and_exits_nonzero(monkeypatch, capsys):
+    canned_harness(monkeypatch, failures=[(5, "value off")])
+    assert job_times.main(["--workload", "spectral", "--seed", "1"]) != 0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == "job 1 (b) failed its check: value off"

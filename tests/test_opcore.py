@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from qrd.errors import DimTooLargeError, MalformedInputError, NotPSDError
 from qrd.divergences import DivergenceParams, _d_alpha_z, d_alpha_z, d_max, umegaki
+from qrd.measured import measured_renyi_lower
+from qrd.zlimits import zero_z_divergence
 from qrd import opcore
 from qrd.opcore import (
     HermitianOperator,
@@ -34,6 +36,21 @@ from qrd.verify import rand_density, rand_pure
 def test_rejects_non_square():
     with pytest.raises(MalformedInputError):
         HermitianOperator(np.ones((2, 3)))
+
+
+def test_empty_input_is_malformed_everywhere():
+    """A 0 x 0 matrix fails the operator check, so each pair entry point raises that error (CLI exit 2)."""
+    empty = np.zeros((0, 0))
+    with pytest.raises(MalformedInputError, match="non-empty"):
+        HermitianOperator(empty)
+    calls = [
+        lambda: d_alpha_z(empty, empty, DivergenceParams(1.5, 1.0)),
+        lambda: zero_z_divergence(empty, empty, 0.5),
+        lambda: measured_renyi_lower(empty, empty, 1.5),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedInputError, match="non-empty"):
+            call()
 
 
 def test_rejects_non_hermitian():
